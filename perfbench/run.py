@@ -48,7 +48,7 @@ from workloads import WORKLOADS, warm_up  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
-SETUP_SAMPLES = 7
+SETUP_SAMPLES = 11
 
 # Other tenants of a shared host change its speed by up to 1.7x within
 # seconds, so every reported time is converted to reference speed using a
