@@ -1,9 +1,16 @@
+import json
+import pathlib
+
 import pytest
 
 from wsnsec import sim
 from wsnsec.addressing import NodeAddress
 from wsnsec.agent import default_policy
 from wsnsec.sim import AdversarySpec, EnergyModel, SimConfig
+
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "vectors" / "sim_golden"
+GOLDEN_CONFIGS = json.loads((GOLDEN_DIR / "configs.json").read_text())
 
 
 def military(initial=1000.0):
@@ -309,3 +316,39 @@ class TestConfigLoading:
         )
         assert cfg.scenario.name == "orchard"
         assert int(cfg.scenario.base_level.encryption) == 1
+
+
+class TestGoldens:
+    """Pinned outputs of small configs: `energy.csv` and `trust.csv` of the
+    adaptive arm and `savings.csv` of both arms must reproduce byte for
+    byte. The files were written by an earlier simulator; a refactor that
+    changes any of them changes behaviour."""
+
+    @pytest.fixture(scope="class")
+    def savings(self):
+        return {
+            name: sim.compare_fixed_vs_adaptive(sim.config_from_dict(data))
+            for name, data in GOLDEN_CONFIGS.items()
+        }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_outputs_byte_identical(self, savings, name):
+        got = savings[name]
+        golden = GOLDEN_DIR / name
+        assert got.adaptive.energy_csv() == (golden / "energy.csv").read_text()
+        assert got.adaptive.trust_csv() == (golden / "trust.csv").read_text()
+        assert got.savings_csv() == (golden / "savings.csv").read_text()
+
+    def test_configs_cover_the_model(self, savings):
+        """The pinned set exercises every scenario, every adversary kind,
+        channel loss, several groups, an election and a node death."""
+        configs = [sim.config_from_dict(d) for d in GOLDEN_CONFIGS.values()]
+        reports = [s.adaptive for s in savings.values()]
+        assert {c.scenario.name for c in configs} == set(sim.SCENARIO_NAMES)
+        assert {a.behavior for c in configs for a in c.adversaries} == set(
+            sim.ADVERSARY_BEHAVIORS
+        )
+        assert any(c.loss_rate > 0 for c in configs)
+        assert any(c.group_count > 1 for c in configs)
+        assert any(r.elections for r in reports)
+        assert any(not s.alive for r in reports for s in r.nodes.values())
