@@ -22,7 +22,7 @@ the truncated counter octet; dropping the counter would break freshness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -198,9 +198,3 @@ class SecurityAgent:
 
     def decide(self, packet_class: PacketClass) -> SecurityLevel:
         return decide(self.snapshot(packet_class))
-
-
-def policy_with_floor(policy: ScenarioPolicy, initial_energy: float) -> ScenarioPolicy:
-    """Rescale a preset's energy floor to a concrete initial battery."""
-    fresh = default_policy(policy.name, initial_energy) if policy.name in SCENARIO_NAMES else policy
-    return replace(policy, energy_floor=fresh.energy_floor)

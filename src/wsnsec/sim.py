@@ -27,6 +27,13 @@ Model (desk scale, normative for the closed-form energy tests):
 * Adversaries: `drop-fraction` nodes drop duty obligations, `replay-attacker`
   nodes retransmit a captured packet out of slot each frame, `captured`
   nodes advertise rising energy readings and trip the suspicious flag.
+* Observation: every alive member of a group hears every transmission of
+  its clique, and observation is loss-free (`loss_rate` drops deliveries,
+  not observations). All alive members therefore see the same events about
+  every subject but themselves, so each group keeps one shared ledger of
+  neighbor rows and a member's trust table is a view of it without its own
+  row. A node that dies keeps a frozen copy of what it had seen. Lossy or
+  partial observation would need one table per observer again.
 
 Runs are pure functions of the config: one `random.Random(seed)` instance
 drives adversary drops and channel loss, everything else is arithmetic.
@@ -34,6 +41,7 @@ drives adversary drops and channel loss, everything else is arithmetic.
 
 from __future__ import annotations
 
+import heapq
 import io
 import json
 import random
@@ -219,6 +227,9 @@ class SimReport:
     nodes: dict[NodeAddress, NodeStats]
     elections: list[ElectionEvent]
     rekeys: list[RekeyEvent]
+    # Each node's trust table at the end of the run. The tables of nodes
+    # alive at the end share their row objects (one shared row per subject
+    # and group); a node that died holds copies frozen at its death.
     trust_tables: dict[NodeAddress, TrustTable]
     slot_log: list[tuple[int, int, int, NodeAddress, bool]]
 
@@ -296,10 +307,13 @@ class SavingsReport:
 # =============================================================================
 
 class _Node:
-    def __init__(self, addr: NodeAddress, ring: KeyRing, config: SimConfig):
+    def __init__(
+        self, addr: NodeAddress, ring: KeyRing, ledger: TrustTable, config: SimConfig
+    ):
         self.addr = addr
         self.ring = ring
-        self.table = TrustTable(observer=addr, weights=config.trust_weights)
+        self.ledger = ledger
+        self.frozen: Optional[TrustTable] = None
         self.agent = SecurityAgent(config.scenario)
         self.stats = NodeStats(address=addr)
         self.model = config.energy_model
@@ -323,6 +337,23 @@ class _Node:
         setattr(self.stats.ledger, kind, getattr(self.stats.ledger, kind) + joules)
         if self.remaining <= 0:
             self.stats.alive = False
+            # The dead observe nothing more: keep copies of the rows seen so far.
+            self.frozen = TrustTable(
+                self.addr,
+                self.ledger.weights,
+                {s: replace(rec) for s, rec in self.view().rows.items()},
+            )
+
+    def view(self) -> TrustTable:
+        """This node's trust table: the group ledger without its own row,
+        or the copy frozen at its death."""
+        if self.frozen is not None:
+            return self.frozen
+        return TrustTable(
+            self.addr,
+            self.ledger.weights,
+            {s: rec for s, rec in self.ledger.rows.items() if s != self.addr},
+        )
 
     def counter_to(self, dest: int) -> CounterState:
         return self.out_ctr.setdefault(dest, CounterState())
@@ -332,9 +363,10 @@ class _Node:
 
 
 class _Group:
-    def __init__(self, gid: int, nodes: list[_Node]):
+    def __init__(self, gid: int, nodes: list[_Node], ledger: TrustTable):
         self.gid = gid
         self.nodes = sorted(nodes, key=lambda n: n.addr)
+        self.ledger = ledger  # one row per observed subject, shared by all members
         self.head = self.nodes[0]
         self.vice: Optional[_Node] = None
         self.pending_aggregate: Optional[bytes] = None
@@ -378,19 +410,32 @@ class _Simulation:
         sizes = [cfg.node_count // cfg.group_count] * cfg.group_count
         for i in range(cfg.node_count % cfg.group_count):
             sizes[i] += 1
+        # Every ring derives from the one base-station master, so a message
+        # names its key; each pairwise and peer key is derived once, not
+        # once per ring that holds it.
+        derived: dict[bytes, SymmetricKey] = {}
+
+        def prf_once(master: SymmetricKey, message: bytes) -> SymmetricKey:
+            key = derived.get(message)
+            if key is None:
+                key = derived[message] = prf(master, message)
+            return key
+
         groups = []
         for gid, size in enumerate(sizes):
             if size == 0:
                 continue
             addrs = [NodeAddress(gid, i + 1) for i in range(size)]
             head = addrs[0]
+            ledger = TrustTable(NodeAddress(gid, BROADCAST_NODE_ID), cfg.trust_weights)
             members = []
             for addr in addrs:
                 ring = derive_keyring(
-                    self.bs_master, addr, head, [a for a in addrs if a != addr]
+                    self.bs_master, addr, head, [a for a in addrs if a != addr],
+                    prf_once,
                 )
-                members.append(_Node(addr, ring, cfg))
-            groups.append(_Group(gid, members))
+                members.append(_Node(addr, ring, ledger, cfg))
+            groups.append(_Group(gid, members, ledger))
         return groups
 
     # ---- per-packet helpers -------------------------------------------------
@@ -419,10 +464,17 @@ class _Simulation:
     def _apply_events(
         self, group: _Group, events: list[tuple[NodeAddress, str, Optional[float]]]
     ) -> None:
-        for observer in self._alive_members(group):
-            for subject, kind, value in events:
-                if subject != observer.addr:
-                    observer.table.record(subject, kind, value)
+        """Record each event once, in the group's shared ledger.
+
+        This stands for every alive member observing it: in a loss-free
+        single-hop clique all of them see the same events, except those
+        about themselves. An event is dropped when no alive member but its
+        subject is left to see it. Lossy or partial observation would need
+        one table per observer again.
+        """
+        for subject, kind, value in events:
+            if any(n.alive and n.addr != subject for n in group.nodes):
+                group.ledger.record(subject, kind, value)
 
     def _transmit(
         self,
@@ -559,7 +611,7 @@ class _Simulation:
                 member.addr.encode() + b"\x00\x00",
             )
         # Step 3: tally and hand over.
-        tables = {n.addr: n.table for n in members}
+        tables = {n.addr: n.view() for n in members}
         new_head, vice = run_election([n.addr for n in members], tables, head.addr)
         result = new_head.encode() + (vice.encode() if vice else b"\x00\x00")
         self._transmit(
@@ -589,7 +641,7 @@ class _Simulation:
         )
         k1 = derive_session_key(seed, group.gid, BASE_STATION)
         member_trust = {
-            n.addr: head.table.election_trust(n.addr) for n in members if n is not head
+            n.addr: group.ledger.election_trust(n.addr) for n in members if n is not head
         }
         recipients = rekey_group(
             head.ring, member_trust, self.config.rekey_threshold, k1
@@ -736,13 +788,18 @@ class _Simulation:
                 samples.append((node.addr, "energy-sample", claimed))
                 samples.append((node.addr, "signal-sample", 0.8))
             self._apply_events(group, samples)
+            # `decide` reads only the lowest neighbor trust, and a member's
+            # neighbors are the ledger's subjects but itself: the lowest of
+            # the ledger's two lowest entries that is not its own will do.
+            ledger = group.ledger
+            lowest = heapq.nsmallest(
+                2, ((ledger.election_trust(s), s) for s in ledger.rows)
+            )
             for node in members:
                 node.agent.report(Layer.PHYSICAL, "energy", node.remaining)
-                for neighbor in node.table.rows:
-                    node.agent.report(
-                        Layer.LINK, "trust",
-                        (neighbor, node.table.election_trust(neighbor)),
-                    )
+                node.agent.neighbor_trust = dict(
+                    [(s, t) for t, s in lowest if s != node.addr][:1]
+                )
 
     def run(self) -> SimReport:
         for frame in range(self.config.sim_length):
@@ -760,7 +817,7 @@ class _Simulation:
             nodes={addr: node.stats for addr, node in self.nodes.items()},
             elections=self.elections,
             rekeys=self.rekeys,
-            trust_tables={addr: node.table for addr, node in self.nodes.items()},
+            trust_tables={addr: node.view() for addr, node in self.nodes.items()},
             slot_log=self.slot_log,
         )
 

@@ -60,8 +60,9 @@ class NeighborRecord:
 
     The two energy/signal slots hold the latest two samples, with t1 the
     older. Routing cost (rc) is recorded but does not enter the trust
-    formula. `_trust` keeps the owning table's trust value for these
-    counters; None means it is yet to be computed.
+    formula. `_trust` keeps the trust value of these counters under the
+    weights of the table(s) holding the row; None means it is yet to be
+    computed. Tables that share a row must share their weights.
     """
 
     ae_t1: float = 0.0
@@ -164,6 +165,11 @@ class TrustTable:
     Recording an observation only updates the row; a neighbor's trust is
     computed when it is read (`trust`, `election_trust`, `to_csv`), once
     per change of the row.
+
+    The simulator keeps one table per group, recording each observation
+    once, and hands every member a view of it: a table over the same row
+    objects without the member's own row. A trust value written through
+    one view is seen by every view holding that row.
 
     Single-owner: operations are plain single-writer updates with no
     locking; move the table between threads, never share it.

@@ -1,12 +1,15 @@
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 
 from wsnsec import sim
 from wsnsec.addressing import NodeAddress
 from wsnsec.agent import default_policy
+from wsnsec.keys import derive_keyring
 from wsnsec.sim import AdversarySpec, EnergyModel, SimConfig
+from wsnsec.trust import TrustTable
 
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "vectors" / "sim_golden"
@@ -262,6 +265,64 @@ class TestElections:
         # Honest members keep decoding session broadcasts after re-keys.
         assert all(report.nodes[a].bcast_ok_after_rekey > 0 for a in honest
                    if report.nodes[a].alive)
+
+
+class TestObservationViews:
+    """Each group records observations once; members read views of it."""
+
+    def test_no_table_holds_its_observer(self):
+        report = sim.run(sim.config_from_dict(GOLDEN_CONFIGS["habitat_death_loss"]))
+        assert any(not s.alive for s in report.nodes.values())
+        for addr, table in report.trust_tables.items():
+            assert table.observer == addr
+            assert addr not in table.rows
+
+    def test_dead_observer_keeps_counters_from_its_death(self):
+        cfg = small_battery_cfg(7)  # the head dies between frames 100 and 110
+        at_110 = sim.run(replace(cfg, sim_length=110))
+        at_120 = sim.run(cfg)
+        dead = [a for a, s in at_110.nodes.items() if not s.alive]
+        assert dead
+        alive = [a for a, s in at_120.nodes.items() if s.alive]
+        observer, subject = alive[0], alive[1]
+        for addr in dead:
+            frozen = at_120.trust_tables[addr]
+            assert frozen.to_csv() == at_110.trust_tables[addr].to_csv()
+            assert (
+                frozen.rows[subject].npt
+                < at_110.trust_tables[observer].rows[subject].npt
+                < at_120.trust_tables[observer].rows[subject].npt
+            )
+
+    @pytest.mark.parametrize("members", [8, 32])
+    def test_records_per_transmission_independent_of_group_size(
+        self, monkeypatch, members
+    ):
+        records = 0
+        record = TrustTable.record
+
+        def counting(self, *args, **kwargs):
+            nonlocal records
+            records += 1
+            return record(self, *args, **kwargs)
+
+        monkeypatch.setattr(TrustTable, "record", counting)
+        report = sim.run(
+            SimConfig(seed=1, node_count=members, group_count=1, sim_length=3)
+        )
+        assert 0 < records <= 4 * len(report.slot_log)
+
+    def test_rings_match_direct_derivation(self):
+        simulation = sim._Simulation(
+            SimConfig(seed=3, node_count=7, group_count=2, sim_length=0)
+        )
+        for group in simulation.groups:
+            addrs = [n.addr for n in group.nodes]
+            for node in group.nodes:
+                assert node.ring == derive_keyring(
+                    simulation.bs_master, node.addr, addrs[0],
+                    [a for a in addrs if a != node.addr],
+                )
 
 
 class TestConfigLoading:
