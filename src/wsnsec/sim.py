@@ -220,6 +220,13 @@ class RekeyEvent:
 
 @dataclass
 class SimReport:
+    """What one run produced.
+
+    `trust_tables` holds each node's trust table at the end of the run.
+    The tables of nodes alive at the end share their row objects, one per
+    subject and group; a node that died holds copies made at its death.
+    """
+
     seed: int
     scenario_name: str
     adaptive: bool
@@ -227,9 +234,6 @@ class SimReport:
     nodes: dict[NodeAddress, NodeStats]
     elections: list[ElectionEvent]
     rekeys: list[RekeyEvent]
-    # Each node's trust table at the end of the run. The tables of nodes
-    # alive at the end share their row objects (one shared row per subject
-    # and group); a node that died holds copies frozen at its death.
     trust_tables: dict[NodeAddress, TrustTable]
     slot_log: list[tuple[int, int, int, NodeAddress, bool]]
 
