@@ -58,3 +58,81 @@ def rc5_decrypt(key, rounds, block):
     a = (a - s[0]) & M32
     b = (b - s[1]) & M32
     return a.to_bytes(4, "little") + b.to_bytes(4, "little")
+
+
+# OCB-style block mode, straight from the `aead` module docstring: blocks
+# are bytes, field elements are big-endian ints mod x^64+x^4+x^3+x+1.
+
+M64 = (1 << 64) - 1
+
+
+def _times_x(v):
+    carry = v >> 63
+    v = (v << 1) & M64
+    return v ^ 0x1B if carry else v
+
+
+def _times_x_inv(v):
+    if v & 1:
+        v ^= (1 << 64) | 0x1B
+    return v >> 1
+
+
+def _ntz(i):
+    n = 0
+    while i % 2 == 0:
+        i //= 2
+        n += 1
+    return n
+
+
+def _ocb_core(key, rounds, counter, aad, text, decrypt):
+    def e(v):
+        return int.from_bytes(rc5_encrypt(key, rounds, v.to_bytes(8, "big")), "big")
+
+    def d(v):
+        return int.from_bytes(rc5_decrypt(key, rounds, v.to_bytes(8, "big")), "big")
+
+    l = e(0)
+    l_inv = _times_x_inv(l)
+    r = e(counter ^ l)
+    blocks = [text[i : i + 8] for i in range(0, len(text), 8)] or [b""]
+    m = len(blocks)
+    z = [None, l ^ r]
+    for i in range(2, m + 1):
+        lx = l
+        for _ in range(_ntz(i)):
+            lx = _times_x(lx)
+        z.append(z[i - 1] ^ lx)
+
+    out = b""
+    checksum = 0
+    for i in range(1, m):
+        x = int.from_bytes(blocks[i - 1], "big")
+        y = (d(x ^ z[i]) if decrypt else e(x ^ z[i])) ^ z[i]
+        out += y.to_bytes(8, "big")
+        checksum ^= y if decrypt else x
+    final = blocks[-1]
+    pad = e(len(final) * 8 ^ l_inv ^ z[m]).to_bytes(8, "big")
+    out_final = bytes(a ^ b for a, b in zip(final, pad))
+    out += out_final
+    ct_final = final if decrypt else out_final
+    checksum ^= int.from_bytes(ct_final + bytes(8 - len(ct_final)), "big")
+    checksum ^= int.from_bytes(pad, "big")
+
+    assert len(aad) < 8
+    padded_aad = int.from_bytes(aad + b"\x80" + bytes(7 - len(aad)), "big")
+    full_tag = e(checksum ^ z[m]) ^ e(padded_aad)
+    return out, (full_tag >> 32).to_bytes(4, "big")
+
+
+def ocb_seal(key, rounds, counter, aad, plaintext, auth):
+    ct, tag = _ocb_core(key, rounds, counter, aad, plaintext, False)
+    return ct, tag if auth else None
+
+
+def ocb_open(key, rounds, counter, aad, ciphertext, tag, auth):
+    pt, expect = _ocb_core(key, rounds, counter, aad, ciphertext, True)
+    if auth and tag != expect:
+        return None
+    return pt

@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+import oracles
 from wsnsec import aead
 
 KEY = bytes.fromhex("000102030405060708f0")
 ALL_MODES = [(r, a) for r in (0, 4, 8, 12) for a in (True, False)]
+BLOCK_MODES = [(r, a) for r in (4, 8, 12) for a in (True, False)]
+EDGE_COUNTERS = (0, 1, 255, 256, (1 << 32) - 1)
 
 
 @pytest.mark.parametrize("rounds,auth", ALL_MODES)
@@ -91,3 +94,25 @@ def test_rc5_invocation_count():
     assert aead.rc5_invocations(8, False) == 2
     assert aead.rc5_invocations(9, False) == 3
     assert aead.rc5_invocations(29, True) == 7
+
+
+@pytest.mark.parametrize("rounds,auth", BLOCK_MODES)
+def test_block_mode_matches_oracle(rounds, auth):
+    # Every payload length a packet can carry, every AAD length that fits
+    # one padded block, and counters at the byte and word edges.
+    rnd = random.Random(1000 + rounds * 2 + auth)
+    key = rnd.randbytes(10)
+    counters = EDGE_COUNTERS + tuple(rnd.randrange(1 << 32) for _ in range(3))
+    for n in range(30):
+        for k, ctr in enumerate(counters):
+            pt = rnd.randbytes(n)
+            aad = rnd.randbytes((n + k) % 8)
+            sealed = aead.seal(key, rounds, ctr, aad, pt, auth)
+            assert sealed == oracles.ocb_seal(key, rounds, ctr, aad, pt, auth)
+            ct, tag = sealed
+            assert aead.open_(key, rounds, ctr, aad, ct, tag, auth) == pt
+            assert oracles.ocb_open(key, rounds, ctr, aad, ct, tag, auth) == pt
+            if auth:
+                bad = bytes((tag[0] ^ 0x80,)) + tag[1:]
+                assert aead.open_(key, rounds, ctr, aad, ct, bad, auth) is None
+                assert oracles.ocb_open(key, rounds, ctr, aad, ct, bad, auth) is None
