@@ -335,12 +335,24 @@ class _Node:
         return self.model.initial_energy - self.stats.ledger.total
 
     def debit(self, kind: str, joules: float) -> None:
-        if not self.stats.alive:
+        stats = self.stats
+        if not stats.alive:
             return
-        joules = min(joules, self.remaining)
-        setattr(self.stats.ledger, kind, getattr(self.stats.ledger, kind) + joules)
-        if self.remaining <= 0:
-            self.stats.alive = False
+        # `remaining` inlined, summed in `EnergyLedger.total`'s order so the
+        # floats are bit-identical: every listener pays a debit per packet.
+        spent = stats.ledger
+        initial = self.model.initial_energy
+        joules = min(joules, initial - (spent.tx + spent.rx + spent.crypto))
+        if kind == "rx":
+            spent.rx += joules
+        elif kind == "crypto":
+            spent.crypto += joules
+        elif kind == "tx":
+            spent.tx += joules
+        else:
+            raise ValueError(f"unknown energy kind {kind!r}")
+        if initial - (spent.tx + spent.rx + spent.crypto) <= 0:
+            stats.alive = False
             # The dead observe nothing more: keep copies of the rows seen so far.
             self.frozen = TrustTable(
                 self.addr,
