@@ -20,9 +20,13 @@ The exact construction (normative for the pinned test vectors):
   and ``y``; associated data is padded with 0x80 into one block and
   encrypted; tag = top 32 bits of ``E(checksum XOR z[m]) XOR E(pad(aad))``.
 
-Block inputs that do not depend on each other are passed to RC5 together
-in one ``rc5.encrypt_blocks`` call, so a seal makes at most three cipher
-calls regardless of payload length.
+The code runs this on 64-bit ints in RC5's own word domain: a block is
+``int.from_bytes(block, "little")``, which the ``rc5`` int core takes and
+returns without packing words. XOR does not depend on byte order, so the
+offsets, checksum, final-block pad and tag are plain int XORs there. The
+big-endian values above are converted once: ``l_inv`` and the ``l * x^i``
+table when a key is first set up, and the nonce and ``bitlen`` per packet.
+The tag, the top 32 bits of a big-endian block, is the low word.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from typing import Optional
 from . import rc5
 
 TAG_BYTES = 4
+_M32 = 0xFFFFFFFF
 _M64 = 0xFFFFFFFF_FFFFFFFF
 
 # Domain tags for the level-0 stream expansion and its tag (the key
@@ -57,102 +62,60 @@ def _ntz(i: int) -> int:
     return (i & -i).bit_length() - 1
 
 
-def _pad_block(data: bytes) -> bytes:
+def _pad_block(data: bytes) -> int:
     if len(data) >= rc5.BLOCK_BYTES:
         raise ValueError("associated data must fit one block with padding")
-    return data + b"\x80" + bytes(rc5.BLOCK_BYTES - len(data) - 1)
+    return int.from_bytes(data + b"\x80", "little")
+
+
+def _byteswap(x: int) -> int:
+    """Map a 64-bit big-endian block value to RC5's little-endian one, or back."""
+    return int.from_bytes(x.to_bytes(8, "little"), "big")
 
 
 @lru_cache(maxsize=256)
-def _setup(key: bytes, rounds: int) -> tuple[int, tuple[int, ...]]:
-    l = int.from_bytes(rc5.encrypt_block(key, rounds, bytes(8)), "big")
+def _setup(key: bytes, rounds: int) -> tuple[rc5.Schedule, int, tuple[int, ...]]:
+    """The key's RC5 schedule, ``l_inv`` and ``l * x^i`` (i = 0..8), the
+    last two in the word domain."""
+    schedule = rc5.key_schedule(key, rounds)
+    l = _byteswap(rc5.encrypt_int(schedule, 0))
     doubles = [l]
     for _ in range(8):
         doubles.append(_double(doubles[-1]))
-    return _halve(l), tuple(doubles)
+    return schedule, _byteswap(_halve(l)), tuple(map(_byteswap, doubles))
 
 
-def _offsets(key: bytes, rounds: int, counter: int, m: int):
-    l_inv, doubles = _setup(key, rounds)
-    nonce = counter.to_bytes(8, "big")
-    r_in = (int.from_bytes(nonce, "big") ^ doubles[0]).to_bytes(8, "big")
-    r = int.from_bytes(rc5.encrypt_block(key, rounds, r_in), "big")
-    z = [0] * (m + 1)
-    z[1] = doubles[0] ^ r
-    for i in range(2, m + 1):
-        z[i] = z[i - 1] ^ doubles[_ntz(i)]
-    return l_inv, z
-
-
-def _seal_block_mode(key, rounds, counter, aad, plaintext, auth):
-    m = max(1, (len(plaintext) + 7) // 8)
-    l_inv, z = _offsets(key, rounds, counter, m)
-    full = [plaintext[8 * i : 8 * i + 8] for i in range(m - 1)]
-    final = plaintext[8 * (m - 1) :]
-
-    batch = bytearray()
-    for i, blk in enumerate(full, start=1):
-        batch += (int.from_bytes(blk, "big") ^ z[i]).to_bytes(8, "big")
-    batch += (len(final) * 8 ^ l_inv ^ z[m]).to_bytes(8, "big")
-    if auth:
-        batch += _pad_block(aad)
-    out = rc5.encrypt_blocks(key, rounds, bytes(batch))
-
-    checksum = 0
-    ct = bytearray()
-    for i, blk in enumerate(full, start=1):
-        y = int.from_bytes(out[8 * (i - 1) : 8 * i], "big")
-        ct += (y ^ z[i]).to_bytes(8, "big")
-        checksum ^= int.from_bytes(blk, "big")
-    y_final = int.from_bytes(out[8 * (m - 1) : 8 * m], "big")
-    pad = y_final.to_bytes(8, "big")
-    ct_final = bytes(p ^ q for p, q in zip(final, pad))
-    ct += ct_final
-    checksum ^= int.from_bytes(ct_final.ljust(8, b"\x00"), "big") ^ y_final
-
+def _block_mode(key, rounds, counter, aad, data, auth, decrypt):
+    """One pass of the block mode over `data` (plaintext, or ciphertext when
+    `decrypt`); returns (output, tag), the tag None without `auth`."""
+    schedule, l_inv, doubles = _setup(key, rounds)
+    enc = rc5.encrypt_int
+    core = rc5.decrypt_int if decrypt else enc
+    n = len(data)
+    m = max(1, (n + 7) // 8)
+    x = int.from_bytes(data, "little")
+    nonce = int.from_bytes(counter.to_bytes(8, "big"), "little")
+    z = doubles[0] ^ enc(schedule, nonce ^ doubles[0])
+    out = checksum = 0
+    for i in range(1, m):
+        blk = x & _M64
+        x >>= 64
+        y = core(schedule, blk ^ z) ^ z
+        out |= y << (64 * i - 64)
+        checksum ^= y if decrypt else blk
+        z ^= doubles[_ntz(i + 1)]
+    final_bytes = n - 8 * (m - 1)
+    # bitlen(m_final) fits the last octet of the big-endian block.
+    pad = enc(schedule, ((final_bytes * 8) << 56) ^ l_inv ^ z)
+    y = (x ^ pad) & ((1 << 8 * final_bytes) - 1)
+    out |= y << (64 * m - 64)
+    ct_final = x if decrypt else y
+    checksum ^= ct_final ^ pad
     tag = None
     if auth:
-        auth_a = int.from_bytes(out[8 * m : 8 * m + 8], "big")
-        t = rc5.encrypt_block(key, rounds, (checksum ^ z[m]).to_bytes(8, "big"))
-        tag = ((int.from_bytes(t, "big") ^ auth_a) >> 32).to_bytes(4, "big")
-    return bytes(ct), tag
-
-
-def _open_block_mode(key, rounds, counter, aad, ciphertext, tag, auth):
-    m = max(1, (len(ciphertext) + 7) // 8)
-    l_inv, z = _offsets(key, rounds, counter, m)
-    full = [ciphertext[8 * i : 8 * i + 8] for i in range(m - 1)]
-    final = ciphertext[8 * (m - 1) :]
-
-    checksum = 0
-    pt = bytearray()
-    if full:
-        batch = bytearray()
-        for i, blk in enumerate(full, start=1):
-            batch += (int.from_bytes(blk, "big") ^ z[i]).to_bytes(8, "big")
-        out = rc5.decrypt_blocks(key, rounds, bytes(batch))
-        for i in range(1, m):
-            word = int.from_bytes(out[8 * (i - 1) : 8 * i], "big") ^ z[i]
-            pt += word.to_bytes(8, "big")
-            checksum ^= word
-
-    batch = bytearray((len(final) * 8 ^ l_inv ^ z[m]).to_bytes(8, "big"))
-    if auth:
-        batch += _pad_block(aad)
-    out = rc5.encrypt_blocks(key, rounds, bytes(batch))
-    y_final = int.from_bytes(out[:8], "big")
-    pad = y_final.to_bytes(8, "big")
-    pt_final = bytes(c ^ q for c, q in zip(final, pad))
-    pt += pt_final
-    checksum ^= int.from_bytes(final.ljust(8, b"\x00"), "big") ^ y_final
-
-    if auth:
-        auth_a = int.from_bytes(out[8:16], "big")
-        t = rc5.encrypt_block(key, rounds, (checksum ^ z[m]).to_bytes(8, "big"))
-        expect = ((int.from_bytes(t, "big") ^ auth_a) >> 32).to_bytes(4, "big")
-        if tag is None or not hmac.compare_digest(expect, tag):
-            return None
-    return bytes(pt)
+        t = enc(schedule, checksum ^ z) ^ enc(schedule, _pad_block(aad))
+        tag = (t & _M32).to_bytes(TAG_BYTES, "little")
+    return out.to_bytes(n, "little"), tag
 
 
 def _keystream(key: bytes, counter: int, length: int) -> bytes:
@@ -202,7 +165,7 @@ def seal(
     if rounds == 0:
         ct = bytes(p ^ k for p, k in zip(plaintext, _keystream(key, counter, len(plaintext))))
         return ct, _stream_tag(key, counter, aad, ct) if auth else None
-    return _seal_block_mode(key, rounds, counter, aad, plaintext, auth)
+    return _block_mode(key, rounds, counter, aad, plaintext, auth, False)
 
 
 def open_(
@@ -224,7 +187,10 @@ def open_(
         return bytes(
             c ^ k for c, k in zip(ciphertext, _keystream(key, counter, len(ciphertext)))
         )
-    return _open_block_mode(key, rounds, counter, aad, ciphertext, tag, auth)
+    plaintext, expect = _block_mode(key, rounds, counter, aad, ciphertext, auth, True)
+    if auth and (tag is None or not hmac.compare_digest(expect, tag)):
+        return None
+    return plaintext
 
 
 def rc5_invocations(payload_len: int, auth: bool) -> int:

@@ -1,16 +1,23 @@
 """RC5 block cipher, 32-bit words, 80-bit keys (RC5-32/r/10).
 
 The link layer runs it at 4, 8, or 12 rounds depending on the negotiated
-encryption level. Key schedules are expanded once per (key, rounds) pair and
-cached as a tuple of ints. Blocks are enciphered one at a time on plain
-Python ints: a packet carries at most a handful of blocks, which is the
-word-oriented scalar work RC5 was designed for, so there are no compiled or
-vectorized kernels.
+encryption level. Blocks are enciphered one at a time on plain Python ints:
+a packet carries at most a handful of blocks, which is the word-oriented
+scalar work RC5 was designed for, so there are no compiled or vectorized
+kernels.
+
+The core is :func:`encrypt_int` / :func:`decrypt_int`. It takes a block as
+the 64-bit int ``int.from_bytes(block, "little")``, so word ``a`` is
+``x & 0xFFFFFFFF`` and word ``b`` is ``x >> 32``, and returns one in the
+same form. Its key schedule, from :func:`key_schedule`, is expanded once per
+(key, rounds) pair and cached as ``(s0, s1, pairs)``: the two whitening
+words, then one ``(s[2i], s[2i+1])`` round-key pair per round. The bytes
+functions check their arguments and wrap the core, so each direction has
+one round loop.
 """
 
 from __future__ import annotations
 
-import struct
 from functools import lru_cache
 
 KEY_BYTES = 10
@@ -28,8 +35,11 @@ def _rotl(x: int, n: int) -> int:
     return ((x << n) | (x >> (32 - n))) & _M32 if n else x
 
 
+Schedule = tuple[int, int, tuple[tuple[int, int], ...]]
+
+
 @lru_cache(maxsize=256)
-def _schedule(key: bytes, rounds: int) -> tuple[int, ...]:
+def _schedule(key: bytes, rounds: int) -> Schedule:
     """Expand `key` into the S table for `rounds` rounds (2r + 2 words)."""
     u = 4
     c = max(1, (len(key) + u - 1) // u)
@@ -44,60 +54,70 @@ def _schedule(key: bytes, rounds: int) -> tuple[int, ...]:
         b = length[j] = _rotl((length[j] + a + b) & _M32, (a + b) & 31)
         i = (i + 1) % t
         j = (j + 1) % c
-    return tuple(s)
+    return s[0], s[1], tuple(zip(s[2::2], s[3::2]))
 
 
-def _check(key: bytes, rounds: int, data: bytes) -> None:
+def _check(key: bytes, rounds: int) -> None:
     if len(key) != KEY_BYTES:
         raise ValueError(f"RC5 key must be {KEY_BYTES} octets, got {len(key)}")
     if rounds not in ROUNDS_ALLOWED:
         raise ValueError(f"rounds must be one of {ROUNDS_ALLOWED}, got {rounds}")
+
+
+def key_schedule(key: bytes, rounds: int) -> Schedule:
+    """The cached schedule of `key` at `rounds` rounds, for the int core."""
+    _check(key, rounds)
+    return _schedule(key, rounds)
+
+
+def encrypt_int(schedule: Schedule, x: int) -> int:
+    """Encrypt one block given as a 64-bit little-endian int."""
+    s0, s1, pairs = schedule
+    a = (x + s0) & _M32
+    b = ((x >> 32) + s1) & _M32
+    for ka, kb in pairs:
+        x = a ^ b
+        n = b & 31
+        a = (((x << n) | (x >> (32 - n))) + ka) & _M32
+        x = b ^ a
+        n = a & 31
+        b = (((x << n) | (x >> (32 - n))) + kb) & _M32
+    return a | b << 32
+
+
+def decrypt_int(schedule: Schedule, x: int) -> int:
+    """Decrypt one block given as a 64-bit little-endian int."""
+    s0, s1, pairs = schedule
+    a = x & _M32
+    b = x >> 32
+    for ka, kb in reversed(pairs):
+        x = (b - kb) & _M32
+        n = a & 31
+        b = (((x >> n) | (x << (32 - n))) & _M32) ^ a
+        x = (a - ka) & _M32
+        n = b & 31
+        a = (((x >> n) | (x << (32 - n))) & _M32) ^ b
+    return ((a - s0) & _M32) | ((b - s1) & _M32) << 32
+
+
+def _map_blocks(core, key: bytes, rounds: int, data: bytes) -> bytes:
+    s = key_schedule(key, rounds)
     if len(data) % BLOCK_BYTES:
         raise ValueError("data length must be a multiple of 8 octets")
+    return b"".join(
+        core(s, int.from_bytes(data[i : i + 8], "little")).to_bytes(8, "little")
+        for i in range(0, len(data), BLOCK_BYTES)
+    )
 
 
 def encrypt_blocks(key: bytes, rounds: int, data: bytes) -> bytes:
     """Encrypt one or more 8-octet blocks."""
-    _check(key, rounds, data)
-    s = _schedule(key, rounds)
-    s0, s1, last = s[0], s[1], 2 * rounds + 2
-    words = struct.unpack(f"<{len(data) // 4}I", data)
-    out = []
-    for k in range(0, len(words), 2):
-        a = (words[k] + s0) & _M32
-        b = (words[k + 1] + s1) & _M32
-        for i in range(2, last, 2):
-            x = a ^ b
-            n = b & 31
-            a = (((x << n) | (x >> (32 - n))) + s[i]) & _M32
-            x = b ^ a
-            n = a & 31
-            b = (((x << n) | (x >> (32 - n))) + s[i + 1]) & _M32
-        out.append(a)
-        out.append(b)
-    return struct.pack(f"<{len(out)}I", *out)
+    return _map_blocks(encrypt_int, key, rounds, data)
 
 
 def decrypt_blocks(key: bytes, rounds: int, data: bytes) -> bytes:
     """Decrypt one or more 8-octet blocks."""
-    _check(key, rounds, data)
-    s = _schedule(key, rounds)
-    s0, s1, last = s[0], s[1], 2 * rounds
-    words = struct.unpack(f"<{len(data) // 4}I", data)
-    out = []
-    for k in range(0, len(words), 2):
-        a = words[k]
-        b = words[k + 1]
-        for i in range(last, 0, -2):
-            x = (b - s[i + 1]) & _M32
-            n = a & 31
-            b = (((x >> n) | (x << (32 - n))) & _M32) ^ a
-            x = (a - s[i]) & _M32
-            n = b & 31
-            a = (((x >> n) | (x << (32 - n))) & _M32) ^ b
-        out.append((a - s0) & _M32)
-        out.append((b - s1) & _M32)
-    return struct.pack(f"<{len(out)}I", *out)
+    return _map_blocks(decrypt_int, key, rounds, data)
 
 
 def encrypt_block(key: bytes, rounds: int, block: bytes) -> bytes:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from wsnsec import aead
+from wsnsec import aead, rc5
 
 KEY = bytes.fromhex("000102030405060708f0")
 ALL_MODES = [(r, a) for r in (0, 4, 8, 12) for a in (True, False)]
@@ -116,3 +116,43 @@ def test_block_mode_matches_oracle(rounds, auth):
                 bad = bytes((tag[0] ^ 0x80,)) + tag[1:]
                 assert aead.open_(key, rounds, ctr, aad, ct, bad, auth) is None
                 assert oracles.ocb_open(key, rounds, ctr, aad, ct, bad, auth) is None
+
+
+@pytest.mark.parametrize("rounds,auth", BLOCK_MODES)
+def test_block_count_matches_energy_model(rounds, auth, monkeypatch):
+    # The simulator charges crypto energy per `rc5_invocations` block; count
+    # the blocks the int core actually enciphers, with the key set up first.
+    key = bytes(range(10))
+    aead.seal(key, rounds, 0, b"", b"", auth)
+    calls = []
+
+    def counting(core):
+        def counted(schedule, x):
+            calls.append(x)
+            return core(schedule, x)
+        return counted
+
+    monkeypatch.setattr(rc5, "encrypt_int", counting(rc5.encrypt_int))
+    monkeypatch.setattr(rc5, "decrypt_int", counting(rc5.decrypt_int))
+    for n in range(30):
+        pt = bytes(n)
+        del calls[:]
+        ct, tag = aead.seal(key, rounds, 7, b"hdr", pt, auth)
+        assert len(calls) == aead.rc5_invocations(n, auth)
+        del calls[:]
+        assert aead.open_(key, rounds, 7, b"hdr", ct, tag, auth) == pt
+        assert len(calls) == aead.rc5_invocations(n, auth)
+
+
+@pytest.mark.parametrize("rounds", (4, 8, 12))
+def test_int_core_matches_oracle(rounds):
+    rnd = random.Random(rounds)
+    for _ in range(100):
+        key = rnd.randbytes(10)
+        block = rnd.randbytes(8)
+        schedule = rc5.key_schedule(key, rounds)
+        x = int.from_bytes(block, "little")
+        enc = rc5.encrypt_int(schedule, x).to_bytes(8, "little")
+        assert enc == oracles.rc5_encrypt(key, rounds, block)
+        dec = rc5.decrypt_int(schedule, x).to_bytes(8, "little")
+        assert dec == oracles.rc5_decrypt(key, rounds, block)
