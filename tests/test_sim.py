@@ -14,6 +14,30 @@ from wsnsec.trust import TrustTable
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "vectors" / "sim_golden"
 GOLDEN_CONFIGS = json.loads((GOLDEN_DIR / "configs.json").read_text())
+STAT_FIELDS = (
+    "alive",
+    "packets_sent",
+    "decode_ok",
+    "auth_rejects",
+    "replay_rejects",
+    "format_rejects",
+    "replay_accepted",
+    "bcast_ok_before_rekey",
+    "bcast_ok_after_rekey",
+    "bcast_fail",
+)
+
+
+def stats_csv(savings):
+    """Every `NodeStats` counter of both arms, one row per arm and node."""
+    lines = [",".join(("arm", "node") + STAT_FIELDS)]
+    for arm, report in (("fixed", savings.fixed), ("adaptive", savings.adaptive)):
+        for addr in sorted(report.nodes):
+            stats = report.nodes[addr]
+            lines.append(",".join(
+                [arm, str(addr)] + [str(int(getattr(stats, f))) for f in STAT_FIELDS]
+            ))
+    return "\n".join(lines) + "\n"
 
 
 def military(initial=1000.0):
@@ -381,9 +405,10 @@ class TestConfigLoading:
 
 class TestGoldens:
     """Pinned outputs of small configs: `energy.csv` and `trust.csv` of the
-    adaptive arm and `savings.csv` of both arms must reproduce byte for
-    byte. The files were written by an earlier simulator; a refactor that
-    changes any of them changes behaviour."""
+    adaptive arm, `savings.csv` of both arms and `stats.csv`, every
+    `NodeStats` counter of both arms, must reproduce byte for byte. The
+    files were written by an earlier simulator; a refactor that changes any
+    of them changes behaviour."""
 
     @pytest.fixture(scope="class")
     def savings(self):
@@ -399,6 +424,7 @@ class TestGoldens:
         assert got.adaptive.energy_csv() == (golden / "energy.csv").read_text()
         assert got.adaptive.trust_csv() == (golden / "trust.csv").read_text()
         assert got.savings_csv() == (golden / "savings.csv").read_text()
+        assert stats_csv(got) == (golden / "stats.csv").read_text()
 
     def test_configs_cover_the_model(self, savings):
         """The pinned set exercises every scenario, every adversary kind,
