@@ -31,6 +31,7 @@ import hashlib
 import hmac
 import logging
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional
 
 from .addressing import NodeAddress
@@ -107,19 +108,6 @@ class KeyRing:
     session: Optional[SymmetricKey] = None
 
 
-def _nb_message(node: NodeAddress, head: NodeAddress) -> bytes:
-    return TAG_NODE_BASED + node.encode() + head.encode()
-
-
-def _pw_message(a: NodeAddress, b: NodeAddress) -> bytes:
-    lo, hi = sorted((a, b))
-    return TAG_PAIRWISE + lo.encode() + hi.encode()
-
-
-def _bc_message(node: NodeAddress) -> bytes:
-    return TAG_BROADCAST + node.encode()
-
-
 def derive_keyring(
     master: SymmetricKey,
     owner: NodeAddress,
@@ -134,23 +122,29 @@ def derive_keyring(
     master key exists, and they are what lets the node decrypt neighbor
     broadcasts and, if elected head later, member uplinks.
     """
-    neighbors = sorted(set(neighbors))
-    if owner in neighbors:
+    unique = set(neighbors)
+    if owner in unique:
         raise ValueError("a node is not its own neighbor")
+    neighbors = sorted(unique, key=attrgetter("group_id", "node_id"))
     for n in neighbors:
         if n.group_id != owner.group_id:
             raise ValueError(f"neighbor {n} outside group {owner.group_id}")
 
+    own = owner.encode()
+    head = group_head.encode()
     ring = KeyRing(
         owner=owner,
         head=group_head,
-        node_based=prf_fn(master, _nb_message(owner, group_head)),
-        broadcast=prf_fn(master, _bc_message(owner)),
+        node_based=prf_fn(master, TAG_NODE_BASED + own + head),
+        broadcast=prf_fn(master, TAG_BROADCAST + own),
     )
     for n in neighbors:
-        ring.pairwise[n] = prf_fn(master, _pw_message(owner, n))
-        ring.peer_broadcast[n] = prf_fn(master, _bc_message(n))
-        ring.peer_node_based[n] = prf_fn(master, _nb_message(n, group_head))
+        peer = n.encode()
+        # 2-octet encodings order as the addresses do: group, then node.
+        pair = own + peer if own < peer else peer + own
+        ring.pairwise[n] = prf_fn(master, TAG_PAIRWISE + pair)
+        ring.peer_broadcast[n] = prf_fn(master, TAG_BROADCAST + peer)
+        ring.peer_node_based[n] = prf_fn(master, TAG_NODE_BASED + peer + head)
     # Master key deletion: the returned ring never references it.
     return ring
 
