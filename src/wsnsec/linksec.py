@@ -103,19 +103,6 @@ class PacketHeader:
         )
 
 
-@dataclass
-class SecurePacket:
-    header: PacketHeader
-    ciphertext: bytes
-    mac: Optional[bytes] = None
-
-    def to_wire(self) -> bytes:
-        wire = self.header.encode() + self.ciphertext
-        if self.mac is not None:
-            wire += self.mac
-        return wire
-
-
 class DecodeError(Exception):
     """Base class for receive-side rejections."""
 
@@ -130,6 +117,11 @@ class AuthenticationError(DecodeError):
 
 class ReplayError(DecodeError):
     pass
+
+
+class CounterExhaustedError(ValueError):
+    """The send counter is at 2**32 - 1: the key must change before the
+    direction can send again, or the next packet would reuse a nonce."""
 
 
 class UnknownDestinationError(ValueError):
@@ -190,24 +182,29 @@ def encode(
     """Seal `payload` to `dest` and emit the wire bytes.
 
     Advances `counter_state` to the counter actually used. The source and
-    group fields come from the keyring owner.
+    group fields come from the keyring owner. A counter never wraps: at
+    2**32 - 1 this raises CounterExhaustedError and leaves `counter_state`
+    as it was, so the caller re-keys instead of reusing an OCB nonce.
     """
     if len(payload) > MAX_PAYLOAD:
         raise ValueError(f"payload exceeds {MAX_PAYLOAD} octets")
     key = _sender_key(keyring, dest)
-    counter = (counter_state.value + 1) & ((1 << COUNTER_BITS) - 1)
+    if counter_state.value == (1 << COUNTER_BITS) - 1:
+        raise CounterExhaustedError(
+            f"send counter to {dest} exhausted; re-key before sending"
+        )
+    counter = counter_state.value + 1
     counter_state.value = counter
-    header = PacketHeader(
+    aad = PacketHeader(
         group=keyring.owner.group_id,
         dest=dest,
         src=keyring.owner.node_id,
         length=len(payload),
         level=level,
         counter_lsb=counter & 0xFF,
-    )
-    aad = header.encode()
+    ).encode()
     ct, mac = aead.seal(key.data, level.encryption.rounds, counter, aad, payload, level.auth)
-    return SecurePacket(header, ct, mac).to_wire()
+    return aad + ct + (mac or b"")
 
 
 def decode(
@@ -215,6 +212,7 @@ def decode(
     keyring: KeyRing,
     expected: CounterState,
     loss_threshold: int = DEFAULT_LOSS_THRESHOLD,
+    opened: Optional[dict] = None,
 ) -> bytes:
     """Verify and decrypt one wire packet, advancing `expected` on success.
 
@@ -225,6 +223,16 @@ def decode(
     bit nothing can verify a candidate, so there is no wrap search: the
     single reconstructed counter is taken on faith when it advances, and
     freshness degrades to counter monotonicity alone.
+
+    `opened` is an optional memo the caller owns, for receivers that open
+    the same wire, such as the listeners of one broadcast. It maps every
+    input the open depends on, (wire, key, expected counter,
+    `loss_threshold`), to its outcome, so the wrap search and tag check run
+    once per distinct key and counter, and a dict reused across wires never
+    returns a wrong outcome. It changes no result: each call returns the
+    same payload, sets the same counter and raises the same exception class
+    with or without it. The header, size and group checks and the key
+    lookup depend on the ring and run on every call.
     """
     if loss_threshold < 0:
         raise ValueError("loss_threshold must be >= 0")
@@ -237,26 +245,48 @@ def decode(
         raise AuthenticationError(
             f"packet for group {header.group}, ring owner in {keyring.owner.group_id}"
         )
-    key = _receiver_key(keyring, header.src, header.dest)
+    key = _receiver_key(keyring, header.src, header.dest).data
+    if opened is None:
+        payload, expected.value = _open(wire, header, key, expected.value, loss_threshold)
+        return payload
 
+    memo = (wire, key, expected.value, loss_threshold)
+    outcome = opened.get(memo)
+    if outcome is None:
+        try:
+            outcome = _open(wire, header, key, expected.value, loss_threshold)
+        except DecodeError as exc:
+            outcome = (None, (type(exc), str(exc)))
+        opened[memo] = outcome
+    payload, result = outcome
+    if payload is None:
+        cls, message = result
+        raise cls(message)
+    expected.value = result
+    return payload
+
+
+def _open(
+    wire: bytes, header: PacketHeader, key: bytes, last: int, loss_threshold: int
+) -> tuple[bytes, int]:
+    """The counter search and open behind `decode`: (payload, accepted
+    counter), or a DecodeError. Reads nothing but its arguments."""
     ct = wire[HEADER_BYTES : HEADER_BYTES + header.length]
     mac = wire[HEADER_BYTES + header.length :] if header.level.auth else None
     aad = wire[:HEADER_BYTES]
     rounds = header.level.encryption.rounds
 
-    last = expected.value
     next_expected = (last + 1) & ((1 << COUNTER_BITS) - 1)
     base = (next_expected & ~0xFF) | header.counter_lsb
 
     if header.level.auth:
         for wrap in range(loss_threshold + 1):
             candidate = (base + (wrap << 8)) & ((1 << COUNTER_BITS) - 1)
-            payload = aead.open_(key.data, rounds, candidate, aad, ct, mac, True)
+            payload = aead.open_(key, rounds, candidate, aad, ct, mac, True)
             if payload is not None:
                 if candidate <= last:
                     raise ReplayError(f"counter {candidate} not beyond {last}")
-                expected.value = candidate
-                return payload
+                return payload, candidate
         raise AuthenticationError(
             f"tag mismatch after {loss_threshold + 1} counter attempts"
         )
@@ -265,9 +295,7 @@ def decode(
     # reconstructed counter must advance or the packet is stale.
     if base <= last:
         raise ReplayError(f"counter {base} not beyond {last}")
-    payload = aead.open_(key.data, rounds, base, aad, ct, None, False)
-    expected.value = base
-    return payload
+    return aead.open_(key, rounds, base, aad, ct, None, False), base
 
 
 def dissect(wire: bytes) -> dict:

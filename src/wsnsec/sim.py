@@ -34,6 +34,12 @@ Model (desk scale, normative for the closed-form energy tests):
   neighbor rows and a member's trust table is a view of it without its own
   row. A node that dies keeps a frozen copy of what it had seen. Lossy or
   partial observation would need one table per observer again.
+* Reception: every destination listener pays for its own open, and the
+  simulator keeps a separate receive counter per listener and direction.
+  On the host, the listeners of one transmission share a memo of opens, so
+  a broadcast heard under one key and counter is verified and decrypted
+  once; every listener's energy, counters and outcome are as if it had
+  opened the wire itself.
 
 Runs are pure functions of the config: one `random.Random(seed)` instance
 drives adversary drops and channel loss, everything else is arithmetic.
@@ -507,7 +513,13 @@ class _Simulation:
 
         Honest transmissions each take the group's next TDM slot; an
         out-of-slot injection reuses the current slot, which observers book
-        as a collision. Returns successful decodes keyed by receiver."""
+        as a collision. Returns successful decodes keyed by receiver.
+
+        Every destination listener is charged a full open's receive and
+        crypto energy and runs its own `linksec.decode`, as each mote does.
+        The host computes each distinct open once: the listeners share one
+        `opened` memo for this wire, so those that hold the same key and
+        receive counter reuse the first one's outcome."""
         if not sender.alive:
             return {}
         if in_slot:
@@ -538,6 +550,7 @@ class _Simulation:
 
         header = linksec.PacketHeader.decode(wire)
         decoded: dict[NodeAddress, bytes] = {}
+        opened: dict = {}  # one host-side open per (key, counter) of this wire
         for listener in self._alive_members(group):
             if listener is sender:
                 continue
@@ -553,7 +566,7 @@ class _Simulation:
             state = listener.counter_from(header.src, header.dest)
             try:
                 plain = linksec.decode(
-                    wire, listener.ring, state, self.config.loss_threshold
+                    wire, listener.ring, state, self.config.loss_threshold, opened
                 )
             except linksec.ReplayError:
                 listener.stats.replay_rejects += 1

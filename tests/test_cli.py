@@ -98,6 +98,16 @@ class TestPacketCommands:
         assert code == cli.EXIT_AUTH
         assert err.startswith("error: authentication:")
 
+    def test_exhausted_counter_exits_invalid(self, capsys, rings):
+        _, _, src_path, _ = rings
+        code, out, err = run_cli(
+            capsys, "packet-encode", "--keyring", src_path, "--dest", "1",
+            "--level", "1", "--counter", str((1 << 32) - 1), "--payload", "00",
+        )
+        assert code == cli.EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: invalid:")
+
     def test_format_exit_code(self, capsys, rings):
         _, _, _, head_path = rings
         code, _, err = run_cli(

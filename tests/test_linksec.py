@@ -159,6 +159,106 @@ class TestReplayAndRecovery:
             linksec.decode(wire, ring_head, rx)
 
 
+def _outcome(wire, ring, last, opened=None, loss_threshold=linksec.DEFAULT_LOSS_THRESHOLD):
+    """(payload or (exception class, message), receive counter afterwards)."""
+    state = CounterState(last)
+    try:
+        got = linksec.decode(wire, ring, state, loss_threshold, opened)
+    except linksec.DecodeError as exc:
+        got = (type(exc), str(exc))
+    return got, state.value
+
+
+def _memo_cases():
+    """name -> the (wire, ring, last counter) decodes one memo serves, in order."""
+    ring_head, ring_src, ring_peer = make_rings()
+    r8 = SecurityLevel(Encryption.RC5_R8, True)
+    uplink = linksec.encode(r8, ring_src, CounterState(), HEAD.node_id, b"up")
+    forged = uplink[:-1] + bytes((uplink[-1] ^ 0x01,))
+    ahead = linksec.encode(r8, ring_src, CounterState(300), HEAD.node_id, b"late")
+    bare = SecurityLevel(Encryption.RC5_R4, False)
+    untagged = linksec.encode(bare, ring_src, CounterState(7), HEAD.node_id, b"plain")
+    bcast = linksec.encode(r8, ring_src, CounterState(9), BROADCAST_NODE_ID, b"all")
+    session_head, session_src, stale_peer = make_rings()
+    k1 = SymmetricKey(b"\x31" * 10)
+    session_head.session = session_src.session = k1  # the peer missed the re-key
+    session = linksec.encode(r8, session_head, CounterState(), BROADCAST_NODE_ID, b"s")
+    xor = linksec.encode(
+        SecurityLevel(Encryption.XOR, True), ring_src, CounterState(3), BROADCAST_NODE_ID, b"x"
+    )
+    return {
+        "ok": [(uplink, ring_head, 0)],
+        "replay": [(uplink, ring_head, 1)],
+        "forged_tag": [(forged, ring_head, 0)],
+        "wrap_search": [(ahead, ring_head, 0)],
+        "untagged": [(untagged, ring_head, 0), (untagged, ring_head, 8)],
+        "receivers_at_different_counters": [
+            (bcast, ring_head, 0), (bcast, ring_peer, 10), (bcast, ring_peer, 0),
+        ],
+        "stale_session_key": [(session, session_src, 0), (session, stale_peer, 0)],
+        "one_memo_two_wires": [
+            (bcast, ring_head, 0), (xor, ring_head, 0), (xor, ring_peer, 0),
+            (bcast, ring_peer, 0),
+        ],
+    }
+
+
+class TestOpenedMemo:
+    """`decode` with a shared `opened` memo returns what it returns without."""
+
+    @pytest.mark.parametrize("case", sorted(_memo_cases()))
+    def test_same_outcome_with_and_without_memo(self, case):
+        opened = {}
+        for wire, ring, last in _memo_cases()[case]:
+            alone = _outcome(wire, ring, last)
+            assert _outcome(wire, ring, last, opened) == alone
+            assert _outcome(wire, ring, last, opened) == alone  # a memo hit
+
+    def test_cases_cover_every_outcome(self):
+        got = {_outcome(*d)[0] for decodes in _memo_cases().values() for d in decodes}
+        kinds = {g[0] if isinstance(g, tuple) else bytes for g in got}
+        assert kinds == {bytes, AuthenticationError, ReplayError}
+        ahead, ring_head, _ = _memo_cases()["wrap_search"][0]
+        assert _outcome(ahead, ring_head, 0) == (b"late", 301)
+
+    def test_one_open_per_key_and_counter(self, monkeypatch):
+        calls = []
+        real_open = linksec.aead.open_
+        monkeypatch.setattr(
+            linksec.aead, "open_", lambda *a: calls.append(a[2]) or real_open(*a)
+        )
+        ring_head, ring_src, ring_peer = make_rings()
+        level = SecurityLevel(Encryption.RC5_R12, True)
+        wire = linksec.encode(level, ring_src, CounterState(), BROADCAST_NODE_ID, b"b")
+        opened = {}
+        for ring in (ring_head, ring_peer, ring_head):
+            assert linksec.decode(wire, ring, CounterState(), opened=opened) == b"b"
+        assert calls == [1]
+        with pytest.raises(ReplayError):
+            linksec.decode(wire, ring_peer, CounterState(1), opened=opened)
+        assert calls == [1, 1]
+
+
+class TestCounterExhaustion:
+    def test_last_counter_is_usable(self):
+        ring_head, ring_src, _ = make_rings()
+        level = SecurityLevel(Encryption.RC5_R8, True)
+        tx = CounterState((1 << 32) - 2)
+        wire = linksec.encode(level, ring_src, tx, HEAD.node_id, b"z")
+        assert tx.value == (1 << 32) - 1
+        rx = CounterState((1 << 32) - 2)
+        assert linksec.decode(wire, ring_head, rx) == b"z"
+        assert rx.value == (1 << 32) - 1
+
+    @pytest.mark.parametrize("level", ALL_LEVELS)
+    def test_exhausted_counter_raises_and_keeps_state(self, level):
+        _, ring_src, _ = make_rings()
+        tx = CounterState((1 << 32) - 1)
+        with pytest.raises(linksec.CounterExhaustedError):
+            linksec.encode(level, ring_src, tx, HEAD.node_id, b"z")
+        assert tx.value == (1 << 32) - 1
+
+
 class TestTamper:
     def test_every_bit_flip_rejected(self):
         ring_head, ring_src, _ = make_rings()

@@ -336,6 +336,27 @@ class TestObservationViews:
         )
         assert 0 < records <= 4 * len(report.slot_log)
 
+    def test_one_open_per_transmission(self, monkeypatch):
+        """Loss-free and honest: every listener of a wire holds the same key
+        and receive counter, so the host opens each wire at most once."""
+        opens = 0
+        open_ = sim.linksec.aead.open_
+
+        def counting(*args):
+            nonlocal opens
+            opens += 1
+            return open_(*args)
+
+        monkeypatch.setattr(sim.linksec.aead, "open_", counting)
+        report = sim.run(
+            SimConfig(seed=1, node_count=12, group_count=2, sim_length=12,
+                      session_length=5, scenario=military())
+        )
+        assert report.rekeys
+        assert all(s.alive and s.auth_rejects == s.replay_rejects == 0
+                   for s in report.nodes.values())
+        assert 0 < opens <= len(report.slot_log)
+
     def test_rings_match_direct_derivation(self):
         simulation = sim._Simulation(
             SimConfig(seed=3, node_count=7, group_count=2, sim_length=0)
