@@ -449,9 +449,15 @@ class TestGoldens:
 
     def test_configs_cover_the_model(self, savings):
         """The pinned set exercises every scenario, every adversary kind,
-        channel loss, several groups, an election and a node death."""
+        channel loss, several groups, an election, a node death, and a node
+        dying of listening in a loss-free group of at least 16 members."""
         configs = [sim.config_from_dict(d) for d in GOLDEN_CONFIGS.values()]
         reports = [s.adaptive for s in savings.values()]
+        assert any(
+            c.loss_rate == 0 and c.node_count // c.group_count >= 16
+            and any(not s.alive for s in r.nodes.values())
+            for c, r in zip(configs, reports)
+        )
         assert {c.scenario.name for c in configs} == set(sim.SCENARIO_NAMES)
         assert {a.behavior for c in configs for a in c.adversaries} == set(
             sim.ADVERSARY_BEHAVIORS
