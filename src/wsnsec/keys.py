@@ -31,7 +31,6 @@ import hashlib
 import hmac
 import logging
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional
 
 from .addressing import NodeAddress
@@ -122,15 +121,17 @@ def derive_keyring(
     master key exists, and they are what lets the node decrypt neighbor
     broadcasts and, if elected head later, member uplinks.
     """
-    unique = set(neighbors)
-    if owner in unique:
-        raise ValueError("a node is not its own neighbor")
-    neighbors = sorted(unique, key=attrgetter("group_id", "node_id"))
-    for n in neighbors:
-        if n.group_id != owner.group_id:
-            raise ValueError(f"neighbor {n} outside group {owner.group_id}")
-
     own = owner.encode()
+    # Keyed on the 2-octet encoding, which orders as the addresses do
+    # (group, then node) and hashes as plain bytes; duplicates collapse.
+    unique = {n.encode(): n for n in neighbors}
+    if own in unique:
+        raise ValueError("a node is not its own neighbor")
+    order = sorted(unique)
+    for peer in order:
+        if unique[peer].group_id != owner.group_id:
+            raise ValueError(f"neighbor {unique[peer]} outside group {owner.group_id}")
+
     head = group_head.encode()
     ring = KeyRing(
         owner=owner,
@@ -138,9 +139,8 @@ def derive_keyring(
         node_based=prf_fn(master, TAG_NODE_BASED + own + head),
         broadcast=prf_fn(master, TAG_BROADCAST + own),
     )
-    for n in neighbors:
-        peer = n.encode()
-        # 2-octet encodings order as the addresses do: group, then node.
+    for peer in order:
+        n = unique[peer]
         pair = own + peer if own < peer else peer + own
         ring.pairwise[n] = prf_fn(master, TAG_PAIRWISE + pair)
         ring.peer_broadcast[n] = prf_fn(master, TAG_BROADCAST + peer)

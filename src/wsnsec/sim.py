@@ -451,10 +451,9 @@ class _Simulation:
             head = addrs[0]
             ledger = TrustTable(NodeAddress(gid, BROADCAST_NODE_ID), cfg.trust_weights)
             members = []
-            for addr in addrs:
+            for i, addr in enumerate(addrs):
                 ring = derive_keyring(
-                    self.bs_master, addr, head, [a for a in addrs if a != addr],
-                    prf_once,
+                    self.bs_master, addr, head, addrs[:i] + addrs[i + 1:], prf_once
                 )
                 members.append(_Node(addr, ring, ledger, cfg))
             groups.append(_Group(gid, members, ledger))
