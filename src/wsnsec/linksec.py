@@ -64,6 +64,10 @@ class SecurityLevel:
         return f"{self.encryption.name}{'+auth' if self.auth else ''}"
 
 
+# Every level, indexed by its 3-bit wire code (encryption << 1 | auth).
+_LEVELS = tuple(SecurityLevel(Encryption(code >> 1), bool(code & 1)) for code in range(8))
+
+
 @dataclass
 class CounterState:
     """Last accepted (receive) or last used (send) counter for one direction."""
@@ -98,7 +102,7 @@ class PacketHeader:
             dest=data[1],
             src=data[2],
             length=packed >> 3,
-            level=SecurityLevel(Encryption((packed >> 1) & 0x3), bool(packed & 0x1)),
+            level=_LEVELS[packed & 0x7],
             counter_lsb=data[4],
         )
 
