@@ -40,6 +40,15 @@ Model (desk scale, normative for the closed-form energy tests):
   a broadcast heard under one key and counter is verified and decrypted
   once; every listener's energy, counters and outcome are as if it had
   opened the wire itself.
+* Header-only listens: in a loss-free group whose every alive member has
+  more battery left than one frame can spend, the non-destinations of a
+  unicast are not debited one by one. The group counts the listen, and each
+  node adds its pending header costs to its receive energy one at a time,
+  in order, before its next debit or energy read. No debit of such a frame
+  is clamped and no node dies in it, so the floats, deaths and frozen views
+  are those of debiting every listener at once. Under loss (drawn per
+  listener) or near a death, every listener is debited as the packet goes
+  by.
 
 Runs are pure functions of the config: one `random.Random(seed)` instance
 drives adversary drops and channel loss, everything else is arithmetic.
@@ -316,13 +325,29 @@ class SavingsReport:
 # Internal node / group state
 # =============================================================================
 
+class _Channel:
+    """What a group's members share without holding each other: the count
+    of header-only listens deferred so far, and the count of deaths."""
+
+    def __init__(self) -> None:
+        self.deferred = 0
+        self.deaths = 0
+
+
 class _Node:
     def __init__(
-        self, addr: NodeAddress, ring: KeyRing, ledger: TrustTable, config: SimConfig
+        self,
+        addr: NodeAddress,
+        ring: KeyRing,
+        ledger: TrustTable,
+        channel: _Channel,
+        config: SimConfig,
     ):
         self.addr = addr
         self.ring = ring
         self.ledger = ledger
+        self.channel = channel
+        self.heard = 0  # deferred listens settled, or sat out as sender or destination
         self.frozen: Optional[TrustTable] = None
         self.agent = SecurityAgent(config.scenario)
         self.stats = NodeStats(address=addr)
@@ -338,14 +363,29 @@ class _Node:
 
     @property
     def remaining(self) -> float:
+        self.settle()
         return self.model.initial_energy - self.stats.ledger.total
+
+    def settle(self) -> None:
+        """Charge the header-only listens deferred since the last settle, one
+        addition each, as the eager debits would have made them."""
+        pending = self.channel.deferred - self.heard
+        if pending and self.stats.alive:
+            spent = self.stats.ledger
+            rx = spent.rx
+            header_rx = self.model.rx_per_octet * linksec.HEADER_BYTES
+            for _ in range(pending):
+                rx += header_rx
+            spent.rx = rx
+            self.heard += pending
 
     def debit(self, kind: str, joules: float) -> None:
         stats = self.stats
         if not stats.alive:
             return
+        self.settle()
         # `remaining` inlined, summed in `EnergyLedger.total`'s order so the
-        # floats are bit-identical: every listener pays a debit per packet.
+        # floats are bit-identical.
         spent = stats.ledger
         initial = self.model.initial_energy
         joules = min(joules, initial - (spent.tx + spent.rx + spent.crypto))
@@ -359,6 +399,7 @@ class _Node:
             raise ValueError(f"unknown energy kind {kind!r}")
         if initial - (spent.tx + spent.rx + spent.crypto) <= 0:
             stats.alive = False
+            self.channel.deaths += 1
             # The dead observe nothing more: keep copies of the rows seen so far.
             self.frozen = TrustTable(
                 self.addr,
@@ -385,10 +426,20 @@ class _Node:
 
 
 class _Group:
-    def __init__(self, gid: int, nodes: list[_Node], ledger: TrustTable):
+    def __init__(
+        self, gid: int, nodes: list[_Node], ledger: TrustTable, channel: _Channel
+    ):
         self.gid = gid
         self.nodes = sorted(nodes, key=lambda n: n.addr)
+        self.by_id = {n.addr.node_id: n for n in self.nodes}
         self.ledger = ledger  # one row per observed subject, shared by all members
+        self.channel = channel
+        # Alive members in address order. Rebound, never mutated, after a
+        # death, so a loop over an earlier list keeps its snapshot.
+        self.alive = self.nodes
+        self.deaths_seen = 0
+        self.replayers: list[_Node] = []
+        self.defer_headers = False
         self.head = self.nodes[0]
         self.vice: Optional[_Node] = None
         self.pending_aggregate: Optional[bytes] = None
@@ -421,6 +472,20 @@ class _Simulation:
             if node is None:
                 raise ValueError(f"adversary {spec.node} is not a simulated node")
             node.adversary = spec
+        for group in self.groups:
+            group.replayers = [
+                n for n in group.nodes
+                if n.adversary is not None and n.adversary.behavior == "replay-attacker"
+            ]
+        # The most one packet can charge a node: the largest wire's radio and
+        # the dearest open or seal.
+        self.packet_spend = max(
+            self.model.tx_per_octet, self.model.rx_per_octet
+        ) * linksec.wire_size(linksec.MAX_PAYLOAD, True) + max(
+            self._crypto_cost(SecurityLevel(enc, auth), linksec.MAX_PAYLOAD)
+            for enc in Encryption
+            for auth in (False, True)
+        )
         self.elections: list[ElectionEvent] = []
         self.rekeys: list[RekeyEvent] = []
         self.slot_log: list[tuple[int, int, int, NodeAddress, bool]] = []
@@ -450,13 +515,14 @@ class _Simulation:
             addrs = [NodeAddress(gid, i + 1) for i in range(size)]
             head = addrs[0]
             ledger = TrustTable(NodeAddress(gid, BROADCAST_NODE_ID), cfg.trust_weights)
+            channel = _Channel()
             members = []
             for i, addr in enumerate(addrs):
                 ring = derive_keyring(
                     self.bs_master, addr, head, addrs[:i] + addrs[i + 1:], prf_once
                 )
-                members.append(_Node(addr, ring, ledger, cfg))
-            groups.append(_Group(gid, members, ledger))
+                members.append(_Node(addr, ring, ledger, channel, cfg))
+            groups.append(_Group(gid, members, ledger, channel))
         return groups
 
     # ---- per-packet helpers -------------------------------------------------
@@ -480,7 +546,24 @@ class _Simulation:
         return cost
 
     def _alive_members(self, group: _Group) -> list[_Node]:
-        return [n for n in group.nodes if n.alive]
+        if group.deaths_seen != group.channel.deaths:
+            group.alive = [n for n in group.alive if n.alive]
+            group.deaths_seen = group.channel.deaths
+        return group.alive
+
+    def _plan_listens(self, group: _Group) -> None:
+        """Choose how the non-destinations of the group's unicasts pay for
+        the header in its coming frame: deferred (see the module docstring)
+        when the group is loss-free and no alive member is within one
+        frame's spend of death, otherwise debited as each packet goes by."""
+        # A frame charges a node at most once per packet: an election
+        # (size + 1 packets), a re-key (size - 1), a beacon, a handoff, an
+        # uplink and a re-broadcast (4), and a data packet and a replay per
+        # other member (2 * size - 2).
+        spend = (4 * len(group.nodes) + 2) * self.packet_spend
+        group.defer_headers = not self.config.loss_rate and all(
+            n.remaining > spend for n in self._alive_members(group)
+        )
 
     def _apply_events(
         self, group: _Group, events: list[tuple[NodeAddress, str, Optional[float]]]
@@ -493,8 +576,9 @@ class _Simulation:
         subject is left to see it. Lossy or partial observation would need
         one table per observer again.
         """
+        alive = self._alive_members(group)
         for subject, kind, value in events:
-            if any(n.alive and n.addr != subject for n in group.nodes):
+            if len(alive) > 1 or (alive and alive[0].addr != subject):
                 group.ledger.record(subject, kind, value)
 
     def _transmit(
@@ -547,10 +631,23 @@ class _Simulation:
         if dest != BROADCAST_NODE_ID:
             events.append((NodeAddress(group.gid, dest), "packet-received", None))
 
+        if dest == BROADCAST_NODE_ID or not group.defer_headers:
+            listeners = self._alive_members(group)
+        else:
+            # Every other alive member parses the clear header and gates
+            # off; the channel counts that listen and each settles it later.
+            target = group.by_id[dest]
+            listeners = [target] if target.alive else []
+            group.channel.deferred += 1
+            sender.heard += 1
+            if target is not sender:  # a replayer may resend a wire sent to it
+                target.heard += 1
         header = linksec.PacketHeader.decode(wire)
+        rx_cost = self.model.rx_per_octet * len(wire)
+        open_cost = self._crypto_cost(header.level, header.length)
         decoded: dict[NodeAddress, bytes] = {}
         opened: dict = {}  # one host-side open per (key, counter) of this wire
-        for listener in self._alive_members(group):
+        for listener in listeners:
             if listener is sender:
                 continue
             if self.config.loss_rate and self.rng.random() < self.config.loss_rate:
@@ -560,8 +657,8 @@ class _Simulation:
                 # Promiscuous listeners parse the clear header, then gate off.
                 listener.debit("rx", self.model.rx_per_octet * linksec.HEADER_BYTES)
                 continue
-            listener.debit("rx", self.model.rx_per_octet * len(wire))
-            listener.debit("crypto", self._crypto_cost(header.level, header.length))
+            listener.debit("rx", rx_cost)
+            listener.debit("crypto", open_cost)
             state = listener.counter_from(header.src, header.dest)
             try:
                 plain = linksec.decode(
@@ -589,12 +686,8 @@ class _Simulation:
 
         # Replay attackers squirrel away the latest sensed-data wire bytes.
         if pclass is PacketClass.SENSED_DATA and replayed_wire is None:
-            for node in self._alive_members(group):
-                if (
-                    node.adversary is not None
-                    and node.adversary.behavior == "replay-attacker"
-                    and node is not sender
-                ):
+            for node in group.replayers:
+                if node.alive and node is not sender:
                     node.captured_wire = (wire, dest)
         return decoded
 
@@ -804,6 +897,8 @@ class _Simulation:
             members = self._alive_members(group)
             samples: list[tuple[NodeAddress, str, Optional[float]]] = []
             for node in members:
+                # Reading `remaining` settles the node's deferred listens, so
+                # every ledger is complete at the end of each frame.
                 claimed = node.remaining
                 if (
                     node.adversary is not None
@@ -833,6 +928,7 @@ class _Simulation:
         for frame in range(self.config.sim_length):
             for group in self.groups:
                 group.next_slot = 0
+                self._plan_listens(group)
                 self._maybe_election(group, frame)
                 self._maybe_rekey(group, frame)
                 self._group_frame(group, frame)

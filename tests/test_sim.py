@@ -159,6 +159,31 @@ class TestEnergyAccounting:
             assert stats.ledger.total <= em.initial_energy + 1e-12
         assert any(not s.alive for s in report.nodes.values())
 
+    @pytest.mark.parametrize("cfg", [
+        # The duty replayer 0.2 resends the head's handoff, addressed to itself.
+        SimConfig(seed=2, node_count=5, group_count=1, sim_length=12,
+                  session_length=5, scenario=habitat(),
+                  adversaries=(AdversarySpec(NodeAddress(0, 2), "replay-attacker",
+                                             start_frame=1),)),
+        # Two groups, deaths and elections: deferral switches off near death.
+        SimConfig(seed=5, node_count=9, group_count=2, sim_length=60,
+                  session_length=10, scenario=military(1.5),
+                  energy_model=EnergyModel(initial_energy=1.5),
+                  adversaries=(AdversarySpec(NodeAddress(1, 2), "replay-attacker",
+                                             start_frame=1),
+                               AdversarySpec(NodeAddress(0, 3), "drop-fraction", 0.5))),
+    ])
+    def test_deferred_header_listens_equal_eager_debits(self, monkeypatch, cfg):
+        simulation = sim._Simulation(cfg)
+        deferred = simulation.run()
+        assert all(g.channel.deferred > 0 for g in simulation.groups)
+        monkeypatch.setattr(sim._Simulation, "_plan_listens", lambda self, group: None)
+        eager = sim.run(cfg)
+        assert deferred.energy_csv() == eager.energy_csv()
+        assert deferred.trust_csv() == eager.trust_csv()
+        assert deferred.nodes == eager.nodes
+        assert deferred.elections == eager.elections
+
     def test_single_node_zero_radio(self):
         em = EnergyModel()
         cfg = SimConfig(seed=2, node_count=1, group_count=1, sim_length=10,
@@ -335,6 +360,28 @@ class TestObservationViews:
             SimConfig(seed=1, node_count=members, group_count=1, sim_length=3)
         )
         assert 0 < records <= 4 * len(report.slot_log)
+
+    @pytest.mark.parametrize("members", [8, 32])
+    def test_debits_per_transmission_independent_of_group_size(
+        self, monkeypatch, members
+    ):
+        """Loss-free, far from death: a unicast debits its sender and its
+        destination only, and the other members' header-only listens are
+        settled later. A frame's two broadcasts still debit every member,
+        so a frame of n + 2 transmissions makes about 8n debits."""
+        debits = 0
+        debit = sim._Node.debit
+
+        def counting(self, *args):
+            nonlocal debits
+            debits += 1
+            return debit(self, *args)
+
+        monkeypatch.setattr(sim._Node, "debit", counting)
+        report = sim.run(
+            SimConfig(seed=1, node_count=members, group_count=1, sim_length=3)
+        )
+        assert 0 < debits <= 8 * len(report.slot_log)
 
     def test_one_open_per_transmission(self, monkeypatch):
         """Loss-free and honest: every listener of a wire holds the same key
