@@ -178,10 +178,12 @@ class TrustTable:
     observer: NodeAddress
     weights: TrustWeights = field(default_factory=TrustWeights)
     rows: dict[NodeAddress, NeighborRecord] = field(default_factory=dict)
-    trust: TrustValues = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.trust = TrustValues(self)
+    @property
+    def trust(self) -> TrustValues:
+        # Made on each read: a stored one would form a reference cycle with
+        # the table, which only the cyclic collector frees.
+        return TrustValues(self)
 
     def row(self, neighbor: NodeAddress) -> NeighborRecord:
         rec = self.rows.get(neighbor)
