@@ -179,9 +179,8 @@ class TestEnergyAccounting:
         assert all(g.channel.deferred > 0 for g in simulation.groups)
         monkeypatch.setattr(sim._Simulation, "_plan_listens", lambda self, group: None)
         eager = sim.run(cfg)
-        assert deferred.energy_csv() == eager.energy_csv()
+        assert deferred.nodes == eager.nodes  # every ledger float, exactly
         assert deferred.trust_csv() == eager.trust_csv()
-        assert deferred.nodes == eager.nodes
         assert deferred.elections == eager.elections
 
     def test_single_node_zero_radio(self):
@@ -496,8 +495,8 @@ class TestGoldens:
 
     def test_configs_cover_the_model(self, savings):
         """The pinned set exercises every scenario, every adversary kind,
-        channel loss, several groups, an election, a node death, and a node
-        dying of listening in a loss-free group of at least 16 members."""
+        channel loss, several groups, an election, a node death, and a
+        death in a loss-free group of at least 16 members."""
         configs = [sim.config_from_dict(d) for d in GOLDEN_CONFIGS.values()]
         reports = [s.adaptive for s in savings.values()]
         assert any(
