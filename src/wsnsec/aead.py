@@ -31,7 +31,6 @@ The tag, the top 32 bits of a big-endian block, is the low word.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from functools import lru_cache
 from typing import Optional
@@ -124,7 +123,7 @@ def _keystream(key: bytes, counter: int, length: int) -> bytes:
     index = 0
     while len(out) < length:
         msg = _TAG_STREAM + ctr + index.to_bytes(4, "big")
-        out += hmac.new(key, msg, hashlib.sha256).digest()
+        out += hmac.digest(key, msg, "sha256")
         index += 1
     return bytes(out[:length])
 
@@ -137,7 +136,7 @@ def _stream_tag(key: bytes, counter: int, aad: bytes, ciphertext: bytes) -> byte
         + aad
         + ciphertext
     )
-    return hmac.new(key, msg, hashlib.sha256).digest()[:TAG_BYTES]
+    return hmac.digest(key, msg, "sha256")[:TAG_BYTES]
 
 
 def _check_args(key: bytes, counter: int) -> None:

@@ -14,6 +14,9 @@ deployment), so later head elections need no re-derivation. The master key
 itself is deleted the moment derivation finishes: compromising a deployed
 node exposes one-hop keys only, never the derivation root.
 
+A single-hop clique can derive all its members' rings in one pass, each key
+once, giving rings equal to those of per-node derivation.
+
 Byte encodings are normative and bit-exact. Each derivation is prefixed with
 a 1-octet domain-separation tag so no two formulas can collide:
 
@@ -27,7 +30,6 @@ Addresses encode as 2 octets (group, node); a bare group id as 1 octet.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import logging
 from dataclasses import dataclass, field
@@ -88,8 +90,7 @@ def prf(key: SymmetricKey, message: bytes) -> SymmetricKey:
     independent outputs. All derivation formulas call through this single
     substitution point, so tests can inject a double.
     """
-    digest = hmac.new(key.data, message, hashlib.sha256).digest()
-    return SymmetricKey(digest[:KEY_BYTES])
+    return SymmetricKey(hmac.digest(key.data, message, "sha256")[:KEY_BYTES])
 
 
 @dataclass
@@ -147,6 +148,61 @@ def derive_keyring(
         ring.peer_node_based[n] = prf_fn(master, TAG_NODE_BASED + peer + head)
     # Master key deletion: the returned ring never references it.
     return ring
+
+
+def derive_group_keyrings(
+    master: SymmetricKey,
+    group_head: NodeAddress,
+    members: Iterable[NodeAddress],
+    prf_fn: PrfFn = prf,
+) -> list[KeyRing]:
+    """Derive the rings of a single-hop clique in one pass.
+
+    Each ring equals `derive_keyring(master, m, group_head, others)` for its
+    member `m`, but every key is derived once: 2n node-based and broadcast
+    keys, and n(n-1)/2 pairwise keys. Rings come back in address order and
+    share no mutable object, so an election or re-key on one leaves the
+    others untouched.
+    """
+    members = list(members)
+    unique = {m.encode(): m for m in members}
+    if len(unique) != len(members):
+        raise ValueError("duplicate group member: a node is not its own neighbor")
+    order = sorted(unique)
+    addrs = [unique[e] for e in order]
+    for a in addrs:
+        if a.group_id != addrs[0].group_id:
+            raise ValueError(f"member {a} outside group {addrs[0].group_id}")
+
+    head = group_head.encode()
+    broadcast = [prf_fn(master, TAG_BROADCAST + e) for e in order]
+    node_based = [prf_fn(master, TAG_NODE_BASED + e + head) for e in order]
+    # Address order makes order[i] + order[j], i < j, the normative
+    # min || max message, and fills every row in address order.
+    rows: list[dict[NodeAddress, SymmetricKey]] = [{} for _ in addrs]
+    for i, (own, owner, row) in enumerate(zip(order, addrs, rows)):
+        for j in range(i + 1, len(order)):
+            key = prf_fn(master, TAG_PAIRWISE + own + order[j])
+            row[addrs[j]] = key
+            rows[j][owner] = key
+    # Copies of one group-wide dict keep its stored hashes: no address is
+    # hashed again, and each ring still owns its dicts.
+    all_broadcast = dict(zip(addrs, broadcast))
+    all_node_based = dict(zip(addrs, node_based))
+    rings = []
+    for i, owner in enumerate(addrs):
+        ring = KeyRing(
+            owner=owner,
+            head=group_head,
+            node_based=node_based[i],
+            broadcast=broadcast[i],
+            pairwise=rows[i],
+            peer_broadcast=all_broadcast.copy(),
+            peer_node_based=all_node_based.copy(),
+        )
+        del ring.peer_broadcast[owner], ring.peer_node_based[owner]
+        rings.append(ring)
+    return rings
 
 
 def derive_session_key(

@@ -78,7 +78,7 @@ from .agent import (
 from .keys import (
     KeyRing,
     SymmetricKey,
-    derive_keyring,
+    derive_group_keyrings,
     derive_session_key,
     prf,
     rekey_group,
@@ -412,11 +412,9 @@ class _Node:
         or the copy frozen at its death."""
         if self.frozen is not None:
             return self.frozen
-        return TrustTable(
-            self.addr,
-            self.ledger.weights,
-            {s: rec for s, rec in self.ledger.rows.items() if s != self.addr},
-        )
+        rows = dict(self.ledger.rows)
+        rows.pop(self.addr, None)
+        return TrustTable(self.addr, self.ledger.weights, rows)
 
     def counter_to(self, dest: int) -> CounterState:
         return self.out_ctr.setdefault(dest, CounterState())
@@ -497,31 +495,17 @@ class _Simulation:
         sizes = [cfg.node_count // cfg.group_count] * cfg.group_count
         for i in range(cfg.node_count % cfg.group_count):
             sizes[i] += 1
-        # Every ring derives from the one base-station master, so a message
-        # names its key; each pairwise and peer key is derived once, not
-        # once per ring that holds it.
-        derived: dict[bytes, SymmetricKey] = {}
-
-        def prf_once(master: SymmetricKey, message: bytes) -> SymmetricKey:
-            key = derived.get(message)
-            if key is None:
-                key = derived[message] = prf(master, message)
-            return key
-
         groups = []
         for gid, size in enumerate(sizes):
             if size == 0:
                 continue
             addrs = [NodeAddress(gid, i + 1) for i in range(size)]
-            head = addrs[0]
             ledger = TrustTable(NodeAddress(gid, BROADCAST_NODE_ID), cfg.trust_weights)
             channel = _Channel()
-            members = []
-            for i, addr in enumerate(addrs):
-                ring = derive_keyring(
-                    self.bs_master, addr, head, addrs[:i] + addrs[i + 1:], prf_once
-                )
-                members.append(_Node(addr, ring, ledger, channel, cfg))
+            # `prf` is passed, not defaulted, so a wrapper on `sim.prf` sees
+            # every derivation.
+            rings = derive_group_keyrings(self.bs_master, addrs[0], addrs, prf)
+            members = [_Node(r.owner, r, ledger, channel, cfg) for r in rings]
             groups.append(_Group(gid, members, ledger, channel))
         return groups
 

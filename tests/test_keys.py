@@ -9,6 +9,7 @@ from wsnsec.addressing import NodeAddress
 from wsnsec.keys import (
     KeyRing,
     SymmetricKey,
+    derive_group_keyrings,
     derive_keyring,
     derive_session_key,
     prf,
@@ -162,6 +163,45 @@ class TestDerivation:
         bs = NodeAddress(0, 0)
         assert derive_session_key(master, 1, bs) != derive_session_key(master, 2, bs)
         assert derive_session_key(master, 1, bs) == derive_session_key(master, 1, bs)
+
+
+class TestGroupDerivation:
+    @pytest.mark.parametrize("node_ids", [(7, 3, 12, 40), (9, 4), (5,)])
+    def test_rings_equal_per_node_derivation(self, node_ids):
+        master = SymmetricKey(bytes(range(10, 20)))
+        members = [NodeAddress(6, n) for n in node_ids]
+        head = members[-1]  # neither the first given nor the lowest address
+        rings = derive_group_keyrings(master, head, members)
+        assert [r.owner for r in rings] == sorted(members)
+        for ring in rings:
+            others = [m for m in members if m != ring.owner]
+            assert ring == derive_keyring(master, ring.owner, head, others)
+        for attr in ("pairwise", "peer_broadcast", "peer_node_based"):
+            assert len({id(getattr(r, attr)) for r in rings}) == len(rings)
+
+    def test_prf_called_once_per_key(self):
+        calls = []
+
+        def recording(key, message):
+            calls.append(message)
+            return prf(key, message)
+
+        members = [NodeAddress(2, n) for n in range(1, 6)]
+        derive_group_keyrings(SymmetricKey(bytes(10)), members[0], members, recording)
+        assert len(calls) == len(set(calls)) == 5 * 4 // 2 + 2 * 5
+
+    def test_no_members(self):
+        assert derive_group_keyrings(SymmetricKey(bytes(10)), NodeAddress(1, 1), []) == []
+
+    def test_rejects_duplicate_member(self):
+        members = [NodeAddress(1, 1), NodeAddress(1, 2), NodeAddress(1, 1)]
+        with pytest.raises(ValueError):
+            derive_group_keyrings(SymmetricKey(bytes(10)), members[0], members)
+
+    def test_rejects_foreign_group_member(self):
+        members = [NodeAddress(1, 1), NodeAddress(1, 2), NodeAddress(2, 3)]
+        with pytest.raises(ValueError):
+            derive_group_keyrings(SymmetricKey(bytes(10)), members[0], members)
 
 
 class TestCaptureContainment:

@@ -403,17 +403,63 @@ class TestObservationViews:
                    for s in report.nodes.values())
         assert 0 < opens <= len(report.slot_log)
 
-    def test_rings_match_direct_derivation(self):
-        simulation = sim._Simulation(
-            SimConfig(seed=3, node_count=7, group_count=2, sim_length=0)
+    @pytest.mark.parametrize("members", [8, 32])
+    def test_setup_hashes_each_ring_entry_at_most_twice(self, monkeypatch, members):
+        """A ring entry is one member-neighbor pair, n(n-1) per group. Rings
+        built one pair at a time hash each entry's address three times or
+        more; one pass over the clique hashes it about once."""
+        hashes = 0
+        address_hash = NodeAddress.__hash__
+
+        def counting(self):
+            nonlocal hashes
+            hashes += 1
+            return address_hash(self)
+
+        monkeypatch.setattr(NodeAddress, "__hash__", counting)
+        sim._Simulation(
+            SimConfig(seed=1, node_count=members, group_count=1, sim_length=0)
         )
-        for group in simulation.groups:
-            addrs = [n.addr for n in group.nodes]
-            for node in group.nodes:
-                assert node.ring == derive_keyring(
-                    simulation.bs_master, node.addr, addrs[0],
-                    [a for a in addrs if a != node.addr],
-                )
+        assert 0 < hashes <= 2 * members * (members - 1)
+
+    @pytest.mark.parametrize("node_count, group_count", [(7, 2), (9, 4), (4, 3)])
+    def test_setup_derives_each_key_once(self, monkeypatch, node_count, group_count):
+        """The base-station master, then per group 2n node-based and
+        broadcast keys and n(n-1)/2 pairwise keys."""
+        calls = 0
+        prf = sim.prf
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return prf(*args)
+
+        monkeypatch.setattr(sim, "prf", counting)
+        simulation = sim._Simulation(
+            SimConfig(seed=1, node_count=node_count, group_count=group_count,
+                      sim_length=0)
+        )
+        sizes = [len(g.nodes) for g in simulation.groups]
+        assert sum(sizes) == node_count
+        assert calls == 1 + sum(n * (n - 1) // 2 + 2 * n for n in sizes)
+
+    def test_rings_match_direct_derivation(self):
+        # Uneven sizes; (4, 3) gives two 1-member groups.
+        for node_count, group_count in ((7, 2), (9, 4), (4, 3)):
+            simulation = sim._Simulation(
+                SimConfig(seed=3, node_count=node_count, group_count=group_count,
+                          sim_length=0)
+            )
+            rings = [n.ring for g in simulation.groups for n in g.nodes]
+            for group in simulation.groups:
+                addrs = [n.addr for n in group.nodes]
+                for node in group.nodes:
+                    assert node.ring == derive_keyring(
+                        simulation.bs_master, node.addr, addrs[0],
+                        [a for a in addrs if a != node.addr],
+                    )
+            for attr in ("pairwise", "peer_broadcast", "peer_node_based"):
+                assert len({id(getattr(r, attr)) for r in rings}) == len(rings)
 
 
 class TestConfigLoading:
