@@ -36,6 +36,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import rc5
+from .keys import hmac_sha256
 
 TAG_BYTES = 4
 _M32 = 0xFFFFFFFF
@@ -123,7 +124,7 @@ def _keystream(key: bytes, counter: int, length: int) -> bytes:
     index = 0
     while len(out) < length:
         msg = _TAG_STREAM + ctr + index.to_bytes(4, "big")
-        out += hmac.digest(key, msg, "sha256")
+        out += hmac_sha256(key, msg)
         index += 1
     return bytes(out[:length])
 
@@ -136,7 +137,7 @@ def _stream_tag(key: bytes, counter: int, aad: bytes, ciphertext: bytes) -> byte
         + aad
         + ciphertext
     )
-    return hmac.digest(key, msg, "sha256")[:TAG_BYTES]
+    return hmac_sha256(key, msg)[:TAG_BYTES]
 
 
 def _check_args(key: bytes, counter: int) -> None:

@@ -26,13 +26,18 @@ a 1-octet domain-separation tag so no two formulas can collide:
     session      0x04 || group(1) || base_station(2)
 
 Addresses encode as 2 octets (group, node); a bare group id as 1 octet.
+
+HMAC-SHA256 runs from each key's inner and outer pad states, hashed once
+per key and copied per message, as RFC 2104 section 4 allows.
 """
 
 from __future__ import annotations
 
+import hashlib
 import hmac
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional
 
 from .addressing import NodeAddress
@@ -56,6 +61,13 @@ class SymmetricKey:
         if len(data) != KEY_BYTES:
             raise ValueError(f"key must be {KEY_BYTES} octets, got {len(data)}")
         self._data = bytes(data)
+
+    @classmethod
+    def _unchecked(cls, data: bytes) -> "SymmetricKey":
+        """Wrap `data`, already `KEY_BYTES` immutable octets, without checks."""
+        key = object.__new__(cls)
+        key._data = data
+        return key
 
     @property
     def data(self) -> bytes:
@@ -82,6 +94,33 @@ class SymmetricKey:
 
 PrfFn = Callable[["SymmetricKey", bytes], "SymmetricKey"]
 
+_SHA256_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+# Room for every key one run uses: a 254-member group uses 261.
+@lru_cache(maxsize=1024)
+def _pads(key: bytes):
+    """The SHA-256 states after hashing `key` XOR ipad and `key` XOR opad.
+
+    Shared by every caller: copy a state before updating it.
+    """
+    if len(key) > _SHA256_BLOCK:
+        raise ValueError(f"HMAC key must be at most {_SHA256_BLOCK} octets, got {len(key)}")
+    block = key.ljust(_SHA256_BLOCK, b"\0")
+    return hashlib.sha256(block.translate(_IPAD)), hashlib.sha256(block.translate(_OPAD))
+
+
+def hmac_sha256(key: bytes, message: bytes) -> bytes:
+    """HMAC-SHA256 of `message` under a key of at most one block (64 octets)."""
+    inner, outer = _pads(key)
+    inner = inner.copy()
+    inner.update(message)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
+
 
 def prf(key: SymmetricKey, message: bytes) -> SymmetricKey:
     """Keyed PRF: HMAC-SHA256 truncated to the key width.
@@ -90,7 +129,7 @@ def prf(key: SymmetricKey, message: bytes) -> SymmetricKey:
     independent outputs. All derivation formulas call through this single
     substitution point, so tests can inject a double.
     """
-    return SymmetricKey(hmac.digest(key.data, message, "sha256")[:KEY_BYTES])
+    return SymmetricKey._unchecked(hmac_sha256(key._data, message)[:KEY_BYTES])
 
 
 @dataclass

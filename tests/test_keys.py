@@ -4,6 +4,7 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsnsec.addressing import NodeAddress
 from wsnsec.keys import (
@@ -12,6 +13,7 @@ from wsnsec.keys import (
     derive_group_keyrings,
     derive_keyring,
     derive_session_key,
+    hmac_sha256,
     prf,
     rekey_group,
 )
@@ -41,6 +43,38 @@ class TestSymmetricKey:
         assert k1 == k2
         assert k1.hex() == "00112233445566778899"
         assert k1 != SymmetricKey(bytes(10))
+
+
+class TestHmacSha256:
+    # RFC 4231 section 4; cases 6 and 7 use keys longer than one block.
+    RFC4231 = [
+        (b"\x0b" * 20, b"Hi There",
+         "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
+        (b"Jefe", b"what do ya want for nothing?",
+         "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"),
+        (b"\xaa" * 20, b"\xdd" * 50,
+         "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"),
+        (bytes(range(1, 26)), b"\xcd" * 50,
+         "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"),
+    ]
+
+    @pytest.mark.parametrize("key, message, expect", RFC4231)
+    def test_rfc4231(self, key, message, expect):
+        assert hmac_sha256(key, message).hex() == expect
+
+    def test_rfc4231_truncated(self):
+        digest = hmac_sha256(b"\x0c" * 20, b"Test With Truncation")
+        assert digest[:16].hex() == "a3b6167473100ee06e0c796c2955552b"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=64), st.binary(max_size=200))
+    def test_matches_stdlib(self, key, message):
+        assert hmac_sha256(key, message) == hmac.digest(key, message, "sha256")
+
+    def test_rejects_key_over_one_block(self):
+        with pytest.raises(ValueError):
+            hmac_sha256(bytes(65), b"m")
+        assert hmac_sha256(bytes(64), b"m") == hmac.digest(bytes(64), b"m", "sha256")
 
 
 class TestPrf:

@@ -1,10 +1,11 @@
+import hmac
 import json
 import pathlib
 from dataclasses import replace
 
 import pytest
 
-from wsnsec import sim
+from wsnsec import keys, sim
 from wsnsec.addressing import NodeAddress
 from wsnsec.agent import default_policy
 from wsnsec.keys import derive_keyring
@@ -442,6 +443,23 @@ class TestObservationViews:
         sizes = [len(g.nodes) for g in simulation.groups]
         assert sum(sizes) == node_count
         assert calls == 1 + sum(n * (n - 1) // 2 + 2 * n for n in sizes)
+
+    def test_setup_hashes_each_hmac_key_pad_once(self, monkeypatch):
+        """Every HMAC runs from cached pad states: set-up hashes pads for the
+        zero key and the base-station master only, never per derived key."""
+
+        def stdlib_hmac(*args, **kwargs):
+            raise AssertionError("HMAC outside keys.hmac_sha256")
+
+        # `keys` and `aead` reach the stdlib through this one module.
+        monkeypatch.setattr(hmac, "digest", stdlib_hmac)
+        monkeypatch.setattr(hmac, "new", stdlib_hmac)
+        keys._pads.cache_clear()
+        simulation = sim._Simulation(
+            SimConfig(seed=1, node_count=32, group_count=1, sim_length=0)
+        )
+        assert len(simulation.groups[0].nodes) == 32
+        assert keys._pads.cache_info().misses <= 2
 
     def test_rings_match_direct_derivation(self):
         # Uneven sizes; (4, 3) gives two 1-member groups.
