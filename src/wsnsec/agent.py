@@ -1,10 +1,10 @@
 """Per-node security agent: picks a security level for every packet.
 
-The agent sits beside the protocol stack like a resource manager: layers
-report their current readings (energy, memory, collision rate, neighbor
-trust) and the agent folds the latest snapshot into a per-packet decision.
-The decision rule is a small deterministic ladder around the deployment
-scenario's policy:
+The agent sits beside the protocol stack like a resource manager. It holds
+the node's latest cross-layer readings, its remaining energy and the trust
+of its neighbors, which the stack sets as they change, and folds them with
+the scenario policy into a per-packet decision. The decision rule is a
+small deterministic ladder around the deployment scenario's policy:
 
     1. key material always ships at the strongest level with a tag,
     2. start from the scenario base level,
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .addressing import NodeAddress
 from .linksec import Encryption, SecurityLevel
@@ -37,17 +37,6 @@ class PacketClass(Enum):
     SENSED_DATA = "sensed-data"
     CONTROL = "control"
     KEY_MATERIAL = "key-material"
-
-
-class Layer(Enum):
-    PHYSICAL = "physical"
-    LINK = "link"
-    NETWORK = "network"
-    APPLICATION = "application"
-
-
-# Metric registry for cross-layer reports: name -> payload the agent stores.
-METRICS = ("energy", "memory", "collision-rate", "trust", "policy")
 
 
 @dataclass(frozen=True)
@@ -70,8 +59,8 @@ class ScenarioPolicy:
             raise ValueError("min_level must not exceed base_level")
         if not 0.0 <= self.trust_alarm < 1.0:
             raise ValueError("trust_alarm must be in [0, 1)")
-        if self.energy_floor < 0:
-            raise ValueError("energy_floor must be non-negative")
+        if not 0 <= self.energy_floor < math.inf:
+            raise ValueError("energy_floor must be finite and non-negative")
 
 
 SCENARIO_NAMES = (
@@ -122,7 +111,6 @@ class PerceptSnapshot:
     scenario_policy: ScenarioPolicy
     packet_class: PacketClass
     available_energy: float = math.inf
-    available_memory: int = 0
     neighbor_trust: Mapping[NodeAddress, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -155,44 +143,19 @@ def decide(percept: PerceptSnapshot) -> SecurityLevel:
 
 
 class SecurityAgent:
-    """Holds the latest cross-layer readings for one node."""
+    """Holds one node's latest readings: its remaining energy and the
+    trust of its neighbors."""
 
     def __init__(self, policy: ScenarioPolicy):
         self.policy = policy
         self.available_energy: float = math.inf
-        self.available_memory: int = 0
-        self.collision_rate: float = 0.0
         self.neighbor_trust: dict[NodeAddress, float] = {}
-
-    def report(self, layer: Layer | str, metric: str, value) -> None:
-        """Record one reading from a protocol layer.
-
-        trust updates carry an (address, value) pair; policy recommendations
-        replace the whole scenario policy.
-        """
-        Layer(layer) if isinstance(layer, str) else layer  # validates the name
-        if metric == "energy":
-            self.available_energy = float(value)
-        elif metric == "memory":
-            self.available_memory = int(value)
-        elif metric == "collision-rate":
-            self.collision_rate = float(value)
-        elif metric == "trust":
-            neighbor, trust = value
-            self.neighbor_trust[neighbor] = float(trust)
-        elif metric == "policy":
-            if not isinstance(value, ScenarioPolicy):
-                raise ValueError("policy reports carry a ScenarioPolicy")
-            self.policy = value
-        else:
-            raise ValueError(f"unknown metric {metric!r}; registry: {METRICS}")
 
     def snapshot(self, packet_class: PacketClass) -> PerceptSnapshot:
         return PerceptSnapshot(
             scenario_policy=self.policy,
             packet_class=packet_class,
             available_energy=self.available_energy,
-            available_memory=self.available_memory,
             neighbor_trust=dict(self.neighbor_trust),
         )
 

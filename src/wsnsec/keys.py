@@ -134,7 +134,8 @@ def prf(key: SymmetricKey, message: bytes) -> SymmetricKey:
 
 @dataclass
 class KeyRing:
-    """A node's post-setup key material. `master` is None once setup is done."""
+    """A node's post-setup key material. It has no field for the master
+    key, so no ring carries the master key past setup."""
 
     owner: NodeAddress
     head: NodeAddress
@@ -143,7 +144,6 @@ class KeyRing:
     pairwise: dict[NodeAddress, SymmetricKey] = field(default_factory=dict)
     peer_broadcast: dict[NodeAddress, SymmetricKey] = field(default_factory=dict)
     peer_node_based: dict[NodeAddress, SymmetricKey] = field(default_factory=dict)
-    master: Optional[SymmetricKey] = None
     session: Optional[SymmetricKey] = None
 
 

@@ -59,15 +59,15 @@ from __future__ import annotations
 import heapq
 import io
 import json
+import math
 import random
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from . import aead, linksec
 from .addressing import BROADCAST_NODE_ID, NodeAddress
 from .agent import (
-    Layer,
     PacketClass,
     ScenarioPolicy,
     SecurityAgent,
@@ -107,16 +107,9 @@ class EnergyModel:
     initial_energy: float = 1000.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "tx_per_octet",
-            "rx_per_octet",
-            "rc5_per_block_per_round",
-            "xor_per_octet",
-            "mac_fixed",
-            "initial_energy",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for f in fields(self):
+            if not 0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -140,7 +133,6 @@ class SimConfig:
     seed: int = 1
     node_count: int = 20
     group_count: int = 2
-    slots_per_frame: Optional[int] = None
     session_length: int = 50
     sim_length: int = 500
     scenario: ScenarioPolicy = None  # type: ignore[assignment]
@@ -149,7 +141,7 @@ class SimConfig:
     energy_model: EnergyModel = field(default_factory=EnergyModel)
     trust_weights: TrustWeights = field(default_factory=TrustWeights)
     rekey_threshold: float = 0.4
-    loss_threshold: int = 4
+    loss_threshold: int = linksec.DEFAULT_LOSS_THRESHOLD
     loss_rate: float = 0.0
 
     def __post_init__(self) -> None:
@@ -164,8 +156,6 @@ class SimConfig:
             raise ValueError(
                 f"groups of {per_group} exceed {MAX_GROUP_MEMBERS} addressable members"
             )
-        if self.slots_per_frame is not None and self.slots_per_frame < per_group:
-            raise ValueError("slots_per_frame smaller than the largest group")
         if self.session_length < 1:
             raise ValueError("session_length must be at least one frame")
         if self.sim_length < 0:
@@ -446,6 +436,23 @@ class _Group:
         self.last_election_frame: Optional[int] = None
         self.next_slot = 0
 
+    def hand_over(self, successor: _Node) -> None:
+        """Make `successor` the head, on the group and in every member's ring."""
+        self.head = successor
+        for node in self.nodes:
+            node.ring.head = successor.addr
+
+
+def _reading(node: _Node, frame: int) -> bytes:
+    """The node's sensed payload for one frame."""
+    return bytes((frame + node.addr.node_id + i) & 0xFF for i in range(10))
+
+
+def _acts(node: _Node, behavior: str, frame: int) -> bool:
+    """Whether the node is an adversary of this behavior, active by this frame."""
+    spec = node.adversary
+    return spec is not None and spec.behavior == behavior and frame >= spec.start_frame
+
 
 # =============================================================================
 # Simulation
@@ -686,10 +693,8 @@ class _Simulation:
             # Head failure: the vice steps in without a vote (that is what
             # it was elected for); the lowest survivor otherwise.
             successor = group.vice if group.vice and group.vice.alive else members[0]
-            group.head = successor
+            group.hand_over(successor)
             group.vice = None
-            for node in group.nodes:
-                node.ring.head = successor.addr
             return
         if len(members) < 2 or frame == 0:
             return
@@ -728,9 +733,7 @@ class _Simulation:
         group.last_election_frame = frame
         group.vice = self.nodes[vice] if vice is not None else None
         if new_head != head.addr:
-            group.head = self.nodes[new_head]
-            for node in group.nodes:
-                node.ring.head = new_head
+            group.hand_over(self.nodes[new_head])
 
     def _maybe_rekey(self, group: _Group, frame: int) -> None:
         if frame == 0 or frame % self.config.session_length != 0:
@@ -783,8 +786,7 @@ class _Simulation:
                 head.debit(
                     "crypto", self._crypto_cost(level, len(group.pending_aggregate))
                 )
-            own = bytes((frame + head.addr.node_id + i) & 0xFF for i in range(10))
-            group.pending_aggregate = own[: linksec.MAX_PAYLOAD]
+            group.pending_aggregate = _reading(head, frame)
             return
         duty = others[frame % len(others)]
 
@@ -810,22 +812,15 @@ class _Simulation:
         # member additionally relays uplink and beacon.
         collected: list[bytes] = []
         for member in others:
-            payload = bytes(
-                (frame + member.addr.node_id + i) & 0xFF for i in range(10)
-            )
             decoded = self._transmit(
                 group, frame, member, head.addr.node_id, PacketClass.SENSED_DATA,
-                payload,
+                _reading(member, frame),
             )
             if head.addr in decoded:
                 collected.append(decoded[head.addr])
 
             if member is duty:
-                drops = (
-                    member.adversary is not None
-                    and member.adversary.behavior == "drop-fraction"
-                    and frame >= member.adversary.start_frame
-                )
+                drops = _acts(member, "drop-fraction", frame)
                 if handoff_ok:
                     if drops and self.rng.random() < member.adversary.drop_fraction:
                         self._apply_events(
@@ -859,12 +854,8 @@ class _Simulation:
                             group, [(member.addr, "control-forwarded", None)]
                         )
 
-            if (
-                member.adversary is not None
-                and member.adversary.behavior == "replay-attacker"
-                and frame >= member.adversary.start_frame
-                and member.captured_wire is not None
-            ):
+            replays = _acts(member, "replay-attacker", frame)
+            if replays and member.captured_wire is not None:
                 wire, dest = member.captured_wire
                 self._transmit(
                     group, frame, member, dest, PacketClass.SENSED_DATA, b"",
@@ -872,8 +863,7 @@ class _Simulation:
                 )
 
         # The head's own reading joins locally; the aggregate ships next frame.
-        own = bytes((frame + head.addr.node_id + i) & 0xFF for i in range(10))
-        blob = own + b"".join(collected)
+        blob = _reading(head, frame) + b"".join(collected)
         group.pending_aggregate = blob[: linksec.MAX_PAYLOAD]
 
     def _frame_end(self, frame: int) -> None:
@@ -884,11 +874,7 @@ class _Simulation:
                 # Reading `remaining` settles the node's deferred listens, so
                 # every ledger is complete at the end of each frame.
                 claimed = node.remaining
-                if (
-                    node.adversary is not None
-                    and node.adversary.behavior == "captured"
-                    and frame >= node.adversary.start_frame
-                ):
+                if _acts(node, "captured", frame):
                     # Compromised nodes overstate their battery to win
                     # energy-based handovers.
                     claimed = self.model.initial_energy + 1.0 + frame
@@ -903,7 +889,7 @@ class _Simulation:
                 2, ((ledger.election_trust(s), s) for s in ledger.rows)
             )
             for node in members:
-                node.agent.report(Layer.PHYSICAL, "energy", node.remaining)
+                node.agent.available_energy = node.remaining
                 node.agent.neighbor_trust = dict(
                     [(s, t) for t, s in lowest if s != node.addr][:1]
                 )
@@ -971,14 +957,10 @@ def _parse_scenario(obj, initial_energy: float) -> ScenarioPolicy:
         return replace(policy, **kwargs)
     if "base_level" not in kwargs:
         raise ValueError("custom scenarios need at least a base_level")
-    return ScenarioPolicy(
-        name=obj.get("name", "custom"),
-        base_level=kwargs["base_level"],
-        min_level=kwargs.get("min_level", kwargs["base_level"]),
-        energy_floor=kwargs.get("energy_floor", 0.0),
-        trust_alarm=kwargs.get("trust_alarm", 0.3),
-        fixed_level=kwargs.get("fixed_level", SecurityLevel(Encryption.RC5_R12, True)),
-    )
+    defaults = {
+        "min_level": kwargs["base_level"], "energy_floor": 0.0, "trust_alarm": 0.3
+    }
+    return ScenarioPolicy(name=obj.get("name", "custom"), **{**defaults, **kwargs})
 
 
 def config_from_dict(data: dict) -> SimConfig:
@@ -1004,19 +986,7 @@ def config_from_dict(data: dict) -> SimConfig:
         )
         for a in data.pop("adversaries", [])
     )
-    known = {
-        "seed",
-        "node_count",
-        "group_count",
-        "slots_per_frame",
-        "session_length",
-        "sim_length",
-        "adaptive",
-        "rekey_threshold",
-        "loss_threshold",
-        "loss_rate",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(SimConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return SimConfig(

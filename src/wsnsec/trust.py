@@ -13,25 +13,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import Counter
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
 
 from .addressing import NodeAddress
-
-EVENT_KINDS = (
-    "control-received-for-forward",
-    "control-forwarded",
-    "data-received-for-forward",
-    "data-forwarded",
-    "packet-dropped",
-    "packet-transmitted",
-    "packet-received",
-    "collision",
-    "energy-sample",
-    "signal-sample",
-)
 
 CSV_COLUMNS = (
     "observer",
@@ -94,10 +82,10 @@ class TrustWeights:
     w6: float = 1 / 7
 
     def __post_init__(self) -> None:
-        ws = self.as_tuple()
-        if any(w < 0 for w in ws):
-            raise ValueError("weights must be non-negative")
-        if sum(ws) >= 1.0:
+        for f in fields(self):
+            if not 0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"weight {f.name} must be finite and non-negative")
+        if sum(self.as_tuple()) >= 1.0:
             raise ValueError("weights must sum to less than 1 so trust stays below 1")
 
     def as_tuple(self) -> tuple[float, ...]:
@@ -135,8 +123,8 @@ class TrustValues(Mapping):
     """A table's trust per neighbor, computed from the neighbor's row when
     read and kept on the row until the row next changes.
 
-    Keys are the table's neighbors. A written value stands in for the
-    formula until the next observation of that neighbor.
+    Keys are the table's neighbors. The mapping is read-only: a value
+    changes only through an observation of its neighbor.
     """
 
     def __init__(self, table: "TrustTable") -> None:
@@ -147,9 +135,6 @@ class TrustValues(Mapping):
         if rec._trust is None:
             rec._trust = compute_trust(rec, self._table.weights)
         return rec._trust
-
-    def __setitem__(self, neighbor: NodeAddress, value: float) -> None:
-        self._table.rows[neighbor]._trust = value
 
     def __iter__(self) -> Iterator[NodeAddress]:
         return iter(self._table.rows)
@@ -168,8 +153,8 @@ class TrustTable:
 
     The simulator keeps one table per group, recording each observation
     once, and hands every member a view of it: a table over the same row
-    objects without the member's own row. A trust value written through
-    one view is seen by every view holding that row.
+    objects without the member's own row. A trust value computed through
+    one view is kept on the row, so every view holding that row reads it.
 
     Single-owner: operations are plain single-writer updates with no
     locking; move the table between threads, never share it.

@@ -189,7 +189,13 @@ def test_criterion_5_key_management_properties():
         ring_i = derive_keyring(master, i, head, [j])
         ring_j = derive_keyring(master, j, head, [i])
         assert ring_i.pairwise[j] == ring_j.pairwise[i]
-        assert ring_i.master is None and ring_j.master is None
+        for ring in (ring_i, ring_j):
+            held = [
+                key
+                for value in vars(ring).values()
+                for key in (value.values() if isinstance(value, dict) else (value,))
+            ]
+            assert master not in held
 
     # Capture containment: everything a ring holds, run through the PRF
     # over every plausible encoding, reaches no foreign key.

@@ -4,7 +4,6 @@ import pytest
 
 from wsnsec.addressing import NodeAddress
 from wsnsec.agent import (
-    Layer,
     PacketClass,
     PerceptSnapshot,
     ScenarioPolicy,
@@ -108,32 +107,10 @@ class TestAgentState:
 
     def test_energy_report_drives_deescalation(self):
         agent = SecurityAgent(HABITAT)
-        agent.report(Layer.PHYSICAL, "energy", 5.0)
+        agent.available_energy = 5.0
         assert agent.decide(PacketClass.SENSED_DATA).encryption == Encryption.RC5_R4
 
     def test_trust_report_drives_escalation(self):
         agent = SecurityAgent(HABITAT)
-        agent.report("link", "trust", (N1, 0.05))
+        agent.neighbor_trust[N1] = 0.05
         assert agent.decide(PacketClass.SENSED_DATA).encryption == Encryption.RC5_R12
-
-    def test_policy_recommendation_replaces_policy(self):
-        agent = SecurityAgent(HABITAT)
-        agent.report(Layer.APPLICATION, "policy", MILITARY)
-        assert agent.decide(PacketClass.SENSED_DATA) == SecurityLevel(Encryption.RC5_R12, True)
-
-    def test_unknown_metric_rejected(self):
-        agent = SecurityAgent(HABITAT)
-        with pytest.raises(ValueError):
-            agent.report(Layer.LINK, "vibes", 1.0)
-
-    def test_unknown_layer_rejected(self):
-        agent = SecurityAgent(HABITAT)
-        with pytest.raises(ValueError):
-            agent.report("transport", "energy", 1.0)
-
-    def test_memory_and_collision_reports_stored(self):
-        agent = SecurityAgent(HABITAT)
-        agent.report(Layer.LINK, "memory", 2048)
-        agent.report(Layer.LINK, "collision-rate", 0.25)
-        assert agent.available_memory == 2048
-        assert agent.collision_rate == 0.25

@@ -249,3 +249,14 @@ class TestSimCommands:
         code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(tmp_path))
         assert code == cli.EXIT_INVALID
         assert err.startswith("error: invalid:")
+
+    def test_non_finite_override_names_field(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"node_count": 4, "group_count": 1, "sim_length": 2}')
+        code, _, err = run_cli(
+            capsys, "run", "--config", str(cfg), "--out-dir", str(tmp_path),
+            "--set", "energy_model.initial_energy=NaN",
+        )
+        assert code == cli.EXIT_INVALID
+        assert err.startswith("error: invalid:")
+        assert "initial_energy" in err

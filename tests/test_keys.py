@@ -31,6 +31,16 @@ def addr_bytes(a: NodeAddress) -> bytes:
     return bytes((a.group_id, a.node_id))
 
 
+def held_keys(ring):
+    """Every key the ring holds, in any attribute, alone or in a map."""
+    return [
+        key
+        for value in vars(ring).values()
+        for key in (value.values() if isinstance(value, dict) else (value,))
+        if isinstance(key, SymmetricKey)
+    ]
+
+
 class TestSymmetricKey:
     def test_length_enforced(self):
         with pytest.raises(ValueError):
@@ -157,7 +167,9 @@ class TestDerivation:
     def test_master_absent_after_setup(self):
         master = SymmetricKey(bytes(10))
         ring = derive_keyring(master, NodeAddress(1, 2), NodeAddress(1, 1), [NodeAddress(1, 1)])
-        assert ring.master is None
+        held = held_keys(ring)
+        assert ring.pairwise[NodeAddress(1, 1)] in held
+        assert master not in held
 
     def test_no_neighbors(self):
         master = SymmetricKey(bytes(10))

@@ -1,7 +1,7 @@
 import hmac
 import json
 import pathlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -9,6 +9,7 @@ from wsnsec import keys, sim
 from wsnsec.addressing import NodeAddress
 from wsnsec.agent import default_policy
 from wsnsec.keys import derive_keyring
+from wsnsec.linksec import Encryption, SecurityLevel
 from wsnsec.sim import AdversarySpec, EnergyModel, SimConfig
 from wsnsec.trust import TrustTable
 
@@ -101,8 +102,6 @@ class TestBasics:
             SimConfig(session_length=0)
         with pytest.raises(ValueError):
             SimConfig(rekey_threshold=1.0)
-        with pytest.raises(ValueError):
-            SimConfig(slots_per_frame=2, node_count=10, group_count=1)
 
 
 class TestEnergyAccounting:
@@ -511,10 +510,47 @@ class TestConfigLoading:
         assert cfg.energy_model.tx_per_octet == 0.001
 
     def test_unknown_keys_rejected(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text('{"frames": 5}')
-        with pytest.raises(ValueError):
-            sim.load_config(str(path))
+        # A deleted field is rejected like any other unknown key.
+        for key in ("frames", "slots_per_frame"):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({key: 500}))
+            with pytest.raises(ValueError, match=key):
+                sim.load_config(str(path))
+
+    def test_every_scalar_field_accepted(self):
+        values = {
+            "seed": 7, "node_count": 6, "group_count": 3, "session_length": 9,
+            "sim_length": 3, "adaptive": False, "rekey_threshold": 0.5,
+            "loss_threshold": 2, "loss_rate": 0.1,
+        }
+        default = SimConfig()
+        scalars = {
+            f.name for f in fields(SimConfig)
+            if isinstance(getattr(default, f.name), (int, float))
+        }
+        assert scalars == set(values)
+        cfg = sim.config_from_dict(values)
+        for name, value in values.items():
+            assert getattr(cfg, name) == value != getattr(default, name)
+
+    @pytest.mark.parametrize(
+        "dotted, raw",
+        [
+            ("energy_model.initial_energy", "NaN"),
+            ("energy_model.initial_energy", "Infinity"),
+            ("energy_model.tx_per_octet", "NaN"),
+            ("trust_weights.w3", "NaN"),
+            ("trust_weights.w3", "Infinity"),
+            ("scenario.energy_floor", "NaN"),
+            ("scenario.energy_floor", "Infinity"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, dotted, raw):
+        # JSON accepts NaN and Infinity; construction must name the field.
+        data = {"scenario": {"name": "habitat"}}
+        sim.set_override(data, dotted, raw)
+        with pytest.raises(ValueError, match=dotted.rsplit(".", 1)[1]):
+            sim.config_from_dict(data)
 
     def test_custom_scenario(self):
         cfg = sim.config_from_dict(
@@ -532,6 +568,7 @@ class TestConfigLoading:
         )
         assert cfg.scenario.name == "orchard"
         assert int(cfg.scenario.base_level.encryption) == 1
+        assert cfg.scenario.fixed_level == SecurityLevel(Encryption.RC5_R12, True)
 
 
 class TestGoldens:

@@ -189,7 +189,6 @@ def table_with_trust(observer, values):
         rec.pd = rec.npr - round(rec.npr * target)
         rec.npc = rec.npt - round(rec.npt * target)
         table.rows[neighbor] = rec
-        table.trust[neighbor] = compute_trust(rec, table.weights)
     return table
 
 
