@@ -11,7 +11,7 @@ fixed versus adaptive protection.
 __version__ = "0.1.0"
 
 from .addressing import NodeAddress
-from .agent import PacketClass, PerceptSnapshot, ScenarioPolicy, SecurityAgent, decide
+from .agent import PacketClass, ScenarioPolicy, SecurityAgent
 from .keys import KeyRing, SymmetricKey, derive_keyring, derive_session_key, prf, rekey_group
 from .linksec import (
     CounterState,
@@ -28,10 +28,8 @@ from .trust import NeighborRecord, TrustTable, TrustWeights, compute_trust, run_
 __all__ = [
     "NodeAddress",
     "PacketClass",
-    "PerceptSnapshot",
     "ScenarioPolicy",
     "SecurityAgent",
-    "decide",
     "KeyRing",
     "SymmetricKey",
     "derive_keyring",

@@ -53,7 +53,7 @@ class NodeAddress(tuple):
         try:
             group, node = text.split(".")
             return cls(int(group), int(node))
-        except (ValueError, TypeError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"bad address {text!r}, expected 'group.node'") from exc
 
     def __repr__(self) -> str:

@@ -1,32 +1,33 @@
 """Per-node security agent: picks a security level for every packet.
 
 The agent sits beside the protocol stack like a resource manager. It holds
-the node's latest cross-layer readings, its remaining energy and the trust
-of its neighbors, which the stack sets as they change, and folds them with
-the scenario policy into a per-packet decision. The decision rule is a
-small deterministic ladder around the deployment scenario's policy:
+the node's latest two cross-layer readings, as plain attributes the stack
+sets as they change: its remaining energy and the lowest trust among its
+neighbors. `SecurityAgent.decide` folds them with the scenario policy into
+a per-packet decision. The decision rule is a small deterministic ladder
+around the deployment scenario's policy:
 
     1. key material always ships at the strongest level with a tag,
     2. start from the scenario base level,
-    3. escalate one level while any neighbor's trust is below the alarm
-       threshold,
+    3. escalate one level while the lowest neighbor trust is below the
+       alarm threshold,
     4. otherwise drop one level (never below the scenario minimum) while
        energy is below the scenario floor,
     5. routing control always carries a tag.
 
-The ladder is deliberately isolated behind `decide` so a smarter agent can
-replace it without touching the stack. Packets without a tag still carry
-the truncated counter octet; dropping the counter would break freshness.
+The ladder is deliberately isolated behind `SecurityAgent.decide` so a
+smarter agent can replace it without touching the stack. Packets without a
+tag still carry the truncated counter octet; dropping the counter would
+break freshness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Optional
 
-from .addressing import NodeAddress
 from .linksec import Encryption, SecurityLevel
 
 LEVEL_STRONGEST = SecurityLevel(Encryption.RC5_R12, auth=True)
@@ -106,58 +107,34 @@ def default_policy(name: str, initial_energy: float = 1000.0) -> ScenarioPolicy:
     raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
 
 
-@dataclass(frozen=True)
-class PerceptSnapshot:
-    scenario_policy: ScenarioPolicy
-    packet_class: PacketClass
-    available_energy: float = math.inf
-    neighbor_trust: Mapping[NodeAddress, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.available_energy < 0:
-            raise ValueError("available_energy must be non-negative")
-        for t in self.neighbor_trust.values():
-            if not 0.0 <= t < 1.0:
-                raise ValueError("trust values must be in [0, 1)")
-
-
-def decide(percept: PerceptSnapshot) -> SecurityLevel:
-    """Pure decision ladder: same snapshot, same answer."""
-    policy = percept.scenario_policy
-    if percept.packet_class is PacketClass.KEY_MATERIAL:
-        return LEVEL_STRONGEST
-
-    enc = int(policy.base_level.encryption)
-    trust_floor = min(percept.neighbor_trust.values()) if percept.neighbor_trust else None
-    if trust_floor is not None and trust_floor < policy.trust_alarm:
-        enc += 1
-    elif percept.available_energy < policy.energy_floor:
-        enc -= 1
-    enc = max(enc, int(policy.min_level.encryption))
-    enc = min(enc, int(Encryption.RC5_R12))
-
-    auth = policy.base_level.auth
-    if percept.packet_class is PacketClass.ROUTING_CONTROL:
-        auth = True
-    return SecurityLevel(Encryption(enc), auth)
-
-
 class SecurityAgent:
-    """Holds one node's latest readings: its remaining energy and the
-    trust of its neighbors."""
+    """Holds one node's latest readings and picks each packet's level.
+
+    `available_energy` is the node's remaining battery.
+    `lowest_neighbor_trust` is the lowest trust among its neighbors, or
+    None while it has none.
+    """
 
     def __init__(self, policy: ScenarioPolicy):
         self.policy = policy
         self.available_energy: float = math.inf
-        self.neighbor_trust: dict[NodeAddress, float] = {}
-
-    def snapshot(self, packet_class: PacketClass) -> PerceptSnapshot:
-        return PerceptSnapshot(
-            scenario_policy=self.policy,
-            packet_class=packet_class,
-            available_energy=self.available_energy,
-            neighbor_trust=dict(self.neighbor_trust),
-        )
+        self.lowest_neighbor_trust: Optional[float] = None
 
     def decide(self, packet_class: PacketClass) -> SecurityLevel:
-        return decide(self.snapshot(packet_class))
+        """The decision ladder: same readings and packet class, same answer."""
+        if packet_class is PacketClass.KEY_MATERIAL:
+            return LEVEL_STRONGEST
+        policy = self.policy
+        enc = int(policy.base_level.encryption)
+        trust = self.lowest_neighbor_trust
+        if trust is not None and trust < policy.trust_alarm:
+            enc += 1
+        elif self.available_energy < policy.energy_floor:
+            enc -= 1
+        enc = max(enc, int(policy.min_level.encryption))
+        enc = min(enc, int(Encryption.RC5_R12))
+
+        auth = policy.base_level.auth
+        if packet_class is PacketClass.ROUTING_CONTROL:
+            auth = True
+        return SecurityLevel(Encryption(enc), auth)

@@ -881,17 +881,17 @@ class _Simulation:
                 samples.append((node.addr, "energy-sample", claimed))
                 samples.append((node.addr, "signal-sample", 0.8))
             self._apply_events(group, samples)
-            # `decide` reads only the lowest neighbor trust, and a member's
-            # neighbors are the ledger's subjects but itself: the lowest of
-            # the ledger's two lowest entries that is not its own will do.
+            # A member's neighbors are the ledger's subjects but itself: the
+            # lowest of the ledger's two lowest entries that is not its own
+            # is the member's lowest neighbor trust.
             ledger = group.ledger
             lowest = heapq.nsmallest(
                 2, ((ledger.election_trust(s), s) for s in ledger.rows)
             )
             for node in members:
                 node.agent.available_energy = node.remaining
-                node.agent.neighbor_trust = dict(
-                    [(s, t) for t, s in lowest if s != node.addr][:1]
+                node.agent.lowest_neighbor_trust = next(
+                    (t for t, s in lowest if s != node.addr), None
                 )
 
     def run(self) -> SimReport:
@@ -937,19 +937,52 @@ def compare_fixed_vs_adaptive(config: SimConfig) -> SavingsReport:
 # Config file loading (JSON; keys match the dataclass fields)
 # =============================================================================
 
-def _parse_level(obj) -> SecurityLevel:
-    return SecurityLevel(Encryption(int(obj["encryption"])), bool(obj["auth"]))
+# Field annotation -> the JSON types it takes; `Encryption` is a level's code.
+_JSON_SCALARS = {
+    "bool": (bool,), "int": (int,), "float": (int, float), "str": (str,),
+    "Encryption": (int,),
+}
+
+
+def _fields_of(cls, data, name: str) -> dict:
+    """`data`, the JSON object `name`, checked as keyword arguments for
+    `cls`: every key is a field of `cls`, and a field annotated with a key of
+    `_JSON_SCALARS` holds one of its types. A bool is not a number here,
+    though Python counts it as an int."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be an object, not {type(data).__name__}")
+    declared = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(declared)
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    for key, value in data.items():
+        kinds = _JSON_SCALARS.get(declared[key])
+        if kinds is not None and (
+            not isinstance(value, kinds) or isinstance(value, bool) != (bool in kinds)
+        ):
+            raise ValueError(
+                f"{name} key {key} must be {declared[key]}, not {type(value).__name__}"
+            )
+    return data
+
+
+def _parse_level(obj, name: str) -> SecurityLevel:
+    level = _fields_of(SecurityLevel, obj, name)
+    return SecurityLevel(Encryption(level["encryption"]), level["auth"])
 
 
 def _parse_scenario(obj, initial_energy: float) -> ScenarioPolicy:
     if isinstance(obj, str):
         return default_policy(obj, initial_energy)
+    if not isinstance(obj, dict):
+        raise ValueError(f"scenario must be a name or an object, not {type(obj).__name__}")
+    obj = _fields_of(ScenarioPolicy, obj, "scenario")
     name = SCENARIO_ALIASES.get(obj.get("name"), obj.get("name"))
     policy = default_policy(name, initial_energy) if name in SCENARIO_NAMES else None
     kwargs = {}
     for key in ("base_level", "min_level", "fixed_level"):
         if key in obj:
-            kwargs[key] = _parse_level(obj[key])
+            kwargs[key] = _parse_level(obj[key], key)
     for key in ("energy_floor", "trust_alarm"):
         if key in obj:
             kwargs[key] = float(obj[key])
@@ -965,30 +998,38 @@ def _parse_scenario(obj, initial_energy: float) -> ScenarioPolicy:
 
 def config_from_dict(data: dict) -> SimConfig:
     """Build a SimConfig from the documented JSON schema."""
-    data = dict(data)
-    energy = EnergyModel(**data.pop("energy_model", {}))
+    data = dict(_fields_of(SimConfig, data, "config"))
+    energy = EnergyModel(
+        **_fields_of(EnergyModel, data.pop("energy_model", {}), "energy_model")
+    )
     weights_raw = data.pop("trust_weights", None)
     if weights_raw is None:
-        weights = TrustWeights()
+        weights_raw = {}
     elif isinstance(weights_raw, (list, tuple)):
-        weights = TrustWeights(*[float(w) for w in weights_raw])
-    else:
-        weights = TrustWeights(**{k: float(v) for k, v in weights_raw.items()})
+        names = [f.name for f in fields(TrustWeights)]
+        if len(weights_raw) > len(names):
+            raise ValueError(f"trust_weights takes at most {len(names)} weights")
+        weights_raw = dict(zip(names, weights_raw))
+    elif not isinstance(weights_raw, dict):
+        raise ValueError(
+            f"trust_weights must be a list or an object, not {type(weights_raw).__name__}"
+        )
+    weights = TrustWeights(**_fields_of(TrustWeights, weights_raw, "trust_weights"))
     scenario = _parse_scenario(
         data.pop("scenario", "habitat-monitoring"), energy.initial_energy
     )
+    adversaries = data.pop("adversaries", [])
+    if not isinstance(adversaries, (list, tuple)):
+        raise ValueError(f"adversaries must be a list, not {type(adversaries).__name__}")
     adversaries = tuple(
         AdversarySpec(
             node=NodeAddress.parse(a["node"]),
             behavior=a["behavior"],
-            drop_fraction=float(a.get("drop_fraction", 1.0)),
-            start_frame=int(a.get("start_frame", 0)),
+            drop_fraction=a.get("drop_fraction", 1.0),
+            start_frame=a.get("start_frame", 0),
         )
-        for a in data.pop("adversaries", [])
+        for a in (_fields_of(AdversarySpec, a, "adversary") for a in adversaries)
     )
-    unknown = set(data) - {f.name for f in fields(SimConfig)}
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return SimConfig(
         scenario=scenario,
         adversaries=adversaries,

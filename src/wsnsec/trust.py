@@ -15,7 +15,7 @@ import csv
 import io
 import math
 from collections import Counter
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
 
@@ -119,37 +119,13 @@ def compute_trust(record: NeighborRecord, weights: TrustWeights) -> float:
     return w[0] * a1 + w[1] * a2 + w[2] * a3 + w[3] * a4 + w[4] * a5 + w[5] * a6
 
 
-class TrustValues(Mapping):
-    """A table's trust per neighbor, computed from the neighbor's row when
-    read and kept on the row until the row next changes.
-
-    Keys are the table's neighbors. The mapping is read-only: a value
-    changes only through an observation of its neighbor.
-    """
-
-    def __init__(self, table: "TrustTable") -> None:
-        self._table = table
-
-    def __getitem__(self, neighbor: NodeAddress) -> float:
-        rec = self._table.rows[neighbor]
-        if rec._trust is None:
-            rec._trust = compute_trust(rec, self._table.weights)
-        return rec._trust
-
-    def __iter__(self) -> Iterator[NodeAddress]:
-        return iter(self._table.rows)
-
-    def __len__(self) -> int:
-        return len(self._table.rows)
-
-
 @dataclass
 class TrustTable:
     """One observer's per-neighbor records and derived trust values.
 
-    Recording an observation only updates the row; a neighbor's trust is
-    computed when it is read (`trust`, `election_trust`, `to_csv`), once
-    per change of the row.
+    Recording an observation only updates the row; `trust(neighbor)`
+    computes the neighbor's trust when it is read (also through
+    `election_trust` and `to_csv`), once per change of the row.
 
     The simulator keeps one table per group, recording each observation
     once, and hands every member a view of it: a table over the same row
@@ -164,11 +140,13 @@ class TrustTable:
     weights: TrustWeights = field(default_factory=TrustWeights)
     rows: dict[NodeAddress, NeighborRecord] = field(default_factory=dict)
 
-    @property
-    def trust(self) -> TrustValues:
-        # Made on each read: a stored one would form a reference cycle with
-        # the table, which only the cyclic collector frees.
-        return TrustValues(self)
+    def trust(self, neighbor: NodeAddress) -> float:
+        """The neighbor's trust, computed from its row when read and kept
+        on the row until the row next changes."""
+        rec = self.rows[neighbor]
+        if rec._trust is None:
+            rec._trust = compute_trust(rec, self.weights)
+        return rec._trust
 
     def row(self, neighbor: NodeAddress) -> NeighborRecord:
         rec = self.rows.get(neighbor)
@@ -253,7 +231,7 @@ class TrustTable:
             return 0.0
         if rec.suspicious:
             return 0.0
-        return self.trust[neighbor]
+        return self.trust(neighbor)
 
     def to_csv(self) -> str:
         """Rows in the documented column order, one line per neighbor."""
@@ -280,7 +258,7 @@ class TrustTable:
                     rec.npt,
                     rec.npr,
                     int(rec.suspicious),
-                    f"{self.trust[neighbor]:.9f}",
+                    f"{self.trust(neighbor):.9f}",
                 ]
             )
         return buf.getvalue()

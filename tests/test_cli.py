@@ -260,3 +260,36 @@ class TestSimCommands:
         assert code == cli.EXIT_INVALID
         assert err.startswith("error: invalid:")
         assert "initial_energy" in err
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ("seed=abc", "seed"),
+            ("energy_model.tx_per_octet=abc", "tx_per_octet"),
+            ("scenario=null", "scenario"),
+            ("scenario=5", "scenario"),
+            ("adversaries=5", "adversaries"),
+            ("trust_weights=abc", "trust_weights"),
+            ("node_count=true", "node_count"),  # a bool is not a count
+            ("adaptive=1", "adaptive"),
+            ("energy_model.joules=2", "joules"),
+            ("trust_weights=[0.1,0.1,0.1,0.1,0.1,0.1,0.1]", "trust_weights"),
+            ('adversaries=[{"node":5,"behavior":"captured"}]', "address"),
+            ('adversaries=[{"node":"0.2","behavior":"captured","start_frame":1.5}]',
+             "start_frame"),
+            ('scenario={"name":"habitat","min_level":1}', "min_level"),
+            ('scenario={"name":"habitat","min_level":{"encryption":1,"auth":1}}', "auth"),
+            ('scenario={"name":"habitat","min_level":{"encryption":true,"auth":true}}',
+             "encryption"),
+        ],
+    )
+    def test_wrong_json_type_names_field(self, capsys, tmp_path, override, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"node_count": 4, "group_count": 1, "sim_length": 2}')
+        code, _, err = run_cli(
+            capsys, "run", "--config", str(cfg), "--out-dir", str(tmp_path),
+            "--set", override,
+        )
+        assert code == cli.EXIT_INVALID
+        assert err.startswith("error: invalid:")
+        assert field in err

@@ -342,6 +342,37 @@ class TestObservationViews:
                 < at_120.trust_tables[observer].rows[subject].npt
             )
 
+    @pytest.mark.parametrize(
+        "data",
+        [*GOLDEN_CONFIGS.values(), {"node_count": 4, "group_count": 3, "sim_length": 5}],
+        ids=[*GOLDEN_CONFIGS, "one_member_groups"],
+    )
+    def test_lowest_neighbor_trust_is_the_views_minimum(self, monkeypatch, data):
+        """`_frame_end` reads each member's lowest neighbor trust off the
+        ledger's two lowest entries. After every frame it must be the least
+        election trust in the member's own view, or None for an empty view."""
+        frame_end = sim._Simulation._frame_end
+        empty_views = 0
+
+        def checking(self, frame):
+            nonlocal empty_views
+            frame_end(self, frame)
+            for node in self.nodes.values():
+                if node.alive:
+                    view = node.view()
+                    expected = min(
+                        (view.election_trust(s) for s in view.rows), default=None
+                    )
+                    assert node.agent.lowest_neighbor_trust == expected
+                    empty_views += expected is None
+
+        monkeypatch.setattr(sim._Simulation, "_frame_end", checking)
+        config = sim.config_from_dict(data)
+        sim.run(config)
+        # Only a member alone in its group has no neighbors; (4, 3) makes two.
+        alone = 2 if data.get("group_count") == 3 else 0
+        assert empty_views == alone * config.sim_length
+
     @pytest.mark.parametrize("members", [8, 32])
     def test_records_per_transmission_independent_of_group_size(
         self, monkeypatch, members

@@ -127,10 +127,10 @@ class TestRecordEvents:
     def test_trust_kept_consistent(self):
         table = TrustTable(observer=A)
         table.record(B, "packet-received")
-        assert table.trust[B] == compute_trust(table.rows[B], table.weights)
-        before = table.trust[B]
+        assert table.trust(B) == compute_trust(table.rows[B], table.weights)
+        before = table.trust(B)
         table.record(B, "packet-dropped")
-        assert table.trust[B] == compute_trust(table.rows[B], table.weights) < before
+        assert table.trust(B) == compute_trust(table.rows[B], table.weights) < before
 
     def test_energy_increase_flags_suspicious(self):
         table = TrustTable(observer=A)
@@ -140,7 +140,7 @@ class TestRecordEvents:
         assert rec.suspicious
         assert rec.ae_t2 == 100.0  # the bogus sample was not stored
         assert table.election_trust(B) == 0.0
-        assert table.trust[B] > 0.0  # the formula value itself is untouched
+        assert table.trust(B) > 0.0  # the formula value itself is untouched
 
     def test_energy_samples_shift(self):
         table = TrustTable(observer=A)
