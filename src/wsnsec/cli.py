@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -57,21 +58,36 @@ def keyring_to_dict(ring: KeyRing) -> dict:
 
 
 def keyring_from_dict(data: dict) -> KeyRing:
-    def keymap(obj) -> dict[NodeAddress, SymmetricKey]:
+    """Read a keyring in the shape :func:`keyring_to_dict` writes. A field
+    of the wrong JSON shape raises ValueError naming it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"keyring must be a JSON object, not {type(data).__name__}")
+
+    def read(name: str, parse, value):
+        try:
+            return parse(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"keyring field {name!r}: {exc}") from exc
+
+    def keymap(name: str) -> dict[NodeAddress, SymmetricKey]:
+        obj = data.get(name, {})
+        if not isinstance(obj, dict):
+            raise ValueError(f"keyring field {name!r} must be an object")
         return {
-            NodeAddress.parse(a): SymmetricKey.from_hex(h)
-            for a, h in (obj or {}).items()
+            read(name, NodeAddress.parse, a): read(name, SymmetricKey.from_hex, h)
+            for a, h in obj.items()
         }
 
+    session = data.get("session")
     return KeyRing(
-        owner=NodeAddress.parse(data["owner"]),
-        head=NodeAddress.parse(data["head"]),
-        node_based=SymmetricKey.from_hex(data["node_based"]),
-        broadcast=SymmetricKey.from_hex(data["broadcast"]),
-        pairwise=keymap(data.get("pairwise")),
-        peer_broadcast=keymap(data.get("peer_broadcast")),
-        peer_node_based=keymap(data.get("peer_node_based")),
-        session=SymmetricKey.from_hex(data["session"]) if data.get("session") else None,
+        owner=read("owner", NodeAddress.parse, data["owner"]),
+        head=read("head", NodeAddress.parse, data["head"]),
+        node_based=read("node_based", SymmetricKey.from_hex, data["node_based"]),
+        broadcast=read("broadcast", SymmetricKey.from_hex, data["broadcast"]),
+        pairwise=keymap("pairwise"),
+        peer_broadcast=keymap("peer_broadcast"),
+        peer_node_based=keymap("peer_node_based"),
+        session=None if session is None else read("session", SymmetricKey.from_hex, session),
     )
 
 
@@ -101,19 +117,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.config:
-        config = sim.load_config(args.config, args.set or [])
-    else:
-        overrides = {}
-        if args.nodes is not None:
-            overrides["node_count"] = args.nodes
-        if args.groups is not None:
-            overrides["group_count"] = args.groups
-        if args.frames is not None:
-            overrides["sim_length"] = args.frames
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        config = sim.config_from_dict({"scenario": args.scenario, **overrides})
+    flags = {
+        "scenario": args.scenario,
+        "node_count": args.nodes,
+        "group_count": args.groups,
+        "sim_length": args.frames,
+        "seed": args.seed,
+    }
+    shorthand = [f"{key}={json.dumps(v)}" for key, v in flags.items() if v is not None]
+    config = sim.load_config(args.config, shorthand + (args.set or []))
     savings = sim.compare_fixed_vs_adaptive(config)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = {
@@ -187,6 +199,19 @@ _TRUST_INT_FIELDS = ("crf", "craf", "npc", "drf", "draf", "pd", "npt", "npr")
 _TRUST_FLOAT_FIELDS = ("ae_t1", "ae_t2", "pss_t1", "pss_t2", "rc")
 
 
+def _observation(name: str, text: str, parse):
+    """One observation cell: a finite, non-negative number."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        raise ValueError(f"observation column {name!r}: {exc}") from exc
+    if not 0 <= value < math.inf:
+        raise ValueError(
+            f"observation column {name!r} must be finite and non-negative, got {text!r}"
+        )
+    return value
+
+
 def _cmd_trust(args) -> int:
     if args.weights:
         weights = TrustWeights(*[float(w) for w in args.weights.split(",")])
@@ -203,10 +228,10 @@ def _cmd_trust(args) -> int:
             record = NeighborRecord()
             for name in _TRUST_INT_FIELDS:
                 if row.get(name):
-                    setattr(record, name, int(row[name]))
+                    setattr(record, name, _observation(name, row[name], int))
             for name in _TRUST_FLOAT_FIELDS:
                 if row.get(name):
-                    setattr(record, name, float(row[name]))
+                    setattr(record, name, _observation(name, row[name], float))
             print(f"{row['neighbor']} {compute_trust(record, weights):.4f}")
     return 0
 
@@ -233,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--scenario",
         choices=sorted(set(sim.SCENARIO_NAMES) | set(sim.SCENARIO_ALIASES)),
-        default="habitat-monitoring",
     )
     p.add_argument("--nodes", type=int)
     p.add_argument("--groups", type=int)

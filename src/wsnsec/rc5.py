@@ -9,16 +9,14 @@ kernels.
 The core is :func:`encrypt_int` / :func:`decrypt_int`. It takes a block as
 the 64-bit int ``int.from_bytes(block, "little")``, so word ``a`` is
 ``x & 0xFFFFFFFF`` and word ``b`` is ``x >> 32``, and returns one in the
-same form. Its key schedule, from :func:`key_schedule`, is expanded once per
-(key, rounds) pair and cached as ``(s0, s1, pairs)``: the two whitening
-words, then one ``(s[2i], s[2i+1])`` round-key pair per round. The bytes
-functions check their arguments and wrap the core, so each direction has
-one round loop.
+same form. Its key schedule, from :func:`key_schedule`, is
+``(s0, s1, pairs)``: the two whitening words, then one ``(s[2i], s[2i+1])``
+round-key pair per round. This module caches nothing; ``aead`` caches the
+schedule per (key, rounds). The single-block bytes functions check their
+arguments and wrap the core, so each direction has one round loop.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 KEY_BYTES = 10
 BLOCK_BYTES = 8
@@ -38,9 +36,13 @@ def _rotl(x: int, n: int) -> int:
 Schedule = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
-@lru_cache(maxsize=256)
-def _schedule(key: bytes, rounds: int) -> Schedule:
-    """Expand `key` into the S table for `rounds` rounds (2r + 2 words)."""
+def key_schedule(key: bytes, rounds: int) -> Schedule:
+    """Expand `key` into the S table for `rounds` rounds (2r + 2 words),
+    in the form the int core takes."""
+    if len(key) != KEY_BYTES:
+        raise ValueError(f"RC5 key must be {KEY_BYTES} octets, got {len(key)}")
+    if rounds not in ROUNDS_ALLOWED:
+        raise ValueError(f"rounds must be one of {ROUNDS_ALLOWED}, got {rounds}")
     u = 4
     c = max(1, (len(key) + u - 1) // u)
     length = [0] * c
@@ -55,19 +57,6 @@ def _schedule(key: bytes, rounds: int) -> Schedule:
         i = (i + 1) % t
         j = (j + 1) % c
     return s[0], s[1], tuple(zip(s[2::2], s[3::2]))
-
-
-def _check(key: bytes, rounds: int) -> None:
-    if len(key) != KEY_BYTES:
-        raise ValueError(f"RC5 key must be {KEY_BYTES} octets, got {len(key)}")
-    if rounds not in ROUNDS_ALLOWED:
-        raise ValueError(f"rounds must be one of {ROUNDS_ALLOWED}, got {rounds}")
-
-
-def key_schedule(key: bytes, rounds: int) -> Schedule:
-    """The cached schedule of `key` at `rounds` rounds, for the int core."""
-    _check(key, rounds)
-    return _schedule(key, rounds)
 
 
 def encrypt_int(schedule: Schedule, x: int) -> int:
@@ -100,35 +89,17 @@ def decrypt_int(schedule: Schedule, x: int) -> int:
     return ((a - s0) & _M32) | ((b - s1) & _M32) << 32
 
 
-def _map_blocks(core, key: bytes, rounds: int, data: bytes) -> bytes:
-    s = key_schedule(key, rounds)
-    if len(data) % BLOCK_BYTES:
-        raise ValueError("data length must be a multiple of 8 octets")
-    return b"".join(
-        core(s, int.from_bytes(data[i : i + 8], "little")).to_bytes(8, "little")
-        for i in range(0, len(data), BLOCK_BYTES)
-    )
-
-
-def encrypt_blocks(key: bytes, rounds: int, data: bytes) -> bytes:
-    """Encrypt one or more 8-octet blocks."""
-    return _map_blocks(encrypt_int, key, rounds, data)
-
-
-def decrypt_blocks(key: bytes, rounds: int, data: bytes) -> bytes:
-    """Decrypt one or more 8-octet blocks."""
-    return _map_blocks(decrypt_int, key, rounds, data)
-
-
 def encrypt_block(key: bytes, rounds: int, block: bytes) -> bytes:
     """Encrypt a single 64-bit block."""
     if len(block) != BLOCK_BYTES:
         raise ValueError("block must be exactly 8 octets")
-    return encrypt_blocks(key, rounds, block)
+    x = encrypt_int(key_schedule(key, rounds), int.from_bytes(block, "little"))
+    return x.to_bytes(8, "little")
 
 
 def decrypt_block(key: bytes, rounds: int, block: bytes) -> bytes:
     """Decrypt a single 64-bit block."""
     if len(block) != BLOCK_BYTES:
         raise ValueError("block must be exactly 8 octets")
-    return decrypt_blocks(key, rounds, block)
+    x = decrypt_int(key_schedule(key, rounds), int.from_bytes(block, "little"))
+    return x.to_bytes(8, "little")

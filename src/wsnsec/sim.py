@@ -1054,9 +1054,15 @@ def set_override(data: dict, dotted: str, raw: str) -> None:
     target[last] = value
 
 
-def load_config(path: str, overrides: Optional[list[str]] = None) -> SimConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+def load_config(
+    path: Optional[str] = None, overrides: Optional[list[str]] = None
+) -> SimConfig:
+    """Read a JSON config file, or start from ``{}`` without one, then apply
+    `key=value` overrides in order."""
+    data = {}
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
     for item in overrides or []:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not key=value")

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 import oracles
-from wsnsec import aead, rc5
+from wsnsec import aead, rc5, sim
 
 KEY = bytes.fromhex("000102030405060708f0")
 ALL_MODES = [(r, a) for r in (0, 4, 8, 12) for a in (True, False)]
@@ -156,3 +157,25 @@ def test_int_core_matches_oracle(rounds):
         assert enc == oracles.rc5_encrypt(key, rounds, block)
         dec = rc5.decrypt_int(schedule, x).to_bytes(8, "little")
         assert dec == oracles.rc5_decrypt(key, rounds, block)
+
+
+def test_setup_is_the_one_schedule_cache(monkeypatch):
+    # A re-keying run expands each (key, rounds) schedule once, in aead._setup.
+    assert not hasattr(rc5.key_schedule, "cache_info")
+    calls = Counter()
+    expand = rc5.key_schedule
+
+    def counted(key, rounds):
+        calls[key, rounds] += 1
+        return expand(key, rounds)
+
+    monkeypatch.setattr(rc5, "key_schedule", counted)
+    aead._setup.cache_clear()
+    config = sim.config_from_dict(
+        {"seed": 7, "node_count": 6, "group_count": 1, "sim_length": 12,
+         "session_length": 10, "scenario": "habitat-monitoring"}
+    )
+    report = sim.run(config)
+    assert report.rekeys
+    assert calls and set(calls.values()) == {1}
+    assert aead._setup.cache_info().hits > 0

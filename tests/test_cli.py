@@ -116,6 +116,36 @@ class TestPacketCommands:
         assert code == cli.EXIT_FORMAT
         assert err.startswith("error: format:")
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            pytest.param(lambda d: [1, 2], "keyring", id="list"),
+            pytest.param(lambda d: {**d, "node_based": 5}, "node_based", id="int-key"),
+            pytest.param(lambda d: {**d, "broadcast": "zz"}, "broadcast", id="bad-hex"),
+            pytest.param(lambda d: {**d, "owner": 5}, "owner", id="int-address"),
+            pytest.param(lambda d: {**d, "session": 5}, "session", id="int-session"),
+            pytest.param(lambda d: {**d, "pairwise": []}, "pairwise", id="list-map"),
+            pytest.param(
+                lambda d: {**d, "pairwise": {"2.1": None}}, "pairwise", id="null-in-map"
+            ),
+            pytest.param(
+                lambda d: {**d, "peer_broadcast": {"x": "00" * 10}}, "peer_broadcast",
+                id="bad-map-address",
+            ),
+        ],
+    )
+    def test_wrong_keyring_shape_names_field(self, capsys, rings, tmp_path, edit, field):
+        ring_src, _, _, _ = rings
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(cli.keyring_to_dict(ring_src))))
+        code, _, err = run_cli(
+            capsys, "packet-encode", "--keyring", str(path), "--dest", "1",
+            "--level", "2", "--payload", "00",
+        )
+        assert code == cli.EXIT_INVALID
+        assert err.startswith("error: invalid:")
+        assert field in err
+
 
 class TestDeriveKeys:
     def test_prints_all_keys(self, capsys, tmp_path):
@@ -182,6 +212,20 @@ class TestTrustCommand:
         code, _, err = run_cli(capsys, "trust", "--observations", str(path))
         assert code == cli.EXIT_INVALID
 
+    @pytest.mark.parametrize(
+        "column, cell",
+        [("ae_t1", "nan"), ("ae_t1", "inf"), ("pss_t2", "-1.5"), ("crf", "-3"),
+         ("npt", "nan")],
+    )
+    def test_bad_cell_names_column(self, capsys, tmp_path, column, cell):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"neighbor,{column}\n1.2,{cell}\n")
+        code, out, err = run_cli(capsys, "trust", "--observations", str(path))
+        assert code == cli.EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: invalid:")
+        assert column in err
+
 
 class TestSimCommands:
     def test_run_writes_artifacts(self, capsys, tmp_path):
@@ -231,6 +275,45 @@ class TestSimCommands:
         savings = (out_dir / "savings.csv").read_text().splitlines()
         assert savings[0] == "node,fixed_j,adaptive_j,saving_pct"
         assert len(savings) == 7
+
+    def test_compare_applies_set_without_config(self, capsys, tmp_path):
+        out_dir = tmp_path / "cmp"
+        code, _, _ = run_cli(
+            capsys, "compare", "--scenario", "agriculture", "--nodes", "4",
+            "--groups", "1", "--frames", "3", "--set", "sim_length=1",
+            "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        direct = sim.compare_fixed_vs_adaptive(sim.config_from_dict(
+            {"scenario": "agriculture", "node_count": 4, "group_count": 1, "sim_length": 1}
+        ))
+        assert (out_dir / "savings.csv").read_text() == direct.savings_csv()
+        code, _, err = run_cli(
+            capsys, "compare", "--nodes", "4", "--groups", "1", "--frames", "3",
+            "--set", "nonsense=5", "--out-dir", str(out_dir),
+        )
+        assert code == cli.EXIT_INVALID
+        assert "nonsense" in err
+
+    def test_compare_flags_override_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"seed": 1, "node_count": 8, "group_count": 2, "sim_length": 9,'
+            ' "scenario": "military-surveillance"}'
+        )
+        out_dir = tmp_path / "cmp"
+        code, out, _ = run_cli(
+            capsys, "compare", "--config", str(cfg), "--scenario", "agriculture",
+            "--nodes", "4", "--groups", "1", "--frames", "5", "--seed", "2",
+            "--set", "sim_length=3", "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        assert "scenario: agricultural-farming" in out
+        direct = sim.compare_fixed_vs_adaptive(sim.config_from_dict(
+            {"scenario": "agriculture", "node_count": 4, "group_count": 1,
+             "sim_length": 3, "seed": 2}
+        ))
+        assert (out_dir / "savings.csv").read_text() == direct.savings_csv()
 
     def test_overrides_via_set(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,9 @@
-"""The package's public names: a deletion must not leave an export behind."""
+"""The package's public names: a deletion must not leave an export behind.
+And its imports: ``pyproject.toml`` declares no dependencies."""
+
+import ast
+import pathlib
+import sys
 
 import wsnsec
 
@@ -13,3 +18,22 @@ def test_star_import():
     namespace: dict = {}
     exec("from wsnsec import *", namespace)
     assert set(wsnsec.__all__) <= set(namespace)
+
+
+def test_imports_only_stdlib():
+    paths = sorted(pathlib.Path(wsnsec.__file__).parent.glob("*.py"))
+    assert paths
+    outside = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {name}" for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []

@@ -51,30 +51,39 @@ def test_roundtrip_random_blocks():
         assert rc5.decrypt_block(key, rounds, ct) == block
 
 
+def _blocks(data):
+    return [data[i : i + 8] for i in range(0, len(data), 8)]
+
+
 def test_batched_equals_blockwise():
+    # The int core over one schedule, as aead runs it, against the bytes API.
     rnd = random.Random(99)
     key = rnd.randbytes(10)
     data = rnd.randbytes(8 * 17)
-    whole = rc5.encrypt_blocks(key, 8, data)
-    parts = b"".join(
-        rc5.encrypt_block(key, 8, data[i : i + 8]) for i in range(0, len(data), 8)
-    )
-    assert whole == parts
-    assert rc5.decrypt_blocks(key, 8, whole) == data
+    schedule = rc5.key_schedule(key, 8)
+    for block in _blocks(data):
+        x = int.from_bytes(block, "little")
+        ct = rc5.encrypt_int(schedule, x)
+        assert ct.to_bytes(8, "little") == rc5.encrypt_block(key, 8, block)
+        assert rc5.decrypt_int(schedule, ct) == x
+        assert rc5.decrypt_block(key, 8, ct.to_bytes(8, "little")) == block
 
 
-def test_backends_bit_identical():
+def test_core_matches_oracle():
     rnd = random.Random(7)
     key = rnd.randbytes(10)
     for rounds in (4, 8, 12):
+        schedule = rc5.key_schedule(key, rounds)
         data = rnd.randbytes(8 * 40)
-        enc = rc5.encrypt_blocks(key, rounds, data)
-        dec = rc5.decrypt_blocks(key, rounds, data)
-        for i in range(0, len(data), 8):
-            block = data[i : i + 8]
-            assert enc[i : i + 8] == oracles.rc5_encrypt(key, rounds, block)
-            assert dec[i : i + 8] == oracles.rc5_decrypt(key, rounds, block)
-        assert rc5.decrypt_blocks(key, rounds, enc) == data
+        for block in _blocks(data):
+            x = int.from_bytes(block, "little")
+            enc = rc5.encrypt_int(schedule, x).to_bytes(8, "little")
+            dec = rc5.decrypt_int(schedule, x).to_bytes(8, "little")
+            assert enc == oracles.rc5_encrypt(key, rounds, block)
+            assert dec == oracles.rc5_decrypt(key, rounds, block)
+            assert rc5.encrypt_block(key, rounds, block) == enc
+            assert rc5.decrypt_block(key, rounds, block) == dec
+            assert rc5.decrypt_block(key, rounds, enc) == block
 
 
 def test_round_counts_diverge():
@@ -92,4 +101,4 @@ def test_rejects_bad_parameters():
     with pytest.raises(ValueError):
         rc5.encrypt_block(bytes(10), 4, bytes(7))
     with pytest.raises(ValueError):
-        rc5.encrypt_blocks(bytes(10), 4, bytes(12))
+        rc5.decrypt_block(bytes(10), 4, bytes(16))
