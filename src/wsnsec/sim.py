@@ -57,23 +57,27 @@ drives adversary drops and channel loss, everything else is arithmetic.
 from __future__ import annotations
 
 import heapq
-import io
-import json
-import math
 import random
 import statistics
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import replace
 from typing import Optional
 
 from . import aead, linksec
 from .addressing import BROADCAST_NODE_ID, NodeAddress
 from .agent import (
     PacketClass,
-    ScenarioPolicy,
     SecurityAgent,
     SCENARIO_ALIASES,
     SCENARIO_NAMES,
-    default_policy,
+)
+from .config import (
+    ADVERSARY_BEHAVIORS,
+    AdversarySpec,
+    EnergyModel,
+    SimConfig,
+    config_from_dict,
+    load_config,
+    set_override,
 )
 from .keys import (
     KeyRing,
@@ -84,231 +88,11 @@ from .keys import (
     rekey_group,
 )
 from .linksec import CounterState, Encryption, SecurityLevel
-from .trust import CSV_COLUMNS, TrustTable, TrustWeights, run_election
+from .reports import ElectionEvent, NodeStats, RekeyEvent, SavingsReport, SimReport
+from .trust import TrustTable, run_election
 
 BASE_STATION = NodeAddress(0, 0)
-MAX_GROUP_MEMBERS = 254  # node id 0 is the base station, 0xFF is broadcast
 _SESSION_SEED_TAG = b"\x10"
-
-ADVERSARY_BEHAVIORS = ("drop-fraction", "replay-attacker", "captured")
-
-
-# =============================================================================
-# Configuration
-# =============================================================================
-
-@dataclass(frozen=True)
-class EnergyModel:
-    tx_per_octet: float = 0.0006
-    rx_per_octet: float = 0.0003
-    rc5_per_block_per_round: float = 0.000002
-    xor_per_octet: float = 0.000001
-    mac_fixed: float = 0.00001
-    initial_energy: float = 1000.0
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if not 0 <= getattr(self, f.name) < math.inf:
-                raise ValueError(f"{f.name} must be finite and non-negative")
-
-
-@dataclass(frozen=True)
-class AdversarySpec:
-    node: NodeAddress
-    behavior: str
-    drop_fraction: float = 1.0
-    start_frame: int = 0
-
-    def __post_init__(self) -> None:
-        if self.behavior not in ADVERSARY_BEHAVIORS:
-            raise ValueError(f"behavior must be one of {ADVERSARY_BEHAVIORS}")
-        if not 0.0 <= self.drop_fraction <= 1.0:
-            raise ValueError("drop_fraction must be in [0, 1]")
-        if self.start_frame < 0:
-            raise ValueError("start_frame must be non-negative")
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    seed: int = 1
-    node_count: int = 20
-    group_count: int = 2
-    session_length: int = 50
-    sim_length: int = 500
-    scenario: ScenarioPolicy = None  # type: ignore[assignment]
-    adaptive: bool = True
-    adversaries: tuple[AdversarySpec, ...] = ()
-    energy_model: EnergyModel = field(default_factory=EnergyModel)
-    trust_weights: TrustWeights = field(default_factory=TrustWeights)
-    rekey_threshold: float = 0.4
-    loss_threshold: int = linksec.DEFAULT_LOSS_THRESHOLD
-    loss_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must fit 64 bits")
-        if not 1 <= self.group_count <= 256:
-            raise ValueError("group_count must be in 1..256")
-        if not 1 <= self.node_count <= 65536:
-            raise ValueError("node_count must be in 1..65536")
-        per_group = -(-self.node_count // self.group_count)
-        if per_group > MAX_GROUP_MEMBERS:
-            raise ValueError(
-                f"groups of {per_group} exceed {MAX_GROUP_MEMBERS} addressable members"
-            )
-        if self.session_length < 1:
-            raise ValueError("session_length must be at least one frame")
-        if self.sim_length < 0:
-            raise ValueError("sim_length must be non-negative")
-        if not 0.0 <= self.rekey_threshold < 1.0:
-            raise ValueError("rekey_threshold must be in [0, 1)")
-        if self.loss_threshold < 0:
-            raise ValueError("loss_threshold must be non-negative")
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise ValueError("loss_rate must be in [0, 1)")
-        if self.scenario is None:
-            object.__setattr__(
-                self,
-                "scenario",
-                default_policy("habitat-monitoring", self.energy_model.initial_energy),
-            )
-
-
-# =============================================================================
-# Reports
-# =============================================================================
-
-@dataclass
-class EnergyLedger:
-    tx: float = 0.0
-    rx: float = 0.0
-    crypto: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.tx + self.rx + self.crypto
-
-
-@dataclass
-class NodeStats:
-    address: NodeAddress
-    ledger: EnergyLedger = field(default_factory=EnergyLedger)
-    alive: bool = True
-    packets_sent: int = 0
-    decode_ok: int = 0
-    auth_rejects: int = 0
-    replay_rejects: int = 0
-    format_rejects: int = 0
-    replay_accepted: int = 0
-    bcast_ok_before_rekey: int = 0
-    bcast_ok_after_rekey: int = 0
-    bcast_fail: int = 0
-
-
-@dataclass(frozen=True)
-class ElectionEvent:
-    frame: int
-    group_id: int
-    old_head: NodeAddress
-    new_head: NodeAddress
-    vice_head: Optional[NodeAddress]
-
-
-@dataclass(frozen=True)
-class RekeyEvent:
-    frame: int
-    group_id: int
-    session_index: int
-    recipients: tuple[NodeAddress, ...]
-    excluded: tuple[NodeAddress, ...]
-
-
-@dataclass
-class SimReport:
-    """What one run produced.
-
-    `trust_tables` holds each node's trust table at the end of the run.
-    The tables of nodes alive at the end share their row objects, one per
-    subject and group; a node that died holds copies made at its death.
-    """
-
-    seed: int
-    scenario_name: str
-    adaptive: bool
-    frames: int
-    nodes: dict[NodeAddress, NodeStats]
-    elections: list[ElectionEvent]
-    rekeys: list[RekeyEvent]
-    trust_tables: dict[NodeAddress, TrustTable]
-    slot_log: list[tuple[int, int, int, NodeAddress, bool]]
-
-    def total_energy(self) -> float:
-        return sum(s.ledger.total for s in self.nodes.values())
-
-    def energy_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("node,tx_j,rx_j,crypto_j,total_j\n")
-        for addr in sorted(self.nodes):
-            led = self.nodes[addr].ledger
-            buf.write(
-                f"{addr},{led.tx:.9f},{led.rx:.9f},{led.crypto:.9f},{led.total:.9f}\n"
-            )
-        return buf.getvalue()
-
-    def summary_text(self) -> str:
-        lines = [
-            f"scenario: {self.scenario_name}",
-            f"mode: {'adaptive' if self.adaptive else 'fixed'}",
-            f"frames: {self.frames}  seed: {self.seed}",
-            f"total energy: {self.total_energy():.9f} J",
-            f"elections: {len(self.elections)}  re-keys: {len(self.rekeys)}",
-        ]
-        return "\n".join(lines) + "\n"
-
-    def trust_csv(self) -> str:
-        """Every observer's neighbor table, one header, fixed column order."""
-        lines = [",".join(CSV_COLUMNS)]
-        for addr in sorted(self.trust_tables):
-            lines.extend(self.trust_tables[addr].to_csv().splitlines()[1:])
-        return "\n".join(lines) + "\n"
-
-
-@dataclass
-class SavingsReport:
-    scenario_name: str
-    fixed: SimReport
-    adaptive: SimReport
-
-    def per_node(self) -> list[tuple[NodeAddress, float, float, float]]:
-        rows = []
-        for addr in sorted(self.fixed.nodes):
-            f = self.fixed.nodes[addr].ledger.total
-            a = self.adaptive.nodes[addr].ledger.total
-            pct = 100.0 * (f - a) / f if f > 0 else 0.0
-            rows.append((addr, f, a, pct))
-        return rows
-
-    @property
-    def total_saving_pct(self) -> float:
-        f = self.fixed.total_energy()
-        if f <= 0:
-            return 0.0
-        return 100.0 * (f - self.adaptive.total_energy()) / f
-
-    def savings_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("node,fixed_j,adaptive_j,saving_pct\n")
-        for addr, f, a, pct in self.per_node():
-            buf.write(f"{addr},{f:.9f},{a:.9f},{pct:.9f}\n")
-        return buf.getvalue()
-
-    def summary_text(self) -> str:
-        return (
-            f"scenario: {self.scenario_name}\n"
-            f"fixed energy:    {self.fixed.total_energy():.9f} J\n"
-            f"adaptive energy: {self.adaptive.total_energy():.9f} J\n"
-            f"total saving:    {self.total_saving_pct:.4f} %\n"
-        )
 
 
 # =============================================================================
@@ -931,141 +715,3 @@ def compare_fixed_vs_adaptive(config: SimConfig) -> SavingsReport:
     return SavingsReport(
         scenario_name=config.scenario.name, fixed=fixed, adaptive=adaptive
     )
-
-
-# =============================================================================
-# Config file loading (JSON; keys match the dataclass fields)
-# =============================================================================
-
-# Field annotation -> the JSON types it takes; `Encryption` is a level's code.
-_JSON_SCALARS = {
-    "bool": (bool,), "int": (int,), "float": (int, float), "str": (str,),
-    "Encryption": (int,),
-}
-
-
-def _fields_of(cls, data, name: str) -> dict:
-    """`data`, the JSON object `name`, checked as keyword arguments for
-    `cls`: every key is a field of `cls`, and a field annotated with a key of
-    `_JSON_SCALARS` holds one of its types. A bool is not a number here,
-    though Python counts it as an int."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{name} must be an object, not {type(data).__name__}")
-    declared = {f.name: f.type for f in fields(cls)}
-    unknown = set(data) - set(declared)
-    if unknown:
-        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
-    for key, value in data.items():
-        kinds = _JSON_SCALARS.get(declared[key])
-        if kinds is not None and (
-            not isinstance(value, kinds) or isinstance(value, bool) != (bool in kinds)
-        ):
-            raise ValueError(
-                f"{name} key {key} must be {declared[key]}, not {type(value).__name__}"
-            )
-    return data
-
-
-def _parse_level(obj, name: str) -> SecurityLevel:
-    level = _fields_of(SecurityLevel, obj, name)
-    return SecurityLevel(Encryption(level["encryption"]), level["auth"])
-
-
-def _parse_scenario(obj, initial_energy: float) -> ScenarioPolicy:
-    if isinstance(obj, str):
-        return default_policy(obj, initial_energy)
-    if not isinstance(obj, dict):
-        raise ValueError(f"scenario must be a name or an object, not {type(obj).__name__}")
-    obj = _fields_of(ScenarioPolicy, obj, "scenario")
-    name = SCENARIO_ALIASES.get(obj.get("name"), obj.get("name"))
-    policy = default_policy(name, initial_energy) if name in SCENARIO_NAMES else None
-    kwargs = {}
-    for key in ("base_level", "min_level", "fixed_level"):
-        if key in obj:
-            kwargs[key] = _parse_level(obj[key], key)
-    for key in ("energy_floor", "trust_alarm"):
-        if key in obj:
-            kwargs[key] = float(obj[key])
-    if policy is not None:
-        return replace(policy, **kwargs)
-    if "base_level" not in kwargs:
-        raise ValueError("custom scenarios need at least a base_level")
-    defaults = {
-        "min_level": kwargs["base_level"], "energy_floor": 0.0, "trust_alarm": 0.3
-    }
-    return ScenarioPolicy(name=obj.get("name", "custom"), **{**defaults, **kwargs})
-
-
-def config_from_dict(data: dict) -> SimConfig:
-    """Build a SimConfig from the documented JSON schema."""
-    data = dict(_fields_of(SimConfig, data, "config"))
-    energy = EnergyModel(
-        **_fields_of(EnergyModel, data.pop("energy_model", {}), "energy_model")
-    )
-    weights_raw = data.pop("trust_weights", None)
-    if weights_raw is None:
-        weights_raw = {}
-    elif isinstance(weights_raw, (list, tuple)):
-        names = [f.name for f in fields(TrustWeights)]
-        if len(weights_raw) > len(names):
-            raise ValueError(f"trust_weights takes at most {len(names)} weights")
-        weights_raw = dict(zip(names, weights_raw))
-    elif not isinstance(weights_raw, dict):
-        raise ValueError(
-            f"trust_weights must be a list or an object, not {type(weights_raw).__name__}"
-        )
-    weights = TrustWeights(**_fields_of(TrustWeights, weights_raw, "trust_weights"))
-    scenario = _parse_scenario(
-        data.pop("scenario", "habitat-monitoring"), energy.initial_energy
-    )
-    adversaries = data.pop("adversaries", [])
-    if not isinstance(adversaries, (list, tuple)):
-        raise ValueError(f"adversaries must be a list, not {type(adversaries).__name__}")
-    adversaries = tuple(
-        AdversarySpec(
-            node=NodeAddress.parse(a["node"]),
-            behavior=a["behavior"],
-            drop_fraction=a.get("drop_fraction", 1.0),
-            start_frame=a.get("start_frame", 0),
-        )
-        for a in (_fields_of(AdversarySpec, a, "adversary") for a in adversaries)
-    )
-    return SimConfig(
-        scenario=scenario,
-        adversaries=adversaries,
-        energy_model=energy,
-        trust_weights=weights,
-        **data,
-    )
-
-
-def set_override(data: dict, dotted: str, raw: str) -> None:
-    """Apply one `a.b=value` override onto a config dict (value is JSON)."""
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    target = data
-    *front, last = dotted.split(".")
-    for part in front:
-        target = target.setdefault(part, {})
-        if not isinstance(target, dict):
-            raise ValueError(f"cannot override through non-object key {part!r}")
-    target[last] = value
-
-
-def load_config(
-    path: Optional[str] = None, overrides: Optional[list[str]] = None
-) -> SimConfig:
-    """Read a JSON config file, or start from ``{}`` without one, then apply
-    `key=value` overrides in order."""
-    data = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    for item in overrides or []:
-        if "=" not in item:
-            raise ValueError(f"override {item!r} is not key=value")
-        key, raw = item.split("=", 1)
-        set_override(data, key.strip(), raw.strip())
-    return config_from_dict(data)
