@@ -21,9 +21,11 @@ from typing import Optional
 
 from . import linksec, sim
 from .addressing import NodeAddress
+from .agent import SCENARIO_ALIASES, SCENARIO_NAMES
+from .config import load_config, read_weights
 from .keys import KeyRing, SymmetricKey, derive_keyring, derive_session_key
 from .linksec import CounterState, Encryption, SecurityLevel
-from .trust import CSV_COLUMNS, NeighborRecord, TrustWeights, compute_trust
+from .trust import CSV_COLUMNS, RECORD_FIELDS, NeighborRecord, compute_trust
 
 EXIT_INVALID = 3
 EXIT_AUTH = 4
@@ -101,7 +103,7 @@ def _load_ring(path: str) -> KeyRing:
 # ---------------------------------------------------------------------------
 
 def _cmd_run(args) -> int:
-    config = sim.load_config(args.config, args.set or [])
+    config = load_config(args.config, args.set or [])
     report = sim.run(config)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = {
@@ -125,7 +127,7 @@ def _cmd_compare(args) -> int:
         "seed": args.seed,
     }
     shorthand = [f"{key}={json.dumps(v)}" for key, v in flags.items() if v is not None]
-    config = sim.load_config(args.config, shorthand + (args.set or []))
+    config = load_config(args.config, shorthand + (args.set or []))
     savings = sim.compare_fixed_vs_adaptive(config)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = {
@@ -162,16 +164,11 @@ def _cmd_derive_keys(args) -> int:
     return 0
 
 
-def _parse_level(args) -> SecurityLevel:
-    return SecurityLevel(Encryption(args.level), args.auth)
-
-
 def _cmd_packet_encode(args) -> int:
     ring = _load_ring(args.keyring)
     state = CounterState(args.counter)
-    wire = linksec.encode(
-        _parse_level(args), ring, state, args.dest, bytes.fromhex(args.payload)
-    )
+    level = SecurityLevel(Encryption(args.level), args.auth)
+    wire = linksec.encode(level, ring, state, args.dest, bytes.fromhex(args.payload))
     print(wire.hex())
     print(f"counter {state.value}")
     return 0
@@ -195,10 +192,6 @@ def _cmd_packet_dissect(args) -> int:
     return 0
 
 
-_TRUST_INT_FIELDS = ("crf", "craf", "npc", "drf", "draf", "pd", "npt", "npr")
-_TRUST_FLOAT_FIELDS = ("ae_t1", "ae_t2", "pss_t1", "pss_t2", "rc")
-
-
 def _observation(name: str, text: str, parse):
     """One observation cell: a finite, non-negative number."""
     try:
@@ -213,10 +206,9 @@ def _observation(name: str, text: str, parse):
 
 
 def _cmd_trust(args) -> int:
-    if args.weights:
-        weights = TrustWeights(*[float(w) for w in args.weights.split(",")])
-    else:
-        weights = TrustWeights()
+    weights = read_weights(
+        [float(w) for w in args.weights.split(",")] if args.weights else None
+    )
     with open(args.observations, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "neighbor" not in reader.fieldnames:
@@ -226,12 +218,10 @@ def _cmd_trust(args) -> int:
             raise ValueError(f"unknown observation columns: {sorted(unknown)}")
         for row in reader:
             record = NeighborRecord()
-            for name in _TRUST_INT_FIELDS:
-                if row.get(name):
-                    setattr(record, name, _observation(name, row[name], int))
-            for name in _TRUST_FLOAT_FIELDS:
-                if row.get(name):
-                    setattr(record, name, _observation(name, row[name], float))
+            for name, kind in RECORD_FIELDS.items():
+                # The suspicious flag does not enter the trust formula.
+                if kind is not bool and row.get(name):
+                    setattr(record, name, _observation(name, row[name], kind))
             print(f"{row['neighbor']} {compute_trust(record, weights):.4f}")
     return 0
 
@@ -257,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument(
         "--scenario",
-        choices=sorted(set(sim.SCENARIO_NAMES) | set(sim.SCENARIO_ALIASES)),
+        choices=sorted(set(SCENARIO_NAMES) | set(SCENARIO_ALIASES)),
     )
     p.add_argument("--nodes", type=int)
     p.add_argument("--groups", type=int)
@@ -301,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trust", help="compute trust from an observation CSV")
     p.add_argument("--observations", required=True)
-    p.add_argument("--weights", help="six comma-separated weights")
+    p.add_argument("--weights", help="up to six comma-separated weights")
     p.set_defaults(func=_cmd_trust)
 
     return parser

@@ -1,29 +1,30 @@
+"""Simulator configuration and its JSON file format.
+
+`SimConfig` holds everything a run depends on. A config file is a JSON
+object of its fields, and `_read` turns each JSON object into the dataclass
+that owns it: it checks each value's JSON type against its field's
+annotation and names any unknown, mistyped or missing key. Only the scenario
+(a preset's name, or an object over a preset), the list form of the trust
+weights and the list of adversaries are read by hand.
+"""
+
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import Optional, get_type_hints
 
 from . import linksec
 from .addressing import NodeAddress
-from .agent import (
-    ScenarioPolicy,
-    SCENARIO_ALIASES,
-    SCENARIO_NAMES,
-    default_policy,
-)
-from .linksec import Encryption, SecurityLevel
+from .agent import SCENARIO_ALIASES, SCENARIO_NAMES, ScenarioPolicy, default_policy
+from .linksec import Encryption
 from .trust import TrustWeights
 
 MAX_GROUP_MEMBERS = 254  # node id 0 is the base station, 0xFF is broadcast
 
 ADVERSARY_BEHAVIORS = ("drop-fraction", "replay-attacker", "captured")
 
-
-# =============================================================================
-# Configuration
-# =============================================================================
 
 @dataclass(frozen=True)
 class EnergyModel:
@@ -102,110 +103,107 @@ class SimConfig:
             )
 
 
-# =============================================================================
-# Config file loading (JSON; keys match the dataclass fields)
-# =============================================================================
-
-# Field annotation -> the JSON types it takes; `Encryption` is a level's code.
-_JSON_SCALARS = {
-    "bool": (bool,), "int": (int,), "float": (int, float), "str": (str,),
-    "Encryption": (int,),
+# Field annotation -> the types its JSON value may have, matched exactly: a
+# bool is not a number here. An `Encryption` is a level's code.
+_JSON_TYPES = {
+    bool: (bool,), int: (int,), float: (int, float), str: (str,), Encryption: (int,),
 }
+# Field annotation -> how a value is built from its JSON value.
+_FROM_JSON = {Encryption: Encryption, NodeAddress: NodeAddress.parse}
 
 
-def _fields_of(cls, data, name: str) -> dict:
-    """`data`, the JSON object `name`, checked as keyword arguments for
-    `cls`: every key is a field of `cls`, and a field annotated with a key of
-    `_JSON_SCALARS` holds one of its types. A bool is not a number here,
-    though Python counts it as an int."""
+def _object(data, name: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{name} must be an object, not {type(data).__name__}")
-    declared = {f.name: f.type for f in fields(cls)}
-    unknown = set(data) - set(declared)
-    if unknown:
-        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
-    for key, value in data.items():
-        kinds = _JSON_SCALARS.get(declared[key])
-        if kinds is not None and (
-            not isinstance(value, kinds) or isinstance(value, bool) != (bool in kinds)
-        ):
-            raise ValueError(
-                f"{name} key {key} must be {declared[key]}, not {type(value).__name__}"
-            )
     return data
 
 
-def _parse_level(obj, name: str) -> SecurityLevel:
-    level = _fields_of(SecurityLevel, obj, name)
-    return SecurityLevel(Encryption(level["encryption"]), level["auth"])
+def _read(cls, data, name: str, /, **defaults):
+    """The dataclass `cls` read from `data`, the JSON object `name`.
+
+    Every key is a field of `cls`. A field that holds a dataclass is read
+    by the same rule from a nested object, named by its key. Any other
+    field's value must have a type `_JSON_TYPES` lists for its annotation,
+    if it lists any, and is built by `_FROM_JSON`. `defaults` fill the
+    fields the object leaves out; a field still missing that has no default
+    of its own is named.
+    """
+    kinds = get_type_hints(cls)
+    unknown = set(_object(data, name)) - set(kinds)
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    values = dict(defaults)
+    for key, value in data.items():
+        kind, where = kinds[key], f"{name} key {key}"
+        if is_dataclass(kind):
+            values[key] = _read(kind, value, key)
+        elif kind in _JSON_TYPES and type(value) not in _JSON_TYPES[kind]:
+            raise ValueError(f"{where} must be {kind.__name__}, not {type(value).__name__}")
+        else:
+            try:
+                values[key] = _FROM_JSON.get(kind, lambda v: v)(value)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+    missing = [
+        f.name for f in fields(cls)
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ValueError(f"{name} needs {', '.join(missing)}")
+    return cls(**values)
 
 
-def _parse_scenario(obj, initial_energy: float) -> ScenarioPolicy:
-    if isinstance(obj, str):
-        return default_policy(obj, initial_energy)
-    if not isinstance(obj, dict):
-        raise ValueError(f"scenario must be a name or an object, not {type(obj).__name__}")
-    obj = _fields_of(ScenarioPolicy, obj, "scenario")
-    name = SCENARIO_ALIASES.get(obj.get("name"), obj.get("name"))
-    policy = default_policy(name, initial_energy) if name in SCENARIO_NAMES else None
-    kwargs = {}
-    for key in ("base_level", "min_level", "fixed_level"):
-        if key in obj:
-            kwargs[key] = _parse_level(obj[key], key)
-    for key in ("energy_floor", "trust_alarm"):
-        if key in obj:
-            kwargs[key] = float(obj[key])
-    if policy is not None:
-        return replace(policy, **kwargs)
-    if "base_level" not in kwargs:
-        raise ValueError("custom scenarios need at least a base_level")
-    defaults = {
-        "min_level": kwargs["base_level"], "energy_floor": 0.0, "trust_alarm": 0.3
-    }
-    return ScenarioPolicy(name=obj.get("name", "custom"), **{**defaults, **kwargs})
+def read_weights(data) -> TrustWeights:
+    """Trust weights from JSON: null for the defaults, an object of
+    `TrustWeights` fields, or a list of up to six weights in field order."""
+    if data is None:
+        return TrustWeights()
+    if isinstance(data, list):
+        names = [f.name for f in fields(TrustWeights)]
+        if len(data) > len(names):
+            raise ValueError(f"trust_weights takes at most {len(names)} weights")
+        data = dict(zip(names, data))
+    return _read(TrustWeights, data, "trust_weights")
+
+
+def _read_scenario(data, initial_energy: float) -> ScenarioPolicy:
+    """A preset's name, or an object read over the preset its `name` gives.
+    An object naming no preset is a custom policy, whose `min_level` is its
+    `base_level` unless given."""
+    if isinstance(data, str):
+        return default_policy(data, initial_energy)
+    if not isinstance(data, dict):
+        raise ValueError(f"scenario must be a name or an object, not {type(data).__name__}")
+    name = data.get("name")
+    name = SCENARIO_ALIASES.get(name, name) if isinstance(name, str) else None
+    if name in SCENARIO_NAMES:
+        preset = default_policy(name, initial_energy)
+        return _read(ScenarioPolicy, {**data, "name": name}, "scenario", **vars(preset))
+    if "base_level" in data:
+        data = {**data, "min_level": data.get("min_level", data["base_level"])}
+    return _read(
+        ScenarioPolicy, data, "scenario", name="custom", energy_floor=0.0, trust_alarm=0.3
+    )
 
 
 def config_from_dict(data: dict) -> SimConfig:
-    """Build a SimConfig from the documented JSON schema."""
-    data = dict(_fields_of(SimConfig, data, "config"))
-    energy = EnergyModel(
-        **_fields_of(EnergyModel, data.pop("energy_model", {}), "energy_model")
-    )
-    weights_raw = data.pop("trust_weights", None)
-    if weights_raw is None:
-        weights_raw = {}
-    elif isinstance(weights_raw, (list, tuple)):
-        names = [f.name for f in fields(TrustWeights)]
-        if len(weights_raw) > len(names):
-            raise ValueError(f"trust_weights takes at most {len(names)} weights")
-        weights_raw = dict(zip(names, weights_raw))
-    elif not isinstance(weights_raw, dict):
-        raise ValueError(
-            f"trust_weights must be a list or an object, not {type(weights_raw).__name__}"
-        )
-    weights = TrustWeights(**_fields_of(TrustWeights, weights_raw, "trust_weights"))
-    scenario = _parse_scenario(
-        data.pop("scenario", "habitat-monitoring"), energy.initial_energy
-    )
-    adversaries = data.pop("adversaries", [])
-    if not isinstance(adversaries, (list, tuple)):
+    """Build a SimConfig from the documented JSON schema: an object of
+    `SimConfig` fields read by `_read`, except that `scenario` may also be
+    a preset's name, `trust_weights` a list, and `adversaries` is a list of
+    `AdversarySpec` objects."""
+    adversaries = _object(data, "config").get("adversaries", [])
+    if not isinstance(adversaries, list):
         raise ValueError(f"adversaries must be a list, not {type(adversaries).__name__}")
-    adversaries = tuple(
-        AdversarySpec(
-            node=NodeAddress.parse(a["node"]),
-            behavior=a["behavior"],
-            drop_fraction=a.get("drop_fraction", 1.0),
-            start_frame=a.get("start_frame", 0),
-        )
-        for a in (_fields_of(AdversarySpec, a, "adversary") for a in adversaries)
+    special = ("scenario", "trust_weights", "adversaries")
+    config = _read(
+        SimConfig, {k: v for k, v in data.items() if k not in special}, "config",
+        adversaries=tuple(_read(AdversarySpec, a, "adversary") for a in adversaries),
+        trust_weights=read_weights(data.get("trust_weights")),
     )
-    return SimConfig(
-        scenario=scenario,
-        adversaries=adversaries,
-        energy_model=energy,
-        trust_weights=weights,
-        **data,
-    )
+    if "scenario" not in data:
+        return config
+    scenario = _read_scenario(data["scenario"], config.energy_model.initial_energy)
+    return replace(config, scenario=scenario)
 
 
 def set_override(data: dict, dotted: str, raw: str) -> None:
@@ -231,7 +229,7 @@ def load_config(
     data = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = _object(json.load(fh), "config")
     for item in overrides or []:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not key=value")

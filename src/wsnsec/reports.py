@@ -1,3 +1,12 @@
+"""What a simulation run reports, and the text of the files written from it.
+
+`SimReport` holds one run's per-node ledgers and counters, its elections,
+re-keys and slot log, and every node's final trust table; it renders
+`energy.csv`, `trust.csv` and `summary.txt`. `SavingsReport` pairs the fixed
+and adaptive arms of one scenario and renders `savings.csv`. Energy is
+printed with nine decimals, so each file is byte-stable for a config.
+"""
+
 from __future__ import annotations
 
 import io
@@ -5,12 +14,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .addressing import NodeAddress
-from .trust import CSV_COLUMNS, TrustTable
+from .trust import TrustTable, tables_to_csv
 
-
-# =============================================================================
-# Reports
-# =============================================================================
 
 @dataclass
 class EnergyLedger:
@@ -101,10 +106,7 @@ class SimReport:
 
     def trust_csv(self) -> str:
         """Every observer's neighbor table, one header, fixed column order."""
-        lines = [",".join(CSV_COLUMNS)]
-        for addr in sorted(self.trust_tables):
-            lines.extend(self.trust_tables[addr].to_csv().splitlines()[1:])
-        return "\n".join(lines) + "\n"
+        return tables_to_csv(self.trust_tables[a] for a in sorted(self.trust_tables))
 
 
 @dataclass

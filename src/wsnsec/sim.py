@@ -64,20 +64,10 @@ from typing import Optional
 
 from . import aead, linksec
 from .addressing import BROADCAST_NODE_ID, NodeAddress
-from .agent import (
-    PacketClass,
-    SecurityAgent,
-    SCENARIO_ALIASES,
-    SCENARIO_NAMES,
-)
-from .config import (
-    ADVERSARY_BEHAVIORS,
-    AdversarySpec,
-    EnergyModel,
-    SimConfig,
-    config_from_dict,
-    load_config,
-    set_override,
+from .agent import SCENARIO_NAMES, PacketClass, SecurityAgent
+from .config import (  # callers look these and SCENARIO_NAMES up on `sim`, too
+    ADVERSARY_BEHAVIORS, AdversarySpec, EnergyModel, SimConfig,
+    config_from_dict, load_config, set_override,
 )
 from .keys import (
     KeyRing,
@@ -364,14 +354,14 @@ class _Simulation:
         dest: int,
         pclass: PacketClass,
         payload: bytes,
-        in_slot: bool = True,
         replayed_wire: Optional[bytes] = None,
     ) -> dict[NodeAddress, bytes]:
         """One on-air transmission: energy, trust observations, deliveries.
 
-        Honest transmissions each take the group's next TDM slot; an
-        out-of-slot injection reuses the current slot, which observers book
-        as a collision. Returns successful decodes keyed by receiver.
+        Honest transmissions each take the group's next TDM slot; a replayed
+        wire is injected out of slot, reusing the current slot, which
+        observers book as a collision. Returns successful decodes keyed by
+        receiver.
 
         Every destination listener is charged a full open's receive and
         crypto energy and runs its own `linksec.decode`, as each mote does.
@@ -380,12 +370,9 @@ class _Simulation:
         receive counter reuse the first one's outcome."""
         if not sender.alive:
             return {}
-        if in_slot:
+        if replayed_wire is None:
             slot = group.next_slot
             group.next_slot += 1
-        else:
-            slot = max(group.next_slot - 1, 0)
-        if replayed_wire is None:
             level = self._decide(sender, pclass)
             wire = linksec.encode(
                 level, sender.ring, sender.counter_to(dest), dest, payload
@@ -393,15 +380,18 @@ class _Simulation:
             sender.debit("crypto", self._crypto_cost(level, len(payload)))
         else:
             # Verbatim retransmission of captured bytes: no sealing work.
+            slot = max(group.next_slot - 1, 0)
             wire = replayed_wire
         sender.debit("tx", self.model.tx_per_octet * len(wire))
         sender.stats.packets_sent += 1
-        self.slot_log.append((frame, group.gid, slot, sender.addr, in_slot))
+        self.slot_log.append(
+            (frame, group.gid, slot, sender.addr, replayed_wire is None)
+        )
 
         events: list[tuple[NodeAddress, str, Optional[float]]] = [
             (sender.addr, "packet-transmitted", None)
         ]
-        if not in_slot:
+        if replayed_wire is not None:
             events.append((sender.addr, "collision", None))
         if dest != BROADCAST_NODE_ID:
             events.append((NodeAddress(group.gid, dest), "packet-received", None))
@@ -643,7 +633,7 @@ class _Simulation:
                 wire, dest = member.captured_wire
                 self._transmit(
                     group, frame, member, dest, PacketClass.SENSED_DATA, b"",
-                    in_slot=False, replayed_wire=wire,
+                    replayed_wire=wire,
                 )
 
         # The head's own reading joins locally; the aggregate ships next frame.

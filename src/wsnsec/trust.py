@@ -17,29 +17,9 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Optional
+from typing import Iterable, Optional, get_type_hints
 
 from .addressing import NodeAddress
-
-CSV_COLUMNS = (
-    "observer",
-    "neighbor",
-    "ae_t1",
-    "ae_t2",
-    "pss_t1",
-    "pss_t2",
-    "crf",
-    "craf",
-    "rc",
-    "npc",
-    "drf",
-    "draf",
-    "pd",
-    "npt",
-    "npr",
-    "suspicious",
-    "trust",
-)
 
 
 @dataclass
@@ -70,6 +50,16 @@ class NeighborRecord:
     _energy_samples: int = 0
     _signal_samples: int = 0
     _trust: Optional[float] = field(default=None, compare=False, repr=False)
+
+
+# A row's public counters, in field order, with their types. The trust CSV
+# has a column for each, after the observer and neighbor, before the trust.
+RECORD_FIELDS = {
+    name: kind
+    for name, kind in get_type_hints(NeighborRecord).items()
+    if not name.startswith("_")
+}
+CSV_COLUMNS = ("observer", "neighbor", *RECORD_FIELDS, "trust")
 
 
 @dataclass(frozen=True)
@@ -235,34 +225,25 @@ class TrustTable:
 
     def to_csv(self) -> str:
         """Rows in the documented column order, one line per neighbor."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for neighbor in sorted(self.rows):
-            rec = self.rows[neighbor]
-            writer.writerow(
-                [
-                    str(self.observer),
-                    str(neighbor),
-                    f"{rec.ae_t1:.9f}",
-                    f"{rec.ae_t2:.9f}",
-                    f"{rec.pss_t1:.9f}",
-                    f"{rec.pss_t2:.9f}",
-                    rec.crf,
-                    rec.craf,
-                    f"{rec.rc:.9f}",
-                    rec.npc,
-                    rec.drf,
-                    rec.draf,
-                    rec.pd,
-                    rec.npt,
-                    rec.npr,
-                    int(rec.suspicious),
-                    f"{self.trust(neighbor):.9f}",
-                ]
-            )
-        return buf.getvalue()
+        return tables_to_csv([self])
 
+
+def tables_to_csv(tables: Iterable[TrustTable]) -> str:
+    """The trust CSV of `tables`: one header, then each table's rows in
+    neighbor order. Floats have nine decimals and flags read 0 or 1."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for table in tables:
+        for neighbor in sorted(table.rows):
+            rec = table.rows[neighbor]
+            counters = [
+                f"{getattr(rec, name):.9f}" if kind is float else int(getattr(rec, name))
+                for name, kind in RECORD_FIELDS.items()
+            ]
+            trust = f"{table.trust(neighbor):.9f}"
+            writer.writerow([str(table.observer), str(neighbor), *counters, trust])
+    return buf.getvalue()
 
 def run_election(
     group: Iterable[NodeAddress],

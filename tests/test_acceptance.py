@@ -35,13 +35,6 @@ def _pass(number: int, message: str) -> None:
     print(f"PASS criterion {number}: {message}")
 
 
-def _warm_schedules() -> None:
-    key = bytes(10)
-    for rounds in (4, 8, 12):
-        rc5.encrypt_block(key, rounds, bytes(8))
-        rc5.decrypt_block(key, rounds, bytes(8))
-
-
 @pytest.fixture(scope="module")
 def rings():
     master = SymmetricKey.from_hex("00112233445566778899")
@@ -56,7 +49,6 @@ def test_criterion_1_savings_ordering():
     """Fixed-vs-adaptive savings: agriculture > habitat > military, with
     military under 2% of fixed-arm energy; 20 nodes, 2 groups, 500 frames,
     one seed, all three comparisons inside 60 s."""
-    _warm_schedules()
     t0 = time.perf_counter()
     savings = {}
     for name in ("military-surveillance", "habitat-monitoring", "agricultural-farming"):
@@ -97,7 +89,6 @@ def test_criterion_3_codec_property_suite(rings):
     """10^4 randomized round-trips over all 8 level/auth combinations,
     exhaustive single-bit corruption rejected, zero accepted replays over
     10^4 replayed wires, all under 30 s."""
-    _warm_schedules()
     ring_src, ring_head = rings
     rnd = random.Random(0xACCE97)
     t0 = time.perf_counter()

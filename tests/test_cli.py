@@ -206,6 +206,18 @@ class TestTrustCommand:
         expect = compute_trust(record, TrustWeights(*([0.1] * 6)))
         assert out == f"1.2 {expect:.4f}\n"
 
+    def test_too_many_weights_names_field(self, capsys, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("neighbor,crf\n1.2,10\n")
+        code, out, err = run_cli(
+            capsys, "trust", "--observations", str(path),
+            "--weights", ",".join(["0.1"] * 7),
+        )
+        assert code == cli.EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: invalid:")
+        assert "trust_weights" in err
+
     def test_unknown_column_rejected(self, capsys, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text("neighbor,karma\n1.2,10\n")
@@ -333,6 +345,17 @@ class TestSimCommands:
         assert code == cli.EXIT_INVALID
         assert err.startswith("error: invalid:")
 
+    def test_non_object_config_exits_invalid_with_set(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        args = ("run", "--config", str(cfg), "--out-dir", str(tmp_path))
+        code, _, plain = run_cli(capsys, *args)
+        assert code == cli.EXIT_INVALID
+        assert "config must be an object" in plain
+        code, _, err = run_cli(capsys, *args, "--set", "seed=1")
+        assert code == cli.EXIT_INVALID
+        assert err == plain
+
     def test_non_finite_override_names_field(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"node_count": 4, "group_count": 1, "sim_length": 2}')
@@ -364,6 +387,9 @@ class TestSimCommands:
             ('scenario={"name":"habitat","min_level":{"encryption":1,"auth":1}}', "auth"),
             ('scenario={"name":"habitat","min_level":{"encryption":true,"auth":true}}',
              "encryption"),
+            ('adversaries=[{"behavior":"captured"}]', "adversary"),
+            ('scenario={"name":"habitat","min_level":{"auth":true}}', "min_level"),
+            ('scenario={"name":"orchard","base_level":{"encryption":1}}', "base_level"),
         ],
     )
     def test_wrong_json_type_names_field(self, capsys, tmp_path, override, field):

@@ -5,7 +5,10 @@ import ast
 import pathlib
 import sys
 
+import pytest
+
 import wsnsec
+from wsnsec import keys, sim, trust
 
 
 def test_every_export_resolves():
@@ -37,3 +40,13 @@ def test_imports_only_stdlib():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+@pytest.mark.parametrize(
+    "name, home",
+    [("run", sim), ("prf", keys), ("rekey_group", keys), ("run_election", trust)],
+)
+def test_traced_names_bound_on_sim(name, home):
+    """The benchmark's tracer wraps these on `sim`, where the simulator
+    looks them up; a move that unbinds one would zero its layer's counts."""
+    assert getattr(sim, name) is getattr(home, name)
