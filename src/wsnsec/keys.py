@@ -15,7 +15,11 @@ itself is deleted the moment derivation finishes: compromising a deployed
 node exposes one-hop keys only, never the derivation root.
 
 A single-hop clique can derive all its members' rings in one pass, each key
-once, giving rings equal to those of per-node derivation.
+once, giving rings equal to those of per-node derivation except that their
+pairwise maps start empty. The simulator, which plays the safe base station
+and keeps the master, derives a pair's key with `pairwise_key` on the pair's
+first unicast and stores it in both rings. Per-node `derive_keyring` is
+unchanged: it still derives a pairwise key for every neighbor.
 
 Byte encodings are normative and bit-exact. Each derivation is prefixed with
 a 1-octet domain-separation tag so no two formulas can collide:
@@ -99,7 +103,9 @@ _IPAD = bytes(x ^ 0x36 for x in range(256))
 _OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
-# Room for every key one run uses: a 254-member group uses 261.
+# Room for every key one run uses. Three frames of a 254-member group use
+# 261: the zero key and the master, 253 node-based, 4 broadcast and 2
+# pairwise keys.
 @lru_cache(maxsize=1024)
 def _pads(key: bytes):
     """The SHA-256 states after hashing `key` XOR ipad and `key` XOR opad.
@@ -147,6 +153,15 @@ class KeyRing:
     session: Optional[SymmetricKey] = None
 
 
+def pairwise_key(
+    master: SymmetricKey, a: NodeAddress, b: NodeAddress, prf_fn: PrfFn = prf
+) -> SymmetricKey:
+    """The key `a` and `b` share: the PRF of 0x02 || min || max, so both
+    ends derive the same key."""
+    x, y = a.encode(), b.encode()
+    return prf_fn(master, TAG_PAIRWISE + (x + y if x < y else y + x))
+
+
 def derive_keyring(
     master: SymmetricKey,
     owner: NodeAddress,
@@ -181,8 +196,7 @@ def derive_keyring(
     )
     for peer in order:
         n = unique[peer]
-        pair = own + peer if own < peer else peer + own
-        ring.pairwise[n] = prf_fn(master, TAG_PAIRWISE + pair)
+        ring.pairwise[n] = pairwise_key(master, owner, n, prf_fn)
         ring.peer_broadcast[n] = prf_fn(master, TAG_BROADCAST + peer)
         ring.peer_node_based[n] = prf_fn(master, TAG_NODE_BASED + peer + head)
     # Master key deletion: the returned ring never references it.
@@ -198,10 +212,11 @@ def derive_group_keyrings(
     """Derive the rings of a single-hop clique in one pass.
 
     Each ring equals `derive_keyring(master, m, group_head, others)` for its
-    member `m`, but every key is derived once: 2n node-based and broadcast
-    keys, and n(n-1)/2 pairwise keys. Rings come back in address order and
-    share no mutable object, so an election or re-key on one leaves the
-    others untouched.
+    member `m`, except that its `pairwise` map starts empty: the caller,
+    which keeps the master, adds a pair's key from `pairwise_key` when the
+    pair first needs it. Every key is derived once: 2n node-based and
+    broadcast keys. Rings come back in address order and share no mutable
+    object, so an election or re-key on one leaves the others untouched.
     """
     members = list(members)
     unique = {m.encode(): m for m in members}
@@ -216,14 +231,6 @@ def derive_group_keyrings(
     head = group_head.encode()
     broadcast = [prf_fn(master, TAG_BROADCAST + e) for e in order]
     node_based = [prf_fn(master, TAG_NODE_BASED + e + head) for e in order]
-    # Address order makes order[i] + order[j], i < j, the normative
-    # min || max message, and fills every row in address order.
-    rows: list[dict[NodeAddress, SymmetricKey]] = [{} for _ in addrs]
-    for i, (own, owner, row) in enumerate(zip(order, addrs, rows)):
-        for j in range(i + 1, len(order)):
-            key = prf_fn(master, TAG_PAIRWISE + own + order[j])
-            row[addrs[j]] = key
-            rows[j][owner] = key
     # Copies of one group-wide dict keep its stored hashes: no address is
     # hashed again, and each ring still owns its dicts.
     all_broadcast = dict(zip(addrs, broadcast))
@@ -235,7 +242,6 @@ def derive_group_keyrings(
             head=group_head,
             node_based=node_based[i],
             broadcast=broadcast[i],
-            pairwise=rows[i],
             peer_broadcast=all_broadcast.copy(),
             peer_node_based=all_node_based.copy(),
         )

@@ -235,16 +235,41 @@ def decode(
     once per distinct key and counter, and a dict reused across wires never
     returns a wrong outcome. It changes no result: each call returns the
     same payload, sets the same counter and raises the same exception class
-    with or without it. The header, size and group checks and the key
-    lookup depend on the ring and run on every call.
+    with or without it.
+
+    This is `parse_wire` followed by `decode_parsed`; a caller with many
+    receivers of one wire can run the first once and the second per ring.
     """
     if loss_threshold < 0:
         raise ValueError("loss_threshold must be >= 0")
+    return decode_parsed(
+        wire, parse_wire(wire), keyring, expected, loss_threshold, opened
+    )
+
+
+def parse_wire(wire: bytes) -> PacketHeader:
+    """The half of `decode` that depends on the wire alone: its header,
+    checked against the reserved lengths and the wire's size. Raises
+    FormatError."""
     header = PacketHeader.decode(wire)
     if header.length > MAX_PAYLOAD:
         raise FormatError(f"length {header.length} is reserved-invalid")
     if len(wire) != wire_size(header.length, header.level.auth):
         raise FormatError("wire size does not match header")
+    return header
+
+
+def decode_parsed(
+    wire: bytes,
+    header: PacketHeader,
+    keyring: KeyRing,
+    expected: CounterState,
+    loss_threshold: int,
+    opened: Optional[dict],
+) -> bytes:
+    """The half of `decode` that depends on the receiver: the group check,
+    the key lookup and the open, for a `header` that `parse_wire` returned
+    for `wire`. `loss_threshold` must be >= 0; the rest is as `decode`."""
     if header.group != keyring.owner.group_id:
         raise AuthenticationError(
             f"packet for group {header.group}, ring owner in {keyring.owner.group_id}"

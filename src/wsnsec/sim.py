@@ -21,6 +21,11 @@ Model (desk scale, normative for the closed-form energy tests):
   band, and delivers it under pairwise keys to members whose trust reaches
   the re-key threshold. Group broadcasts ride the session key once one
   exists, so an excluded member can no longer read them.
+* Keys: set-up derives a group's n node-based and n broadcast keys, each
+  once. A pair's pairwise key is derived from the base station's master on
+  the pair's first unicast and stored in both rings. A run uses only the
+  pairs that talk (the head's handoff and re-key deliveries), so set-up is
+  linear in the group's size.
 * Elections: when the head's remaining energy falls below 20% of the group
   median it calls an election (broadcast + one vote per member + result
   broadcast) and hands over to the vote winner.
@@ -74,6 +79,7 @@ from .keys import (
     SymmetricKey,
     derive_group_keyrings,
     derive_session_key,
+    pairwise_key,
     prf,
     rekey_group,
 )
@@ -238,7 +244,8 @@ class _Simulation:
         self.rng = random.Random(config.seed)
         self.model = config.energy_model
         # Network-wide deployment master key; the simulator plays the safe
-        # base station and therefore keeps it for session seeds.
+        # base station and therefore keeps it for session seeds and
+        # pairwise keys.
         self.bs_master = prf(
             SymmetricKey(b"\x00" * 10), b"master" + config.seed.to_bytes(8, "big")
         )
@@ -291,6 +298,16 @@ class _Simulation:
         return groups
 
     # ---- per-packet helpers -------------------------------------------------
+
+    def _share_pairwise(self, group: _Group, src: int, dest: int) -> None:
+        """Put the pairwise key of members `src` and `dest` in both rings,
+        derived from the base station's master on the pair's first use."""
+        a, b = group.by_id[src], group.by_id[dest]
+        if b.addr in a.ring.pairwise:
+            return
+        key = pairwise_key(self.bs_master, a.addr, b.addr, prf)
+        a.ring.pairwise[b.addr] = key
+        b.ring.pairwise[a.addr] = key
 
     def _decide(self, sender: _Node, pclass: PacketClass) -> SecurityLevel:
         if not self.config.adaptive:
@@ -364,12 +381,19 @@ class _Simulation:
         receiver.
 
         Every destination listener is charged a full open's receive and
-        crypto energy and runs its own `linksec.decode`, as each mote does.
-        The host computes each distinct open once: the listeners share one
-        `opened` memo for this wire, so those that hold the same key and
-        receive counter reuse the first one's outcome."""
+        crypto energy and runs its own decode, as each mote does. The host
+        parses the header once per wire and computes each distinct open
+        once: the listeners share one `opened` memo for this wire, so those
+        that hold the same key and receive counter reuse the first one's
+        outcome."""
         if not sender.alive:
             return {}
+        # A unicast to anyone but the head rides the pair's pairwise key
+        # (see `linksec._sender_key` and `_receiver_key`); a replayed wire's
+        # source is its header's.
+        if dest != BROADCAST_NODE_ID and dest != group.head.addr.node_id:
+            src = sender.addr.node_id if replayed_wire is None else replayed_wire[2]
+            self._share_pairwise(group, src, dest)
         if replayed_wire is None:
             slot = group.next_slot
             group.next_slot += 1
@@ -407,9 +431,14 @@ class _Simulation:
             sender.heard += 1
             if target is not sender:  # a replayer may resend a wire sent to it
                 target.heard += 1
-        header = linksec.PacketHeader.decode(wire)
+        # The wire's half of every listener's decode, run once per wire.
+        try:
+            header = linksec.parse_wire(wire)
+        except linksec.FormatError:
+            header = None
+        else:
+            open_cost = self._crypto_cost(header.level, header.length)
         rx_cost = self.model.rx_per_octet * len(wire)
-        open_cost = self._crypto_cost(header.level, header.length)
         decoded: dict[NodeAddress, bytes] = {}
         opened: dict = {}  # one host-side open per (key, counter) of this wire
         for listener in listeners:
@@ -423,11 +452,16 @@ class _Simulation:
                 listener.debit("rx", self.model.rx_per_octet * linksec.HEADER_BYTES)
                 continue
             listener.debit("rx", rx_cost)
+            if header is None:
+                # Rejected on the clear header: no open to pay for.
+                listener.stats.format_rejects += 1
+                continue
             listener.debit("crypto", open_cost)
             state = listener.counter_from(header.src, header.dest)
             try:
-                plain = linksec.decode(
-                    wire, listener.ring, state, self.config.loss_threshold, opened
+                plain = linksec.decode_parsed(
+                    wire, header, listener.ring, state,
+                    self.config.loss_threshold, opened,
                 )
             except linksec.ReplayError:
                 listener.stats.replay_rejects += 1
@@ -435,8 +469,6 @@ class _Simulation:
                 listener.stats.auth_rejects += 1
                 if dest == BROADCAST_NODE_ID:
                     listener.stats.bcast_fail += 1
-            except linksec.FormatError:
-                listener.stats.format_rejects += 1
             else:
                 listener.stats.decode_ok += 1
                 decoded[listener.addr] = plain

@@ -2,6 +2,7 @@ import hashlib
 import hmac
 import pathlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from wsnsec.keys import (
     derive_keyring,
     derive_session_key,
     hmac_sha256,
+    pairwise_key,
     prf,
     rekey_group,
 )
@@ -221,7 +223,13 @@ class TestGroupDerivation:
         assert [r.owner for r in rings] == sorted(members)
         for ring in rings:
             others = [m for m in members if m != ring.owner]
-            assert ring == derive_keyring(master, ring.owner, head, others)
+            direct = derive_keyring(master, ring.owner, head, others)
+            # Pairwise keys are the caller's to derive on first use.
+            assert ring.pairwise == {}
+            assert ring == replace(direct, pairwise={})
+            for peer, key in direct.pairwise.items():
+                assert pairwise_key(master, ring.owner, peer) == key
+                assert pairwise_key(master, peer, ring.owner) == key
         for attr in ("pairwise", "peer_broadcast", "peer_node_based"):
             assert len({id(getattr(r, attr)) for r in rings}) == len(rings)
 
@@ -234,7 +242,7 @@ class TestGroupDerivation:
 
         members = [NodeAddress(2, n) for n in range(1, 6)]
         derive_group_keyrings(SymmetricKey(bytes(10)), members[0], members, recording)
-        assert len(calls) == len(set(calls)) == 5 * 4 // 2 + 2 * 5
+        assert len(calls) == len(set(calls)) == 2 * 5
 
     def test_no_members(self):
         assert derive_group_keyrings(SymmetricKey(bytes(10)), NodeAddress(1, 1), []) == []

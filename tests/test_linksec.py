@@ -239,6 +239,40 @@ class TestOpenedMemo:
         assert calls == [1, 1]
 
 
+class TestSplitDecode:
+    """`decode` is `parse_wire` once per wire, then `decode_parsed` per ring."""
+
+    @pytest.mark.parametrize("case", sorted(_memo_cases()))
+    def test_parsed_once_same_outcome(self, case):
+        opened = {}
+        for wire, ring, last in _memo_cases()[case]:
+            header = linksec.parse_wire(wire)
+            assert header == PacketHeader.decode(wire)
+            for memo in (None, opened):
+                state = CounterState(last)
+                try:
+                    got = linksec.decode_parsed(
+                        wire, header, ring, state, linksec.DEFAULT_LOSS_THRESHOLD, memo
+                    )
+                except linksec.DecodeError as exc:
+                    got = (type(exc), str(exc))
+                assert (got, state.value) == _outcome(wire, ring, last)
+
+    def test_parse_wire_rejects_what_decode_rejects_on_format(self):
+        ring_head, ring_src, _ = make_rings()
+        wire = linksec.encode(
+            SecurityLevel(Encryption.RC5_R8, True), ring_src, CounterState(),
+            HEAD.node_id, b"hello",
+        )
+        reserved = bytes((GROUP, HEAD.node_id, SRC.node_id, (30 << 3) | 0x03, 1))
+        for bad in (wire[:-1], wire + b"\x00", wire[:3], reserved + bytes(34)):
+            with pytest.raises(FormatError) as parsed:
+                linksec.parse_wire(bad)
+            with pytest.raises(FormatError) as decoded:
+                linksec.decode(bad, ring_head, CounterState())
+            assert str(parsed.value) == str(decoded.value)
+
+
 class TestCounterExhaustion:
     def test_last_counter_is_usable(self):
         ring_head, ring_src, _ = make_rings()

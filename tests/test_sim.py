@@ -5,17 +5,22 @@ from dataclasses import fields, replace
 
 import pytest
 
-from wsnsec import keys, sim
-from wsnsec.addressing import NodeAddress
-from wsnsec.agent import default_policy
-from wsnsec.keys import derive_keyring
-from wsnsec.linksec import Encryption, SecurityLevel
+from wsnsec import keys, linksec, sim
+from wsnsec.addressing import BROADCAST_NODE_ID, NodeAddress
+from wsnsec.agent import PacketClass, default_policy
+from wsnsec.keys import SymmetricKey, derive_keyring
+from wsnsec.linksec import CounterState, Encryption, SecurityLevel
 from wsnsec.sim import AdversarySpec, EnergyModel, SimConfig
 from wsnsec.trust import TrustTable
 
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "vectors" / "sim_golden"
 GOLDEN_CONFIGS = json.loads((GOLDEN_DIR / "configs.json").read_text())
+# The benchmark's scaling workload: one 254-member group, 3 frames.
+BIG_GROUP = {
+    "seed": 11, "node_count": 254, "group_count": 1, "sim_length": 3,
+    "scenario": "agricultural-farming",
+}
 STAT_FIELDS = (
     "alive",
     "packets_sent",
@@ -40,6 +45,26 @@ def stats_csv(savings):
                 [arm, str(addr)] + [str(int(getattr(stats, f))) for f in STAT_FIELDS]
             ))
     return "\n".join(lines) + "\n"
+
+
+def reachable_keys(root):
+    """Every key reachable from `root` through attributes and containers."""
+    found, seen, todo = [], set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, SymmetricKey):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.keys())
+            todo.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            todo.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            todo.extend(vars(obj).values())
+    return found
 
 
 def military(initial=1000.0):
@@ -453,10 +478,14 @@ class TestObservationViews:
         )
         assert 0 < hashes <= 2 * members * (members - 1)
 
-    @pytest.mark.parametrize("node_count, group_count", [(7, 2), (9, 4), (4, 3)])
+    @pytest.mark.parametrize(
+        "node_count, group_count",
+        [(7, 2), (9, 4), (4, 3), (8, 1), (16, 1), (32, 1), (64, 1), (254, 1)],
+    )
     def test_setup_derives_each_key_once(self, monkeypatch, node_count, group_count):
         """The base-station master, then per group 2n node-based and
-        broadcast keys and n(n-1)/2 pairwise keys."""
+        broadcast keys: set-up is linear in members. Pairwise keys wait for
+        the pair's first unicast."""
         calls = 0
         prf = sim.prf
 
@@ -472,7 +501,88 @@ class TestObservationViews:
         )
         sizes = [len(g.nodes) for g in simulation.groups]
         assert sum(sizes) == node_count
-        assert calls == 1 + sum(n * (n - 1) // 2 + 2 * n for n in sizes)
+        assert calls == 1 + sum(2 * n for n in sizes)
+        assert all(not n.ring.pairwise for n in simulation.nodes.values())
+
+    @pytest.mark.parametrize(
+        "data",
+        [BIG_GROUP, GOLDEN_CONFIGS["habitat_replay_loss"],
+         GOLDEN_CONFIGS["military_two_groups_loss"], GOLDEN_CONFIGS["habitat_election"]],
+        ids=["big_group", "habitat_replay_loss", "military_two_groups_loss",
+             "habitat_election"],
+    )
+    def test_one_pairwise_derivation_per_talking_pair(self, monkeypatch, data):
+        """A run derives one pairwise key per unordered pair that carried a
+        unicast not addressed to the head, replays included (their source
+        is the wire's), and puts it in both rings."""
+        derived = []
+        prf = sim.prf
+
+        def recording(key, message):
+            if message[:1] == keys.TAG_PAIRWISE:
+                derived.append(message)
+            return prf(key, message)
+
+        pairs = set()
+        transmit = sim._Simulation._transmit
+
+        def recording_pairs(self, group, frame, sender, dest, pclass, payload,
+                            replayed_wire=None):
+            if sender.alive and dest not in (BROADCAST_NODE_ID, group.head.addr.node_id):
+                src = sender.addr.node_id if replayed_wire is None else replayed_wire[2]
+                pairs.add(frozenset(
+                    (NodeAddress(group.gid, src), NodeAddress(group.gid, dest))
+                ))
+            return transmit(self, group, frame, sender, dest, pclass, payload,
+                            replayed_wire)
+
+        monkeypatch.setattr(sim, "prf", recording)
+        monkeypatch.setattr(sim._Simulation, "_transmit", recording_pairs)
+        simulation = sim._Simulation(sim.config_from_dict(data))
+        assert derived == []
+        simulation.run()
+        assert len(derived) == len(set(derived)) == len(pairs) > 0
+        if data is BIG_GROUP:
+            assert len(pairs) == 2  # the head's handoffs in frames 1 and 2
+        for a, b in map(tuple, pairs):
+            key = simulation.nodes[a].ring.pairwise[b]
+            assert simulation.nodes[b].ring.pairwise[a] == key
+        assert sum(len(n.ring.pairwise) for n in simulation.nodes.values()) == 2 * len(pairs)
+
+    def test_one_header_parse_per_transmission(self, monkeypatch):
+        """Each wire's header is parsed once, not once per listener."""
+        parses = 0
+        decode = linksec.PacketHeader.decode.__func__
+
+        def counting(cls, data):
+            nonlocal parses
+            parses += 1
+            return decode(cls, data)
+
+        monkeypatch.setattr(linksec.PacketHeader, "decode", classmethod(counting))
+        report = sim.run(sim.config_from_dict(BIG_GROUP))
+        assert parses == len(report.slot_log) > 0
+
+    def test_malformed_wire_counts_one_format_reject_per_destination(self):
+        simulation = sim._Simulation(
+            SimConfig(seed=1, node_count=5, group_count=1, sim_length=0)
+        )
+        group = simulation.groups[0]
+        sender = group.nodes[1]
+        wire = linksec.encode(
+            SecurityLevel(Encryption.XOR, True), sender.ring, CounterState(),
+            BROADCAST_NODE_ID, b"hello",
+        )
+        for bad in (wire[:-1], wire + b"\x00", wire[:3]):
+            decoded = simulation._transmit(
+                group, 0, sender, BROADCAST_NODE_ID, PacketClass.CONTROL, b"",
+                replayed_wire=bad,
+            )
+            assert decoded == {}
+        for node in group.nodes:
+            stats = node.stats
+            assert stats.format_rejects == (0 if node is sender else 3)
+            assert stats.decode_ok == stats.auth_rejects == stats.ledger.crypto == 0
 
     def test_setup_hashes_each_hmac_key_pad_once(self, monkeypatch):
         """Every HMAC runs from cached pad states: set-up hashes pads for the
@@ -492,22 +602,67 @@ class TestObservationViews:
         assert keys._pads.cache_info().misses <= 2
 
     def test_rings_match_direct_derivation(self):
+        """At set-up every ring equals a direct `derive_keyring` but for
+        its empty pairwise map; after a run, every pairwise key it holds is
+        the one `derive_keyring` gives for that pair."""
         # Uneven sizes; (4, 3) gives two 1-member groups.
+        used = 0
         for node_count, group_count in ((7, 2), (9, 4), (4, 3)):
             simulation = sim._Simulation(
                 SimConfig(seed=3, node_count=node_count, group_count=group_count,
-                          sim_length=0)
+                          sim_length=12, session_length=5)
             )
             rings = [n.ring for g in simulation.groups for n in g.nodes]
+            direct = {}
             for group in simulation.groups:
                 addrs = [n.addr for n in group.nodes]
                 for node in group.nodes:
-                    assert node.ring == derive_keyring(
+                    direct[node.addr] = derive_keyring(
                         simulation.bs_master, node.addr, addrs[0],
                         [a for a in addrs if a != node.addr],
                     )
+                    assert node.ring == replace(direct[node.addr], pairwise={})
             for attr in ("pairwise", "peer_broadcast", "peer_node_based"):
                 assert len({id(getattr(r, attr)) for r in rings}) == len(rings)
+            simulation.run()
+            for ring in rings:
+                for peer, key in ring.pairwise.items():
+                    assert key == direct[ring.owner].pairwise[peer]
+                used += len(ring.pairwise)
+        assert used > 0
+
+    def test_no_ring_holds_the_master_after_a_run(self):
+        """The base station keeps the master to derive pairwise keys on
+        first use; no ring, nor anything reachable from one, holds it."""
+        for name in ("habitat_election", "military_two_groups_loss"):
+            simulation = sim._Simulation(sim.config_from_dict(GOLDEN_CONFIGS[name]))
+            report = simulation.run()
+            assert report.rekeys
+            master = simulation.bs_master
+            for node in simulation.nodes.values():
+                held = reachable_keys(node.ring)
+                assert held and master not in held
+                assert all(k.data != master.data for k in held)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+    def test_lazy_pairwise_keys_change_no_output(self, name, adaptive):
+        """Rings pre-filled with every pairwise key, as per-node derivation
+        gives them, produce the same run as keys derived on first use."""
+        config = replace(sim.config_from_dict(GOLDEN_CONFIGS[name]), adaptive=adaptive)
+        lazy = sim._Simulation(config)
+        eager = sim._Simulation(config)
+        for group in eager.groups:
+            addrs = [n.addr for n in group.nodes]
+            for node in group.nodes:
+                node.ring.pairwise.update(derive_keyring(
+                    eager.bs_master, node.addr, group.head.addr,
+                    [a for a in addrs if a != node.addr],
+                ).pairwise)
+        got, want = lazy.run(), eager.run()
+        assert got.nodes == want.nodes
+        assert got.energy_csv() == want.energy_csv()
+        assert got.trust_csv() == want.trust_csv()
 
 
 class TestConfigLoading:
