@@ -2,6 +2,7 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsnsec import linksec
 from wsnsec.addressing import BROADCAST_NODE_ID, NodeAddress
@@ -271,6 +272,123 @@ class TestSplitDecode:
             with pytest.raises(FormatError) as decoded:
                 linksec.decode(bad, ring_head, CounterState())
             assert str(parsed.value) == str(decoded.value)
+
+
+def _seal(level, ring, sent, dest, payload):
+    """(wire, seal hint) of one `encode` from a send counter at `sent`."""
+    state = CounterState(sent)
+    wire = linksec.encode(level, ring, state, dest, payload)
+    return wire, (linksec._sender_key(ring, dest).data, state.value, payload)
+
+
+def _hinted(wire, ring, last, sealed, opened=None):
+    """`_outcome` through `decode_parsed`, passing the seal hint `sealed`."""
+    state = CounterState(last)
+    try:
+        got = linksec.decode_parsed(
+            wire, linksec.parse_wire(wire), ring, state,
+            linksec.DEFAULT_LOSS_THRESHOLD, opened, sealed,
+        )
+    except linksec.DecodeError as exc:
+        got = (type(exc), str(exc))
+    return got, state.value
+
+
+@pytest.fixture
+def opens(monkeypatch):
+    """The counters of every real `aead.open_` call, in order."""
+    calls = []
+    real_open = linksec.aead.open_
+    monkeypatch.setattr(
+        linksec.aead, "open_", lambda *a: calls.append(a[2]) or real_open(*a)
+    )
+    return calls
+
+
+class TestSealHint:
+    """`decode_parsed` with the sealer's hint gives `decode`'s outcome, and
+    runs the cipher only for candidates the hint does not answer."""
+
+    R8 = SecurityLevel(Encryption.RC5_R8, True)
+    BARE = SecurityLevel(Encryption.RC5_R4, False)
+
+    def test_true_hint_opens_nothing(self, opens):
+        ring_head, ring_src, _ = make_rings()
+        wire, sealed = _seal(self.R8, ring_src, 0, HEAD.node_id, b"up")
+        assert _hinted(wire, ring_head, 0, sealed) == (b"up", 1)
+        assert opens == []
+
+    def test_hint_under_another_key_opens_for_real(self, opens):
+        """A member that missed the re-key holds no session key: the hint's
+        key is not its key, so it runs every wrap and rejects as before."""
+        session_head, _, stale_peer = make_rings()
+        session_head.session = SymmetricKey(b"\x31" * 10)
+        wire, sealed = _seal(self.R8, session_head, 0, BROADCAST_NODE_ID, b"s")
+        alone = _outcome(wire, stale_peer, 0)
+        del opens[:]
+        assert alone[0][0] is AuthenticationError
+        assert _hinted(wire, stale_peer, 0, sealed) == alone
+        assert len(opens) == linksec.DEFAULT_LOSS_THRESHOLD + 1
+
+    @pytest.mark.parametrize("wraps", range(linksec.DEFAULT_LOSS_THRESHOLD + 1))
+    def test_wraps_before_the_sealing_counter_open_for_real(self, opens, wraps):
+        """After a loss burst the sealing counter is `wraps` 256-wraps
+        ahead of the first candidate: each earlier candidate is a real open."""
+        ring_head, ring_src, _ = make_rings()
+        wire, sealed = _seal(self.R8, ring_src, wraps << 8, HEAD.node_id, b"late")
+        assert _hinted(wire, ring_head, 0, sealed) == (b"late", (wraps << 8) + 1)
+        assert opens == [(w << 8) + 1 for w in range(wraps)]
+
+    @pytest.mark.parametrize("last", [1, 2, 254])
+    def test_hinted_replay_rejected_and_counter_kept(self, opens, last):
+        """The first candidate is the sealing counter 1, at or below `last`."""
+        ring_head, ring_src, _ = make_rings()
+        wire, sealed = _seal(self.R8, ring_src, 0, HEAD.node_id, b"again")
+        got, after = _hinted(wire, ring_head, last, sealed)
+        assert got[0] is ReplayError and after == last
+        assert opens == []
+        assert (got, after) == _outcome(wire, ring_head, last)
+
+    def test_untagged_matching_hint_accepts(self, opens):
+        ring_head, ring_src, _ = make_rings()
+        wire, sealed = _seal(self.BARE, ring_src, 7, HEAD.node_id, b"plain")
+        assert _hinted(wire, ring_head, 0, sealed) == (b"plain", 8)
+        assert opens == []
+
+    def test_untagged_mismatched_hint_opens_for_real(self, opens):
+        """Untagged, the single candidate is taken on faith. A hint at
+        another counter or under another key does not answer it."""
+        ring_head, ring_src, _ = make_rings()
+        wire, (key, counter, payload) = _seal(
+            self.BARE, ring_src, 256, HEAD.node_id, b"plain"
+        )
+        alone = _outcome(wire, ring_head, 0)
+        assert alone == (alone[0], 1) and alone[0] != b"plain"
+        for sealed in ((key, counter, payload), (bytes(10), 1, payload)):
+            del opens[:]
+            assert _hinted(wire, ring_head, 0, sealed) == alone
+            assert opens == [1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        level=st.sampled_from(ALL_LEVELS),
+        payload=st.binary(max_size=linksec.MAX_PAYLOAD),
+        sent=st.one_of(
+            st.integers(0, 2000),
+            st.integers((1 << 32) - 2000, (1 << 32) - 2),
+            st.integers(0, (1 << 32) - 2),
+        ),
+        lost=st.integers(-300, 1500),
+        memo=st.booleans(),
+    )
+    def test_true_hint_changes_no_outcome(self, level, payload, sent, lost, memo):
+        """Any level and length, a receiver behind by `lost` packets (ahead
+        when negative), counters up to 2**32 - 1: the hint changes nothing."""
+        ring_head, ring_src, _ = make_rings()
+        wire, sealed = _seal(level, ring_src, sent, HEAD.node_id, payload)
+        last = min(max(sent - lost, 0), (1 << 32) - 1)
+        got = _hinted(wire, ring_head, last, sealed, {} if memo else None)
+        assert got == _outcome(wire, ring_head, last)
 
 
 class TestCounterExhaustion:

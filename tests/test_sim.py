@@ -47,6 +47,19 @@ def stats_csv(savings):
     return "\n".join(lines) + "\n"
 
 
+def count_calls(monkeypatch, owner, name):
+    """Wrap `owner.name` to count its calls; the count is the list's item."""
+    calls = [0]
+    real = getattr(owner, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def reachable_keys(root):
     """Every key reachable from `root` through attributes and containers."""
     found, seen, todo = [], set(), [root]
@@ -439,17 +452,10 @@ class TestObservationViews:
         assert 0 < debits <= 8 * len(report.slot_log)
 
     def test_one_open_per_transmission(self, monkeypatch):
-        """Loss-free and honest: every listener of a wire holds the same key
-        and receive counter, so the host opens each wire at most once."""
-        opens = 0
-        open_ = sim.linksec.aead.open_
-
-        def counting(*args):
-            nonlocal opens
-            opens += 1
-            return open_(*args)
-
-        monkeypatch.setattr(sim.linksec.aead, "open_", counting)
+        """Loss-free and honest: every listener of a wire holds the sealing
+        key and expects the sealing counter, so the seal's own plaintext
+        answers every open and the cipher opens no wire."""
+        opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
         report = sim.run(
             SimConfig(seed=1, node_count=12, group_count=2, sim_length=12,
                       session_length=5, scenario=military())
@@ -457,7 +463,33 @@ class TestObservationViews:
         assert report.rekeys
         assert all(s.alive and s.auth_rejects == s.replay_rejects == 0
                    for s in report.nodes.values())
-        assert 0 < opens <= len(report.slot_log)
+        assert opens[0] == 0
+
+    def test_replayed_and_lost_wires_open_for_real(self, monkeypatch):
+        """A replayed wire carries no seal hint, and a listener that lost
+        packets may try wraps before the sealing counter: those opens still
+        run the cipher."""
+        opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
+        report = sim.run(sim.config_from_dict(GOLDEN_CONFIGS["habitat_replay_loss"]))
+        assert sum(s.replay_rejects for s in report.nodes.values()) > 0
+        assert opens[0] > 0
+
+    @pytest.mark.parametrize(
+        "config",
+        [sim.config_from_dict(BIG_GROUP),
+         SimConfig(seed=1, node_count=20, group_count=2, sim_length=51,
+                   session_length=50, scenario=military())],
+        ids=["big_group", "savings_military"],
+    )
+    def test_one_seal_and_no_open_per_honest_wire(self, monkeypatch, config):
+        """The benchmark's honest workloads seal each on-air wire once and
+        open none with the cipher."""
+        seals = count_calls(monkeypatch, sim.linksec.aead, "seal")
+        opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
+        report = sim.run(config)
+        assert all(s.alive and s.auth_rejects == s.replay_rejects == 0
+                   for s in report.nodes.values())
+        assert seals[0] == len(report.slot_log) and opens[0] == 0
 
     @pytest.mark.parametrize("members", [8, 32])
     def test_setup_hashes_each_ring_entry_at_most_twice(self, monkeypatch, members):
@@ -663,6 +695,29 @@ class TestObservationViews:
         assert got.nodes == want.nodes
         assert got.energy_csv() == want.energy_csv()
         assert got.trust_csv() == want.trust_csv()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_seal_hint_changes_no_output(self, monkeypatch, name):
+        """Both arms of every golden give the same output when no listener
+        gets the sealer's hint, so every open runs the cipher."""
+        config = sim.config_from_dict(GOLDEN_CONFIGS[name])
+        opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
+        hinted = sim.compare_fixed_vs_adaptive(config)
+        hinted_opens = opens[0]
+        decode_parsed = sim.linksec.decode_parsed
+
+        def unhinted(*args, sealed=None):
+            return decode_parsed(*args)
+
+        monkeypatch.setattr(sim.linksec, "decode_parsed", unhinted)
+        stripped = sim.compare_fixed_vs_adaptive(config)
+        assert opens[0] - hinted_opens > hinted_opens
+        for got, want in ((hinted.fixed, stripped.fixed),
+                          (hinted.adaptive, stripped.adaptive)):
+            assert got.nodes == want.nodes
+            assert got.energy_csv() == want.energy_csv()
+            assert got.trust_csv() == want.trust_csv()
+        assert hinted.savings_csv() == stripped.savings_csv()
 
 
 class TestConfigLoading:
