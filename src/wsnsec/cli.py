@@ -237,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="run one simulation from a JSON config")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("run", help="run one simulation from a JSON config, or the defaults")
+    p.add_argument("--config")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.set_defaults(func=_cmd_run)

@@ -63,6 +63,13 @@ Model (desk scale, normative for the closed-form energy tests):
   listener) or near a death, every listener is debited as the packet goes
   by.
 
+* Two arms at once: `compare_fixed_vs_adaptive` runs the fixed arm in one
+  forked child and the adaptive arm in the caller, when that is safe (a
+  `fork`, no other thread, at least 2 CPUs to run on); otherwise it runs
+  the two in turn. This is exact because each arm is a pure function of
+  its config. A counter that a test patches into the program sees only
+  the caller's arm; count per arm through `run`.
+
 Runs are pure functions of the config: one `random.Random(seed)` instance
 drives adversary drops and channel loss, everything else is arithmetic.
 """
@@ -70,8 +77,12 @@ drives adversary drops and channel loss, everything else is arithmetic.
 from __future__ import annotations
 
 import heapq
+import os
+import pickle
 import random
+import signal
 import statistics
+import threading
 from dataclasses import replace
 from typing import Optional
 
@@ -742,13 +753,84 @@ def run(config: SimConfig) -> SimReport:
     return _Simulation(config).run()
 
 
+def _may_fork() -> bool:
+    """Whether a forked child can run an arm beside the caller: the
+    platform forks, no other thread could hold a lock across the fork, and
+    this process may run on at least 2 CPUs."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _fork_run(config: SimConfig) -> tuple[int, int]:
+    """Start `run(config)` in a forked child; returns its pid and the read
+    end of a pipe that carries the pickled `(True, report)` or
+    `(False, exception)`. The child leaves through `os._exit`, so it never
+    flushes the caller's stdio buffers or runs its atexit hooks."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                reply = (True, run(config))
+            except BaseException as exc:  # re-raised in the caller
+                reply = (False, exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
 def compare_fixed_vs_adaptive(config: SimConfig) -> SavingsReport:
-    """Run the same seeded scenario with the agent off, then on.
+    """Run the same seeded scenario with the agent off and on.
 
     The fixed arm pins every packet at the scenario's no-agent deployment
-    level; the adaptive arm lets the per-node agent pick levels."""
-    fixed = run(replace(config, adaptive=False))
-    adaptive = run(replace(config, adaptive=True))
+    level; the adaptive arm lets the per-node agent pick levels. Where
+    `_may_fork` allows, the fixed arm runs in a forked child while the
+    caller runs the adaptive arm; since each arm is a pure function of its
+    config, the report equals that of running the two in turn. A child's
+    exception is raised again here with its class and message; a child
+    that ends without a whole reply raises `ChildProcessError`. If the
+    caller's arm raises or is interrupted, the child is killed. Every path
+    reaps the child before returning, so no process outlives the call. A
+    counter patched into the program sees only the caller's (adaptive)
+    arm."""
+    fixed_config = replace(config, adaptive=False)
+    adaptive_config = replace(config, adaptive=True)
+    if not _may_fork():
+        fixed = run(fixed_config)
+        adaptive = run(adaptive_config)
+    else:
+        pid, read_fd = _fork_run(fixed_config)
+        status = None
+        with os.fdopen(read_fd, "rb") as pipe:
+            try:
+                adaptive = run(adaptive_config)
+                data = pipe.read()
+                _, status = os.waitpid(pid, 0)
+            finally:
+                if status is None:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+        if os.waitstatus_to_exitcode(status) != 0:
+            raise ChildProcessError(
+                f"fixed arm ended without a complete reply (wait status {status})"
+            )
+        ok, fixed = pickle.loads(data)
+        if not ok:
+            raise fixed
     return SavingsReport(
         scenario_name=config.scenario.name, fixed=fixed, adaptive=adaptive
     )

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -264,6 +265,16 @@ class TestSimCommands:
         direct = sim.run(sim.load_config(str(cfg)))
         assert (out_dir / "energy.csv").read_text() == direct.energy_csv()
 
+    def test_run_applies_set_without_config(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys, "run", "--set", "node_count=3", "--set", "sim_length=2",
+            "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        direct = sim.run(sim.config_from_dict({"node_count": 3, "sim_length": 2}))
+        assert (out_dir / "energy.csv").read_text() == direct.energy_csv()
+
     def test_run_writes_trust_table(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"seed": 5, "node_count": 4, "group_count": 1, "sim_length": 4}')
@@ -306,6 +317,17 @@ class TestSimCommands:
         )
         assert code == cli.EXIT_INVALID
         assert "nonsense" in err
+
+    def test_compare_unsimulated_adversary_exits_invalid(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "compare", "--nodes", "4", "--groups", "1", "--frames", "2",
+            "--set", 'adversaries=[{"node": "5.1", "behavior": "captured"}]',
+            "--out-dir", str(tmp_path),
+        )
+        assert code == cli.EXIT_INVALID
+        assert err == "error: invalid: adversary 5.1 is not a simulated node\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_compare_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

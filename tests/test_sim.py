@@ -1,6 +1,9 @@
 import hmac
 import json
+import os
 import pathlib
+import threading
+import time
 from dataclasses import fields, replace
 
 import pytest
@@ -250,6 +253,141 @@ class TestSavings:
                         scenario=military())
         savings = sim.compare_fixed_vs_adaptive(cfg)
         assert savings.fixed.energy_csv() == savings.adaptive.energy_csv()
+
+
+def assert_same_run(got, want):
+    assert got.nodes == want.nodes
+    assert got.elections == want.elections
+    assert got.rekeys == want.rekeys
+    assert got.slot_log == want.slot_log
+    assert got.trust_tables == want.trust_tables
+    assert got.energy_csv() == want.energy_csv()
+    assert got.trust_csv() == want.trust_csv()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTwoArms:
+    """`compare_fixed_vs_adaptive` runs the fixed arm in a forked child
+    when it may; its report and its failures are those of running the two
+    arms in turn, and no child outlives the call."""
+
+    FORKS = int(sim._may_fork())
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        return count_calls(monkeypatch, sim.os, "fork")
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_forked_compare_equals_runs_in_process(self, forks, name):
+        config = sim.config_from_dict(GOLDEN_CONFIGS[name])
+        got = sim.compare_fixed_vs_adaptive(config)
+        assert forks[0] == self.FORKS
+        assert_no_child_left()
+        fixed = sim.run(replace(config, adaptive=False))
+        adaptive = sim.run(replace(config, adaptive=True))
+        assert_same_run(got.fixed, fixed)
+        assert_same_run(got.adaptive, adaptive)
+        want = sim.SavingsReport(config.scenario.name, fixed, adaptive)
+        assert got.savings_csv() == want.savings_csv()
+
+    def test_no_fork_beside_another_thread(self, forks):
+        config = sim.config_from_dict(GOLDEN_CONFIGS["habitat_replay_loss"])
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            got = sim.compare_fixed_vs_adaptive(config)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks[0] == 0
+        assert_same_run(got.fixed, sim.run(replace(config, adaptive=False)))
+        assert_same_run(got.adaptive, sim.run(replace(config, adaptive=True)))
+
+    def test_no_fork_on_one_cpu(self, monkeypatch, forks):
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 1)
+        config = sim.config_from_dict(GOLDEN_CONFIGS["agri_death"])
+        got = sim.compare_fixed_vs_adaptive(config)
+        assert forks[0] == 0
+        assert_same_run(got.fixed, sim.run(replace(config, adaptive=False)))
+
+    @pytest.mark.parametrize(
+        "exc", [ValueError("adversary 5.1 is not a simulated node"),
+                linksec.FormatError("wire shorter than its header")],
+        ids=["ValueError", "FormatError"],
+    )
+    def test_fixed_arm_exception_raised_again(self, monkeypatch, forks, exc):
+        real = sim.run
+
+        def failing_fixed_arm(config):  # a forked child inherits the patch
+            if not config.adaptive:
+                raise exc
+            return real(config)
+
+        monkeypatch.setattr(sim, "run", failing_fixed_arm)
+        config = sim.config_from_dict(GOLDEN_CONFIGS["agri_death"])
+        with pytest.raises(type(exc)) as raised:
+            sim.compare_fixed_vs_adaptive(config)
+        assert raised.type is type(exc)
+        assert str(raised.value) == str(exc)
+        assert forks[0] == self.FORKS
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("exc", [RuntimeError("caller arm"), KeyboardInterrupt()],
+                             ids=["RuntimeError", "KeyboardInterrupt"])
+    def test_caller_arm_exception_kills_the_child(self, monkeypatch, forks, exc):
+        """The caller's arm fails at once while the child would run for a
+        minute: the child is killed and reaped before the call returns."""
+        if not self.FORKS:
+            pytest.skip("compare runs its arms in turn on this host")
+        real = sim.run
+
+        def slow_fixed_arm(config):
+            if not config.adaptive:
+                time.sleep(60)
+                return real(config)
+            raise exc
+
+        monkeypatch.setattr(sim, "run", slow_fixed_arm)
+        config = sim.config_from_dict(GOLDEN_CONFIGS["agri_death"])
+        t0 = time.monotonic()
+        with pytest.raises(type(exc)):
+            sim.compare_fixed_vs_adaptive(config)
+        assert time.monotonic() - t0 < 30
+        assert forks[0] == 1
+        assert_no_child_left()
+
+    def test_child_without_a_reply_raises_child_process_error(self, monkeypatch, forks):
+        if not self.FORKS:
+            pytest.skip("compare runs its arms in turn on this host")
+        real = sim.run
+
+        def dying_fixed_arm(config):
+            if not config.adaptive:
+                os._exit(7)
+            return real(config)
+
+        monkeypatch.setattr(sim, "run", dying_fixed_arm)
+        config = sim.config_from_dict(GOLDEN_CONFIGS["agri_death"])
+        with pytest.raises(ChildProcessError, match="wait status"):
+            sim.compare_fixed_vs_adaptive(config)
+        assert forks[0] == 1
+        assert_no_child_left()
+
+    def test_child_flushes_no_buffer_of_the_caller(self, tmp_path):
+        path = tmp_path / "buffered.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("written once")
+            sim.compare_fixed_vs_adaptive(
+                sim.config_from_dict(GOLDEN_CONFIGS["agri_death"])
+            )
+        assert path.read_text() == "written once"
 
 
 class TestAdversaries:
@@ -699,11 +837,20 @@ class TestObservationViews:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     def test_seal_hint_changes_no_output(self, monkeypatch, name):
         """Both arms of every golden give the same output when no listener
-        gets the sealer's hint, so every open runs the cipher."""
+        gets the sealer's hint, so every open runs the cipher. The opens
+        are counted on both arms run by `sim.run` in this process: the
+        counter cannot see an arm that `compare_fixed_vs_adaptive` forks."""
         config = sim.config_from_dict(GOLDEN_CONFIGS[name])
         opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
+
+        def opens_of_both_arms():
+            before = opens[0]
+            for adaptive in (False, True):
+                sim.run(replace(config, adaptive=adaptive))
+            return opens[0] - before
+
         hinted = sim.compare_fixed_vs_adaptive(config)
-        hinted_opens = opens[0]
+        hinted_opens = opens_of_both_arms()
         decode_parsed = sim.linksec.decode_parsed
 
         def unhinted(*args, sealed=None):
@@ -711,7 +858,7 @@ class TestObservationViews:
 
         monkeypatch.setattr(sim.linksec, "decode_parsed", unhinted)
         stripped = sim.compare_fixed_vs_adaptive(config)
-        assert opens[0] - hinted_opens > hinted_opens
+        assert opens_of_both_arms() > hinted_opens
         for got, want in ((hinted.fixed, stripped.fixed),
                           (hinted.adaptive, stripped.adaptive)):
             assert got.nodes == want.nodes
