@@ -216,7 +216,6 @@ def decode(
     keyring: KeyRing,
     expected: CounterState,
     loss_threshold: int = DEFAULT_LOSS_THRESHOLD,
-    opened: Optional[dict] = None,
 ) -> bytes:
     """Verify and decrypt one wire packet, advancing `expected` on success.
 
@@ -228,23 +227,12 @@ def decode(
     single reconstructed counter is taken on faith when it advances, and
     freshness degrades to counter monotonicity alone.
 
-    `opened` is an optional memo the caller owns, for receivers that open
-    the same wire, such as the listeners of one broadcast. It maps every
-    input the open depends on, (wire, key, expected counter,
-    `loss_threshold`), to its outcome, so the wrap search and tag check run
-    once per distinct key and counter, and a dict reused across wires never
-    returns a wrong outcome. It changes no result: each call returns the
-    same payload, sets the same counter and raises the same exception class
-    with or without it.
-
     This is `parse_wire` followed by `decode_parsed`; a caller with many
     receivers of one wire can run the first once and the second per ring.
     """
     if loss_threshold < 0:
         raise ValueError("loss_threshold must be >= 0")
-    return decode_parsed(
-        wire, parse_wire(wire), keyring, expected, loss_threshold, opened
-    )
+    return decode_parsed(wire, parse_wire(wire), keyring, expected, loss_threshold)
 
 
 def parse_wire(wire: bytes) -> PacketHeader:
@@ -265,7 +253,6 @@ def decode_parsed(
     keyring: KeyRing,
     expected: CounterState,
     loss_threshold: int,
-    opened: Optional[dict],
     sealed: Optional[tuple[bytes, int, bytes]] = None,
 ) -> bytes:
     """The half of `decode` that depends on the receiver: the group check,
@@ -288,25 +275,9 @@ def decode_parsed(
             f"packet for group {header.group}, ring owner in {keyring.owner.group_id}"
         )
     key = _receiver_key(keyring, header.src, header.dest).data
-    if opened is None:
-        payload, expected.value = _open(
-            wire, header, key, expected.value, loss_threshold, sealed
-        )
-        return payload
-
-    memo = (wire, key, expected.value, loss_threshold)
-    outcome = opened.get(memo)
-    if outcome is None:
-        try:
-            outcome = _open(wire, header, key, expected.value, loss_threshold, sealed)
-        except DecodeError as exc:
-            outcome = (None, (type(exc), str(exc)))
-        opened[memo] = outcome
-    payload, result = outcome
-    if payload is None:
-        cls, message = result
-        raise cls(message)
-    expected.value = result
+    payload, expected.value = _open(
+        wire, header, key, expected.value, loss_threshold, sealed
+    )
     return payload
 
 

@@ -47,12 +47,11 @@ Model (desk scale, normative for the closed-form energy tests):
   open at the true key and counter always verifies and returns the
   plaintext. Every other open is real: wraps tried before the sealing
   counter, receivers under another key (a stale session, an excluded
-  member) and every replayed wire. The listeners of one transmission also
-  share a memo of opens, so an open under one key and counter runs once.
-  Every listener's energy, counters and outcome are as if it had opened
-  the wire itself. Honest simulator traffic therefore no longer runs the
-  decrypt core; the `codec` benchmark workload, acceptance criterion 3,
-  the packet vectors and the oracle tests keep decryption covered.
+  member) and every replayed wire. Every listener's energy, counters and
+  outcome are as if it had opened the wire itself. Honest simulator
+  traffic therefore no longer runs the decrypt core; the `codec` benchmark
+  workload, acceptance criterion 3, the packet vectors and the oracle
+  tests keep decryption covered.
 * Header-only listens: in a loss-free group whose every alive member has
   more battery left than one frame can spend, the non-destinations of a
   unicast are not debited one by one. The group counts the listen, and each
@@ -405,9 +404,7 @@ class _Simulation:
         (key, counter, plaintext) as a hint, so a listener under the sealing
         key opens it at the sealing counter from the seal's plaintext. Every
         other open is real: earlier wraps, other keys and replayed wires,
-        which carry no hint. The listeners share one `opened` memo for this
-        wire, so those that hold the same key and receive counter reuse the
-        first one's outcome."""
+        which carry no hint."""
         if not sender.alive:
             return {}
         # A unicast to anyone but the head rides the pair's pairwise key
@@ -466,7 +463,6 @@ class _Simulation:
             open_cost = self._crypto_cost(header.level, header.length)
         rx_cost = self.model.rx_per_octet * len(wire)
         decoded: dict[NodeAddress, bytes] = {}
-        opened: dict = {}  # one host-side open per (key, counter) of this wire
         for listener in listeners:
             if listener is sender:
                 continue
@@ -487,7 +483,7 @@ class _Simulation:
             try:
                 plain = linksec.decode_parsed(
                     wire, header, listener.ring, state,
-                    self.config.loss_threshold, opened, sealed=sealed,
+                    self.config.loss_threshold, sealed=sealed,
                 )
             except linksec.ReplayError:
                 listener.stats.replay_rejects += 1

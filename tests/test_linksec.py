@@ -160,18 +160,18 @@ class TestReplayAndRecovery:
             linksec.decode(wire, ring_head, rx)
 
 
-def _outcome(wire, ring, last, opened=None, loss_threshold=linksec.DEFAULT_LOSS_THRESHOLD):
+def _outcome(wire, ring, last, loss_threshold=linksec.DEFAULT_LOSS_THRESHOLD):
     """(payload or (exception class, message), receive counter afterwards)."""
     state = CounterState(last)
     try:
-        got = linksec.decode(wire, ring, state, loss_threshold, opened)
+        got = linksec.decode(wire, ring, state, loss_threshold)
     except linksec.DecodeError as exc:
         got = (type(exc), str(exc))
     return got, state.value
 
 
-def _memo_cases():
-    """name -> the (wire, ring, last counter) decodes one memo serves, in order."""
+def _decode_cases():
+    """name -> (wire, ring, last counter) decodes that cover every outcome."""
     ring_head, ring_src, ring_peer = make_rings()
     r8 = SecurityLevel(Encryption.RC5_R8, True)
     uplink = linksec.encode(r8, ring_src, CounterState(), HEAD.node_id, b"up")
@@ -204,60 +204,29 @@ def _memo_cases():
     }
 
 
-class TestOpenedMemo:
-    """`decode` with a shared `opened` memo returns what it returns without."""
-
-    @pytest.mark.parametrize("case", sorted(_memo_cases()))
-    def test_same_outcome_with_and_without_memo(self, case):
-        opened = {}
-        for wire, ring, last in _memo_cases()[case]:
-            alone = _outcome(wire, ring, last)
-            assert _outcome(wire, ring, last, opened) == alone
-            assert _outcome(wire, ring, last, opened) == alone  # a memo hit
-
-    def test_cases_cover_every_outcome(self):
-        got = {_outcome(*d)[0] for decodes in _memo_cases().values() for d in decodes}
-        kinds = {g[0] if isinstance(g, tuple) else bytes for g in got}
-        assert kinds == {bytes, AuthenticationError, ReplayError}
-        ahead, ring_head, _ = _memo_cases()["wrap_search"][0]
-        assert _outcome(ahead, ring_head, 0) == (b"late", 301)
-
-    def test_one_open_per_key_and_counter(self, monkeypatch):
-        calls = []
-        real_open = linksec.aead.open_
-        monkeypatch.setattr(
-            linksec.aead, "open_", lambda *a: calls.append(a[2]) or real_open(*a)
-        )
-        ring_head, ring_src, ring_peer = make_rings()
-        level = SecurityLevel(Encryption.RC5_R12, True)
-        wire = linksec.encode(level, ring_src, CounterState(), BROADCAST_NODE_ID, b"b")
-        opened = {}
-        for ring in (ring_head, ring_peer, ring_head):
-            assert linksec.decode(wire, ring, CounterState(), opened=opened) == b"b"
-        assert calls == [1]
-        with pytest.raises(ReplayError):
-            linksec.decode(wire, ring_peer, CounterState(1), opened=opened)
-        assert calls == [1, 1]
-
-
 class TestSplitDecode:
     """`decode` is `parse_wire` once per wire, then `decode_parsed` per ring."""
 
-    @pytest.mark.parametrize("case", sorted(_memo_cases()))
+    @pytest.mark.parametrize("case", sorted(_decode_cases()))
     def test_parsed_once_same_outcome(self, case):
-        opened = {}
-        for wire, ring, last in _memo_cases()[case]:
+        for wire, ring, last in _decode_cases()[case]:
             header = linksec.parse_wire(wire)
             assert header == PacketHeader.decode(wire)
-            for memo in (None, opened):
-                state = CounterState(last)
-                try:
-                    got = linksec.decode_parsed(
-                        wire, header, ring, state, linksec.DEFAULT_LOSS_THRESHOLD, memo
-                    )
-                except linksec.DecodeError as exc:
-                    got = (type(exc), str(exc))
-                assert (got, state.value) == _outcome(wire, ring, last)
+            state = CounterState(last)
+            try:
+                got = linksec.decode_parsed(
+                    wire, header, ring, state, linksec.DEFAULT_LOSS_THRESHOLD
+                )
+            except linksec.DecodeError as exc:
+                got = (type(exc), str(exc))
+            assert (got, state.value) == _outcome(wire, ring, last)
+
+    def test_cases_cover_every_outcome(self):
+        got = {_outcome(*d)[0] for decodes in _decode_cases().values() for d in decodes}
+        kinds = {g[0] if isinstance(g, tuple) else bytes for g in got}
+        assert kinds == {bytes, AuthenticationError, ReplayError}
+        ahead, ring_head, _ = _decode_cases()["wrap_search"][0]
+        assert _outcome(ahead, ring_head, 0) == (b"late", 301)
 
     def test_parse_wire_rejects_what_decode_rejects_on_format(self):
         ring_head, ring_src, _ = make_rings()
@@ -281,13 +250,13 @@ def _seal(level, ring, sent, dest, payload):
     return wire, (linksec._sender_key(ring, dest).data, state.value, payload)
 
 
-def _hinted(wire, ring, last, sealed, opened=None):
+def _hinted(wire, ring, last, sealed):
     """`_outcome` through `decode_parsed`, passing the seal hint `sealed`."""
     state = CounterState(last)
     try:
         got = linksec.decode_parsed(
             wire, linksec.parse_wire(wire), ring, state,
-            linksec.DEFAULT_LOSS_THRESHOLD, opened, sealed,
+            linksec.DEFAULT_LOSS_THRESHOLD, sealed,
         )
     except linksec.DecodeError as exc:
         got = (type(exc), str(exc))
@@ -379,15 +348,14 @@ class TestSealHint:
             st.integers(0, (1 << 32) - 2),
         ),
         lost=st.integers(-300, 1500),
-        memo=st.booleans(),
     )
-    def test_true_hint_changes_no_outcome(self, level, payload, sent, lost, memo):
+    def test_true_hint_changes_no_outcome(self, level, payload, sent, lost):
         """Any level and length, a receiver behind by `lost` packets (ahead
         when negative), counters up to 2**32 - 1: the hint changes nothing."""
         ring_head, ring_src, _ = make_rings()
         wire, sealed = _seal(level, ring_src, sent, HEAD.node_id, payload)
         last = min(max(sent - lost, 0), (1 << 32) - 1)
-        got = _hinted(wire, ring_head, last, sealed, {} if memo else None)
+        got = _hinted(wire, ring_head, last, sealed)
         assert got == _outcome(wire, ring_head, last)
 
 

@@ -612,6 +612,30 @@ class TestObservationViews:
         assert sum(s.replay_rejects for s in report.nodes.values()) > 0
         assert opens[0] > 0
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_real_opens_per_golden_arm(self, monkeypatch, name):
+        """The cipher opens of each arm, pinned. Every listener opens for
+        itself: `habitat_death_loss` makes 40 more per arm, and
+        `military_two_groups_loss` 50 more, than when the listeners of one
+        wire shared a memo of opens."""
+        pinned = {
+            "agri_captured_two_groups": (500, 500),
+            "agri_death": (0, 0),
+            "agri_listen_death_24": (0, 0),
+            "habitat_death_loss": (270, 275),
+            "habitat_election": (875, 875),
+            "habitat_replay_loss": (38, 38),
+            "military_two_groups_loss": (249, 249),
+        }
+        config = sim.config_from_dict(GOLDEN_CONFIGS[name])
+        opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
+        got = []
+        for adaptive in (False, True):
+            opens[0] = 0
+            sim.run(replace(config, adaptive=adaptive))
+            got.append(opens[0])
+        assert tuple(got) == pinned[name]
+
     @pytest.mark.parametrize(
         "config",
         [sim.config_from_dict(BIG_GROUP),
