@@ -189,7 +189,24 @@ def encode(
     group fields come from the keyring owner. A counter never wraps: at
     2**32 - 1 this raises CounterExhaustedError and leaves `counter_state`
     as it was, so the caller re-keys instead of reusing an OCB nonce.
+
+    This is `encode_header` followed by `seal_wire`.
     """
+    key, counter, header = encode_header(level, keyring, counter_state, dest, payload)
+    return seal_wire(key, level.encryption.rounds, counter, header, payload, level.auth)
+
+
+def encode_header(
+    level: SecurityLevel,
+    keyring: KeyRing,
+    counter_state: CounterState,
+    dest: int,
+    payload: bytes,
+) -> tuple[bytes, int, bytes]:
+    """The half of `encode` that runs no cipher: it checks the payload and
+    the counter, reserves the counter and builds the header. Returns the
+    sending key's bytes, the counter and the 5 header octets; raises as
+    `encode` does."""
     if len(payload) > MAX_PAYLOAD:
         raise ValueError(f"payload exceeds {MAX_PAYLOAD} octets")
     key = _sender_key(keyring, dest)
@@ -199,7 +216,7 @@ def encode(
         )
     counter = counter_state.value + 1
     counter_state.value = counter
-    aad = PacketHeader(
+    header = PacketHeader(
         group=keyring.owner.group_id,
         dest=dest,
         src=keyring.owner.node_id,
@@ -207,8 +224,46 @@ def encode(
         level=level,
         counter_lsb=counter & 0xFF,
     ).encode()
-    ct, mac = aead.seal(key.data, level.encryption.rounds, counter, aad, payload, level.auth)
-    return aad + ct + (mac or b"")
+    return key.data, counter, header
+
+
+def seal_wire(
+    key: bytes, rounds: int, counter: int, header: bytes, payload: bytes, auth: bool
+) -> bytes:
+    """The half of `encode` that seals: header, ciphertext and tag."""
+    ct, mac = aead.seal(key, rounds, counter, header, payload, auth)
+    return header + ct + (mac or b"")
+
+
+@dataclass(eq=False, slots=True)
+class PendingWire:
+    """A wire whose seal has not run yet: the arguments of `seal_wire`.
+
+    `len()` is the wire's size, and `parse_wire` reads its header, without
+    sealing. `bytes()` and indexing read the bytes: the first read seals,
+    and every read sees the same bytes. Sealing late is exact, because a
+    seal is a pure function of its inputs."""
+
+    key: bytes
+    rounds: int
+    counter: int
+    header: bytes
+    payload: bytes
+    auth: bool
+    _wire: Optional[bytes] = field(default=None, init=False, repr=False)
+
+    def __len__(self) -> int:
+        return wire_size(len(self.payload), self.auth)
+
+    def __bytes__(self) -> bytes:
+        if self._wire is None:
+            self._wire = seal_wire(
+                self.key, self.rounds, self.counter, self.header, self.payload, self.auth
+            )
+        return self._wire
+
+    def __getitem__(self, index: int | slice) -> int | bytes:
+        return bytes(self)[index]
 
 
 def decode(
@@ -235,11 +290,13 @@ def decode(
     return decode_parsed(wire, parse_wire(wire), keyring, expected, loss_threshold)
 
 
-def parse_wire(wire: bytes) -> PacketHeader:
+def parse_wire(wire: bytes | PendingWire) -> PacketHeader:
     """The half of `decode` that depends on the wire alone: its header,
     checked against the reserved lengths and the wire's size. Raises
-    FormatError."""
-    header = PacketHeader.decode(wire)
+    FormatError. A pending wire is not sealed."""
+    header = PacketHeader.decode(
+        wire.header if isinstance(wire, PendingWire) else wire
+    )
     if header.length > MAX_PAYLOAD:
         raise FormatError(f"length {header.length} is reserved-invalid")
     if len(wire) != wire_size(header.length, header.level.auth):
@@ -248,7 +305,7 @@ def parse_wire(wire: bytes) -> PacketHeader:
 
 
 def decode_parsed(
-    wire: bytes,
+    wire: bytes | PendingWire,
     header: PacketHeader,
     keyring: KeyRing,
     expected: CounterState,
@@ -269,7 +326,9 @@ def decode_parsed(
     the hinted candidate as to any other, so the outcome and `expected` are
     the same with or without the hint. The hint must be the true seal of
     `wire`. `decode` never passes one: a receiver that did not seal the wire
-    has only the wire."""
+    has only the wire.
+
+    A `PendingWire` is sealed only when a real open needs its bytes."""
     if header.group != keyring.owner.group_id:
         raise AuthenticationError(
             f"packet for group {header.group}, ring owner in {keyring.owner.group_id}"
@@ -282,7 +341,7 @@ def decode_parsed(
 
 
 def _open(
-    wire: bytes,
+    wire: bytes | PendingWire,
     header: PacketHeader,
     key: bytes,
     last: int,
@@ -293,20 +352,18 @@ def _open(
     counter), or a DecodeError. Reads nothing but its arguments. A
     candidate equal to the `sealed` hint's counter, under its key, is
     answered by its plaintext (see `decode_parsed`)."""
-    ct = wire[HEADER_BYTES : HEADER_BYTES + header.length]
-    mac = wire[HEADER_BYTES + header.length :] if header.level.auth else None
-    aad = wire[:HEADER_BYTES]
     rounds = header.level.encryption.rounds
-
     next_expected = (last + 1) & ((1 << COUNTER_BITS) - 1)
     base = (next_expected & ~0xFF) | header.counter_lsb
 
     if header.level.auth:
+        parts = None
         for wrap in range(loss_threshold + 1):
             candidate = (base + (wrap << 8)) & ((1 << COUNTER_BITS) - 1)
             if sealed is not None and candidate == sealed[1] and key == sealed[0]:
                 payload = sealed[2]
             else:
+                aad, ct, mac = parts = parts or _split(wire, header)
                 payload = aead.open_(key, rounds, candidate, aad, ct, mac, True)
             if payload is not None:
                 if candidate <= last:
@@ -322,7 +379,19 @@ def _open(
         raise ReplayError(f"counter {base} not beyond {last}")
     if sealed is not None and base == sealed[1] and key == sealed[0]:
         return sealed[2], base
+    aad, ct, _ = _split(wire, header)
     return aead.open_(key, rounds, base, aad, ct, None, False), base
+
+
+def _split(
+    wire: bytes | PendingWire, header: PacketHeader
+) -> tuple[bytes, bytes, Optional[bytes]]:
+    """(header octets, ciphertext, tag or None) of `wire`, which seals a
+    pending wire."""
+    data = bytes(wire)
+    end = HEADER_BYTES + header.length
+    tag = data[end:] if header.level.auth else None
+    return data[:HEADER_BYTES], data[HEADER_BYTES:end], tag
 
 
 def dissect(wire: bytes) -> dict:

@@ -40,18 +40,22 @@ Model (desk scale, normative for the closed-form energy tests):
   row. A node that dies keeps a frozen copy of what it had seen. Lossy or
   partial observation would need one table per observer again.
 * Reception: every destination listener is charged a full open's receive
-  and crypto energy, and the simulator keeps a separate receive counter
-  per listener and direction. On the host, honest wires are opened from
-  the seal's own plaintext: a listener holding the sealing key gets it at
-  the sealing counter with no block pass, which is exact because an OCB
-  open at the true key and counter always verifies and returns the
-  plaintext. Every other open is real: wraps tried before the sealing
-  counter, receivers under another key (a stale session, an excluded
-  member) and every replayed wire. Every listener's energy, counters and
-  outcome are as if it had opened the wire itself. Honest simulator
-  traffic therefore no longer runs the decrypt core; the `codec` benchmark
-  workload, acceptance criterion 3, the packet vectors and the oracle
-  tests keep decryption covered.
+  and crypto energy, every sender a full seal's, and the simulator keeps a
+  separate receive counter per listener and direction. On the host, an
+  honest wire is a `linksec.PendingWire`: its counter is reserved and its
+  header built, but it is sealed only when something reads its bytes, a
+  real open or a replayer's retransmission. Listeners open it from the
+  seal's own plaintext: one holding the sealing key gets it at the sealing
+  counter with no block pass, which is exact because an OCB open at the
+  true key and counter always verifies and returns the plaintext. Every
+  other open is real: wraps tried before the sealing counter, receivers
+  under another key (a stale session, an excluded member) and every
+  replayed wire. A late seal is exact too, since a seal is a pure function
+  of its inputs, so every listener's energy, counters and outcome are as
+  if the wire had been sealed and opened for real. Honest simulator
+  traffic therefore runs no cipher at all; the `codec` benchmark workload,
+  acceptance criteria 3 and 8, the packet vectors, the oracle tests and
+  criterion 6 (real opens under stale session keys) keep it covered.
 * Header-only listens: in a loss-free group whose every alive member has
   more battery left than one frame can spend, the non-destinations of a
   unicast are not debited one by one. The group counts the listen, and each
@@ -141,7 +145,7 @@ class _Node:
         self.stats = NodeStats(address=addr)
         self.model = config.energy_model
         self.adversary: Optional[AdversarySpec] = None
-        self.captured_wire: Optional[tuple[bytes, int]] = None  # (wire, dest)
+        self.captured_wire: Optional[tuple[linksec.PendingWire, int]] = None  # (wire, dest)
         self.out_ctr: dict[int, CounterState] = {}
         self.in_ctr: dict[tuple[int, int], CounterState] = {}
 
@@ -281,14 +285,17 @@ class _Simulation:
                 n for n in group.nodes
                 if n.adversary is not None and n.adversary.behavior == "replay-attacker"
             ]
+        # One seal's or open's crypto energy, by level code and payload length.
+        self.crypto_costs = [
+            [_crypto_energy(self.model, level, n) for n in range(linksec.MAX_PAYLOAD + 1)]
+            for level in (SecurityLevel(enc, auth) for enc in Encryption for auth in (False, True))
+        ]
         # The most one packet can charge a node: the largest wire's radio and
         # the dearest open or seal.
         self.packet_spend = max(
             self.model.tx_per_octet, self.model.rx_per_octet
         ) * linksec.wire_size(linksec.MAX_PAYLOAD, True) + max(
-            self._crypto_cost(SecurityLevel(enc, auth), linksec.MAX_PAYLOAD)
-            for enc in Encryption
-            for auth in (False, True)
+            costs[linksec.MAX_PAYLOAD] for costs in self.crypto_costs
         )
         self.elections: list[ElectionEvent] = []
         self.rekeys: list[RekeyEvent] = []
@@ -328,22 +335,14 @@ class _Simulation:
         b.ring.pairwise[a.addr] = key
 
     def _decide(self, sender: _Node, pclass: PacketClass) -> SecurityLevel:
-        if not self.config.adaptive:
-            return self.config.scenario.fixed_level
-        return sender.agent.decide(pclass)
+        # Key material takes the agent's rule in both arms: a session key
+        # always ships at the strongest level, with a tag.
+        if self.config.adaptive or pclass is PacketClass.KEY_MATERIAL:
+            return sender.agent.decide(pclass)
+        return self.config.scenario.fixed_level
 
     def _crypto_cost(self, level: SecurityLevel, payload_len: int) -> float:
-        if level.encryption is Encryption.XOR:
-            cost = self.model.xor_per_octet * payload_len
-        else:
-            cost = (
-                self.model.rc5_per_block_per_round
-                * level.encryption.rounds
-                * aead.rc5_invocations(payload_len, level.auth)
-            )
-        if level.auth:
-            cost += self.model.mac_fixed
-        return cost
+        return self.crypto_costs[(level.encryption << 1) | level.auth][payload_len]
 
     def _alive_members(self, group: _Group) -> list[_Node]:
         if group.deaths_seen != group.channel.deaths:
@@ -389,7 +388,7 @@ class _Simulation:
         dest: int,
         pclass: PacketClass,
         payload: bytes,
-        replayed_wire: Optional[bytes] = None,
+        replayed_wire: Optional[bytes | linksec.PendingWire] = None,
     ) -> dict[NodeAddress, bytes]:
         """One on-air transmission: energy, trust observations, deliveries.
 
@@ -399,14 +398,17 @@ class _Simulation:
         receiver.
 
         Every destination listener is charged a full open's receive and
-        crypto energy and runs its own decode, as each mote does. The host
-        parses the header once per wire and passes an honest wire's seal
-        (key, counter, plaintext) as a hint, so a listener under the sealing
-        key opens it at the sealing counter from the seal's plaintext. Every
-        other open is real: earlier wraps, other keys and replayed wires,
-        which carry no hint."""
+        crypto energy and runs its own decode, as each mote does. An honest
+        wire is a `linksec.PendingWire`, sealed only when a real open or a
+        replayer reads its bytes. The host parses the header once per wire
+        and passes the seal (key, counter, plaintext) as a hint, so a
+        listener under the sealing key opens it at the sealing counter from
+        the plaintext. Every other open is real: earlier wraps, other keys
+        and replayed wires, which carry no hint."""
         if not sender.alive:
             return {}
+        if replayed_wire is not None:
+            replayed_wire = bytes(replayed_wire)  # seals a captured pending wire
         # A unicast to anyone but the head rides the pair's pairwise key
         # (see `linksec._sender_key` and `_receiver_key`); a replayed wire's
         # source is its header's.
@@ -417,15 +419,17 @@ class _Simulation:
             slot = group.next_slot
             group.next_slot += 1
             level = self._decide(sender, pclass)
-            counter = sender.counter_to(dest)
-            wire = linksec.encode(level, sender.ring, counter, dest, payload)
-            sealed = (
-                linksec._sender_key(sender.ring, dest).data, counter.value, payload
+            key, counter, aad = linksec.encode_header(
+                level, sender.ring, sender.counter_to(dest), dest, payload
             )
+            wire = linksec.PendingWire(
+                key, level.encryption.rounds, counter, aad, payload, level.auth
+            )
+            sealed = (key, counter, payload)
             sender.debit("crypto", self._crypto_cost(level, len(payload)))
         else:
-            # Verbatim retransmission of captured bytes: no sealing work,
-            # and nothing known of the seal, so every open is a real one.
+            # Verbatim retransmission: no sealing work, and nothing known of
+            # the seal, so every open is a real one.
             slot = max(group.next_slot - 1, 0)
             wire = replayed_wire
             sealed = None
@@ -503,7 +507,7 @@ class _Simulation:
                         listener.stats.bcast_ok_after_rekey += 1
         self._apply_events(group, events)
 
-        # Replay attackers squirrel away the latest sensed-data wire bytes.
+        # Replay attackers squirrel away the latest sensed-data wire.
         if pclass is PacketClass.SENSED_DATA and replayed_wire is None:
             for node in group.replayers:
                 if node.alive and node is not sender:
@@ -742,6 +746,21 @@ class _Simulation:
             trust_tables={addr: node.view() for addr, node in self.nodes.items()},
             slot_log=self.slot_log,
         )
+
+
+def _crypto_energy(model: EnergyModel, level: SecurityLevel, payload_len: int) -> float:
+    """The crypto energy of one seal or open of `payload_len` octets."""
+    if level.encryption is Encryption.XOR:
+        cost = model.xor_per_octet * payload_len
+    else:
+        cost = (
+            model.rc5_per_block_per_round
+            * level.encryption.rounds
+            * aead.rc5_invocations(payload_len, level.auth)
+        )
+    if level.auth:
+        cost += model.mac_fixed
+    return cost
 
 
 def run(config: SimConfig) -> SimReport:

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from collections import Counter
 
@@ -161,6 +163,8 @@ def test_int_core_matches_oracle(rounds):
 
 def test_setup_is_the_one_schedule_cache(monkeypatch):
     # A re-keying run expands each (key, rounds) schedule once, in aead._setup.
+    # Honest simulator wires are never sealed, so the run is a golden whose
+    # replays and lost packets still run the cipher.
     assert not hasattr(rc5.key_schedule, "cache_info")
     calls = Counter()
     expand = rc5.key_schedule
@@ -171,10 +175,8 @@ def test_setup_is_the_one_schedule_cache(monkeypatch):
 
     monkeypatch.setattr(rc5, "key_schedule", counted)
     aead._setup.cache_clear()
-    config = sim.config_from_dict(
-        {"seed": 7, "node_count": 6, "group_count": 1, "sim_length": 12,
-         "session_length": 10, "scenario": "habitat-monitoring"}
-    )
+    goldens = pathlib.Path(__file__).parent / "vectors" / "sim_golden" / "configs.json"
+    config = sim.config_from_dict(json.loads(goldens.read_text())["habitat_replay_loss"])
     report = sim.run(config)
     assert report.rekeys
     assert calls and set(calls.values()) == {1}

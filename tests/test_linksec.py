@@ -73,6 +73,56 @@ class TestWireLayout:
             assert wire.hex() == wire_hex
 
 
+def _vector_rows():
+    """(level, dest, counter before, payload, wire) of each pinned vector."""
+    for line in VECTORS.read_text().splitlines():
+        if not line or line.startswith("#"):
+            continue
+        enc, auth, dest, last, payload_hex, wire_hex = line.split()
+        level = SecurityLevel(Encryption(int(enc)), bool(int(auth)))
+        payload = b"" if payload_hex == "-" else bytes.fromhex(payload_hex)
+        yield level, int(dest), int(last), payload, bytes.fromhex(wire_hex)
+
+
+class TestSplitEncode:
+    @pytest.mark.parametrize("level", ALL_LEVELS, ids=str)
+    def test_encode_is_header_then_seal(self, monkeypatch, level):
+        """On every vector's inputs at `level`, `encode` is `encode_header`
+        then `seal_wire`, and a `PendingWire` of those inputs has the wire's
+        size and header before any seal runs and its bytes after. Where the
+        vector is at `level` (every level but RC5_R8 without auth has one),
+        the bytes are the pinned ones."""
+        seals = []
+        real_seal = linksec.aead.seal
+        monkeypatch.setattr(
+            linksec.aead, "seal", lambda *a: seals.append(a) or real_seal(*a)
+        )
+        _, ring_src, _ = make_rings()
+        pinned = 0
+        for vector_level, dest, last, payload, vector in _vector_rows():
+            state = CounterState(last)
+            key, counter, header = linksec.encode_header(
+                level, ring_src, state, dest, payload
+            )
+            assert state.value == counter == last + 1
+            args = (key, level.encryption.rounds, counter, header, payload, level.auth)
+            pending = linksec.PendingWire(*args)
+            del seals[:]
+            wire = linksec.encode(level, ring_src, CounterState(last), dest, payload)
+            assert len(seals) == 1
+            assert len(pending) == len(wire)
+            assert linksec.parse_wire(pending) == linksec.parse_wire(wire)
+            assert len(seals) == 1
+            assert linksec.seal_wire(*args) == bytes(pending) == wire
+            assert bytes(pending) is bytes(pending) and pending[2] == wire[2]
+            assert len(seals) == 3
+            if vector_level == level:
+                assert wire == vector
+                pinned += 1
+        no_vector = SecurityLevel(Encryption.RC5_R8, False)
+        assert pinned > 0 or level == no_vector
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("level", ALL_LEVELS)
     def test_member_to_head(self, level):

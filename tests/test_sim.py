@@ -10,7 +10,7 @@ import pytest
 
 from wsnsec import keys, linksec, sim
 from wsnsec.addressing import BROADCAST_NODE_ID, NodeAddress
-from wsnsec.agent import PacketClass, default_policy
+from wsnsec.agent import LEVEL_STRONGEST, PacketClass, default_policy
 from wsnsec.keys import SymmetricKey, derive_keyring
 from wsnsec.linksec import CounterState, Encryption, SecurityLevel
 from wsnsec.sim import AdversarySpec, EnergyModel, SimConfig
@@ -247,6 +247,38 @@ class TestSavings:
         assert results["agricultural-farming"] > results["habitat-monitoring"]
         assert results["habitat-monitoring"] > results["military-surveillance"]
         assert abs(results["military-surveillance"]) < 1e-9
+
+    def test_untagged_fixed_level_still_tags_key_material(self, monkeypatch):
+        """A custom fixed arm that sends XOR without a tag still delivers
+        each session key at the strongest level, with a tag."""
+        config = sim.config_from_dict({
+            "adaptive": False, "node_count": 4, "group_count": 1,
+            "session_length": 15, "sim_length": 31,
+            "scenario": {"base_level": {"encryption": 0, "auth": True},
+                         "fixed_level": {"encryption": 0, "auth": False}},
+        })
+        headers, classes = [], []
+        parse_wire = linksec.parse_wire
+        transmit = sim._Simulation._transmit
+
+        def recording_headers(wire):
+            headers.append(parse_wire(wire))
+            return headers[-1]
+
+        def recording_classes(self, group, frame, sender, dest, pclass, *args):
+            on_air = len(self.slot_log)
+            decoded = transmit(self, group, frame, sender, dest, pclass, *args)
+            classes.extend([pclass] * (len(self.slot_log) - on_air))
+            return decoded
+
+        monkeypatch.setattr(linksec, "parse_wire", recording_headers)
+        monkeypatch.setattr(sim._Simulation, "_transmit", recording_classes)
+        report = sim.run(config)
+        assert len(report.rekeys) == 2 and len(headers) == len(classes)
+        levels = {(pclass is PacketClass.KEY_MATERIAL, h.level)
+                  for h, pclass in zip(headers, classes)}
+        assert levels == {(True, LEVEL_STRONGEST),
+                          (False, SecurityLevel(Encryption.XOR, False))}
 
     def test_military_arms_identical(self):
         cfg = SimConfig(seed=8, node_count=6, group_count=1, sim_length=30,
@@ -638,20 +670,96 @@ class TestObservationViews:
 
     @pytest.mark.parametrize(
         "config",
-        [sim.config_from_dict(BIG_GROUP),
-         SimConfig(seed=1, node_count=20, group_count=2, sim_length=51,
-                   session_length=50, scenario=military())],
-        ids=["big_group", "savings_military"],
+        [sim.config_from_dict(BIG_GROUP)] + [
+            SimConfig(seed=1, node_count=20, group_count=2, sim_length=51,
+                      session_length=50, scenario=default_policy(name))
+            for name in sim.SCENARIO_NAMES
+        ],
+        ids=["big_group", "savings_military", "savings_habitat", "savings_agriculture"],
     )
-    def test_one_seal_and_no_open_per_honest_wire(self, monkeypatch, config):
-        """The benchmark's honest workloads seal each on-air wire once and
-        open none with the cipher."""
+    def test_no_seal_and_no_open_per_honest_wire(self, monkeypatch, config):
+        """The benchmark's honest workloads, each arm run in process, run no
+        cipher: no wire is sealed, and every open is answered by the seal's
+        plaintext."""
         seals = count_calls(monkeypatch, sim.linksec.aead, "seal")
         opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
-        report = sim.run(config)
-        assert all(s.alive and s.auth_rejects == s.replay_rejects == 0
-                   for s in report.nodes.values())
-        assert seals[0] == len(report.slot_log) and opens[0] == 0
+        for adaptive in (False, True):
+            report = sim.run(replace(config, adaptive=adaptive))
+            assert report.slot_log
+            assert all(s.alive and s.auth_rejects == s.replay_rejects == 0
+                       for s in report.nodes.values())
+        assert seals[0] == opens[0] == 0
+
+    def test_seals_exactly_the_wires_that_are_read(self, monkeypatch):
+        """With replays and loss, a wire is sealed once if a real open or a
+        replayer's retransmission reads it, and never otherwise."""
+        seals = count_calls(monkeypatch, sim.linksec.aead, "seal")
+        sealed, opened, replayed = [], set(), []
+        seal_wire, open_ = linksec.seal_wire, linksec.aead.open_
+        transmit = sim._Simulation._transmit
+
+        def recording_seal(*args):
+            sealed.append(seal_wire(*args))
+            return sealed[-1]
+
+        def recording_open(key, rounds, counter, aad, ct, tag, auth):
+            opened.add(aad + ct + (tag or b""))
+            return open_(key, rounds, counter, aad, ct, tag, auth)
+
+        def recording_replays(self, group, frame, sender, dest, pclass, payload,
+                              replayed_wire=None):
+            if replayed_wire is not None and sender.alive:
+                replayed.append(replayed_wire)
+            return transmit(self, group, frame, sender, dest, pclass, payload,
+                            replayed_wire)
+
+        monkeypatch.setattr(linksec, "seal_wire", recording_seal)
+        monkeypatch.setattr(linksec.aead, "open_", recording_open)
+        monkeypatch.setattr(sim._Simulation, "_transmit", recording_replays)
+        config = sim.config_from_dict(GOLDEN_CONFIGS["habitat_replay_loss"])
+        for adaptive in (False, True):
+            sim.run(replace(config, adaptive=adaptive))
+        assert opened and replayed
+        assert seals[0] == len(sealed) == len(set(sealed))
+        assert set(sealed) == opened | {bytes(wire) for wire in replayed}
+        assert seals[0] == len(sealed)
+
+    def test_replayer_retransmits_what_encode_makes(self, monkeypatch):
+        """A replayer captures a pending wire. The bytes it puts on air are
+        those that `linksec.encode` makes from the same ring and counter."""
+        encoded = {}  # (key, counter, header) -> the wire `encode` makes
+
+        class Recording:
+            """`sim`'s view of `linksec`, recording what `encode` makes."""
+
+            def __getattr__(self, name):
+                return getattr(linksec, name)
+
+            def encode_header(self, level, ring, state, dest, payload):
+                wire = linksec.encode(level, ring, CounterState(state.value), dest, payload)
+                made = linksec.encode_header(level, ring, state, dest, payload)
+                encoded[made] = wire
+                return made
+
+        replays = []
+        transmit = sim._Simulation._transmit
+
+        def recording_replays(self, group, frame, sender, dest, pclass, payload,
+                              replayed_wire=None):
+            decoded = transmit(self, group, frame, sender, dest, pclass, payload,
+                               replayed_wire)
+            if replayed_wire is not None and sender.alive:
+                replays.append(replayed_wire)
+            return decoded
+
+        monkeypatch.setattr(sim, "linksec", Recording())
+        monkeypatch.setattr(sim._Simulation, "_transmit", recording_replays)
+        for name in ("habitat_replay_loss", "military_two_groups_loss"):
+            sim.run(sim.config_from_dict(GOLDEN_CONFIGS[name]))
+        assert replays
+        for wire in replays:
+            assert isinstance(wire, linksec.PendingWire)
+            assert bytes(wire) == encoded[wire.key, wire.counter, wire.header]
 
     @pytest.mark.parametrize("members", [8, 32])
     def test_setup_hashes_each_ring_entry_at_most_twice(self, monkeypatch, members):
@@ -889,6 +997,48 @@ class TestObservationViews:
             assert got.energy_csv() == want.energy_csv()
             assert got.trust_csv() == want.trust_csv()
         assert hinted.savings_csv() == stripped.savings_csv()
+
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_seal_on_demand_changes_no_output(self, monkeypatch, name):
+        """Both arms of every golden give the same output when a test-side
+        wrapper seals every pending wire as it is made, and every wire that
+        the lazy run sealed has the bytes of the eager run's seal."""
+        config = sim.config_from_dict(GOLDEN_CONFIGS[name])
+        sealed = {}  # seal inputs -> wire, for every seal of a run
+        seal_wire = linksec.seal_wire
+
+        def recording(*args):
+            sealed[args] = seal_wire(*args)
+            return sealed[args]
+
+        class SealedAtOnce(linksec.PendingWire):
+            def __init__(self, *args):
+                super().__init__(*args)
+                bytes(self)
+
+        def both_arms():
+            """Each arm's report and the wires sealed in it."""
+            for adaptive in (False, True):
+                sealed.clear()
+                yield sim.run(replace(config, adaptive=adaptive)), dict(sealed)
+
+        monkeypatch.setattr(linksec, "seal_wire", recording)
+        lazy = list(both_arms())
+        monkeypatch.setattr(linksec, "PendingWire", SealedAtOnce)
+        eager = list(both_arms())
+        for (got, got_wires), (want, want_wires) in zip(lazy, eager):
+            assert len(want_wires) == sum(honest for *_, honest in want.slot_log)
+            assert got_wires.items() <= want_wires.items()
+            assert got.nodes == want.nodes
+            assert got.slot_log == want.slot_log
+            assert got.energy_csv() == want.energy_csv()
+            assert got.trust_csv() == want.trust_csv()
+        savings = [
+            sim.SavingsReport(config.scenario.name, fixed, adaptive)
+            for (fixed, _), (adaptive, _) in (lazy, eager)
+        ]
+        assert savings[0].savings_csv() == savings[1].savings_csv()
 
 
 class TestConfigLoading:
