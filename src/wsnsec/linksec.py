@@ -89,8 +89,9 @@ class PacketHeader:
     counter_lsb: int
 
     def encode(self) -> bytes:
-        packed = (self.length << 3) | (self.level.encryption << 1) | int(self.level.auth)
-        return bytes((self.group, self.dest, self.src, packed, self.counter_lsb))
+        return _pack_header(
+            self.group, self.dest, self.src, self.length, self.level, self.counter_lsb
+        )
 
     @classmethod
     def decode(cls, data: bytes) -> "PacketHeader":
@@ -105,6 +106,13 @@ class PacketHeader:
             level=_LEVELS[packed & 0x7],
             counter_lsb=data[4],
         )
+
+
+def _pack_header(
+    group: int, dest: int, src: int, length: int, level: SecurityLevel, counter_lsb: int
+) -> bytes:
+    packed = (length << 3) | (level.encryption << 1) | int(level.auth)
+    return bytes((group, dest, src, packed, counter_lsb))
 
 
 class DecodeError(Exception):
@@ -216,14 +224,10 @@ def encode_header(
         )
     counter = counter_state.value + 1
     counter_state.value = counter
-    header = PacketHeader(
-        group=keyring.owner.group_id,
-        dest=dest,
-        src=keyring.owner.node_id,
-        length=len(payload),
-        level=level,
-        counter_lsb=counter & 0xFF,
-    ).encode()
+    owner = keyring.owner
+    header = _pack_header(
+        owner.group_id, dest, owner.node_id, len(payload), level, counter & 0xFF
+    )
     return key.data, counter, header
 
 
@@ -326,9 +330,7 @@ def decode_parsed(
     the hinted candidate as to any other, so the outcome and `expected` are
     the same with or without the hint. The hint must be the true seal of
     `wire`. `decode` never passes one: a receiver that did not seal the wire
-    has only the wire.
-
-    A `PendingWire` is sealed only when a real open needs its bytes."""
+    has only the wire. A `PendingWire` is sealed only for a real open."""
     if header.group != keyring.owner.group_id:
         raise AuthenticationError(
             f"packet for group {header.group}, ring owner in {keyring.owner.group_id}"
@@ -357,13 +359,17 @@ def _open(
     base = (next_expected & ~0xFF) | header.counter_lsb
 
     if header.level.auth:
-        parts = None
+        ct = None
         for wrap in range(loss_threshold + 1):
             candidate = (base + (wrap << 8)) & ((1 << COUNTER_BITS) - 1)
             if sealed is not None and candidate == sealed[1] and key == sealed[0]:
                 payload = sealed[2]
             else:
-                aad, ct, mac = parts = parts or _split(wire, header)
+                if ct is None:  # the first real open reads, so seals, the bytes
+                    data = bytes(wire)
+                    aad, ct, mac = (
+                        data[:HEADER_BYTES], data[HEADER_BYTES:-MAC_BYTES], data[-MAC_BYTES:]
+                    )
                 payload = aead.open_(key, rounds, candidate, aad, ct, mac, True)
             if payload is not None:
                 if candidate <= last:
@@ -379,19 +385,9 @@ def _open(
         raise ReplayError(f"counter {base} not beyond {last}")
     if sealed is not None and base == sealed[1] and key == sealed[0]:
         return sealed[2], base
-    aad, ct, _ = _split(wire, header)
-    return aead.open_(key, rounds, base, aad, ct, None, False), base
-
-
-def _split(
-    wire: bytes | PendingWire, header: PacketHeader
-) -> tuple[bytes, bytes, Optional[bytes]]:
-    """(header octets, ciphertext, tag or None) of `wire`, which seals a
-    pending wire."""
     data = bytes(wire)
-    end = HEADER_BYTES + header.length
-    tag = data[end:] if header.level.auth else None
-    return data[:HEADER_BYTES], data[HEADER_BYTES:end], tag
+    ct = data[HEADER_BYTES:]
+    return aead.open_(key, rounds, base, data[:HEADER_BYTES], ct, None, False), base
 
 
 def dissect(wire: bytes) -> dict:

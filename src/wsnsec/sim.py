@@ -285,10 +285,13 @@ class _Simulation:
                 n for n in group.nodes
                 if n.adversary is not None and n.adversary.behavior == "replay-attacker"
             ]
-        # One seal's or open's crypto energy, by level code and payload length.
+        # One seal's or open's crypto energy, by the level's wire code
+        # (encryption << 1 | auth) and the payload length.
         self.crypto_costs = [
-            [_crypto_energy(self.model, level, n) for n in range(linksec.MAX_PAYLOAD + 1)]
-            for level in (SecurityLevel(enc, auth) for enc in Encryption for auth in (False, True))
+            [_crypto_energy(self.model, SecurityLevel(enc, auth), n)
+             for n in range(linksec.MAX_PAYLOAD + 1)]
+            for enc in Encryption
+            for auth in (False, True)
         ]
         # The most one packet can charge a node: the largest wire's radio and
         # the dearest open or seal.
@@ -407,8 +410,6 @@ class _Simulation:
         and replayed wires, which carry no hint."""
         if not sender.alive:
             return {}
-        if replayed_wire is not None:
-            replayed_wire = bytes(replayed_wire)  # seals a captured pending wire
         # A unicast to anyone but the head rides the pair's pairwise key
         # (see `linksec._sender_key` and `_receiver_key`); a replayed wire's
         # source is its header's.
@@ -428,10 +429,11 @@ class _Simulation:
             sealed = (key, counter, payload)
             sender.debit("crypto", self._crypto_cost(level, len(payload)))
         else:
-            # Verbatim retransmission: no sealing work, and nothing known of
-            # the seal, so every open is a real one.
+            # Verbatim retransmission of the captured bytes, which seals a
+            # pending wire: no sealing work is charged, and nothing known of
+            # the seal is passed on, so every open is a real one.
             slot = max(group.next_slot - 1, 0)
-            wire = replayed_wire
+            wire = bytes(replayed_wire)
             sealed = None
         sender.debit("tx", self.model.tx_per_octet * len(wire))
         sender.stats.packets_sent += 1
