@@ -722,7 +722,7 @@ class TestObservationViews:
         assert opened and replayed
         assert seals[0] == len(sealed) == len(set(sealed))
         assert set(sealed) == opened | {bytes(wire) for wire in replayed}
-        assert seals[0] == len(sealed)
+        assert seals[0] == len(sealed)  # every replayed wire was sealed on air
 
     def test_replayer_retransmits_what_encode_makes(self, monkeypatch):
         """A replayer captures a pending wire. The bytes it puts on air are
@@ -997,7 +997,6 @@ class TestObservationViews:
             assert got.energy_csv() == want.energy_csv()
             assert got.trust_csv() == want.trust_csv()
         assert hinted.savings_csv() == stripped.savings_csv()
-
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     def test_seal_on_demand_changes_no_output(self, monkeypatch, name):
