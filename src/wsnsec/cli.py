@@ -61,9 +61,12 @@ def keyring_to_dict(ring: KeyRing) -> dict:
 
 def keyring_from_dict(data: dict) -> KeyRing:
     """Read a keyring in the shape :func:`keyring_to_dict` writes. A field
-    of the wrong JSON shape raises ValueError naming it."""
+    that is missing or of the wrong JSON shape raises ValueError naming it."""
     if not isinstance(data, dict):
         raise ValueError(f"keyring must be a JSON object, not {type(data).__name__}")
+    missing = [f for f in ("owner", "head", "node_based", "broadcast") if f not in data]
+    if missing:
+        raise ValueError(f"keyring needs {', '.join(missing)}")
 
     def read(name: str, parse, value):
         try:

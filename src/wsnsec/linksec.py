@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import aead
 from .addressing import BROADCAST_NODE_ID, NodeAddress
@@ -79,8 +79,7 @@ class CounterState:
             raise ValueError("counter must fit 32 bits")
 
 
-@dataclass(frozen=True)
-class PacketHeader:
+class PacketHeader(NamedTuple):
     group: int
     dest: int
     src: int
@@ -89,23 +88,14 @@ class PacketHeader:
     counter_lsb: int
 
     def encode(self) -> bytes:
-        return _pack_header(
-            self.group, self.dest, self.src, self.length, self.level, self.counter_lsb
-        )
+        return _pack_header(*self)
 
     @classmethod
     def decode(cls, data: bytes) -> "PacketHeader":
         if len(data) < HEADER_BYTES:
             raise FormatError("truncated header")
         packed = data[3]
-        return cls(
-            group=data[0],
-            dest=data[1],
-            src=data[2],
-            length=packed >> 3,
-            level=_LEVELS[packed & 0x7],
-            counter_lsb=data[4],
-        )
+        return cls(data[0], data[1], data[2], packed >> 3, _LEVELS[packed & 0x7], data[4])
 
 
 def _pack_header(
@@ -198,23 +188,21 @@ def encode(
     2**32 - 1 this raises CounterExhaustedError and leaves `counter_state`
     as it was, so the caller re-keys instead of reusing an OCB nonce.
 
-    This is `encode_header` followed by `seal_wire`.
+    This is `bytes(encode_pending(...))`.
     """
-    key, counter, header = encode_header(level, keyring, counter_state, dest, payload)
-    return seal_wire(key, level.encryption.rounds, counter, header, payload, level.auth)
+    return bytes(encode_pending(level, keyring, counter_state, dest, payload))
 
 
-def encode_header(
+def encode_pending(
     level: SecurityLevel,
     keyring: KeyRing,
     counter_state: CounterState,
     dest: int,
     payload: bytes,
-) -> tuple[bytes, int, bytes]:
+) -> PendingWire:
     """The half of `encode` that runs no cipher: it checks the payload and
     the counter, reserves the counter and builds the header. Returns the
-    sending key's bytes, the counter and the 5 header octets; raises as
-    `encode` does."""
+    wire unsealed; raises as `encode` does."""
     if len(payload) > MAX_PAYLOAD:
         raise ValueError(f"payload exceeds {MAX_PAYLOAD} octets")
     key = _sender_key(keyring, dest)
@@ -228,20 +216,14 @@ def encode_header(
     header = _pack_header(
         owner.group_id, dest, owner.node_id, len(payload), level, counter & 0xFF
     )
-    return key.data, counter, header
-
-
-def seal_wire(
-    key: bytes, rounds: int, counter: int, header: bytes, payload: bytes, auth: bool
-) -> bytes:
-    """The half of `encode` that seals: header, ciphertext and tag."""
-    ct, mac = aead.seal(key, rounds, counter, header, payload, auth)
-    return header + ct + (mac or b"")
+    return PendingWire(
+        key.data, level.encryption.rounds, counter, header, payload, level.auth
+    )
 
 
 @dataclass(eq=False, slots=True)
 class PendingWire:
-    """A wire whose seal has not run yet: the arguments of `seal_wire`.
+    """A wire whose seal has not run yet: what `encode_pending` returns.
 
     `len()` is the wire's size, and `parse_wire` reads its header, without
     sealing. `bytes()` and indexing read the bytes: the first read seals,
@@ -261,9 +243,10 @@ class PendingWire:
 
     def __bytes__(self) -> bytes:
         if self._wire is None:
-            self._wire = seal_wire(
+            ct, mac = aead.seal(
                 self.key, self.rounds, self.counter, self.header, self.payload, self.auth
             )
+            self._wire = self.header + ct + (mac or b"")
         return self._wire
 
     def __getitem__(self, index: int | slice) -> int | bytes:
@@ -271,7 +254,7 @@ class PendingWire:
 
 
 def decode(
-    wire: bytes,
+    wire: bytes | PendingWire,
     keyring: KeyRing,
     expected: CounterState,
     loss_threshold: int = DEFAULT_LOSS_THRESHOLD,
@@ -288,6 +271,8 @@ def decode(
 
     This is `parse_wire` followed by `decode_parsed`; a caller with many
     receivers of one wire can run the first once and the second per ring.
+    A `PendingWire` from `encode_pending` decodes as its bytes do, and a
+    receiver under its key reads it without a block pass.
     """
     if loss_threshold < 0:
         raise ValueError("loss_threshold must be >= 0")
@@ -314,46 +299,29 @@ def decode_parsed(
     keyring: KeyRing,
     expected: CounterState,
     loss_threshold: int,
-    sealed: Optional[tuple[bytes, int, bytes]] = None,
 ) -> bytes:
     """The half of `decode` that depends on the receiver: the group check,
-    the key lookup and the open, for a `header` that `parse_wire` returned
-    for `wire`. `loss_threshold` must be >= 0; the rest is as `decode`.
+    the key lookup, the counter search and the open, for a `header` that
+    `parse_wire` returned for `wire`. `loss_threshold` must be >= 0; the
+    rest is as `decode`.
 
-    `sealed` is an optional hint from the caller that sealed `wire` itself:
-    (key bytes, counter, plaintext) of that `encode`. The wrap candidate
-    equal to that counter, under a receive key equal to that key, then
-    yields the plaintext without a block pass. This is exact, because OCB is
-    invertible: an open at the true key and counter always verifies and
-    returns the plaintext. Every other candidate, and every receiver that
-    holds another key, runs the real open, and the replay check applies to
-    the hinted candidate as to any other, so the outcome and `expected` are
-    the same with or without the hint. The hint must be the true seal of
-    `wire`. `decode` never passes one: a receiver that did not seal the wire
-    has only the wire. A `PendingWire` is sealed only for a real open."""
+    A `PendingWire` is its own seal. Under a receive key equal to its key,
+    the wrap candidate equal to its counter yields its payload without a
+    block pass. This is exact, because OCB is invertible: an open at the
+    true key and counter always verifies and returns the plaintext. Every
+    other candidate, every receiver that holds another key and every
+    `bytes` wire runs the real open, and the replay check applies to the
+    answered candidate as to any other, so the outcome and `expected` are
+    those of decoding `bytes(wire)`. A pending wire is sealed only for a
+    real open."""
     if header.group != keyring.owner.group_id:
         raise AuthenticationError(
             f"packet for group {header.group}, ring owner in {keyring.owner.group_id}"
         )
     key = _receiver_key(keyring, header.src, header.dest).data
-    payload, expected.value = _open(
-        wire, header, key, expected.value, loss_threshold, sealed
-    )
-    return payload
-
-
-def _open(
-    wire: bytes | PendingWire,
-    header: PacketHeader,
-    key: bytes,
-    last: int,
-    loss_threshold: int,
-    sealed: Optional[tuple[bytes, int, bytes]],
-) -> tuple[bytes, int]:
-    """The counter search and open behind `decode`: (payload, accepted
-    counter), or a DecodeError. Reads nothing but its arguments. A
-    candidate equal to the `sealed` hint's counter, under its key, is
-    answered by its plaintext (see `decode_parsed`)."""
+    # The counter that the wire answers from its own plaintext, if any.
+    own = wire.counter if isinstance(wire, PendingWire) and wire.key == key else None
+    last = expected.value
     rounds = header.level.encryption.rounds
     next_expected = (last + 1) & ((1 << COUNTER_BITS) - 1)
     base = (next_expected & ~0xFF) | header.counter_lsb
@@ -362,8 +330,8 @@ def _open(
         ct = None
         for wrap in range(loss_threshold + 1):
             candidate = (base + (wrap << 8)) & ((1 << COUNTER_BITS) - 1)
-            if sealed is not None and candidate == sealed[1] and key == sealed[0]:
-                payload = sealed[2]
+            if candidate == own:
+                payload = wire.payload
             else:
                 if ct is None:  # the first real open reads, so seals, the bytes
                     data = bytes(wire)
@@ -374,7 +342,8 @@ def _open(
             if payload is not None:
                 if candidate <= last:
                     raise ReplayError(f"counter {candidate} not beyond {last}")
-                return payload, candidate
+                expected.value = candidate
+                return payload
         raise AuthenticationError(
             f"tag mismatch after {loss_threshold + 1} counter attempts"
         )
@@ -383,11 +352,15 @@ def _open(
     # reconstructed counter must advance or the packet is stale.
     if base <= last:
         raise ReplayError(f"counter {base} not beyond {last}")
-    if sealed is not None and base == sealed[1] and key == sealed[0]:
-        return sealed[2], base
-    data = bytes(wire)
-    ct = data[HEADER_BYTES:]
-    return aead.open_(key, rounds, base, data[:HEADER_BYTES], ct, None, False), base
+    if base == own:
+        payload = wire.payload
+    else:
+        data = bytes(wire)
+        payload = aead.open_(
+            key, rounds, base, data[:HEADER_BYTES], data[HEADER_BYTES:], None, False
+        )
+    expected.value = base
+    return payload
 
 
 def dissect(wire: bytes) -> dict:

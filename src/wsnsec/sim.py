@@ -42,10 +42,11 @@ Model (desk scale, normative for the closed-form energy tests):
 * Reception: every destination listener is charged a full open's receive
   and crypto energy, every sender a full seal's, and the simulator keeps a
   separate receive counter per listener and direction. On the host, an
-  honest wire is a `linksec.PendingWire`: its counter is reserved and its
-  header built, but it is sealed only when something reads its bytes, a
-  real open or a replayer's retransmission. Listeners open it from the
-  seal's own plaintext: one holding the sealing key gets it at the sealing
+  honest wire is the `linksec.PendingWire` that `linksec.encode_pending`
+  returns: its counter is reserved and its header built, but it is sealed
+  only when something reads its bytes, a real open or a replayer's
+  retransmission. Listeners decode the pending wire itself, which is its
+  own seal: one holding the sealing key gets the plaintext at the sealing
   counter with no block pass, which is exact because an OCB open at the
   true key and counter always verifies and returns the plaintext. Every
   other open is real: wraps tried before the sealing counter, receivers
@@ -404,10 +405,10 @@ class _Simulation:
         crypto energy and runs its own decode, as each mote does. An honest
         wire is a `linksec.PendingWire`, sealed only when a real open or a
         replayer reads its bytes. The host parses the header once per wire
-        and passes the seal (key, counter, plaintext) as a hint, so a
-        listener under the sealing key opens it at the sealing counter from
-        the plaintext. Every other open is real: earlier wraps, other keys
-        and replayed wires, which carry no hint."""
+        and hands every listener the pending wire, so a listener under the
+        sealing key opens it at the sealing counter from its plaintext.
+        Every other open is real: earlier wraps, other keys and replayed
+        wires, which are bytes."""
         if not sender.alive:
             return {}
         # A unicast to anyone but the head rides the pair's pairwise key
@@ -420,21 +421,16 @@ class _Simulation:
             slot = group.next_slot
             group.next_slot += 1
             level = self._decide(sender, pclass)
-            key, counter, aad = linksec.encode_header(
+            wire = linksec.encode_pending(
                 level, sender.ring, sender.counter_to(dest), dest, payload
             )
-            wire = linksec.PendingWire(
-                key, level.encryption.rounds, counter, aad, payload, level.auth
-            )
-            sealed = (key, counter, payload)
             sender.debit("crypto", self._crypto_cost(level, len(payload)))
         else:
             # Verbatim retransmission of the captured bytes, which seals a
-            # pending wire: no sealing work is charged, and nothing known of
-            # the seal is passed on, so every open is a real one.
+            # pending wire: no sealing work is charged, and the bytes carry
+            # nothing of the seal, so every open is a real one.
             slot = max(group.next_slot - 1, 0)
             wire = bytes(replayed_wire)
-            sealed = None
         sender.debit("tx", self.model.tx_per_octet * len(wire))
         sender.stats.packets_sent += 1
         self.slot_log.append(
@@ -488,8 +484,7 @@ class _Simulation:
             state = listener.counter_from(header.src, header.dest)
             try:
                 plain = linksec.decode_parsed(
-                    wire, header, listener.ring, state,
-                    self.config.loss_threshold, sealed=sealed,
+                    wire, header, listener.ring, state, self.config.loss_threshold
                 )
             except linksec.ReplayError:
                 listener.stats.replay_rejects += 1

@@ -133,6 +133,12 @@ class TestPacketCommands:
                 lambda d: {**d, "peer_broadcast": {"x": "00" * 10}}, "peer_broadcast",
                 id="bad-map-address",
             ),
+        ] + [
+            pytest.param(
+                lambda d, f=field: {k: v for k, v in d.items() if k != f}, field,
+                id=f"missing-{field}",
+            )
+            for field in ("owner", "head", "node_based", "broadcast")
         ],
     )
     def test_wrong_keyring_shape_names_field(self, capsys, rings, tmp_path, edit, field):
@@ -145,7 +151,7 @@ class TestPacketCommands:
         )
         assert code == cli.EXIT_INVALID
         assert err.startswith("error: invalid:")
-        assert field in err
+        assert "keyring" in err and field in err
 
 
 class TestDeriveKeys:

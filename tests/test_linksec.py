@@ -87,11 +87,11 @@ def _vector_rows():
 class TestSplitEncode:
     @pytest.mark.parametrize("level", ALL_LEVELS, ids=str)
     def test_encode_is_header_then_seal(self, monkeypatch, level):
-        """On every vector's inputs at `level`, `encode` is `encode_header`
-        then `seal_wire`, and a `PendingWire` of those inputs has the wire's
-        size and header before any seal runs and its bytes after. Where the
-        vector is at `level` (every level but RC5_R8 without auth has one),
-        the bytes are the pinned ones."""
+        """On every vector's inputs at `level`, `encode` is `encode_pending`
+        then its bytes. The pending wire has the wire's size and header
+        before any seal runs and its bytes after, as does a `PendingWire`
+        built from its fields. Where the vector is at `level` (every level
+        but RC5_R8 without auth has one), the bytes are the pinned ones."""
         seals = []
         real_seal = linksec.aead.seal
         monkeypatch.setattr(
@@ -101,19 +101,20 @@ class TestSplitEncode:
         pinned = 0
         for vector_level, dest, last, payload, vector in _vector_rows():
             state = CounterState(last)
-            key, counter, header = linksec.encode_header(
-                level, ring_src, state, dest, payload
-            )
-            assert state.value == counter == last + 1
-            args = (key, level.encryption.rounds, counter, header, payload, level.auth)
-            pending = linksec.PendingWire(*args)
+            pending = linksec.encode_pending(level, ring_src, state, dest, payload)
+            assert state.value == pending.counter == last + 1
+            assert pending.rounds == level.encryption.rounds
+            assert pending.auth == level.auth and pending.payload == payload
+            args = (pending.key, pending.rounds, pending.counter, pending.header,
+                    pending.payload, pending.auth)
             del seals[:]
             wire = linksec.encode(level, ring_src, CounterState(last), dest, payload)
             assert len(seals) == 1
             assert len(pending) == len(wire)
             assert linksec.parse_wire(pending) == linksec.parse_wire(wire)
+            assert pending.header == wire[:linksec.HEADER_BYTES]
             assert len(seals) == 1
-            assert linksec.seal_wire(*args) == bytes(pending) == wire
+            assert bytes(linksec.PendingWire(*args)) == bytes(pending) == wire
             assert bytes(pending) is bytes(pending) and pending[2] == wire[2]
             assert len(seals) == 3
             if vector_level == level:
@@ -294,19 +295,17 @@ class TestSplitDecode:
 
 
 def _seal(level, ring, sent, dest, payload):
-    """(wire, seal hint) of one `encode` from a send counter at `sent`."""
-    state = CounterState(sent)
-    wire = linksec.encode(level, ring, state, dest, payload)
-    return wire, (linksec._sender_key(ring, dest).data, state.value, payload)
+    """The pending wire of one `encode_pending` from a send counter at `sent`."""
+    return linksec.encode_pending(level, ring, CounterState(sent), dest, payload)
 
 
-def _hinted(wire, ring, last, sealed):
-    """`_outcome` through `decode_parsed`, passing the seal hint `sealed`."""
+def _hinted(wire, ring, last):
+    """`_outcome` through `decode_parsed`, on the pending `wire` itself."""
     state = CounterState(last)
     try:
         got = linksec.decode_parsed(
             wire, linksec.parse_wire(wire), ring, state,
-            linksec.DEFAULT_LOSS_THRESHOLD, sealed,
+            linksec.DEFAULT_LOSS_THRESHOLD,
         )
     except linksec.DecodeError as exc:
         got = (type(exc), str(exc))
@@ -325,28 +324,29 @@ def opens(monkeypatch):
 
 
 class TestSealHint:
-    """`decode_parsed` with the sealer's hint gives `decode`'s outcome, and
-    runs the cipher only for candidates the hint does not answer."""
+    """`decode_parsed` on a pending wire gives `decode`'s outcome on its
+    bytes, and runs the cipher only for candidates the wire's own seal does
+    not answer."""
 
     R8 = SecurityLevel(Encryption.RC5_R8, True)
     BARE = SecurityLevel(Encryption.RC5_R4, False)
 
     def test_true_hint_opens_nothing(self, opens):
         ring_head, ring_src, _ = make_rings()
-        wire, sealed = _seal(self.R8, ring_src, 0, HEAD.node_id, b"up")
-        assert _hinted(wire, ring_head, 0, sealed) == (b"up", 1)
+        wire = _seal(self.R8, ring_src, 0, HEAD.node_id, b"up")
+        assert _hinted(wire, ring_head, 0) == (b"up", 1)
         assert opens == []
 
     def test_hint_under_another_key_opens_for_real(self, opens):
-        """A member that missed the re-key holds no session key: the hint's
+        """A member that missed the re-key holds no session key: the wire's
         key is not its key, so it runs every wrap and rejects as before."""
         session_head, _, stale_peer = make_rings()
         session_head.session = SymmetricKey(b"\x31" * 10)
-        wire, sealed = _seal(self.R8, session_head, 0, BROADCAST_NODE_ID, b"s")
-        alone = _outcome(wire, stale_peer, 0)
+        wire = _seal(self.R8, session_head, 0, BROADCAST_NODE_ID, b"s")
+        alone = _outcome(bytes(wire), stale_peer, 0)
         del opens[:]
         assert alone[0][0] is AuthenticationError
-        assert _hinted(wire, stale_peer, 0, sealed) == alone
+        assert _hinted(wire, stale_peer, 0) == alone
         assert len(opens) == linksec.DEFAULT_LOSS_THRESHOLD + 1
 
     @pytest.mark.parametrize("wraps", range(linksec.DEFAULT_LOSS_THRESHOLD + 1))
@@ -354,38 +354,41 @@ class TestSealHint:
         """After a loss burst the sealing counter is `wraps` 256-wraps
         ahead of the first candidate: each earlier candidate is a real open."""
         ring_head, ring_src, _ = make_rings()
-        wire, sealed = _seal(self.R8, ring_src, wraps << 8, HEAD.node_id, b"late")
-        assert _hinted(wire, ring_head, 0, sealed) == (b"late", (wraps << 8) + 1)
+        wire = _seal(self.R8, ring_src, wraps << 8, HEAD.node_id, b"late")
+        assert _hinted(wire, ring_head, 0) == (b"late", (wraps << 8) + 1)
         assert opens == [(w << 8) + 1 for w in range(wraps)]
 
     @pytest.mark.parametrize("last", [1, 2, 254])
     def test_hinted_replay_rejected_and_counter_kept(self, opens, last):
         """The first candidate is the sealing counter 1, at or below `last`."""
         ring_head, ring_src, _ = make_rings()
-        wire, sealed = _seal(self.R8, ring_src, 0, HEAD.node_id, b"again")
-        got, after = _hinted(wire, ring_head, last, sealed)
+        wire = _seal(self.R8, ring_src, 0, HEAD.node_id, b"again")
+        got, after = _hinted(wire, ring_head, last)
         assert got[0] is ReplayError and after == last
         assert opens == []
-        assert (got, after) == _outcome(wire, ring_head, last)
+        assert (got, after) == _outcome(bytes(wire), ring_head, last)
 
     def test_untagged_matching_hint_accepts(self, opens):
         ring_head, ring_src, _ = make_rings()
-        wire, sealed = _seal(self.BARE, ring_src, 7, HEAD.node_id, b"plain")
-        assert _hinted(wire, ring_head, 0, sealed) == (b"plain", 8)
+        wire = _seal(self.BARE, ring_src, 7, HEAD.node_id, b"plain")
+        assert _hinted(wire, ring_head, 0) == (b"plain", 8)
         assert opens == []
 
     def test_untagged_mismatched_hint_opens_for_real(self, opens):
-        """Untagged, the single candidate is taken on faith. A hint at
-        another counter or under another key does not answer it."""
+        """Untagged, the single candidate is taken on faith. A pending wire
+        sealed 256 ahead of the receiver, or at its counter under another
+        key, does not answer it."""
         ring_head, ring_src, _ = make_rings()
-        wire, (key, counter, payload) = _seal(
-            self.BARE, ring_src, 256, HEAD.node_id, b"plain"
+        ahead = _seal(self.BARE, ring_src, 256, HEAD.node_id, b"plain")
+        mine = _seal(self.BARE, ring_src, 0, HEAD.node_id, b"plain")
+        stranger = linksec.PendingWire(
+            bytes(10), mine.rounds, mine.counter, mine.header, mine.payload, mine.auth
         )
-        alone = _outcome(wire, ring_head, 0)
-        assert alone == (alone[0], 1) and alone[0] != b"plain"
-        for sealed in ((key, counter, payload), (bytes(10), 1, payload)):
+        for wire in (ahead, stranger):
+            alone = _outcome(bytes(wire), ring_head, 0)
+            assert alone == (alone[0], 1) and alone[0] != b"plain"
             del opens[:]
-            assert _hinted(wire, ring_head, 0, sealed) == alone
+            assert _hinted(wire, ring_head, 0) == alone
             assert opens == [1]
 
     @settings(max_examples=300, deadline=None)
@@ -401,12 +404,13 @@ class TestSealHint:
     )
     def test_true_hint_changes_no_outcome(self, level, payload, sent, lost):
         """Any level and length, a receiver behind by `lost` packets (ahead
-        when negative), counters up to 2**32 - 1: the hint changes nothing."""
+        when negative), counters up to 2**32 - 1: decoding the pending wire
+        gives the outcome of decoding its bytes."""
         ring_head, ring_src, _ = make_rings()
-        wire, sealed = _seal(level, ring_src, sent, HEAD.node_id, payload)
+        wire = _seal(level, ring_src, sent, HEAD.node_id, payload)
         last = min(max(sent - lost, 0), (1 << 32) - 1)
-        got = _hinted(wire, ring_head, last, sealed)
-        assert got == _outcome(wire, ring_head, last)
+        got = _hinted(wire, ring_head, last)
+        assert got == _outcome(bytes(wire), ring_head, last)
 
 
 class TestCounterExhaustion:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import wsnsec
-from wsnsec import keys, sim, trust
+from wsnsec import keys, linksec, sim, trust
 
 
 def test_every_export_resolves():
@@ -50,3 +50,10 @@ def test_traced_names_bound_on_sim(name, home):
     """The benchmark's tracer wraps these on `sim`, where the simulator
     looks them up; a move that unbinds one would zero its layer's counts."""
     assert getattr(sim, name) is getattr(home, name)
+
+
+@pytest.mark.parametrize("name", ["encode", "decode"])
+def test_traced_codec_names_bound_on_package(name):
+    """The benchmark's tracer wraps the codec on `linksec` and on the
+    package; a rewrite that rebinds one of the two would split its counts."""
+    assert getattr(wsnsec, name) is getattr(linksec, name)

@@ -694,13 +694,14 @@ class TestObservationViews:
         """With replays and loss, a wire is sealed once if a real open or a
         replayer's retransmission reads it, and never otherwise."""
         seals = count_calls(monkeypatch, sim.linksec.aead, "seal")
-        sealed, opened, replayed = [], set(), []
-        seal_wire, open_ = linksec.seal_wire, linksec.aead.open_
+        read, opened, replayed = set(), set(), []
+        wire_bytes, open_ = linksec.PendingWire.__bytes__, linksec.aead.open_
         transmit = sim._Simulation._transmit
 
-        def recording_seal(*args):
-            sealed.append(seal_wire(*args))
-            return sealed[-1]
+        def recording_read(self):
+            wire = wire_bytes(self)
+            read.add(wire)
+            return wire
 
         def recording_open(key, rounds, counter, aad, ct, tag, auth):
             opened.add(aad + ct + (tag or b""))
@@ -713,16 +714,16 @@ class TestObservationViews:
             return transmit(self, group, frame, sender, dest, pclass, payload,
                             replayed_wire)
 
-        monkeypatch.setattr(linksec, "seal_wire", recording_seal)
+        monkeypatch.setattr(linksec.PendingWire, "__bytes__", recording_read)
         monkeypatch.setattr(linksec.aead, "open_", recording_open)
         monkeypatch.setattr(sim._Simulation, "_transmit", recording_replays)
         config = sim.config_from_dict(GOLDEN_CONFIGS["habitat_replay_loss"])
         for adaptive in (False, True):
             sim.run(replace(config, adaptive=adaptive))
         assert opened and replayed
-        assert seals[0] == len(sealed) == len(set(sealed))
-        assert set(sealed) == opened | {bytes(wire) for wire in replayed}
-        assert seals[0] == len(sealed)  # every replayed wire was sealed on air
+        assert seals[0] == len(read)  # each wire read was sealed once
+        assert set(read) == opened | {bytes(wire) for wire in replayed}
+        assert seals[0] == len(read)  # every replayed wire was sealed on air
 
     def test_replayer_retransmits_what_encode_makes(self, monkeypatch):
         """A replayer captures a pending wire. The bytes it puts on air are
@@ -735,10 +736,10 @@ class TestObservationViews:
             def __getattr__(self, name):
                 return getattr(linksec, name)
 
-            def encode_header(self, level, ring, state, dest, payload):
+            def encode_pending(self, level, ring, state, dest, payload):
                 wire = linksec.encode(level, ring, CounterState(state.value), dest, payload)
-                made = linksec.encode_header(level, ring, state, dest, payload)
-                encoded[made] = wire
+                made = linksec.encode_pending(level, ring, state, dest, payload)
+                encoded[made.key, made.counter, made.header] = wire
                 return made
 
         replays = []
@@ -967,66 +968,41 @@ class TestObservationViews:
         assert got.trust_csv() == want.trust_csv()
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
-    def test_seal_hint_changes_no_output(self, monkeypatch, name):
-        """Both arms of every golden give the same output when no listener
-        gets the sealer's hint, so every open runs the cipher. The opens
-        are counted on both arms run by `sim.run` in this process: the
+    def test_seal_on_demand_changes_no_output(self, monkeypatch, name):
+        """Both arms of every golden give the same output when every
+        listener is handed `bytes(wire)`: each wire is sealed as it is made
+        and is no seal of its own, so every open runs the cipher. Every wire
+        that the lazy run sealed has the bytes of the eager run's seal. The
+        opens are counted per arm run by `sim.run` in this process: the
         counter cannot see an arm that `compare_fixed_vs_adaptive` forks."""
         config = sim.config_from_dict(GOLDEN_CONFIGS[name])
         opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
+        sealed = {}  # a pending wire's fields -> its bytes, for every wire read in a run
+        wire_bytes = linksec.PendingWire.__bytes__
 
-        def opens_of_both_arms():
-            before = opens[0]
-            for adaptive in (False, True):
-                sim.run(replace(config, adaptive=adaptive))
-            return opens[0] - before
-
-        hinted = sim.compare_fixed_vs_adaptive(config)
-        hinted_opens = opens_of_both_arms()
-        decode_parsed = sim.linksec.decode_parsed
-
-        def unhinted(*args, sealed=None):
-            return decode_parsed(*args)
-
-        monkeypatch.setattr(sim.linksec, "decode_parsed", unhinted)
-        stripped = sim.compare_fixed_vs_adaptive(config)
-        assert opens_of_both_arms() > hinted_opens
-        for got, want in ((hinted.fixed, stripped.fixed),
-                          (hinted.adaptive, stripped.adaptive)):
-            assert got.nodes == want.nodes
-            assert got.energy_csv() == want.energy_csv()
-            assert got.trust_csv() == want.trust_csv()
-        assert hinted.savings_csv() == stripped.savings_csv()
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
-    def test_seal_on_demand_changes_no_output(self, monkeypatch, name):
-        """Both arms of every golden give the same output when a test-side
-        wrapper seals every pending wire as it is made, and every wire that
-        the lazy run sealed has the bytes of the eager run's seal."""
-        config = sim.config_from_dict(GOLDEN_CONFIGS[name])
-        sealed = {}  # seal inputs -> wire, for every seal of a run
-        seal_wire = linksec.seal_wire
-
-        def recording(*args):
-            sealed[args] = seal_wire(*args)
-            return sealed[args]
-
-        class SealedAtOnce(linksec.PendingWire):
-            def __init__(self, *args):
-                super().__init__(*args)
-                bytes(self)
+        def recording(wire):
+            fields = (wire.key, wire.rounds, wire.counter, wire.header,
+                      wire.payload, wire.auth)
+            sealed[fields] = wire_bytes(wire)
+            return sealed[fields]
 
         def both_arms():
-            """Each arm's report and the wires sealed in it."""
+            """Each arm's report, the wires sealed in it and its real opens."""
             for adaptive in (False, True):
                 sealed.clear()
-                yield sim.run(replace(config, adaptive=adaptive)), dict(sealed)
+                opens[0] = 0
+                report = sim.run(replace(config, adaptive=adaptive))
+                yield report, dict(sealed), opens[0]
 
-        monkeypatch.setattr(linksec, "seal_wire", recording)
+        monkeypatch.setattr(linksec.PendingWire, "__bytes__", recording)
         lazy = list(both_arms())
-        monkeypatch.setattr(linksec, "PendingWire", SealedAtOnce)
+        encode_pending = linksec.encode_pending
+        monkeypatch.setattr(
+            linksec, "encode_pending", lambda *args: bytes(encode_pending(*args))
+        )
         eager = list(both_arms())
-        for (got, got_wires), (want, want_wires) in zip(lazy, eager):
+        assert sum(o for *_, o in eager) > sum(o for *_, o in lazy)
+        for (got, got_wires, _), (want, want_wires, _) in zip(lazy, eager):
             assert len(want_wires) == sum(honest for *_, honest in want.slot_log)
             assert got_wires.items() <= want_wires.items()
             assert got.nodes == want.nodes
@@ -1035,7 +1011,7 @@ class TestObservationViews:
             assert got.trust_csv() == want.trust_csv()
         savings = [
             sim.SavingsReport(config.scenario.name, fixed, adaptive)
-            for (fixed, _), (adaptive, _) in (lazy, eager)
+            for (fixed, *_), (adaptive, *_) in (lazy, eager)
         ]
         assert savings[0].savings_csv() == savings[1].savings_csv()
 
