@@ -968,6 +968,39 @@ class TestObservationViews:
         assert got.trust_csv() == want.trust_csv()
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_seal_hint_changes_no_output(self, monkeypatch, name):
+        """Both arms of every golden give the same output when no listener
+        gets the sealer's hint, the pending wire itself: `decode_parsed` is
+        handed `bytes(wire)`, so every open runs the cipher. The opens are
+        counted on both arms run by `sim.run` in this process: the counter
+        cannot see an arm that `compare_fixed_vs_adaptive` forks."""
+        config = sim.config_from_dict(GOLDEN_CONFIGS[name])
+        opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
+
+        def opens_of_both_arms():
+            before = opens[0]
+            for adaptive in (False, True):
+                sim.run(replace(config, adaptive=adaptive))
+            return opens[0] - before
+
+        hinted = sim.compare_fixed_vs_adaptive(config)
+        hinted_opens = opens_of_both_arms()
+        decode_parsed = sim.linksec.decode_parsed
+
+        def unhinted(wire, *args):
+            return decode_parsed(bytes(wire), *args)
+
+        monkeypatch.setattr(sim.linksec, "decode_parsed", unhinted)
+        stripped = sim.compare_fixed_vs_adaptive(config)
+        assert opens_of_both_arms() > hinted_opens
+        for got, want in ((hinted.fixed, stripped.fixed),
+                          (hinted.adaptive, stripped.adaptive)):
+            assert got.nodes == want.nodes
+            assert got.energy_csv() == want.energy_csv()
+            assert got.trust_csv() == want.trust_csv()
+        assert hinted.savings_csv() == stripped.savings_csv()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     def test_seal_on_demand_changes_no_output(self, monkeypatch, name):
         """Both arms of every golden give the same output when every
         listener is handed `bytes(wire)`: each wire is sealed as it is made
