@@ -88,7 +88,9 @@ class PacketHeader(NamedTuple):
     counter_lsb: int
 
     def encode(self) -> bytes:
-        return _pack_header(*self)
+        group, dest, src, length, level, counter_lsb = self
+        packed = (length << 3) | (level.encryption << 1) | level.auth
+        return bytes((group, dest, src, packed, counter_lsb))
 
     @classmethod
     def decode(cls, data: bytes) -> "PacketHeader":
@@ -96,13 +98,6 @@ class PacketHeader(NamedTuple):
             raise FormatError("truncated header")
         packed = data[3]
         return cls(data[0], data[1], data[2], packed >> 3, _LEVELS[packed & 0x7], data[4])
-
-
-def _pack_header(
-    group: int, dest: int, src: int, length: int, level: SecurityLevel, counter_lsb: int
-) -> bytes:
-    packed = (length << 3) | (level.encryption << 1) | int(level.auth)
-    return bytes((group, dest, src, packed, counter_lsb))
 
 
 class DecodeError(Exception):
@@ -201,8 +196,8 @@ def encode_pending(
     payload: bytes,
 ) -> PendingWire:
     """The half of `encode` that runs no cipher: it checks the payload and
-    the counter, reserves the counter and builds the header. Returns the
-    wire unsealed; raises as `encode` does."""
+    the counter, reserves the counter and builds the `PacketHeader`.
+    Returns the wire unsealed; raises as `encode` does."""
     if len(payload) > MAX_PAYLOAD:
         raise ValueError(f"payload exceeds {MAX_PAYLOAD} octets")
     key = _sender_key(keyring, dest)
@@ -213,44 +208,41 @@ def encode_pending(
     counter = counter_state.value + 1
     counter_state.value = counter
     owner = keyring.owner
-    header = _pack_header(
+    header = PacketHeader(
         owner.group_id, dest, owner.node_id, len(payload), level, counter & 0xFF
     )
-    return PendingWire(
-        key.data, level.encryption.rounds, counter, header, payload, level.auth
-    )
+    return PendingWire(key.data, counter, header, payload)
 
 
 @dataclass(eq=False, slots=True)
 class PendingWire:
     """A wire whose seal has not run yet: what `encode_pending` returns.
 
-    `len()` is the wire's size, and `parse_wire` reads its header, without
-    sealing. `bytes()` and indexing read the bytes: the first read seals,
-    and every read sees the same bytes. Sealing late is exact, because a
-    seal is a pure function of its inputs."""
+    It carries its `PacketHeader`, whose level names the rounds and the
+    tag, so `len()` is the wire's size and `parse_wire` returns the header
+    without sealing or decoding octets. `bytes()` reads the wire: the first
+    read packs the header and seals, and every read sees the same bytes.
+    Sealing late is exact, because a seal is a pure function of its inputs."""
 
     key: bytes
-    rounds: int
     counter: int
-    header: bytes
+    header: PacketHeader
     payload: bytes
-    auth: bool
     _wire: Optional[bytes] = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
-        return wire_size(len(self.payload), self.auth)
+        return wire_size(len(self.payload), self.header.level.auth)
 
     def __bytes__(self) -> bytes:
         if self._wire is None:
+            level = self.header.level
+            aad = self.header.encode()
             ct, mac = aead.seal(
-                self.key, self.rounds, self.counter, self.header, self.payload, self.auth
+                self.key, level.encryption.rounds, self.counter, aad, self.payload,
+                level.auth,
             )
-            self._wire = self.header + ct + (mac or b"")
+            self._wire = aad + ct + (mac or b"")
         return self._wire
-
-    def __getitem__(self, index: int | slice) -> int | bytes:
-        return bytes(self)[index]
 
 
 def decode(
@@ -282,10 +274,9 @@ def decode(
 def parse_wire(wire: bytes | PendingWire) -> PacketHeader:
     """The half of `decode` that depends on the wire alone: its header,
     checked against the reserved lengths and the wire's size. Raises
-    FormatError. A pending wire is not sealed."""
-    header = PacketHeader.decode(
-        wire.header if isinstance(wire, PendingWire) else wire
-    )
+    FormatError. A pending wire's own header is returned, checked the same
+    way; it is neither sealed nor decoded from octets."""
+    header = wire.header if isinstance(wire, PendingWire) else PacketHeader.decode(wire)
     if header.length > MAX_PAYLOAD:
         raise FormatError(f"length {header.length} is reserved-invalid")
     if len(wire) != wire_size(header.length, header.level.auth):

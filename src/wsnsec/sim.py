@@ -43,9 +43,10 @@ Model (desk scale, normative for the closed-form energy tests):
   and crypto energy, every sender a full seal's, and the simulator keeps a
   separate receive counter per listener and direction. On the host, an
   honest wire is the `linksec.PendingWire` that `linksec.encode_pending`
-  returns: its counter is reserved and its header built, but it is sealed
-  only when something reads its bytes, a real open or a replayer's
-  retransmission. Listeners decode the pending wire itself, which is its
+  returns: its counter is reserved and its `PacketHeader` travels with it,
+  but it is sealed only when something reads its bytes, a real open or a
+  replayer's retransmission. Only replayed bytes have their header parsed
+  from octets. Listeners decode the pending wire itself, which is its
   own seal: one holding the sealing key gets the plaintext at the sealing
   counter with no block pass, which is exact because an OCB open at the
   true key and counter always verifies and returns the plaintext. Every
@@ -348,6 +349,15 @@ class _Simulation:
     def _crypto_cost(self, level: SecurityLevel, payload_len: int) -> float:
         return self.crypto_costs[(level.encryption << 1) | level.auth][payload_len]
 
+    def _seal_cost(
+        self, node: _Node, pclass: PacketClass, payload_len: int
+    ) -> SecurityLevel:
+        """The level `node` seals a `pclass` packet at, after debiting that
+        seal's crypto energy."""
+        level = self._decide(node, pclass)
+        node.debit("crypto", self._crypto_cost(level, payload_len))
+        return level
+
     def _alive_members(self, group: _Group) -> list[_Node]:
         if group.deaths_seen != group.channel.deaths:
             group.alive = [n for n in group.alive if n.alive]
@@ -368,21 +378,20 @@ class _Simulation:
             n.remaining > spend for n in self._alive_members(group)
         )
 
-    def _apply_events(
-        self, group: _Group, events: list[tuple[NodeAddress, str, Optional[float]]]
+    def _observe(
+        self, group: _Group, subject: NodeAddress, kind: str, value: Optional[float] = None
     ) -> None:
-        """Record each event once, in the group's shared ledger.
+        """Record one event once, in the group's shared ledger.
 
         This stands for every alive member observing it: in a loss-free
         single-hop clique all of them see the same events, except those
-        about themselves. An event is dropped when no alive member but its
+        about themselves. The event is dropped when no alive member but its
         subject is left to see it. Lossy or partial observation would need
         one table per observer again.
         """
         alive = self._alive_members(group)
-        for subject, kind, value in events:
-            if len(alive) > 1 or (alive and alive[0].addr != subject):
-                group.ledger.record(subject, kind, value)
+        if len(alive) > 1 or (alive and alive[0].addr != subject):
+            group.ledger.record(subject, kind, value)
 
     def _transmit(
         self,
@@ -404,8 +413,9 @@ class _Simulation:
         Every destination listener is charged a full open's receive and
         crypto energy and runs its own decode, as each mote does. An honest
         wire is a `linksec.PendingWire`, sealed only when a real open or a
-        replayer reads its bytes. The host parses the header once per wire
-        and hands every listener the pending wire, so a listener under the
+        replayer reads its bytes. Its header travels with it, so only a
+        replayed wire's header is parsed from octets, once per wire. Every
+        listener is handed the pending wire, so a listener under the
         sealing key opens it at the sealing counter from its plaintext.
         Every other open is real: earlier wraps, other keys and replayed
         wires, which are bytes."""
@@ -415,16 +425,15 @@ class _Simulation:
         # (see `linksec._sender_key` and `_receiver_key`); a replayed wire's
         # source is its header's.
         if dest != BROADCAST_NODE_ID and dest != group.head.addr.node_id:
-            src = sender.addr.node_id if replayed_wire is None else replayed_wire[2]
+            src = sender.addr.node_id if replayed_wire is None else bytes(replayed_wire)[2]
             self._share_pairwise(group, src, dest)
         if replayed_wire is None:
             slot = group.next_slot
             group.next_slot += 1
-            level = self._decide(sender, pclass)
+            level = self._seal_cost(sender, pclass, len(payload))
             wire = linksec.encode_pending(
                 level, sender.ring, sender.counter_to(dest), dest, payload
             )
-            sender.debit("crypto", self._crypto_cost(level, len(payload)))
         else:
             # Verbatim retransmission of the captured bytes, which seals a
             # pending wire: no sealing work is charged, and the bytes carry
@@ -437,14 +446,6 @@ class _Simulation:
             (frame, group.gid, slot, sender.addr, replayed_wire is None)
         )
 
-        events: list[tuple[NodeAddress, str, Optional[float]]] = [
-            (sender.addr, "packet-transmitted", None)
-        ]
-        if replayed_wire is not None:
-            events.append((sender.addr, "collision", None))
-        if dest != BROADCAST_NODE_ID:
-            events.append((NodeAddress(group.gid, dest), "packet-received", None))
-
         if dest == BROADCAST_NODE_ID or not group.defer_headers:
             listeners = self._alive_members(group)
         else:
@@ -456,7 +457,8 @@ class _Simulation:
             sender.heard += 1
             if target is not sender:  # a replayer may resend a wire sent to it
                 target.heard += 1
-        # The wire's half of every listener's decode, run once per wire.
+        # The wire's half of every listener's decode, run once per wire:
+        # a pending wire's own header, or one parsed from replayed bytes.
         try:
             header = linksec.parse_wire(wire)
         except linksec.FormatError:
@@ -502,7 +504,11 @@ class _Simulation:
                         listener.stats.bcast_ok_before_rekey += 1
                     else:
                         listener.stats.bcast_ok_after_rekey += 1
-        self._apply_events(group, events)
+        self._observe(group, sender.addr, "packet-transmitted")
+        if replayed_wire is not None:
+            self._observe(group, sender.addr, "collision")
+        if dest != BROADCAST_NODE_ID:
+            self._observe(group, NodeAddress(group.gid, dest), "packet-received")
 
         # Replay attackers squirrel away the latest sensed-data wire.
         if pclass is PacketClass.SENSED_DATA and replayed_wire is None:
@@ -611,9 +617,8 @@ class _Simulation:
             # Lone node: nothing goes on air; it stages its sealed aggregate
             # until a relay exists.
             if group.pending_aggregate is not None:
-                level = self._decide(head, PacketClass.SENSED_DATA)
-                head.debit(
-                    "crypto", self._crypto_cost(level, len(group.pending_aggregate))
+                self._seal_cost(
+                    head, PacketClass.SENSED_DATA, len(group.pending_aggregate)
                 )
             group.pending_aggregate = _reading(head, frame)
             return
@@ -625,16 +630,14 @@ class _Simulation:
             group, frame, head, BROADCAST_NODE_ID, PacketClass.ROUTING_CONTROL, beacon
         )
         duty_has_beacon = duty.addr in beacon_rx
-        self._apply_events(group, [(duty.addr, "control-received-for-forward", None)])
+        self._observe(group, duty.addr, "control-received-for-forward")
         handoff_ok = False
         if group.pending_aggregate is not None:
             decoded = self._transmit(
                 group, frame, head, duty.addr.node_id, PacketClass.SENSED_DATA,
                 group.pending_aggregate,
             )
-            self._apply_events(
-                group, [(duty.addr, "data-received-for-forward", None)]
-            )
+            self._observe(group, duty.addr, "data-received-for-forward")
             handoff_ok = duty.addr in decoded
 
         # Member slots in address order: one data packet each; the duty
@@ -652,25 +655,16 @@ class _Simulation:
                 drops = _acts(member, "drop-fraction", frame)
                 if handoff_ok:
                     if drops and self.rng.random() < member.adversary.drop_fraction:
-                        self._apply_events(
-                            group, [(member.addr, "packet-dropped", None)]
-                        )
+                        self._observe(group, member.addr, "packet-dropped")
                     else:
                         # Uplink toward the base station: off-group radio,
                         # modeled as transmit + seal cost with no receiver.
-                        level = self._decide(member, PacketClass.SENSED_DATA)
-                        size = linksec.wire_size(
-                            len(group.pending_aggregate), level.auth
-                        )
-                        member.debit(
-                            "crypto",
-                            self._crypto_cost(level, len(group.pending_aggregate)),
-                        )
+                        length = len(group.pending_aggregate)
+                        level = self._seal_cost(member, PacketClass.SENSED_DATA, length)
+                        size = linksec.wire_size(length, level.auth)
                         member.debit("tx", self.model.tx_per_octet * size)
                         member.stats.packets_sent += 1
-                        self._apply_events(
-                            group, [(member.addr, "data-forwarded", None)]
-                        )
+                        self._observe(group, member.addr, "data-forwarded")
                 if duty_has_beacon:
                     if drops and self.rng.random() < member.adversary.drop_fraction:
                         pass
@@ -679,9 +673,7 @@ class _Simulation:
                             group, frame, member, BROADCAST_NODE_ID,
                             PacketClass.ROUTING_CONTROL, beacon,
                         )
-                        self._apply_events(
-                            group, [(member.addr, "control-forwarded", None)]
-                        )
+                        self._observe(group, member.addr, "control-forwarded")
 
             replays = _acts(member, "replay-attacker", frame)
             if replays and member.captured_wire is not None:
@@ -698,18 +690,16 @@ class _Simulation:
     def _frame_end(self, frame: int) -> None:
         for group in self.groups:
             members = self._alive_members(group)
-            samples: list[tuple[NodeAddress, str, Optional[float]]] = []
             for node in members:
                 # Reading `remaining` settles the node's deferred listens, so
                 # every ledger is complete at the end of each frame.
-                claimed = node.remaining
+                node.agent.available_energy = claimed = node.remaining
                 if _acts(node, "captured", frame):
                     # Compromised nodes overstate their battery to win
                     # energy-based handovers.
                     claimed = self.model.initial_energy + 1.0 + frame
-                samples.append((node.addr, "energy-sample", claimed))
-                samples.append((node.addr, "signal-sample", 0.8))
-            self._apply_events(group, samples)
+                self._observe(group, node.addr, "energy-sample", claimed)
+                self._observe(group, node.addr, "signal-sample", 0.8)
             # A member's neighbors are the ledger's subjects but itself: the
             # lowest of the ledger's two lowest entries that is not its own
             # is the member's lowest neighbor trust.
@@ -718,7 +708,6 @@ class _Simulation:
                 2, ((ledger.election_trust(s), s) for s in ledger.rows)
             )
             for node in members:
-                node.agent.available_energy = node.remaining
                 node.agent.lowest_neighbor_trust = next(
                     (t for t, s in lowest if s != node.addr), None
                 )

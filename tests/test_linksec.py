@@ -88,10 +88,11 @@ class TestSplitEncode:
     @pytest.mark.parametrize("level", ALL_LEVELS, ids=str)
     def test_encode_is_header_then_seal(self, monkeypatch, level):
         """On every vector's inputs at `level`, `encode` is `encode_pending`
-        then its bytes. The pending wire has the wire's size and header
-        before any seal runs and its bytes after, as does a `PendingWire`
-        built from its fields. Where the vector is at `level` (every level
-        but RC5_R8 without auth has one), the bytes are the pinned ones."""
+        then its bytes. The pending wire carries the wire's header and has
+        its size before any seal runs and its bytes after, as does a
+        `PendingWire` built from its fields. Where the vector is at `level`
+        (every level but RC5_R8 without auth has one), the bytes are the
+        pinned ones."""
         seals = []
         real_seal = linksec.aead.seal
         monkeypatch.setattr(
@@ -103,25 +104,39 @@ class TestSplitEncode:
             state = CounterState(last)
             pending = linksec.encode_pending(level, ring_src, state, dest, payload)
             assert state.value == pending.counter == last + 1
-            assert pending.rounds == level.encryption.rounds
-            assert pending.auth == level.auth and pending.payload == payload
-            args = (pending.key, pending.rounds, pending.counter, pending.header,
-                    pending.payload, pending.auth)
+            assert pending.header.level == level and pending.payload == payload
+            args = (pending.key, pending.counter, pending.header, pending.payload)
             del seals[:]
             wire = linksec.encode(level, ring_src, CounterState(last), dest, payload)
             assert len(seals) == 1
             assert len(pending) == len(wire)
             assert linksec.parse_wire(pending) == linksec.parse_wire(wire)
-            assert pending.header == wire[:linksec.HEADER_BYTES]
+            assert pending.header.encode() == wire[:linksec.HEADER_BYTES]
             assert len(seals) == 1
             assert bytes(linksec.PendingWire(*args)) == bytes(pending) == wire
-            assert bytes(pending) is bytes(pending) and pending[2] == wire[2]
+            assert bytes(pending) is bytes(pending) and pending.header.src == wire[2]
             assert len(seals) == 3
             if vector_level == level:
                 assert wire == vector
                 pinned += 1
         no_vector = SecurityLevel(Encryption.RC5_R8, False)
         assert pinned > 0 or level == no_vector
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        level=st.sampled_from(ALL_LEVELS),
+        payload=st.binary(max_size=linksec.MAX_PAYLOAD),
+        last=st.one_of(st.integers(0, 600), st.integers((1 << 32) - 600, (1 << 32) - 2)),
+        dest=st.sampled_from([HEAD.node_id, PEER.node_id, BROADCAST_NODE_ID]),
+    )
+    def test_carried_header_is_the_sealed_one(self, level, payload, last, dest):
+        """The header a pending wire carries is the one its bytes decode to,
+        and its size is its bytes' size: a reader that takes either without
+        sealing, as the simulator does, sees what the wire puts on air."""
+        _, ring_src, _ = make_rings()
+        pending = linksec.encode_pending(level, ring_src, CounterState(last), dest, payload)
+        assert len(pending) == len(bytes(pending))
+        assert pending.header == PacketHeader.decode(bytes(pending))
 
 
 class TestRoundTrip:
@@ -381,9 +396,7 @@ class TestSealHint:
         ring_head, ring_src, _ = make_rings()
         ahead = _seal(self.BARE, ring_src, 256, HEAD.node_id, b"plain")
         mine = _seal(self.BARE, ring_src, 0, HEAD.node_id, b"plain")
-        stranger = linksec.PendingWire(
-            bytes(10), mine.rounds, mine.counter, mine.header, mine.payload, mine.auth
-        )
+        stranger = linksec.PendingWire(bytes(10), mine.counter, mine.header, mine.payload)
         for wire in (ahead, stranger):
             alone = _outcome(bytes(wire), ring_head, 0)
             assert alone == (alone[0], 1) and alone[0] != b"plain"
