@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .linksec import Encryption, SecurityLevel
+from .linksec import LEVELS, Encryption, SecurityLevel
 
-LEVEL_STRONGEST = SecurityLevel(Encryption.RC5_R12, auth=True)
+LEVEL_STRONGEST = LEVELS[(Encryption.RC5_R12 << 1) | True]
 
 
 class PacketClass(Enum):
@@ -121,20 +121,19 @@ class SecurityAgent:
         self.lowest_neighbor_trust: Optional[float] = None
 
     def decide(self, packet_class: PacketClass) -> SecurityLevel:
-        """The decision ladder: same readings and packet class, same answer."""
+        """The decision ladder: same readings and packet class, same answer.
+
+        Returns one of the shared `linksec.LEVELS` objects, the entry at the
+        level's wire code, and never builds a level."""
         if packet_class is PacketClass.KEY_MATERIAL:
             return LEVEL_STRONGEST
         policy = self.policy
-        enc = int(policy.base_level.encryption)
+        enc = policy.base_level.encryption
         trust = self.lowest_neighbor_trust
         if trust is not None and trust < policy.trust_alarm:
             enc += 1
         elif self.available_energy < policy.energy_floor:
             enc -= 1
-        enc = max(enc, int(policy.min_level.encryption))
-        enc = min(enc, int(Encryption.RC5_R12))
-
-        auth = policy.base_level.auth
-        if packet_class is PacketClass.ROUTING_CONTROL:
-            auth = True
-        return SecurityLevel(Encryption(enc), auth)
+        enc = min(max(enc, policy.min_level.encryption), Encryption.RC5_R12)
+        auth = policy.base_level.auth or packet_class is PacketClass.ROUTING_CONTROL
+        return LEVELS[(enc << 1) | auth]

@@ -64,8 +64,9 @@ class SecurityLevel:
         return f"{self.encryption.name}{'+auth' if self.auth else ''}"
 
 
-# Every level, indexed by its 3-bit wire code (encryption << 1 | auth).
-_LEVELS = tuple(SecurityLevel(Encryption(code >> 1), bool(code & 1)) for code in range(8))
+# Every level, indexed by its 3-bit wire code (encryption << 1 | auth). The
+# codec and the agent hand out these objects rather than building new ones.
+LEVELS = tuple(SecurityLevel(Encryption(code >> 1), bool(code & 1)) for code in range(8))
 
 
 @dataclass
@@ -97,7 +98,7 @@ class PacketHeader(NamedTuple):
         if len(data) < HEADER_BYTES:
             raise FormatError("truncated header")
         packed = data[3]
-        return cls(data[0], data[1], data[2], packed >> 3, _LEVELS[packed & 0x7], data[4])
+        return cls(data[0], data[1], data[2], packed >> 3, LEVELS[packed & 0x7], data[4])
 
 
 class DecodeError(Exception):
@@ -145,15 +146,19 @@ def _sender_key(ring: KeyRing, dest: int) -> SymmetricKey:
         raise UnknownDestinationError("cannot address a packet to oneself")
     if dest == ring.head.node_id and ring.owner != ring.head:
         return ring.node_based
-    peer = NodeAddress(ring.owner.group_id, dest)
+    group = ring.owner.group_id
     try:
-        return ring.pairwise[peer]
+        return ring.pairwise[group, dest]  # see `_receiver_key` on the tuple
     except KeyError:
+        peer = NodeAddress(group, dest)
         raise UnknownDestinationError(f"no pairwise key for {peer}") from None
 
 
 def _receiver_key(ring: KeyRing, src: int, dest: int) -> SymmetricKey:
-    peer = NodeAddress(ring.owner.group_id, src)
+    # The rings are keyed by `NodeAddress`, a tuple subclass that hashes and
+    # compares equal to the plain `(group, node)` tuple, so the plain tuple
+    # finds its entry without building an address per packet.
+    peer = (ring.owner.group_id, src)
     if dest == BROADCAST_NODE_ID:
         if ring.session is not None:
             return ring.session
@@ -207,9 +212,10 @@ def encode_pending(
         )
     counter = counter_state.value + 1
     counter_state.value = counter
-    owner = keyring.owner
-    header = PacketHeader(
-        owner.group_id, dest, owner.node_id, len(payload), level, counter & 0xFF
+    group, src = keyring.owner
+    # `tuple.__new__` skips the NamedTuple's generated Python `__new__`.
+    header = tuple.__new__(
+        PacketHeader, (group, dest, src, len(payload), level, counter & 0xFF)
     )
     return PendingWire(key.data, counter, header, payload)
 

@@ -177,7 +177,8 @@ class _Node:
         stats = self.stats
         if not stats.alive:
             return
-        self.settle()
+        if self.channel.deferred != self.heard:
+            self.settle()
         # `remaining` inlined, summed in `EnergyLedger.total`'s order so the
         # floats are bit-identical.
         spent = stats.ledger
@@ -211,10 +212,18 @@ class _Node:
         return TrustTable(self.addr, self.ledger.weights, rows)
 
     def counter_to(self, dest: int) -> CounterState:
-        return self.out_ctr.setdefault(dest, CounterState())
+        try:
+            return self.out_ctr[dest]
+        except KeyError:
+            state = self.out_ctr[dest] = CounterState()
+            return state
 
     def counter_from(self, src: int, dest: int) -> CounterState:
-        return self.in_ctr.setdefault((src, dest), CounterState())
+        try:
+            return self.in_ctr[src, dest]
+        except KeyError:
+            state = self.in_ctr[src, dest] = CounterState()
+            return state
 
 
 class _Group:
@@ -247,9 +256,15 @@ class _Group:
             node.ring.head = successor.addr
 
 
+# Every octet twice over, so any 10 consecutive octets mod 256 are one slice.
+_OCTETS = bytes(range(256)) * 2
+
+
 def _reading(node: _Node, frame: int) -> bytes:
-    """The node's sensed payload for one frame."""
-    return bytes((frame + node.addr.node_id + i) & 0xFF for i in range(10))
+    """The node's sensed payload for one frame: the 10 octets counting up
+    from `frame + node id`, mod 256."""
+    start = (frame + node.addr.node_id) & 0xFF
+    return _OCTETS[start:start + 10]
 
 
 def _acts(node: _Node, behavior: str, frame: int) -> bool:
@@ -290,10 +305,8 @@ class _Simulation:
         # One seal's or open's crypto energy, by the level's wire code
         # (encryption << 1 | auth) and the payload length.
         self.crypto_costs = [
-            [_crypto_energy(self.model, SecurityLevel(enc, auth), n)
-             for n in range(linksec.MAX_PAYLOAD + 1)]
-            for enc in Encryption
-            for auth in (False, True)
+            [_crypto_energy(self.model, level, n) for n in range(linksec.MAX_PAYLOAD + 1)]
+            for level in linksec.LEVELS
         ]
         # The most one packet can charge a node: the largest wire's radio and
         # the dearest open or seal.
@@ -440,7 +453,8 @@ class _Simulation:
             # nothing of the seal, so every open is a real one.
             slot = max(group.next_slot - 1, 0)
             wire = bytes(replayed_wire)
-        sender.debit("tx", self.model.tx_per_octet * len(wire))
+        size = len(wire)
+        sender.debit("tx", self.model.tx_per_octet * size)
         sender.stats.packets_sent += 1
         self.slot_log.append(
             (frame, group.gid, slot, sender.addr, replayed_wire is None)
@@ -465,7 +479,7 @@ class _Simulation:
             header = None
         else:
             open_cost = self._crypto_cost(header.level, header.length)
-        rx_cost = self.model.rx_per_octet * len(wire)
+        rx_cost = self.model.rx_per_octet * size
         decoded: dict[NodeAddress, bytes] = {}
         for listener in listeners:
             if listener is sender:
@@ -508,7 +522,7 @@ class _Simulation:
         if replayed_wire is not None:
             self._observe(group, sender.addr, "collision")
         if dest != BROADCAST_NODE_ID:
-            self._observe(group, NodeAddress(group.gid, dest), "packet-received")
+            self._observe(group, group.by_id[dest].addr, "packet-received")
 
         # Replay attackers squirrel away the latest sensed-data wire.
         if pclass is PacketClass.SENSED_DATA and replayed_wire is None:

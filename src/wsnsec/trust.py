@@ -230,19 +230,30 @@ class TrustTable:
 
 def tables_to_csv(tables: Iterable[TrustTable]) -> str:
     """The trust CSV of `tables`: one header, then each table's rows in
-    neighbor order. Floats have nine decimals and flags read 0 or 1."""
+    neighbor order. Floats have nine decimals and flags read 0 or 1.
+
+    Views share the group ledger's row objects, and a shared row's cells
+    after the observer are the same in every table that files it under the
+    same neighbor, so each row object is formatted once per neighbor. The
+    memo keeps the row itself, so no id it is keyed on is reused while it
+    runs."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
+    memo: dict[int, tuple[NeighborRecord, NodeAddress, list]] = {}
     for table in tables:
+        observer = str(table.observer)
         for neighbor in sorted(table.rows):
             rec = table.rows[neighbor]
-            counters = [
-                f"{getattr(rec, name):.9f}" if kind is float else int(getattr(rec, name))
-                for name, kind in RECORD_FIELDS.items()
-            ]
-            trust = f"{table.trust(neighbor):.9f}"
-            writer.writerow([str(table.observer), str(neighbor), *counters, trust])
+            seen = memo.get(id(rec))
+            if seen is None or seen[1] != neighbor:
+                counters = [
+                    f"{getattr(rec, name):.9f}" if kind is float else int(getattr(rec, name))
+                    for name, kind in RECORD_FIELDS.items()
+                ]
+                trust = f"{table.trust(neighbor):.9f}"
+                seen = memo[id(rec)] = (rec, neighbor, [str(neighbor), *counters, trust])
+            writer.writerow([observer, *seen[2]])
     return buf.getvalue()
 
 def run_election(

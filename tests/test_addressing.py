@@ -41,6 +41,8 @@ class TestValueSemantics:
         assert a != NodeAddress(9, 7)
         assert hash(a) == hash((a.group_id, a.node_id)) == hash(NodeAddress(7, 9))
         assert {a: 1}[NodeAddress(7, 9)] == 1
+        # The simulator and codec look address-keyed entries up by plain tuple.
+        assert {a: 1}[(7, 9)] == 1
 
     def test_str_and_parse_roundtrip(self):
         a = NodeAddress(12, 200)

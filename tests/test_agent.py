@@ -10,7 +10,7 @@ from wsnsec.agent import (
     SecurityAgent,
     default_policy,
 )
-from wsnsec.linksec import Encryption, SecurityLevel
+from wsnsec.linksec import LEVELS, Encryption, SecurityLevel
 
 MILITARY = default_policy("military-surveillance", 1000.0)
 HABITAT = default_policy("habitat-monitoring", 1000.0)
@@ -82,12 +82,29 @@ class TestDecide:
         assert level.encryption == Encryption.RC5_R12
 
 
-LEVELS = st.builds(SecurityLevel, st.sampled_from(Encryption), st.booleans())
+DRAWN_LEVELS = st.builds(SecurityLevel, st.sampled_from(Encryption), st.booleans())
+
+
+def reference_decide(policy, pclass, energy, trust):
+    """The ladder written out, building its level: the oracle for `decide`."""
+    if pclass is PacketClass.KEY_MATERIAL:
+        return SecurityLevel(Encryption.RC5_R12, True)
+    enc = int(policy.base_level.encryption)
+    if trust is not None and trust < policy.trust_alarm:
+        enc += 1
+    elif energy < policy.energy_floor:
+        enc -= 1
+    enc = max(enc, int(policy.min_level.encryption))
+    enc = min(enc, int(Encryption.RC5_R12))
+    auth = policy.base_level.auth
+    if pclass is PacketClass.ROUTING_CONTROL:
+        auth = True
+    return SecurityLevel(Encryption(enc), auth)
 
 
 @st.composite
 def policies(draw):
-    base = draw(LEVELS)
+    base = draw(DRAWN_LEVELS)
     floor = draw(st.sampled_from([e for e in Encryption if e <= base.encryption]))
     return ScenarioPolicy(
         name="drawn",
@@ -95,7 +112,7 @@ def policies(draw):
         min_level=SecurityLevel(floor, draw(st.booleans())),
         energy_floor=draw(st.floats(0.0, 1e6)),
         trust_alarm=draw(st.floats(0.0, 1.0, exclude_max=True)),
-        fixed_level=draw(LEVELS),
+        fixed_level=draw(DRAWN_LEVELS),
     )
 
 
@@ -108,6 +125,9 @@ def policies(draw):
 )
 def test_ladder_stays_within_policy(policy, energy, trust, pclass):
     level = decide(policy, pclass, energy, trust)
+    # The shared table entry itself, equal to the level built from the rule.
+    assert level is LEVELS[(level.encryption << 1) | level.auth]
+    assert level == reference_decide(policy, pclass, energy, trust)
     assert policy.min_level.encryption <= level.encryption <= Encryption.RC5_R12
     if pclass is PacketClass.KEY_MATERIAL:
         assert level == LEVEL_STRONGEST

@@ -5,6 +5,7 @@ import pathlib
 import threading
 import time
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -55,9 +56,9 @@ def count_calls(monkeypatch, owner, name):
     calls = [0]
     real = getattr(owner, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls[0] += 1
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
     return calls
@@ -1050,6 +1051,58 @@ class TestObservationViews:
             for (fixed, *_), (adaptive, *_) in (lazy, eager)
         ]
         assert savings[0].savings_csv() == savings[1].savings_csv()
+
+
+ARMS = pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+
+
+class TestPerPacketAllocations:
+    """The per-packet path builds none of the objects whose values come
+    from small fixed sets or are already held: levels, counter states and
+    addresses. Each golden arm runs in this process, so the patched
+    constructors see every call."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    @ARMS
+    def test_no_level_built_after_setup(self, monkeypatch, name, adaptive):
+        config = replace(sim.config_from_dict(GOLDEN_CONFIGS[name]), adaptive=adaptive)
+        simulation = sim._Simulation(config)
+        built = count_calls(monkeypatch, SecurityLevel, "__init__")
+        simulation.run()
+        assert built[0] == 0
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    @ARMS
+    def test_one_counter_state_per_direction(self, monkeypatch, name, adaptive):
+        config = replace(sim.config_from_dict(GOLDEN_CONFIGS[name]), adaptive=adaptive)
+        built = count_calls(monkeypatch, CounterState, "__init__")
+        simulation = sim._Simulation(config)
+        simulation.run()
+        held = sum(len(n.out_ctr) + len(n.in_ctr) for n in simulation.nodes.values())
+        assert held > 0
+        assert built[0] == held
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    @ARMS
+    def test_address_builds_do_not_grow_with_frames(self, monkeypatch, name, adaptive):
+        config = replace(sim.config_from_dict(GOLDEN_CONFIGS[name]), adaptive=adaptive)
+        built = count_calls(monkeypatch, NodeAddress, "__new__")
+
+        def builds(frames):
+            before = built[0]
+            sim._Simulation(replace(config, sim_length=frames)).run()
+            return built[0] - before
+
+        assert builds(30) == builds(3) > 0
+
+    def test_reading_is_the_counting_octets(self):
+        """`_reading` slices a table; the generator it replaced is the
+        reference, over two wraps of the frame and every member id."""
+        for node_id in range(1, 255):
+            node = SimpleNamespace(addr=NodeAddress(0, node_id))
+            for frame in range(512):
+                want = bytes((frame + node_id + i) & 0xFF for i in range(10))
+                assert sim._reading(node, frame) == want
 
 
 class TestConfigLoading:

@@ -1,14 +1,26 @@
+import csv
+import io
+import json
+import pathlib
 import random
 
 import pytest
 
+from wsnsec import sim
 from wsnsec.addressing import NodeAddress
 from wsnsec.trust import (
+    CSV_COLUMNS,
+    RECORD_FIELDS,
     NeighborRecord,
     TrustTable,
     TrustWeights,
     compute_trust,
     run_election,
+    tables_to_csv,
+)
+
+GOLDEN_CONFIGS = json.loads(
+    (pathlib.Path(__file__).parent / "vectors" / "sim_golden" / "configs.json").read_text()
 )
 
 A = NodeAddress(0, 1)
@@ -175,6 +187,48 @@ class TestRecordEvents:
         assert lines[0].startswith("observer,neighbor,ae_t1")
         assert len(lines) == 3
         assert lines[1].split(",")[1] == str(B)
+
+
+def reference_csv(tables):
+    """The trust CSV written row by row, formatting every row it meets: the
+    oracle for `tables_to_csv`, which formats each shared row once."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for table in tables:
+        for neighbor in sorted(table.rows):
+            rec = table.rows[neighbor]
+            counters = [
+                f"{getattr(rec, name):.9f}" if kind is float else int(getattr(rec, name))
+                for name, kind in RECORD_FIELDS.items()
+            ]
+            trust = f"{table.trust(neighbor):.9f}"
+            writer.writerow([str(table.observer), str(neighbor), *counters, trust])
+    return buf.getvalue()
+
+
+class TestTablesToCsv:
+    def test_run_with_a_death_matches_reference(self):
+        """Live views share the ledger's rows; the dead hold frozen copies.
+        Each table is built afresh from a generator, as `trust_csv` may be."""
+        report = sim.run(sim.config_from_dict(GOLDEN_CONFIGS["habitat_election"]))
+        assert any(not stats.alive for stats in report.nodes.values())
+        tables = report.trust_tables
+        ids = [id(rec) for table in tables.values() for rec in table.rows.values()]
+        assert len(set(ids)) < len(ids)  # some rows are shared
+        want = reference_csv(tables[a] for a in sorted(tables))
+        fresh = (TrustTable(t.observer, t.weights, dict(t.rows)) for t in tables.values())
+        assert tables_to_csv(fresh) == tables_to_csv(tables.values())
+        assert tables_to_csv(tables[a] for a in sorted(tables)) == want
+        assert report.trust_csv() == want
+
+    def test_lone_table_matches_reference(self):
+        rnd = random.Random(5)
+        table = TrustTable(observer=A)
+        for neighbor in (D, B, C):
+            table.rows[neighbor] = random_valid_record(rnd)
+        table.rows[NodeAddress(0, 9)] = table.rows[B]  # one row under two neighbors
+        assert table.to_csv() == reference_csv([table])
 
 
 def table_with_trust(observer, values):
