@@ -39,6 +39,8 @@ MAC_BYTES = 4
 ADDRESS_OVERHEAD = 3
 TINYSEC_ADDRESS_OVERHEAD = 2 + 2  # comparison constant: 2-octet src + dest
 COUNTER_BITS = 32
+_COUNTER_MASK = (1 << COUNTER_BITS) - 1
+_WRAP_MASK = _COUNTER_MASK & ~0xFF  # the counter's high 24 bits
 DEFAULT_LOSS_THRESHOLD = 4
 
 
@@ -98,7 +100,10 @@ class PacketHeader(NamedTuple):
         if len(data) < HEADER_BYTES:
             raise FormatError("truncated header")
         packed = data[3]
-        return cls(data[0], data[1], data[2], packed >> 3, LEVELS[packed & 0x7], data[4])
+        # `tuple.__new__` skips the NamedTuple's generated Python `__new__`.
+        return tuple.__new__(
+            cls, (data[0], data[1], data[2], packed >> 3, LEVELS[packed & 0x7], data[4])
+        )
 
 
 class DecodeError(Exception):
@@ -157,8 +162,9 @@ def _sender_key(ring: KeyRing, dest: int) -> SymmetricKey:
 def _receiver_key(ring: KeyRing, src: int, dest: int) -> SymmetricKey:
     # The rings are keyed by `NodeAddress`, a tuple subclass that hashes and
     # compares equal to the plain `(group, node)` tuple, so the plain tuple
-    # finds its entry without building an address per packet.
-    peer = (ring.owner.group_id, src)
+    # finds its entry without building an address per packet. `owner[0]` is
+    # its group id, read without the property.
+    peer = (ring.owner[0], src)
     if dest == BROADCAST_NODE_ID:
         if ring.session is not None:
             return ring.session
@@ -206,7 +212,7 @@ def encode_pending(
     if len(payload) > MAX_PAYLOAD:
         raise ValueError(f"payload exceeds {MAX_PAYLOAD} octets")
     key = _sender_key(keyring, dest)
-    if counter_state.value == (1 << COUNTER_BITS) - 1:
+    if counter_state.value == _COUNTER_MASK:
         raise CounterExhaustedError(
             f"send counter to {dest} exhausted; re-key before sending"
         )
@@ -311,7 +317,7 @@ def decode_parsed(
     answered candidate as to any other, so the outcome and `expected` are
     those of decoding `bytes(wire)`. A pending wire is sealed only for a
     real open."""
-    if header.group != keyring.owner.group_id:
+    if header.group != keyring.owner[0]:  # the owner's group id
         raise AuthenticationError(
             f"packet for group {header.group}, ring owner in {keyring.owner.group_id}"
         )
@@ -319,18 +325,17 @@ def decode_parsed(
     # The counter that the wire answers from its own plaintext, if any.
     own = wire.counter if isinstance(wire, PendingWire) and wire.key == key else None
     last = expected.value
-    rounds = header.level.encryption.rounds
-    next_expected = (last + 1) & ((1 << COUNTER_BITS) - 1)
-    base = (next_expected & ~0xFF) | header.counter_lsb
+    base = ((last + 1) & _WRAP_MASK) | header.counter_lsb
 
     if header.level.auth:
         ct = None
         for wrap in range(loss_threshold + 1):
-            candidate = (base + (wrap << 8)) & ((1 << COUNTER_BITS) - 1)
+            candidate = (base + (wrap << 8)) & _COUNTER_MASK
             if candidate == own:
                 payload = wire.payload
             else:
-                if ct is None:  # the first real open reads, so seals, the bytes
+                if ct is None:  # the first real open reads the rounds and seals the bytes
+                    rounds = header.level.encryption.rounds
                     data = bytes(wire)
                     aad, ct, mac = (
                         data[:HEADER_BYTES], data[HEADER_BYTES:-MAC_BYTES], data[-MAC_BYTES:]
@@ -354,7 +359,8 @@ def decode_parsed(
     else:
         data = bytes(wire)
         payload = aead.open_(
-            key, rounds, base, data[:HEADER_BYTES], data[HEADER_BYTES:], None, False
+            key, header.level.encryption.rounds, base,
+            data[:HEADER_BYTES], data[HEADER_BYTES:], None, False,
         )
     expected.value = base
     return payload

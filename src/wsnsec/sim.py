@@ -39,25 +39,28 @@ Model (desk scale, normative for the closed-form energy tests):
   neighbor rows and a member's trust table is a view of it without its own
   row. A node that dies keeps a frozen copy of what it had seen. Lossy or
   partial observation would need one table per observer again.
-* Reception: every destination listener is charged a full open's receive
-  and crypto energy, every sender a full seal's, and the simulator keeps a
-  separate receive counter per listener and direction. On the host, an
-  honest wire is the `linksec.PendingWire` that `linksec.encode_pending`
-  returns: its counter is reserved and its `PacketHeader` travels with it,
-  but it is sealed only when something reads its bytes, a real open or a
-  replayer's retransmission. Only replayed bytes have their header parsed
-  from octets. Listeners decode the pending wire itself, which is its
-  own seal: one holding the sealing key gets the plaintext at the sealing
-  counter with no block pass, which is exact because an OCB open at the
-  true key and counter always verifies and returns the plaintext. Every
-  other open is real: wraps tried before the sealing counter, receivers
-  under another key (a stale session, an excluded member) and every
-  replayed wire. A late seal is exact too, since a seal is a pure function
-  of its inputs, so every listener's energy, counters and outcome are as
-  if the wire had been sealed and opened for real. Honest simulator
-  traffic therefore runs no cipher at all; the `codec` benchmark workload,
-  acceptance criteria 3 and 8, the packet vectors, the oracle tests and
-  criterion 6 (real opens under stale session keys) keep it covered.
+* Reception: every destination listener is charged a full open's receive and
+  crypto energy in one receive charge (`_Node.debit_receive`, rx then
+  crypto, as two debits would make them), a destination that rejects the
+  clear header its receive energy alone, and every sender a full seal's. The
+  simulator keeps a separate receive counter per listener and direction. On
+  the host, an honest wire is the `linksec.PendingWire` that
+  `linksec.encode_pending` returns: its counter is reserved and its
+  `PacketHeader` travels with it, but it is sealed only when something reads
+  its bytes, a real open or a replayer's retransmission. Only replayed bytes
+  have their header parsed from octets. Listeners decode the pending wire
+  itself, which is its own seal: one holding the sealing key gets the
+  plaintext at the sealing counter with no block pass, which is exact
+  because an OCB open at the true key and counter always verifies and
+  returns the plaintext. Every other open is real: wraps tried before the
+  sealing counter, receivers under another key (a stale session, an excluded
+  member) and every replayed wire. A late seal is exact too, since a seal is
+  a pure function of its inputs, so every listener's energy, counters and
+  outcome are as if the wire had been sealed and opened for real. Honest
+  simulator traffic therefore runs no cipher at all; the `codec` benchmark
+  workload, acceptance criteria 3 and 8, the packet vectors, the oracle
+  tests and criterion 6 (real opens under stale session keys) keep it
+  covered.
 * Header-only listens: in a loss-free group whose every alive member has
   more battery left than one frame can spend, the non-destinations of a
   unicast are not debited one by one. The group counts the listen, and each
@@ -193,14 +196,37 @@ class _Node:
         else:
             raise ValueError(f"unknown energy kind {kind!r}")
         if initial - (spent.tx + spent.rx + spent.crypto) <= 0:
-            stats.alive = False
-            self.channel.deaths += 1
-            # The dead observe nothing more: keep copies of the rows seen so far.
-            self.frozen = TrustTable(
-                self.addr,
-                self.ledger.weights,
-                {s: replace(rec) for s, rec in self.view().rows.items()},
-            )
+            self._die()
+
+    def debit_receive(self, rx: float, crypto: float) -> None:
+        """A destination's receive and open: `debit("rx", rx)` then
+        `debit("crypto", crypto)`, with the same floats and the same death,
+        in one call. A node that the rx charge kills pays no crypto."""
+        stats = self.stats
+        if not stats.alive:
+            return
+        if self.channel.deferred != self.heard:
+            self.settle()
+        spent = stats.ledger
+        initial = self.model.initial_energy
+        spent.rx += min(rx, initial - (spent.tx + spent.rx + spent.crypto))
+        left = initial - (spent.tx + spent.rx + spent.crypto)
+        if left <= 0:
+            self._die()
+            return
+        spent.crypto += min(crypto, left)
+        if initial - (spent.tx + spent.rx + spent.crypto) <= 0:
+            self._die()
+
+    def _die(self) -> None:
+        self.stats.alive = False
+        self.channel.deaths += 1
+        # The dead observe nothing more: keep copies of the rows seen so far.
+        self.frozen = TrustTable(
+            self.addr,
+            self.ledger.weights,
+            {s: replace(rec) for s, rec in self.view().rows.items()},
+        )
 
     def view(self) -> TrustTable:
         """This node's trust table: the group ledger without its own row,
@@ -491,12 +517,12 @@ class _Simulation:
                 # Promiscuous listeners parse the clear header, then gate off.
                 listener.debit("rx", self.model.rx_per_octet * linksec.HEADER_BYTES)
                 continue
-            listener.debit("rx", rx_cost)
             if header is None:
                 # Rejected on the clear header: no open to pay for.
+                listener.debit("rx", rx_cost)
                 listener.stats.format_rejects += 1
                 continue
-            listener.debit("crypto", open_cost)
+            listener.debit_receive(rx_cost, open_cost)
             state = listener.counter_from(header.src, header.dest)
             try:
                 plain = linksec.decode_parsed(
@@ -716,14 +742,16 @@ class _Simulation:
                 self._observe(group, node.addr, "signal-sample", 0.8)
             # A member's neighbors are the ledger's subjects but itself: the
             # lowest of the ledger's two lowest entries that is not its own
-            # is the member's lowest neighbor trust.
+            # is the member's lowest neighbor trust. Missing entries read as
+            # (None, None).
             ledger = group.ledger
-            lowest = heapq.nsmallest(
-                2, ((ledger.election_trust(s), s) for s in ledger.rows)
-            )
+            (first, first_subject), (second, _) = (
+                heapq.nsmallest(2, ((ledger.election_trust(s), s) for s in ledger.rows))
+                + [(None, None)] * 2
+            )[:2]
             for node in members:
-                node.agent.lowest_neighbor_trust = next(
-                    (t for t, s in lowest if s != node.addr), None
+                node.agent.lowest_neighbor_trust = (
+                    first if first_subject != node.addr else second
                 )
 
     def run(self) -> SimReport:

@@ -88,7 +88,9 @@ def _ratio(num: float, den: float) -> float:
     misbehaved."""
     if den == 0:
         return 1.0
-    return min(max(num / den, 0.0), 1.0)
+    r = num / den
+    # Clamps as `min(max(r, 0.0), 1.0)` does, -0.0 and NaN included.
+    return 0.0 if r < 0.0 else 1.0 if r > 1.0 else r
 
 
 def compute_trust(record: NeighborRecord, weights: TrustWeights) -> float:
@@ -105,8 +107,10 @@ def compute_trust(record: NeighborRecord, weights: TrustWeights) -> float:
     a4 = _ratio(record.draf, record.drf)
     a5 = 1.0 if record.npt == 0 else 1.0 - _ratio(record.npc, record.npt)
     a6 = 1.0 if record.npr == 0 else 1.0 - _ratio(record.pd, record.npr)
-    w = weights.as_tuple()
-    return w[0] * a1 + w[1] * a2 + w[2] * a3 + w[3] * a4 + w[4] * a5 + w[5] * a6
+    return (
+        weights.w1 * a1 + weights.w2 * a2 + weights.w3 * a3
+        + weights.w4 * a4 + weights.w5 * a5 + weights.w6 * a6
+    )
 
 
 @dataclass
@@ -153,7 +157,16 @@ class TrustTable:
         instead, which zeroes it out for election purposes.
         """
         rec = self.row(neighbor)
-        if kind == "control-received-for-forward":
+        # The kinds recorded per packet or per frame come first.
+        if kind == "packet-transmitted":
+            rec.npt += 1
+        elif kind == "packet-received":
+            rec.npr += 1
+        elif kind == "energy-sample":
+            self._energy_sample(rec, value)
+        elif kind == "signal-sample":
+            self._signal_sample(rec, value)
+        elif kind == "control-received-for-forward":
             rec.crf += 1
         elif kind == "control-forwarded":
             if rec.craf >= rec.crf:
@@ -169,18 +182,10 @@ class TrustTable:
             if rec.pd >= rec.npr:
                 raise ValueError("dropped more packets than received")
             rec.pd += 1
-        elif kind == "packet-transmitted":
-            rec.npt += 1
-        elif kind == "packet-received":
-            rec.npr += 1
         elif kind == "collision":
             if rec.npc >= rec.npt:
                 raise ValueError("more collisions than transmissions")
             rec.npc += 1
-        elif kind == "energy-sample":
-            self._energy_sample(rec, value)
-        elif kind == "signal-sample":
-            self._signal_sample(rec, value)
         else:
             raise ValueError(f"unknown event kind {kind!r}")
         rec._trust = None

@@ -136,3 +136,25 @@ def ocb_open(key, rounds, counter, aad, ciphertext, tag, auth):
     if auth and tag != expect:
         return None
     return pt
+
+
+def trust_formula(record, weights):
+    """Trust straight from the formula: T = sum of w_i * A_i over the six
+    behavior ratios, each clamped into [0, 1], where an undefined ratio
+    (zero denominator) counts 1 and A5, A6 are one minus the collision and
+    drop ratios of a node that has sent or received."""
+    def ratio(num, den):
+        if den == 0:
+            return 1.0
+        return min(max(num / den, 0.0), 1.0)
+
+    a = (
+        ratio(record.ae_t1 - record.ae_t2, record.ae_t1),
+        ratio(record.pss_t1 - record.pss_t2, record.pss_t1),
+        ratio(record.craf, record.crf),
+        ratio(record.draf, record.drf),
+        1.0 if record.npt == 0 else 1.0 - ratio(record.npc, record.npt),
+        1.0 if record.npr == 0 else 1.0 - ratio(record.pd, record.npr),
+    )
+    w = weights.as_tuple()
+    return w[0] * a[0] + w[1] * a[1] + w[2] * a[2] + w[3] * a[3] + w[4] * a[4] + w[5] * a[5]

@@ -445,6 +445,17 @@ class TestCounterExhaustion:
             linksec.encode(level, ring_src, tx, HEAD.node_id, b"z")
         assert tx.value == (1 << 32) - 1
 
+    @pytest.mark.parametrize("level", ALL_LEVELS)
+    def test_receiver_at_the_last_counter_accepts_nothing(self, level):
+        """A fresh counter after 2**32 - 1 would need a 33rd bit, so every
+        wire is stale, with or without a tag, and the state stays."""
+        ring_head, ring_src, _ = make_rings()
+        wire = linksec.encode(level, ring_src, CounterState(4), HEAD.node_id, b"z")
+        rx = CounterState((1 << 32) - 1)
+        with pytest.raises(ReplayError):
+            linksec.decode(wire, ring_head, rx)
+        assert rx.value == (1 << 32) - 1
+
 
 class TestTamper:
     def test_every_bit_flip_rejected(self):

@@ -6,6 +6,8 @@ output fails here first. Nothing under ``perfbench/`` is changed."""
 import importlib
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -32,3 +34,14 @@ def test_one_unit_fails_no_call(workloads, name):
     calls, failed, packets = workload.run_unit(lambda fn, *args: fn(*args))
     assert workload.checks.failures == []
     assert failed == 0 and calls > 0 and packets > 0
+
+
+def test_benchmark_selftest_passes():
+    """`perfbench/selftest.py` exits 0: the intact program fails no call and
+    each broken stand-in fails at least one."""
+    pytest.importorskip("numpy")  # `run.py`, which the self-test imports, needs it
+    done = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -225,6 +225,49 @@ class TestEnergyAccounting:
         assert deferred.trust_csv() == eager.trust_csv()
         assert deferred.elections == eager.elections
 
+    @pytest.mark.parametrize(
+        "spent_tx, deferred, alive, rx, crypto",
+        [
+            (0.0, 0, True, 0.25, 0.125),  # no pending listens
+            (0.0, 3, True, 0.25, 0.125),  # deferred listens settle first
+            (0.9, 3, True, 0.25, 0.125),  # the rx charge kills: no crypto
+            (0.6, 0, True, 0.25, 0.5),  # the crypto charge kills
+            (0.9, 3, False, 0.25, 0.125),  # already dead: nothing changes
+        ],
+        ids=["plain", "deferred", "dies_on_rx", "dies_on_crypto", "dead"],
+    )
+    def test_one_receive_charge_equals_rx_then_crypto_debits(
+        self, spent_tx, deferred, alive, rx, crypto
+    ):
+        def node():
+            config = SimConfig(energy_model=EnergyModel(initial_energy=1.0))
+            addr, peer = NodeAddress(0, 1), NodeAddress(0, 2)
+            ledger = TrustTable(NodeAddress(0, BROADCAST_NODE_ID), config.trust_weights)
+            ledger.record(addr, "packet-transmitted")
+            ledger.record(peer, "packet-received")
+            channel = sim._Channel()
+            channel.deferred = deferred
+            made = sim._Node(addr, None, ledger, channel, config)
+            made.stats.ledger.tx = spent_tx
+            made.stats.alive = alive
+            return made
+
+        one, two = node(), node()
+        one.debit_receive(rx, crypto)
+        two.debit("rx", rx)
+        two.debit("crypto", crypto)
+        assert one.stats == two.stats  # every ledger float, exactly, and `alive`
+        assert (one.heard, one.channel.deaths) == (two.heard, two.channel.deaths)
+        assert one.frozen == two.frozen
+        if alive and not one.stats.alive:
+            assert one.channel.deaths == 1
+            peer = NodeAddress(0, 2)
+            assert list(one.frozen.rows) == [peer]
+            assert one.frozen.rows[peer] is not one.ledger.rows[peer]  # a copy
+            assert (one.stats.ledger.crypto == 0) == (spent_tx == 0.9)
+        else:
+            assert one.frozen is None and one.channel.deaths == 0
+
     def test_single_node_zero_radio(self):
         em = EnergyModel()
         cfg = SimConfig(seed=2, node_count=1, group_count=1, sim_length=10,
@@ -604,23 +647,17 @@ class TestObservationViews:
     def test_debits_per_transmission_independent_of_group_size(
         self, monkeypatch, members
     ):
-        """Loss-free, far from death: a unicast debits its sender and its
+        """Loss-free, far from death: a unicast charges its sender and its
         destination only, and the other members' header-only listens are
-        settled later. A frame's two broadcasts still debit every member,
-        so a frame of n + 2 transmissions makes about 8n debits."""
-        debits = 0
-        debit = sim._Node.debit
-
-        def counting(self, *args):
-            nonlocal debits
-            debits += 1
-            return debit(self, *args)
-
-        monkeypatch.setattr(sim._Node, "debit", counting)
+        settled later. A frame's two broadcasts still charge every member,
+        so a frame of n + 2 transmissions makes at most 8n charges, counting
+        a destination's one receive charge as one."""
+        debits = count_calls(monkeypatch, sim._Node, "debit")
+        receives = count_calls(monkeypatch, sim._Node, "debit_receive")
         report = sim.run(
             SimConfig(seed=1, node_count=members, group_count=1, sim_length=3)
         )
-        assert 0 < debits <= 8 * len(report.slot_log)
+        assert 0 < debits[0] + receives[0] <= 8 * len(report.slot_log)
 
     def test_one_open_per_transmission(self, monkeypatch):
         """Loss-free and honest: every listener of a wire holds the sealing
@@ -637,9 +674,9 @@ class TestObservationViews:
         assert opens[0] == 0
 
     def test_replayed_and_lost_wires_open_for_real(self, monkeypatch):
-        """A replayed wire carries no seal hint, and a listener that lost
-        packets may try wraps before the sealing counter: those opens still
-        run the cipher."""
+        """A replayed wire is bytes, not the pending wire, so no plaintext
+        answers its opens, and a listener that lost packets may try wraps
+        before the sealing counter: those opens still run the cipher."""
         opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
         report = sim.run(sim.config_from_dict(GOLDEN_CONFIGS["habitat_replay_loss"]))
         assert sum(s.replay_rejects for s in report.nodes.values()) > 0

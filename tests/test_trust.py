@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import math
 import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from wsnsec import sim
 from wsnsec.addressing import NodeAddress
 from wsnsec.trust import (
@@ -14,6 +17,7 @@ from wsnsec.trust import (
     NeighborRecord,
     TrustTable,
     TrustWeights,
+    _ratio,
     compute_trust,
     run_election,
     tables_to_csv,
@@ -110,6 +114,45 @@ class TestComputeTrust:
             if rec.draf < rec.drf:
                 rec.draf += 1
                 assert compute_trust(rec, w) >= t0
+
+
+# Counts with zero and non-zero denominators, and a numerator that may
+# exceed its denominator: a row built directly can forward more than it got.
+_COUNTS = st.integers(0, 60)
+# Samples that may rise between t1 and t2, so the drift ratios go negative,
+# and a zero first sample.
+_SAMPLES = st.one_of(st.just(0.0), st.floats(0.0, 1000.0))
+
+
+@st.composite
+def _records(draw):
+    return NeighborRecord(
+        ae_t1=draw(_SAMPLES), ae_t2=draw(_SAMPLES),
+        pss_t1=draw(_SAMPLES), pss_t2=draw(_SAMPLES),
+        crf=draw(_COUNTS), craf=draw(_COUNTS), drf=draw(_COUNTS), draf=draw(_COUNTS),
+        npt=draw(_COUNTS), npc=draw(_COUNTS), npr=draw(_COUNTS), pd=draw(_COUNTS),
+    )
+
+
+@st.composite
+def _weights(draw):
+    # Six weights below 1/6 each always sum below 1.
+    return TrustWeights(*(draw(st.floats(0.0, 0.166)) for _ in range(6)))
+
+
+class TestTrustOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_records(), st.one_of(st.just(TrustWeights()), _weights()))
+    def test_compute_trust_is_the_formula_bit_for_bit(self, record, weights):
+        got, want = compute_trust(record, weights), oracles.trust_formula(record, weights)
+        assert got == want and repr(got) == repr(want)
+
+    @pytest.mark.parametrize(
+        "num", [-0.0, 0.0, -1e-300, 0.5, 1.0, 1.5, math.inf, -math.inf, math.nan]
+    )
+    def test_ratio_clamps_as_min_and_max(self, num):
+        """Every float the division can give, -0.0 and NaN included."""
+        assert repr(_ratio(num, 1.0)) == repr(min(max(num, 0.0), 1.0))
 
 
 class TestTrustWeights:
