@@ -15,11 +15,14 @@ itself is deleted the moment derivation finishes: compromising a deployed
 node exposes one-hop keys only, never the derivation root.
 
 A single-hop clique can derive all its members' rings in one pass, each key
-once, giving rings equal to those of per-node derivation except that their
-pairwise maps start empty. The simulator, which plays the safe base station
-and keeps the master, derives a pair's key with `pairwise_key` on the pair's
-first unicast and stores it in both rings. Per-node `derive_keyring` is
-unchanged: it still derives a pairwise key for every neighbor.
+once. Its rings differ from those of per-node derivation in two ways: their
+pairwise maps start empty, and each family of peer keys is one read-only map
+shared by the whole group, holding every member's entry, the owner's own
+included. That entry is the owner's own key, so no ring gains key material.
+The simulator, which plays the safe base station and keeps the master,
+derives a pair's key with `pairwise_key` on the pair's first unicast and
+stores it in both rings. Per-node `derive_keyring` is unchanged: it still
+derives a pairwise key for every neighbor.
 
 Byte encodings are normative and bit-exact. Each derivation is prefixed with
 a 1-octet domain-separation tag so no two formulas can collide:
@@ -42,6 +45,7 @@ import hmac
 import logging
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional
 
 from .addressing import NodeAddress
@@ -141,15 +145,20 @@ def prf(key: SymmetricKey, message: bytes) -> SymmetricKey:
 @dataclass
 class KeyRing:
     """A node's post-setup key material. It has no field for the master
-    key, so no ring carries the master key past setup."""
+    key, so no ring carries the master key past setup.
+
+    `pairwise` is the ring's own dict. The peer maps of a per-node ring are
+    its own dicts too; those of a `derive_group_keyrings` ring are shared
+    read-only by every ring of its group and include the owner's own entry.
+    """
 
     owner: NodeAddress
     head: NodeAddress
     node_based: SymmetricKey
     broadcast: SymmetricKey
     pairwise: dict[NodeAddress, SymmetricKey] = field(default_factory=dict)
-    peer_broadcast: dict[NodeAddress, SymmetricKey] = field(default_factory=dict)
-    peer_node_based: dict[NodeAddress, SymmetricKey] = field(default_factory=dict)
+    peer_broadcast: Mapping[NodeAddress, SymmetricKey] = field(default_factory=dict)
+    peer_node_based: Mapping[NodeAddress, SymmetricKey] = field(default_factory=dict)
     session: Optional[SymmetricKey] = None
 
 
@@ -212,11 +221,15 @@ def derive_group_keyrings(
     """Derive the rings of a single-hop clique in one pass.
 
     Each ring equals `derive_keyring(master, m, group_head, others)` for its
-    member `m`, except that its `pairwise` map starts empty: the caller,
-    which keeps the master, adds a pair's key from `pairwise_key` when the
-    pair first needs it. Every key is derived once: 2n node-based and
-    broadcast keys. Rings come back in address order and share no mutable
-    object, so an election or re-key on one leaves the others untouched.
+    member `m`, except in its three maps. Its `pairwise` dict starts empty:
+    the caller, which keeps the master, adds a pair's key from
+    `pairwise_key` when the pair first needs it. Its `peer_broadcast` and
+    `peer_node_based` are one read-only map per family for the whole group,
+    holding every member, `m` too, whose entries are `m`'s own `broadcast`
+    and `node_based` keys. Every key is derived once: 2n node-based and
+    broadcast keys. Rings come back in address order; the only mutable
+    objects a ring holds are its own, so an election or re-key on one
+    leaves the others untouched.
     """
     members = list(members)
     unique = {m.encode(): m for m in members}
@@ -231,23 +244,21 @@ def derive_group_keyrings(
     head = group_head.encode()
     broadcast = [prf_fn(master, TAG_BROADCAST + e) for e in order]
     node_based = [prf_fn(master, TAG_NODE_BASED + e + head) for e in order]
-    # Copies of one group-wide dict keep its stored hashes: no address is
-    # hashed again, and each ring still owns its dicts.
-    all_broadcast = dict(zip(addrs, broadcast))
-    all_node_based = dict(zip(addrs, node_based))
-    rings = []
-    for i, owner in enumerate(addrs):
-        ring = KeyRing(
+    # One read-only map per family for the whole group, the owner's own
+    # entry included: set-up stays linear in the group's size.
+    peer_broadcast = MappingProxyType(dict(zip(addrs, broadcast)))
+    peer_node_based = MappingProxyType(dict(zip(addrs, node_based)))
+    return [
+        KeyRing(
             owner=owner,
             head=group_head,
             node_based=node_based[i],
             broadcast=broadcast[i],
-            peer_broadcast=all_broadcast.copy(),
-            peer_node_based=all_node_based.copy(),
+            peer_broadcast=peer_broadcast,
+            peer_node_based=peer_node_based,
         )
-        del ring.peer_broadcast[owner], ring.peer_node_based[owner]
-        rings.append(ring)
-    return rings
+        for i, owner in enumerate(addrs)
+    ]
 
 
 def derive_session_key(

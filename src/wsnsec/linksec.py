@@ -162,22 +162,27 @@ def _sender_key(ring: KeyRing, dest: int) -> SymmetricKey:
 def _receiver_key(ring: KeyRing, src: int, dest: int) -> SymmetricKey:
     # The rings are keyed by `NodeAddress`, a tuple subclass that hashes and
     # compares equal to the plain `(group, node)` tuple, so the plain tuple
-    # finds its entry without building an address per packet. `owner[0]` is
-    # its group id, read without the property.
-    peer = (ring.owner[0], src)
-    if dest == BROADCAST_NODE_ID:
-        if ring.session is not None:
-            return ring.session
-        key = ring.peer_broadcast.get(peer)
-    elif dest == ring.head.node_id and ring.owner == ring.head:
-        key = ring.peer_node_based.get(peer)
-    elif dest == ring.owner.node_id:
-        key = ring.pairwise.get(peer)
-    else:
-        key = None
-    if key is None:
-        raise AuthenticationError(f"no key to receive {src} -> {dest}")
-    return key
+    # finds its entry without building an address per packet. `owner[0]` and
+    # `owner[1]` are its group and node ids, read without the properties. A
+    # group ring's peer maps hold its owner's own keys too, so a wire from
+    # the owner itself is refused here rather than by a missing entry. The
+    # maps are subscripted: a shared map is a `MappingProxyType`, whose
+    # `.get` costs far more than a dict's.
+    owner = ring.owner
+    try:
+        if dest == BROADCAST_NODE_ID:
+            if ring.session is not None:
+                return ring.session
+            if src != owner[1]:
+                return ring.peer_broadcast[owner[0], src]
+        elif dest == owner[1]:
+            if owner != ring.head:
+                return ring.pairwise[owner[0], src]
+            if src != dest:  # not from the owner itself
+                return ring.peer_node_based[owner[0], src]
+    except KeyError:
+        pass
+    raise AuthenticationError(f"no key to receive {src} -> {dest}")
 
 
 def encode(

@@ -22,10 +22,12 @@ Model (desk scale, normative for the closed-form energy tests):
   the re-key threshold. Group broadcasts ride the session key once one
   exists, so an excluded member can no longer read them.
 * Keys: set-up derives a group's n node-based and n broadcast keys, each
-  once. A pair's pairwise key is derived from the base station's master on
-  the pair's first unicast and stored in both rings. A run uses only the
-  pairs that talk (the head's handoff and re-key deliveries), so set-up is
-  linear in the group's size.
+  once, into one read-only map per family that every ring of the group
+  shares. A pair's pairwise key is derived from the base station's master
+  on the pair's first unicast and stored in both rings, each of which owns
+  its pairwise dict. A run uses only the pairs that talk (the head's
+  handoff and re-key deliveries), so set-up is linear in the group's size,
+  in time and in memory.
 * Elections: when the head's remaining energy falls below 20% of the group
   median it calls an election (broadcast + one vote per member + result
   broadcast) and hands over to the vote winner.
@@ -92,6 +94,7 @@ import signal
 import statistics
 import threading
 from dataclasses import replace
+from functools import lru_cache
 from typing import Optional
 
 from . import aead, linksec
@@ -328,12 +331,7 @@ class _Simulation:
                 n for n in group.nodes
                 if n.adversary is not None and n.adversary.behavior == "replay-attacker"
             ]
-        # One seal's or open's crypto energy, by the level's wire code
-        # (encryption << 1 | auth) and the payload length.
-        self.crypto_costs = [
-            [_crypto_energy(self.model, level, n) for n in range(linksec.MAX_PAYLOAD + 1)]
-            for level in linksec.LEVELS
-        ]
+        self.crypto_costs = _crypto_costs(self.model)
         # The most one packet can charge a node: the largest wire's radio and
         # the dearest open or seal.
         self.packet_spend = max(
@@ -774,6 +772,23 @@ class _Simulation:
             trust_tables={addr: node.view() for addr, node in self.nodes.items()},
             slot_log=self.slot_log,
         )
+
+
+def _crypto_costs(model: EnergyModel) -> tuple[tuple[float, ...], ...]:
+    """One seal's or open's crypto energy under `model`, by the level's wire
+    code (encryption << 1 | auth) and the payload length; built once per
+    model."""
+    return _crypto_table(model, repr(model))
+
+
+# Keyed on the repr as well: models compare equal across 0, 0.0 and -0.0,
+# whose products differ in type or sign.
+@lru_cache(maxsize=32)
+def _crypto_table(model: EnergyModel, _exact: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(
+        tuple(_crypto_energy(model, level, n) for n in range(linksec.MAX_PAYLOAD + 1))
+        for level in linksec.LEVELS
+    )
 
 
 def _crypto_energy(model: EnergyModel, level: SecurityLevel, payload_len: int) -> float:

@@ -213,6 +213,36 @@ class TestDerivation:
         assert derive_session_key(master, 1, bs) == derive_session_key(master, 1, bs)
 
 
+def check_group_rings(rings, direct):
+    """The contract of one group's rings fresh from `derive_group_keyrings`,
+    against `direct`, the `derive_keyring` ring of each owner. A ring equals
+    its direct ring but for its empty `pairwise` and its two peer maps. Each
+    peer map is the direct one plus the owner's own key. The group shares
+    one read-only map per family, and each ring owns its `pairwise` dict."""
+    for ring in rings:
+        own = direct[ring.owner]
+        # Pairwise keys are the caller's to derive on first use.
+        assert ring.pairwise == {}
+        assert ring == replace(
+            own, pairwise={}, peer_broadcast=ring.peer_broadcast,
+            peer_node_based=ring.peer_node_based,
+        )
+        assert dict(ring.peer_broadcast) == {**own.peer_broadcast, ring.owner: own.broadcast}
+        assert dict(ring.peer_node_based) == {
+            **own.peer_node_based, ring.owner: own.node_based
+        }
+        assert ring.peer_broadcast[ring.owner] is ring.broadcast
+        assert ring.peer_node_based[ring.owner] is ring.node_based
+    for attr in ("peer_broadcast", "peer_node_based"):
+        assert len({id(getattr(r, attr)) for r in rings}) == 1
+        shared = getattr(rings[0], attr)
+        with pytest.raises(TypeError):
+            shared[rings[0].owner] = rings[0].broadcast
+        with pytest.raises(TypeError):
+            del shared[rings[0].owner]
+    assert len({id(r.pairwise) for r in rings}) == len(rings)
+
+
 class TestGroupDerivation:
     @pytest.mark.parametrize("node_ids", [(7, 3, 12, 40), (9, 4), (5,)])
     def test_rings_equal_per_node_derivation(self, node_ids):
@@ -221,17 +251,15 @@ class TestGroupDerivation:
         head = members[-1]  # neither the first given nor the lowest address
         rings = derive_group_keyrings(master, head, members)
         assert [r.owner for r in rings] == sorted(members)
+        direct = {
+            m: derive_keyring(master, m, head, [o for o in members if o != m])
+            for m in members
+        }
+        check_group_rings(rings, direct)
         for ring in rings:
-            others = [m for m in members if m != ring.owner]
-            direct = derive_keyring(master, ring.owner, head, others)
-            # Pairwise keys are the caller's to derive on first use.
-            assert ring.pairwise == {}
-            assert ring == replace(direct, pairwise={})
-            for peer, key in direct.pairwise.items():
+            for peer, key in direct[ring.owner].pairwise.items():
                 assert pairwise_key(master, ring.owner, peer) == key
                 assert pairwise_key(master, peer, ring.owner) == key
-        for attr in ("pairwise", "peer_broadcast", "peer_node_based"):
-            assert len({id(getattr(r, attr)) for r in rings}) == len(rings)
 
     def test_prf_called_once_per_key(self):
         calls = []

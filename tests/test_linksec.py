@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from wsnsec import linksec
 from wsnsec.addressing import BROADCAST_NODE_ID, NodeAddress
-from wsnsec.keys import SymmetricKey, derive_keyring
+from wsnsec.keys import SymmetricKey, derive_group_keyrings, derive_keyring
 from wsnsec.linksec import (
     AuthenticationError,
     CounterState,
@@ -169,6 +169,40 @@ class TestRoundTrip:
         assert linksec.decode(wire, ring_src, CounterState()) == b"s2"
         with pytest.raises(AuthenticationError):
             linksec.decode(wire, ring_peer, CounterState())
+
+
+def _own_source_wires():
+    """Two wires whose source is the receiving head itself, sealed under
+    the head's own keys: a broadcast before any session key, and a wire
+    to the head. The second cannot come from `encode`, which refuses to
+    address oneself, so it is sealed from a hand-built header."""
+    ring = derive_keyring(MASTER, HEAD, HEAD, [SRC, PEER])
+    level = SecurityLevel(Encryption.RC5_R4, True)
+    broadcast = linksec.encode(level, ring, CounterState(8), BROADCAST_NODE_ID, b"own")
+    header = PacketHeader(GROUP, HEAD.node_id, HEAD.node_id, 3, level, 9)
+    to_head = bytes(linksec.PendingWire(ring.node_based.data, 9, header, b"own"))
+    return broadcast, to_head
+
+
+class TestOwnSource:
+    """A ring refuses wires from its own owner. A group ring's shared peer
+    maps hold the owner's own keys, under which these wires verify, so
+    only the explicit check in `_receiver_key` refuses them there."""
+
+    @pytest.mark.parametrize("derive", ["derive_keyring", "derive_group_keyrings"])
+    def test_own_source_rejected(self, derive):
+        if derive == "derive_keyring":
+            ring = derive_keyring(MASTER, HEAD, HEAD, [SRC, PEER])
+        else:
+            rings = derive_group_keyrings(MASTER, HEAD, [PEER, SRC, HEAD])
+            (ring,) = [r for r in rings if r.owner == HEAD]
+            assert ring.peer_broadcast[HEAD] == ring.broadcast
+        assert ring.session is None
+        for wire in _own_source_wires():
+            expected = CounterState(5)
+            with pytest.raises(AuthenticationError):
+                linksec.decode(wire, ring, expected)
+            assert expected.value == 5
 
 
 class TestReplayAndRecovery:

@@ -4,8 +4,10 @@ import os
 import pathlib
 import threading
 import time
+import tracemalloc
+from collections.abc import Mapping
 from dataclasses import fields, replace
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
@@ -16,6 +18,8 @@ from wsnsec.keys import SymmetricKey, derive_keyring
 from wsnsec.linksec import CounterState, Encryption, SecurityLevel
 from wsnsec.sim import AdversarySpec, EnergyModel, SimConfig
 from wsnsec.trust import TrustTable
+
+from test_keys import check_group_rings
 
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "vectors" / "sim_golden"
@@ -74,7 +78,7 @@ def reachable_keys(root):
         seen.add(id(obj))
         if isinstance(obj, SymmetricKey):
             found.append(obj)
-        elif isinstance(obj, dict):
+        elif isinstance(obj, Mapping):
             todo.extend(obj.keys())
             todo.extend(obj.values())
         elif isinstance(obj, (list, tuple, set, frozenset)):
@@ -947,9 +951,10 @@ class TestObservationViews:
         assert keys._pads.cache_info().misses <= 2
 
     def test_rings_match_direct_derivation(self):
-        """At set-up every ring equals a direct `derive_keyring` but for
-        its empty pairwise map; after a run, every pairwise key it holds is
-        the one `derive_keyring` gives for that pair."""
+        """At set-up every group's rings keep the contract of
+        `derive_group_keyrings` against a direct `derive_keyring`; after a
+        run, every pairwise key a ring holds is the one `derive_keyring`
+        gives for that pair."""
         # Uneven sizes; (4, 3) gives two 1-member groups.
         used = 0
         for node_count, group_count in ((7, 2), (9, 4), (4, 3)):
@@ -966,9 +971,8 @@ class TestObservationViews:
                         simulation.bs_master, node.addr, addrs[0],
                         [a for a in addrs if a != node.addr],
                     )
-                    assert node.ring == replace(direct[node.addr], pairwise={})
-            for attr in ("pairwise", "peer_broadcast", "peer_node_based"):
-                assert len({id(getattr(r, attr)) for r in rings}) == len(rings)
+                check_group_rings([n.ring for n in group.nodes], direct)
+            assert len({id(r.peer_broadcast) for r in rings}) == len(simulation.groups)
             simulation.run()
             for ring in rings:
                 for peer, key in ring.pairwise.items():
@@ -988,6 +992,20 @@ class TestObservationViews:
                 held = reachable_keys(node.ring)
                 assert held and master not in held
                 assert all(k.data != master.data for k in held)
+
+    def test_reachable_keys_looks_inside_read_only_maps(self):
+        """The walk above would miss a leak into a shared peer map if it
+        walked plain dicts only."""
+        simulation = sim._Simulation(
+            SimConfig(seed=1, node_count=3, group_count=1, sim_length=0)
+        )
+        master = simulation.bs_master
+        ring = simulation.groups[0].nodes[0].ring
+        assert master not in reachable_keys(ring)
+        leaked = replace(
+            ring, peer_broadcast=MappingProxyType({**ring.peer_broadcast, ring.owner: master})
+        )
+        assert master in reachable_keys(leaked)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
@@ -1140,6 +1158,49 @@ class TestPerPacketAllocations:
             for frame in range(512):
                 want = bytes((frame + node_id + i) & 0xFF for i in range(10))
                 assert sim._reading(node, frame) == want
+
+
+class TestSetUp:
+    @staticmethod
+    def _setup_bytes(members):
+        """The peak traced memory of building a one-group simulation."""
+        config = SimConfig(seed=1, node_count=members, group_count=1, sim_length=0)
+        tracemalloc.start()
+        try:
+            simulation = sim._Simulation(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(simulation.groups[0].nodes) == members
+        return peak
+
+    def test_setup_memory_is_linear_in_group_size(self):
+        """Doubling a group about doubles what set-up allocates: no member
+        holds a copy of a group-wide map. Copies made the ratio 3.7."""
+        sim._Simulation(SimConfig(seed=1, node_count=2, group_count=1, sim_length=0))
+        small, big = self._setup_bytes(127), self._setup_bytes(254)
+        assert big <= 2.2 * small
+
+    def test_crypto_table_is_the_formula(self):
+        """The cached table holds `_crypto_energy` for every level and
+        length, to the repr, and models that compare equal but differ in
+        a zero's type or sign get tables of their own."""
+        models = [
+            EnergyModel(),
+            EnergyModel(xor_per_octet=0.0, mac_fixed=0.0),
+            EnergyModel(xor_per_octet=0, mac_fixed=0),
+            EnergyModel(xor_per_octet=-0.0, mac_fixed=-0.0),
+        ]
+        for model in models:
+            table = sim._crypto_costs(model)
+            assert sim._crypto_costs(model) is table
+            assert len(table) == len(linksec.LEVELS)
+            for code, level in enumerate(linksec.LEVELS):
+                assert len(table[code]) == linksec.MAX_PAYLOAD + 1
+                for n, cost in enumerate(table[code]):
+                    assert repr(cost) == repr(sim._crypto_energy(model, level, n))
+        simulation = sim._Simulation(SimConfig(seed=1, node_count=3, group_count=1))
+        assert simulation.crypto_costs is sim._crypto_costs(simulation.model)
 
 
 class TestConfigLoading:
