@@ -63,15 +63,18 @@ Model (desk scale, normative for the closed-form energy tests):
   workload, acceptance criteria 3 and 8, the packet vectors, the oracle
   tests and criterion 6 (real opens under stale session keys) keep it
   covered.
-* Header-only listens: in a loss-free group whose every alive member has
-  more battery left than one frame can spend, the non-destinations of a
-  unicast are not debited one by one. The group counts the listen, and each
-  node adds its pending header costs to its receive energy one at a time,
-  in order, before its next debit or energy read. No debit of such a frame
-  is clamped and no node dies in it, so the floats, deaths and frozen views
-  are those of debiting every listener at once. Under loss (drawn per
-  listener) or near a death, every listener is debited as the packet goes
-  by.
+* Budgeted frames: a group's frame is budgeted when the group is
+  loss-free and its every alive member has more battery left than one frame
+  can spend. One budget decides two things. First, header-only listens: the
+  non-destinations of a unicast are not debited one by one. The group counts
+  the listen, and each node adds its pending header costs to its receive
+  energy one at a time, in order, before its next receive charge or energy
+  read. Second, plain charges: no charge of such a frame can be clamped or
+  kill, so each is one addition to its ledger field, with no clamp and no
+  death check. `min(j, r)` is `j` whenever `j <= r`, so every float, death
+  and frozen view is that of the clamped path debiting every listener at
+  once. Under loss (drawn per listener) or near a death, every listener is
+  debited as the packet goes by, and every charge is clamped.
 
 * Two arms at once: `compare_fixed_vs_adaptive` runs the fixed arm in one
   forked child and the adaptive arm in the caller, when that is safe (a
@@ -126,10 +129,12 @@ _SESSION_SEED_TAG = b"\x10"
 # =============================================================================
 
 class _Channel:
-    """What a group's members share without holding each other: the count
-    of header-only listens deferred so far, and the count of deaths."""
+    """What a group's members share without holding each other: whether the
+    current frame is budgeted (see the module docstring), the count of
+    header-only listens deferred so far, and the count of deaths."""
 
     def __init__(self) -> None:
+        self.budgeted = False
         self.deferred = 0
         self.deaths = 0
 
@@ -180,14 +185,35 @@ class _Node:
             self.heard += pending
 
     def debit(self, kind: str, joules: float) -> None:
+        """Charge `joules` of `kind` ("tx", "rx" or "crypto"), clamped to
+        the battery left; the node dies when nothing is left.
+
+        In a budgeted frame the charge is one plain addition: the budget
+        bounds it by the battery left, so the clamp returns `joules` and the
+        node cannot die. A tx or crypto charge then skips the settle too,
+        since settling adds to `rx` alone and no clamp reads the total; an
+        rx charge still settles first, so the `rx` additions keep their
+        order and every float is that of the clamped path."""
         stats = self.stats
         if not stats.alive:
+            return
+        spent = stats.ledger
+        if self.channel.budgeted:
+            if kind == "rx":
+                if self.channel.deferred != self.heard:
+                    self.settle()
+                spent.rx += joules
+            elif kind == "crypto":
+                spent.crypto += joules
+            elif kind == "tx":
+                spent.tx += joules
+            else:
+                raise ValueError(f"unknown energy kind {kind!r}")
             return
         if self.channel.deferred != self.heard:
             self.settle()
         # `remaining` inlined, summed in `EnergyLedger.total`'s order so the
         # floats are bit-identical.
-        spent = stats.ledger
         initial = self.model.initial_energy
         joules = min(joules, initial - (spent.tx + spent.rx + spent.crypto))
         if kind == "rx":
@@ -204,13 +230,19 @@ class _Node:
     def debit_receive(self, rx: float, crypto: float) -> None:
         """A destination's receive and open: `debit("rx", rx)` then
         `debit("crypto", crypto)`, with the same floats and the same death,
-        in one call. A node that the rx charge kills pays no crypto."""
+        in one call. A node that the rx charge kills pays no crypto. In a
+        budgeted frame it settles, then makes the two plain additions (see
+        `debit`)."""
         stats = self.stats
         if not stats.alive:
             return
         if self.channel.deferred != self.heard:
             self.settle()
         spent = stats.ledger
+        if self.channel.budgeted:
+            spent.rx += rx
+            spent.crypto += crypto
+            return
         initial = self.model.initial_energy
         spent.rx += min(rx, initial - (spent.tx + spent.rx + spent.crypto))
         left = initial - (spent.tx + spent.rx + spent.crypto)
@@ -269,7 +301,6 @@ class _Group:
         self.alive = self.nodes
         self.deaths_seen = 0
         self.replayers: list[_Node] = []
-        self.defer_headers = False
         self.head = self.nodes[0]
         self.vice: Optional[_Node] = None
         self.pending_aggregate: Optional[bytes] = None
@@ -402,16 +433,18 @@ class _Simulation:
         return group.alive
 
     def _plan_listens(self, group: _Group) -> None:
-        """Choose how the non-destinations of the group's unicasts pay for
-        the header in its coming frame: deferred (see the module docstring)
-        when the group is loss-free and no alive member is within one
-        frame's spend of death, otherwise debited as each packet goes by."""
+        """Budget the group's coming frame (see the module docstring) when
+        the group is loss-free and no alive member is within one frame's
+        spend of death. This one flag decides both how the non-destinations
+        of its unicasts pay for the header, deferred or debited as each
+        packet goes by, and whether its charges are plain additions or
+        clamped."""
         # A frame charges a node at most once per packet: an election
         # (size + 1 packets), a re-key (size - 1), a beacon, a handoff, an
         # uplink and a re-broadcast (4), and a data packet and a replay per
         # other member (2 * size - 2).
         spend = (4 * len(group.nodes) + 2) * self.packet_spend
-        group.defer_headers = not self.config.loss_rate and all(
+        group.channel.budgeted = not self.config.loss_rate and all(
             n.remaining > spend for n in self._alive_members(group)
         )
 
@@ -484,7 +517,7 @@ class _Simulation:
             (frame, group.gid, slot, sender.addr, replayed_wire is None)
         )
 
-        if dest == BROADCAST_NODE_ID or not group.defer_headers:
+        if dest == BROADCAST_NODE_ID or not group.channel.budgeted:
             listeners = self._alive_members(group)
         else:
             # Every other alive member parses the clear header and gates

@@ -105,6 +105,68 @@ def small_battery_cfg(seed, adversaries=()):
     )
 
 
+# The loss-free goldens. `agri_death` and `agri_listen_death_24` start with
+# less battery than one frame's budget (0.4 J against 0.51 J, 2.0 J against
+# 2.25 J), so none of their frames is budgeted: they catch a budget that
+# lets a member die. `habitat_election` budgets all but the frames near its death.
+BUDGET_GOLDENS = (
+    "agri_captured_two_groups", "agri_death", "agri_listen_death_24", "habitat_election",
+)
+NEVER_BUDGETED = ("agri_death", "agri_listen_death_24")
+
+
+def golden_params(names):
+    return [pytest.param(name, sim.config_from_dict(GOLDEN_CONFIGS[name]), id=name)
+            for name in names]
+
+
+def watch_budgets(monkeypatch):
+    """Record every group frame as `(simulation, group, budgeted, left)`.
+
+    In a budgeted frame, `left` maps each member alive at its start to its
+    battery left then, and to its battery left and whether it is alive once
+    the frame's charges are done, read at `_frame_end`; it is empty
+    otherwise. Reading `remaining` only settles deferred listens, in order,
+    as the simulator does itself."""
+    frames, open_frames = [], []
+    plan, frame_end = sim._Simulation._plan_listens, sim._Simulation._frame_end
+
+    def planning(self, group):
+        plan(self, group)
+        budgeted = group.channel.budgeted
+        left = {n: [n.remaining] for n in self._alive_members(group)} if budgeted else {}
+        frames.append((self, group, budgeted, left))
+        open_frames.append(left)
+
+    def ending(self, frame):
+        for left in open_frames:
+            for node, reads in left.items():
+                reads += node.remaining, node.alive
+        open_frames.clear()
+        frame_end(self, frame)
+
+    monkeypatch.setattr(sim._Simulation, "_plan_listens", planning)
+    monkeypatch.setattr(sim._Simulation, "_frame_end", ending)
+    return frames
+
+
+def charge_node(spent_tx=0.0, deferred=0, alive=True, budgeted=False):
+    """A lone node with a 1 J battery, `spent_tx` already spent, `deferred`
+    listens pending on its channel, and the channel's budget flag set."""
+    config = SimConfig(energy_model=EnergyModel(initial_energy=1.0))
+    addr, peer = NodeAddress(0, 1), NodeAddress(0, 2)
+    ledger = TrustTable(NodeAddress(0, BROADCAST_NODE_ID), config.trust_weights)
+    ledger.record(addr, "packet-transmitted")
+    ledger.record(peer, "packet-received")
+    channel = sim._Channel()
+    channel.deferred = deferred
+    channel.budgeted = budgeted
+    made = sim._Node(addr, None, ledger, channel, config)
+    made.stats.ledger.tx = spent_tx
+    made.stats.alive = alive
+    return made
+
+
 class TestBasics:
     def test_zero_frames(self):
         report = sim.run(SimConfig(seed=1, node_count=4, group_count=1, sim_length=0))
@@ -205,58 +267,100 @@ class TestEnergyAccounting:
             assert stats.ledger.total <= em.initial_energy + 1e-12
         assert any(not s.alive for s in report.nodes.values())
 
-    @pytest.mark.parametrize("cfg", [
+    @pytest.mark.parametrize("name, cfg", [
         # The duty replayer 0.2 resends the head's handoff, addressed to itself.
-        SimConfig(seed=2, node_count=5, group_count=1, sim_length=12,
-                  session_length=5, scenario=habitat(),
-                  adversaries=(AdversarySpec(NodeAddress(0, 2), "replay-attacker",
-                                             start_frame=1),)),
-        # Two groups, deaths and elections: deferral switches off near death.
-        SimConfig(seed=5, node_count=9, group_count=2, sim_length=60,
-                  session_length=10, scenario=military(1.5),
-                  energy_model=EnergyModel(initial_energy=1.5),
-                  adversaries=(AdversarySpec(NodeAddress(1, 2), "replay-attacker",
-                                             start_frame=1),
-                               AdversarySpec(NodeAddress(0, 3), "drop-fraction", 0.5))),
+        pytest.param(
+            None,
+            SimConfig(seed=2, node_count=5, group_count=1, sim_length=12,
+                      session_length=5, scenario=habitat(),
+                      adversaries=(AdversarySpec(NodeAddress(0, 2), "replay-attacker",
+                                                 start_frame=1),)),
+            id="cfg0",
+        ),
+        # Two groups, deaths and elections: the budget switches off near death.
+        pytest.param(
+            None,
+            SimConfig(seed=5, node_count=9, group_count=2, sim_length=60,
+                      session_length=10, scenario=military(1.5),
+                      energy_model=EnergyModel(initial_energy=1.5),
+                      adversaries=(AdversarySpec(NodeAddress(1, 2), "replay-attacker",
+                                                 start_frame=1),
+                                   AdversarySpec(NodeAddress(0, 3), "drop-fraction", 0.5))),
+            id="cfg1",
+        ),
+        *golden_params(BUDGET_GOLDENS),
     ])
-    def test_deferred_header_listens_equal_eager_debits(self, monkeypatch, cfg):
-        simulation = sim._Simulation(cfg)
-        deferred = simulation.run()
-        assert all(g.channel.deferred > 0 for g in simulation.groups)
-        monkeypatch.setattr(sim._Simulation, "_plan_listens", lambda self, group: None)
-        eager = sim.run(cfg)
-        assert deferred.nodes == eager.nodes  # every ledger float, exactly
-        assert deferred.trust_csv() == eager.trust_csv()
-        assert deferred.elections == eager.elections
+    def test_deferred_header_listens_equal_eager_debits(self, monkeypatch, name, cfg):
+        """Turning the budget off everywhere (every listener debited as the
+        packet goes by, every charge clamped) changes no float of either
+        arm."""
+        for arm in (replace(cfg, adaptive=False), replace(cfg, adaptive=True)):
+            with monkeypatch.context() as patched:
+                frames = watch_budgets(patched)
+                simulation = sim._Simulation(arm)
+                budgeted = simulation.run()
+            flags = [flag for _, _, flag, _ in frames]
+            if name in NEVER_BUDGETED:
+                assert not any(flags)
+            else:
+                assert any(flags)
+                assert all(g.channel.deferred > 0 for g in simulation.groups)
+            if not all(s.alive for s in budgeted.nodes.values()):
+                assert not all(flags)
+            with monkeypatch.context() as patched:
+                patched.setattr(sim._Simulation, "_plan_listens", lambda self, group: None)
+                eager = sim.run(arm)
+            assert budgeted.nodes == eager.nodes  # every ledger float, exactly
+            assert budgeted.trust_csv() == eager.trust_csv()
+            assert budgeted.elections == eager.elections
+            assert budgeted.rekeys == eager.rekeys
+
+    @pytest.mark.parametrize("name, cfg", [
+        *golden_params(BUDGET_GOLDENS),
+        # The benchmark's `savings` shape at its dearest scenario.
+        pytest.param(
+            None,
+            SimConfig(seed=1, node_count=20, group_count=2, sim_length=51,
+                      session_length=50, scenario=military()),
+            id="savings_20",
+        ),
+    ])
+    def test_budgeted_frames_spend_within_the_budget(self, monkeypatch, name, cfg):
+        """The plain charges are exact only if no charge of a budgeted frame
+        could have been clamped: every member alive at the frame's start
+        spends at most (4n + 2) packets' worth in it and ends it alive with
+        battery left."""
+        for arm in (replace(cfg, adaptive=False), replace(cfg, adaptive=True)):
+            with monkeypatch.context() as patched:
+                frames = watch_budgets(patched)
+                sim.run(arm)
+            budgeted = [f for f in frames if f[2]]
+            assert bool(budgeted) == (name not in NEVER_BUDGETED)
+            for simulation, group, _, left in budgeted:
+                bound = (4 * len(group.nodes) + 2) * simulation.packet_spend
+                for start, end, alive in left.values():
+                    assert start - end <= bound
+                    assert end > 0 and alive
 
     @pytest.mark.parametrize(
-        "spent_tx, deferred, alive, rx, crypto",
+        "spent_tx, deferred, alive, rx, crypto, budgeted",
         [
-            (0.0, 0, True, 0.25, 0.125),  # no pending listens
-            (0.0, 3, True, 0.25, 0.125),  # deferred listens settle first
-            (0.9, 3, True, 0.25, 0.125),  # the rx charge kills: no crypto
-            (0.6, 0, True, 0.25, 0.5),  # the crypto charge kills
-            (0.9, 3, False, 0.25, 0.125),  # already dead: nothing changes
+            (0.0, 0, True, 0.25, 0.125, False),  # no pending listens
+            (0.0, 3, True, 0.25, 0.125, False),  # deferred listens settle first
+            (0.9, 3, True, 0.25, 0.125, False),  # the rx charge kills: no crypto
+            (0.6, 0, True, 0.25, 0.5, False),  # the crypto charge kills
+            (0.9, 3, False, 0.25, 0.125, False),  # already dead: nothing changes
+            (0.0, 0, True, 0.25, 0.125, True),  # plain additions
+            (0.0, 3, True, 0.25, 0.125, True),  # settled, then plain additions
+            (0.9, 3, False, 0.25, 0.125, True),
         ],
-        ids=["plain", "deferred", "dies_on_rx", "dies_on_crypto", "dead"],
+        ids=["plain", "deferred", "dies_on_rx", "dies_on_crypto", "dead",
+             "plain_budgeted", "deferred_budgeted", "dead_budgeted"],
     )
     def test_one_receive_charge_equals_rx_then_crypto_debits(
-        self, spent_tx, deferred, alive, rx, crypto
+        self, spent_tx, deferred, alive, rx, crypto, budgeted
     ):
-        def node():
-            config = SimConfig(energy_model=EnergyModel(initial_energy=1.0))
-            addr, peer = NodeAddress(0, 1), NodeAddress(0, 2)
-            ledger = TrustTable(NodeAddress(0, BROADCAST_NODE_ID), config.trust_weights)
-            ledger.record(addr, "packet-transmitted")
-            ledger.record(peer, "packet-received")
-            channel = sim._Channel()
-            channel.deferred = deferred
-            made = sim._Node(addr, None, ledger, channel, config)
-            made.stats.ledger.tx = spent_tx
-            made.stats.alive = alive
-            return made
-
-        one, two = node(), node()
+        one, two = (charge_node(spent_tx, deferred, alive, budgeted) for _ in range(2))
         one.debit_receive(rx, crypto)
         two.debit("rx", rx)
         two.debit("crypto", crypto)
@@ -271,6 +375,30 @@ class TestEnergyAccounting:
             assert (one.stats.ledger.crypto == 0) == (spent_tx == 0.9)
         else:
             assert one.frozen is None and one.channel.deaths == 0
+        if budgeted and alive:  # the same floats as the clamped charge
+            clamped = charge_node(spent_tx, deferred, alive, budgeted=False)
+            clamped.debit_receive(rx, crypto)
+            assert (one.stats, one.heard) == (clamped.stats, clamped.heard)
+
+    @pytest.mark.parametrize("deferred", [0, 3])
+    @pytest.mark.parametrize("kind", ["tx", "rx", "crypto"])
+    def test_budgeted_debit_equals_clamped_debit(self, kind, deferred):
+        """Far from death, a plain charge adds what the clamped one adds.
+        A tx or crypto charge leaves the pending listens to a later settle,
+        which adds the same floats to `rx`."""
+        clamped, plain = (charge_node(0.25, deferred, budgeted=b) for b in (False, True))
+        clamped.debit(kind, 0.125)
+        plain.debit(kind, 0.125)
+        assert plain.heard == (deferred if kind == "rx" else 0)
+        assert plain.remaining == clamped.remaining
+        assert (plain.stats, plain.heard) == (clamped.stats, clamped.heard)
+        assert plain.stats.alive and plain.channel.deaths == 0
+
+    @pytest.mark.parametrize("budgeted", [False, True], ids=["clamped", "budgeted"])
+    def test_unknown_energy_kind_rejected(self, budgeted):
+        node = charge_node(budgeted=budgeted)
+        with pytest.raises(ValueError, match="bogus"):
+            node.debit("bogus", 0.125)
 
     def test_single_node_zero_radio(self):
         em = EnergyModel()
@@ -662,6 +790,28 @@ class TestObservationViews:
             SimConfig(seed=1, node_count=members, group_count=1, sim_length=3)
         )
         assert 0 < debits[0] + receives[0] <= 8 * len(report.slot_log)
+
+    def test_budgeted_seal_and_send_make_no_settle(self, monkeypatch):
+        """In a budgeted frame a sender's tx and crypto charges add to
+        `tx` and `crypto` alone, so they leave its pending listens for the
+        next receive charge or energy read."""
+        settles = count_calls(monkeypatch, sim._Node, "settle")
+        debit = sim._Node.debit
+        in_tx_crypto, pending = [0], [0]
+
+        def debiting(self, kind, joules):
+            if kind == "rx":
+                return debit(self, kind, joules)
+            assert self.channel.budgeted
+            pending[0] += self.channel.deferred != self.heard
+            before = settles[0]
+            debit(self, kind, joules)
+            in_tx_crypto[0] += settles[0] - before
+
+        monkeypatch.setattr(sim._Node, "debit", debiting)
+        sim.run(SimConfig(seed=1, node_count=32, group_count=1, sim_length=3))
+        assert pending[0] > 0 and settles[0] > 0
+        assert in_tx_crypto[0] == 0
 
     def test_one_open_per_transmission(self, monkeypatch):
         """Loss-free and honest: every listener of a wire holds the sealing
