@@ -19,6 +19,8 @@ from .trust import TrustTable, tables_to_csv
 
 @dataclass
 class EnergyLedger:
+    """A node's spent energy; every charge and clamp reads `total`'s sum order."""
+
     tx: float = 0.0
     rx: float = 0.0
     crypto: float = 0.0

@@ -41,12 +41,15 @@ Model (desk scale, normative for the closed-form energy tests):
   neighbor rows and a member's trust table is a view of it without its own
   row. A node that dies keeps a frozen copy of what it had seen. Lossy or
   partial observation would need one table per observer again.
-* Reception: every destination listener is charged a full open's receive and
-  crypto energy in one receive charge (`_Node.debit_receive`, rx then
-  crypto, as two debits would make them), a destination that rejects the
-  clear header its receive energy alone, and every sender a full seal's. The
-  simulator keeps a separate receive counter per listener and direction. On
-  the host, an honest wire is the `linksec.PendingWire` that
+* Energy: each event charges a node once, through `_Node.charge`, which
+  charges receive, then crypto, then transmit energy. Every destination
+  listener pays a full open's receive and crypto energy, a destination that
+  rejects the clear header its receive energy alone, a header-only listener
+  the header's receive energy, and every sender a full seal's crypto and
+  transmit energy. `EnergyLedger.total` fixes the order in which the three
+  are summed, and every clamp reads it.
+* Reception: the simulator keeps a separate receive counter per listener and
+  direction. On the host, an honest wire is the `linksec.PendingWire` that
   `linksec.encode_pending` returns: its counter is reserved and its
   `PacketHeader` travels with it, but it is sealed only when something reads
   its bytes, a real open or a replayer's retransmission. Only replayed bytes
@@ -66,15 +69,16 @@ Model (desk scale, normative for the closed-form energy tests):
 * Budgeted frames: a group's frame is budgeted when the group is
   loss-free and its every alive member has more battery left than one frame
   can spend. One budget decides two things. First, header-only listens: the
-  non-destinations of a unicast are not debited one by one. The group counts
+  non-destinations of a unicast are not charged one by one. The group counts
   the listen, and each node adds its pending header costs to its receive
-  energy one at a time, in order, before its next receive charge or energy
-  read. Second, plain charges: no charge of such a frame can be clamped or
-  kill, so each is one addition to its ledger field, with no clamp and no
-  death check. `min(j, r)` is `j` whenever `j <= r`, so every float, death
-  and frozen view is that of the clamped path debiting every listener at
-  once. Under loss (drawn per listener) or near a death, every listener is
-  debited as the packet goes by, and every charge is clamped.
+  energy one at a time, in order, before its next nonzero receive charge or
+  energy read. Second, plain charges: no charge of such a frame can be
+  clamped or kill, so each amount of `_Node.charge` is one addition to its
+  ledger field, with no clamp and no death check. `min(j, r)` is `j`
+  whenever `j <= r`, so every float, death and frozen view is that of the
+  clamped path charging every listener at once. Under loss (drawn per
+  listener) or near a death, every listener is charged as the packet goes
+  by, and every amount is clamped.
 
 * Two arms at once: `compare_fixed_vs_adaptive` runs the fixed arm in one
   forked child and the adaptive arm in the caller, when that is safe (a
@@ -173,7 +177,7 @@ class _Node:
 
     def settle(self) -> None:
         """Charge the header-only listens deferred since the last settle, one
-        addition each, as the eager debits would have made them."""
+        addition each, as the eager charges would have made them."""
         pending = self.channel.deferred - self.heard
         if pending and self.stats.alive:
             spent = self.stats.ledger
@@ -184,74 +188,43 @@ class _Node:
             spent.rx = rx
             self.heard += pending
 
-    def debit(self, kind: str, joules: float) -> None:
-        """Charge `joules` of `kind` ("tx", "rx" or "crypto"), clamped to
-        the battery left; the node dies when nothing is left.
+    def charge(self, rx: float = 0.0, crypto: float = 0.0, tx: float = 0.0) -> None:
+        """Charge one event's receive, crypto and transmit energy, in that
+        order, each clamped to the battery left; the node dies when nothing
+        is left, and a dead node is charged nothing more. An amount of 0 J
+        is charged like any other, so a node with no battery dies on its
+        first charge.
 
-        In a budgeted frame the charge is one plain addition: the budget
-        bounds it by the battery left, so the clamp returns `joules` and the
-        node cannot die. A tx or crypto charge then skips the settle too,
-        since settling adds to `rx` alone and no clamp reads the total; an
-        rx charge still settles first, so the `rx` additions keep their
-        order and every float is that of the clamped path."""
+        In a budgeted frame each amount is one plain addition: the budget
+        bounds it by the battery left, so the clamp returns it and the node
+        cannot die. Only a nonzero rx amount settles first, so the `rx`
+        additions keep their order; settling adds to `rx` alone, and no
+        clamp reads the total. Every float is that of the clamped path."""
         stats = self.stats
         if not stats.alive:
             return
         spent = stats.ledger
         if self.channel.budgeted:
-            if kind == "rx":
+            if rx:
                 if self.channel.deferred != self.heard:
                     self.settle()
-                spent.rx += joules
-            elif kind == "crypto":
-                spent.crypto += joules
-            elif kind == "tx":
-                spent.tx += joules
-            else:
-                raise ValueError(f"unknown energy kind {kind!r}")
-            return
-        if self.channel.deferred != self.heard:
-            self.settle()
-        # `remaining` inlined, summed in `EnergyLedger.total`'s order so the
-        # floats are bit-identical.
-        initial = self.model.initial_energy
-        joules = min(joules, initial - (spent.tx + spent.rx + spent.crypto))
-        if kind == "rx":
-            spent.rx += joules
-        elif kind == "crypto":
-            spent.crypto += joules
-        elif kind == "tx":
-            spent.tx += joules
-        else:
-            raise ValueError(f"unknown energy kind {kind!r}")
-        if initial - (spent.tx + spent.rx + spent.crypto) <= 0:
-            self._die()
-
-    def debit_receive(self, rx: float, crypto: float) -> None:
-        """A destination's receive and open: `debit("rx", rx)` then
-        `debit("crypto", crypto)`, with the same floats and the same death,
-        in one call. A node that the rx charge kills pays no crypto. In a
-        budgeted frame it settles, then makes the two plain additions (see
-        `debit`)."""
-        stats = self.stats
-        if not stats.alive:
-            return
-        if self.channel.deferred != self.heard:
-            self.settle()
-        spent = stats.ledger
-        if self.channel.budgeted:
-            spent.rx += rx
+                spent.rx += rx
             spent.crypto += crypto
+            spent.tx += tx
             return
+        if self.channel.deferred != self.heard:
+            self.settle()
         initial = self.model.initial_energy
-        spent.rx += min(rx, initial - (spent.tx + spent.rx + spent.crypto))
-        left = initial - (spent.tx + spent.rx + spent.crypto)
-        if left <= 0:
-            self._die()
-            return
-        spent.crypto += min(crypto, left)
-        if initial - (spent.tx + spent.rx + spent.crypto) <= 0:
-            self._die()
+        spent.rx += min(rx, initial - spent.total)
+        left = initial - spent.total
+        if left > 0:
+            spent.crypto += min(crypto, left)
+            left = initial - spent.total
+            if left > 0:
+                spent.tx += min(tx, left)
+                if initial - spent.total > 0:
+                    return
+        self._die()
 
     def _die(self) -> None:
         self.stats.alive = False
@@ -417,15 +390,6 @@ class _Simulation:
     def _crypto_cost(self, level: SecurityLevel, payload_len: int) -> float:
         return self.crypto_costs[(level.encryption << 1) | level.auth][payload_len]
 
-    def _seal_cost(
-        self, node: _Node, pclass: PacketClass, payload_len: int
-    ) -> SecurityLevel:
-        """The level `node` seals a `pclass` packet at, after debiting that
-        seal's crypto energy."""
-        level = self._decide(node, pclass)
-        node.debit("crypto", self._crypto_cost(level, payload_len))
-        return level
-
     def _alive_members(self, group: _Group) -> list[_Node]:
         if group.deaths_seen != group.channel.deaths:
             group.alive = [n for n in group.alive if n.alive]
@@ -436,7 +400,7 @@ class _Simulation:
         """Budget the group's coming frame (see the module docstring) when
         the group is loss-free and no alive member is within one frame's
         spend of death. This one flag decides both how the non-destinations
-        of its unicasts pay for the header, deferred or debited as each
+        of its unicasts pay for the header, deferred or charged as each
         packet goes by, and whether its charges are plain additions or
         clamped."""
         # A frame charges a node at most once per packet: an election
@@ -500,18 +464,20 @@ class _Simulation:
         if replayed_wire is None:
             slot = group.next_slot
             group.next_slot += 1
-            level = self._seal_cost(sender, pclass, len(payload))
+            level = self._decide(sender, pclass)
             wire = linksec.encode_pending(
                 level, sender.ring, sender.counter_to(dest), dest, payload
             )
+            seal_cost = self._crypto_cost(level, len(payload))
         else:
             # Verbatim retransmission of the captured bytes, which seals a
             # pending wire: no sealing work is charged, and the bytes carry
             # nothing of the seal, so every open is a real one.
             slot = max(group.next_slot - 1, 0)
             wire = bytes(replayed_wire)
+            seal_cost = 0.0
         size = len(wire)
-        sender.debit("tx", self.model.tx_per_octet * size)
+        sender.charge(crypto=seal_cost, tx=self.model.tx_per_octet * size)
         sender.stats.packets_sent += 1
         self.slot_log.append(
             (frame, group.gid, slot, sender.addr, replayed_wire is None)
@@ -546,14 +512,14 @@ class _Simulation:
             is_dest = dest == BROADCAST_NODE_ID or listener.addr.node_id == dest
             if not is_dest:
                 # Promiscuous listeners parse the clear header, then gate off.
-                listener.debit("rx", self.model.rx_per_octet * linksec.HEADER_BYTES)
+                listener.charge(self.model.rx_per_octet * linksec.HEADER_BYTES)
                 continue
             if header is None:
                 # Rejected on the clear header: no open to pay for.
-                listener.debit("rx", rx_cost)
+                listener.charge(rx_cost)
                 listener.stats.format_rejects += 1
                 continue
-            listener.debit_receive(rx_cost, open_cost)
+            listener.charge(rx_cost, open_cost)
             state = listener.counter_from(header.src, header.dest)
             try:
                 plain = linksec.decode_parsed(
@@ -688,9 +654,8 @@ class _Simulation:
             # Lone node: nothing goes on air; it stages its sealed aggregate
             # until a relay exists.
             if group.pending_aggregate is not None:
-                self._seal_cost(
-                    head, PacketClass.SENSED_DATA, len(group.pending_aggregate)
-                )
+                level = self._decide(head, PacketClass.SENSED_DATA)
+                head.charge(crypto=self._crypto_cost(level, len(group.pending_aggregate)))
             group.pending_aggregate = _reading(head, frame)
             return
         duty = others[frame % len(others)]
@@ -731,9 +696,12 @@ class _Simulation:
                         # Uplink toward the base station: off-group radio,
                         # modeled as transmit + seal cost with no receiver.
                         length = len(group.pending_aggregate)
-                        level = self._seal_cost(member, PacketClass.SENSED_DATA, length)
+                        level = self._decide(member, PacketClass.SENSED_DATA)
                         size = linksec.wire_size(length, level.auth)
-                        member.debit("tx", self.model.tx_per_octet * size)
+                        member.charge(
+                            crypto=self._crypto_cost(level, length),
+                            tx=self.model.tx_per_octet * size,
+                        )
                         member.stats.packets_sent += 1
                         self._observe(group, member.addr, "data-forwarded")
                 if duty_has_beacon:

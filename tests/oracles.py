@@ -158,3 +158,30 @@ def trust_formula(record, weights):
     )
     w = weights.as_tuple()
     return w[0] * a[0] + w[1] * a[1] + w[2] * a[2] + w[3] * a[3] + w[4] * a[4] + w[5] * a[5]
+
+
+class ReferenceLedger:
+    """A node's energy book, charged one `(kind, joules)` at a time: each
+    amount is clamped to the battery left, `initial - total`, and the node
+    dies once nothing is left (`initial - total <= 0`), even on a 0 J
+    charge. A dead node is charged nothing more. `total` sums tx, rx and
+    crypto in that order; `clamped` says whether any amount was cut."""
+
+    def __init__(self, initial):
+        self.initial = initial
+        self.spent = {"tx": 0.0, "rx": 0.0, "crypto": 0.0}
+        self.alive = True
+        self.clamped = False
+
+    def total(self):
+        return self.spent["tx"] + self.spent["rx"] + self.spent["crypto"]
+
+    def charge(self, kind, joules):
+        if not self.alive:
+            return
+        left = self.initial - self.total()
+        if left < joules:
+            self.clamped = True
+        self.spent[kind] += min(joules, left)
+        if self.initial - self.total() <= 0:
+            self.alive = False

@@ -260,6 +260,34 @@ class TestReplayAndRecovery:
             linksec.decode(wire, ring_head, rx)
 
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 3: an untagged wire moves the counter that tagged "
+        "traffic relies on",
+    )
+    def test_keyless_untagged_wire_does_not_move_the_tagged_counter(self):
+        ring_head, ring_src, _ = make_rings()
+        level = SecurityLevel(Encryption.RC5_R12, True)
+        tx, rx = CounterState(), CounterState()
+        for i in range(10):
+            wire = linksec.encode(level, ring_src, tx, HEAD.node_id, bytes((i,)))
+            assert linksec.decode(wire, ring_head, rx) == bytes((i,))
+        assert rx.value == 10
+        # Made with no key: a header alone, XOR without a tag, counter LSB 255.
+        forged = PacketHeader(
+            GROUP, HEAD.node_id, SRC.node_id, 0, SecurityLevel(Encryption.XOR, False), 255
+        ).encode()
+        assert len(forged) == 5
+        try:  # rejected, or accepted on a counter of its own
+            linksec.decode(forged, ring_head, rx)
+        except linksec.DecodeError:
+            pass
+        assert rx.value == 10
+        wire = linksec.encode(level, ring_src, tx, HEAD.node_id, b"next")
+        assert linksec.decode(wire, ring_head, rx) == b"next"
+
+
 def _outcome(wire, ring, last, loss_threshold=linksec.DEFAULT_LOSS_THRESHOLD):
     """(payload or (exception class, message), receive counter afterwards)."""
     state = CounterState(last)

@@ -10,12 +10,15 @@ from dataclasses import fields, replace
 from types import MappingProxyType, SimpleNamespace
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+import oracles
 from wsnsec import keys, linksec, sim
 from wsnsec.addressing import BROADCAST_NODE_ID, NodeAddress
 from wsnsec.agent import LEVEL_STRONGEST, PacketClass, default_policy
 from wsnsec.keys import SymmetricKey, derive_keyring
 from wsnsec.linksec import CounterState, Encryption, SecurityLevel
+from wsnsec.reports import EnergyLedger
 from wsnsec.sim import AdversarySpec, EnergyModel, SimConfig
 from wsnsec.trust import TrustTable
 
@@ -150,10 +153,11 @@ def watch_budgets(monkeypatch):
     return frames
 
 
-def charge_node(spent_tx=0.0, deferred=0, alive=True, budgeted=False):
-    """A lone node with a 1 J battery, `spent_tx` already spent, `deferred`
-    listens pending on its channel, and the channel's budget flag set."""
-    config = SimConfig(energy_model=EnergyModel(initial_energy=1.0))
+def charge_node(spent_tx=0.0, deferred=0, alive=True, budgeted=False, model=None):
+    """A lone node with `model`'s battery (1 J by default), `spent_tx`
+    already spent, `deferred` listens pending on its channel, and the
+    channel's budget flag set."""
+    config = SimConfig(energy_model=model or EnergyModel(initial_energy=1.0))
     addr, peer = NodeAddress(0, 1), NodeAddress(0, 2)
     ledger = TrustTable(NodeAddress(0, BROADCAST_NODE_ID), config.trust_weights)
     ledger.record(addr, "packet-transmitted")
@@ -267,6 +271,24 @@ class TestEnergyAccounting:
             assert stats.ledger.total <= em.initial_energy + 1e-12
         assert any(not s.alive for s in report.nodes.values())
 
+    @pytest.mark.parametrize("model", [
+        EnergyModel(0.0, 0.0, 0.0, 0.0, 0.0, initial_energy=0.0),
+        EnergyModel(tx_per_octet=0.0, initial_energy=0.0),
+    ], ids=["all_zero", "tx_free"])
+    def test_zero_battery_dies_on_the_first_charge(self, model):
+        """A node with no battery dies on its first charge, even one of 0 J:
+        the first beacon kills its sender and every listener, so each arm
+        puts one packet on air and books no energy."""
+        cfg = SimConfig(seed=1, node_count=4, group_count=1, sim_length=5,
+                        scenario=habitat(0.0), energy_model=model)
+        for arm in (replace(cfg, adaptive=False), replace(cfg, adaptive=True)):
+            report = sim.run(arm)
+            assert len(report.slot_log) == 1
+            assert len(report.nodes) == 4
+            for stats in report.nodes.values():
+                assert not stats.alive
+                assert stats.ledger == EnergyLedger()
+
     @pytest.mark.parametrize("name, cfg", [
         # The duty replayer 0.2 resends the head's handoff, addressed to itself.
         pytest.param(
@@ -361,9 +383,9 @@ class TestEnergyAccounting:
         self, spent_tx, deferred, alive, rx, crypto, budgeted
     ):
         one, two = (charge_node(spent_tx, deferred, alive, budgeted) for _ in range(2))
-        one.debit_receive(rx, crypto)
-        two.debit("rx", rx)
-        two.debit("crypto", crypto)
+        one.charge(rx, crypto)
+        two.charge(rx=rx)
+        two.charge(crypto=crypto)
         assert one.stats == two.stats  # every ledger float, exactly, and `alive`
         assert (one.heard, one.channel.deaths) == (two.heard, two.channel.deaths)
         assert one.frozen == two.frozen
@@ -377,7 +399,7 @@ class TestEnergyAccounting:
             assert one.frozen is None and one.channel.deaths == 0
         if budgeted and alive:  # the same floats as the clamped charge
             clamped = charge_node(spent_tx, deferred, alive, budgeted=False)
-            clamped.debit_receive(rx, crypto)
+            clamped.charge(rx, crypto)
             assert (one.stats, one.heard) == (clamped.stats, clamped.heard)
 
     @pytest.mark.parametrize("deferred", [0, 3])
@@ -387,18 +409,65 @@ class TestEnergyAccounting:
         A tx or crypto charge leaves the pending listens to a later settle,
         which adds the same floats to `rx`."""
         clamped, plain = (charge_node(0.25, deferred, budgeted=b) for b in (False, True))
-        clamped.debit(kind, 0.125)
-        plain.debit(kind, 0.125)
+        clamped.charge(**{kind: 0.125})
+        plain.charge(**{kind: 0.125})
         assert plain.heard == (deferred if kind == "rx" else 0)
         assert plain.remaining == clamped.remaining
         assert (plain.stats, plain.heard) == (clamped.stats, clamped.heard)
         assert plain.stats.alive and plain.channel.deaths == 0
 
-    @pytest.mark.parametrize("budgeted", [False, True], ids=["clamped", "budgeted"])
-    def test_unknown_energy_kind_rejected(self, budgeted):
-        node = charge_node(budgeted=budgeted)
-        with pytest.raises(ValueError, match="bogus"):
-            node.debit("bogus", 0.125)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # Pending listens exist only in budgeted frames, which leave them
+        # battery to spare: an empty battery has none.
+        battery=st.one_of(
+            st.tuples(st.sampled_from([0.0, -0.0]), st.just(0)),
+            st.tuples(st.floats(0.0, 4.0), st.integers(0, 6)),
+        ),
+        header_rx=st.floats(0.0, 0.01),
+        events=st.lists(
+            st.dictionaries(
+                st.sampled_from(["rx", "crypto", "tx"]),
+                st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 8.0)),
+                min_size=1,
+            ),
+            max_size=8,
+        ),
+    )
+    # The rx amount kills with 3.06 - (0.78 + 2.28) < 0 J left, so any amount
+    # charged after that death would book a negative float.
+    @example(battery=(3.06, 0), header_rx=0.0,
+             events=[{"tx": 0.78}, {"rx": 5.0, "crypto": 0.0, "tx": 0.0}])
+    def test_charges_match_the_reference_ledger(self, battery, header_rx, events):
+        """Each charge through `_Node.charge` books what `ReferenceLedger`
+        books for its amounts in rx, crypto, tx order, with the pending
+        header listens as the first rx amounts: the same floats, life,
+        death count and frozen view. When nothing is clamped, the budgeted
+        path books the same floats."""
+        initial, deferred = battery
+        reference = oracles.ReferenceLedger(initial)
+        for _ in range(deferred):
+            reference.charge("rx", header_rx * linksec.HEADER_BYTES)
+        assume(reference.alive and not reference.clamped)
+        for event in events:
+            for kind in ("rx", "crypto", "tx"):
+                if kind in event:
+                    reference.charge(kind, event[kind])
+        model = EnergyModel(rx_per_octet=header_rx, initial_energy=initial)
+        paths = [False, True] if reference.alive and not reference.clamped else [False]
+        for budgeted in paths:
+            node = charge_node(deferred=deferred, budgeted=budgeted, model=model)
+            seen = node.view()
+            for event in events:
+                node.charge(**event)
+            node.settle()
+            spent = node.stats.ledger
+            assert [repr(getattr(spent, kind)) for kind in ("tx", "rx", "crypto")] == [
+                repr(reference.spent[kind]) for kind in ("tx", "rx", "crypto")
+            ]
+            assert node.alive == reference.alive
+            assert node.channel.deaths == (not reference.alive)
+            assert node.frozen == (None if reference.alive else seen)
 
     def test_single_node_zero_radio(self):
         em = EnergyModel()
@@ -782,33 +851,50 @@ class TestObservationViews:
         """Loss-free, far from death: a unicast charges its sender and its
         destination only, and the other members' header-only listens are
         settled later. A frame's two broadcasts still charge every member,
-        so a frame of n + 2 transmissions makes at most 8n charges, counting
-        a destination's one receive charge as one."""
-        debits = count_calls(monkeypatch, sim._Node, "debit")
-        receives = count_calls(monkeypatch, sim._Node, "debit_receive")
+        so a frame of n + 2 transmissions makes at most 8n charges. A
+        sender's seal and send are one charge, and so are a destination's
+        receive and open."""
+        charged = []
+        charge, transmit = sim._Node.charge, sim._Simulation._transmit
+
+        def charging(self, *args, **kwargs):
+            charged.append(self)
+            return charge(self, *args, **kwargs)
+
+        sender_charges = []
+
+        def transmitting(self, group, frame, sender, *args, **kwargs):
+            start = len(charged)
+            decoded = transmit(self, group, frame, sender, *args, **kwargs)
+            sender_charges.append(sum(n is sender for n in charged[start:]))
+            return decoded
+
+        monkeypatch.setattr(sim._Node, "charge", charging)
+        monkeypatch.setattr(sim._Simulation, "_transmit", transmitting)
         report = sim.run(
             SimConfig(seed=1, node_count=members, group_count=1, sim_length=3)
         )
-        assert 0 < debits[0] + receives[0] <= 8 * len(report.slot_log)
+        assert 0 < len(charged) <= 8 * len(report.slot_log)
+        assert sender_charges == [1] * len(report.slot_log)
 
     def test_budgeted_seal_and_send_make_no_settle(self, monkeypatch):
-        """In a budgeted frame a sender's tx and crypto charges add to
-        `tx` and `crypto` alone, so they leave its pending listens for the
-        next receive charge or energy read."""
+        """In a budgeted frame a sender's charge, which has no rx amount,
+        adds to `tx` and `crypto` alone, so it leaves its pending listens
+        for the next receive charge or energy read."""
         settles = count_calls(monkeypatch, sim._Node, "settle")
-        debit = sim._Node.debit
+        charge = sim._Node.charge
         in_tx_crypto, pending = [0], [0]
 
-        def debiting(self, kind, joules):
-            if kind == "rx":
-                return debit(self, kind, joules)
+        def charging(self, rx=0.0, crypto=0.0, tx=0.0):
+            if rx:
+                return charge(self, rx, crypto, tx)
             assert self.channel.budgeted
             pending[0] += self.channel.deferred != self.heard
             before = settles[0]
-            debit(self, kind, joules)
+            charge(self, rx, crypto, tx)
             in_tx_crypto[0] += settles[0] - before
 
-        monkeypatch.setattr(sim._Node, "debit", debiting)
+        monkeypatch.setattr(sim._Node, "charge", charging)
         sim.run(SimConfig(seed=1, node_count=32, group_count=1, sim_length=3))
         assert pending[0] > 0 and settles[0] > 0
         assert in_tx_crypto[0] == 0
