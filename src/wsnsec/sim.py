@@ -72,7 +72,12 @@ Model (desk scale, normative for the closed-form energy tests):
   non-destinations of a unicast are not charged one by one. The group counts
   the listen, and each node adds its pending header costs to its receive
   energy one at a time, in order, before its next nonzero receive charge or
-  energy read. Second, plain charges: no charge of such a frame can be
+  energy read. A node that settles from the receive energy and count that
+  another member of its group has already settled from in the frame takes
+  that member's sum instead (see `_Channel`), so a symmetric group's frame
+  makes O(n) additions rather than one per listen, which is O(n^2). A re-key
+  frame still makes O(n^2): each delivery leaves its recipient's receive
+  energy distinct. Second, plain charges: no charge of such a frame can be
   clamped or kill, so each amount of `_Node.charge` is one addition to its
   ledger field, with no clamp and no death check. `min(j, r)` is `j`
   whenever `j <= r`, so every float, death and frozen view is that of the
@@ -135,12 +140,25 @@ _SESSION_SEED_TAG = b"\x10"
 class _Channel:
     """What a group's members share without holding each other: whether the
     current frame is budgeted (see the module docstring), the count of
-    header-only listens deferred so far, and the count of deaths."""
+    header-only listens deferred so far, the count of deaths, one header
+    listen's receive energy, and the frame's settled sums.
 
-    def __init__(self) -> None:
+    `settled` maps `(rx, pending)` to the `rx` that adding `header_rx`
+    `pending` times, in order, makes, so a member settling from the same
+    `rx` and count as another reuses its sum. That is exact: repeated float
+    addition is a pure function of the start, the addend and the count, and
+    `header_rx` is fixed per run. The one pair of distinct floats that a
+    dict keys as one is 0.0 and -0.0, and no ledger's `rx` is ever -0.0: it
+    starts at 0.0 and is only ever added amounts >= 0 or -0.0, and
+    0.0 + -0.0 is 0.0. `_Simulation._plan_listens` empties `settled` at each
+    frame's start, so it holds one frame's sums at most."""
+
+    def __init__(self, model: EnergyModel) -> None:
         self.budgeted = False
         self.deferred = 0
         self.deaths = 0
+        self.header_rx = model.rx_per_octet * linksec.HEADER_BYTES
+        self.settled: dict[tuple[float, int], float] = {}
 
 
 class _Node:
@@ -177,14 +195,22 @@ class _Node:
 
     def settle(self) -> None:
         """Charge the header-only listens deferred since the last settle, one
-        addition each, as the eager charges would have made them."""
-        pending = self.channel.deferred - self.heard
+        addition each, as the eager charges would have made them. A sum some
+        member of the group already made from the same `rx` and count is
+        looked up instead (see `_Channel`): the same float, since repeated
+        addition of one addend is a pure function of the start and the count."""
+        channel = self.channel
+        pending = channel.deferred - self.heard
         if pending and self.stats.alive:
             spent = self.stats.ledger
-            rx = spent.rx
-            header_rx = self.model.rx_per_octet * linksec.HEADER_BYTES
-            for _ in range(pending):
-                rx += header_rx
+            key = (spent.rx, pending)
+            rx = channel.settled.get(key)
+            if rx is None:
+                rx = spent.rx
+                header_rx = channel.header_rx
+                for _ in range(pending):
+                    rx += header_rx
+                channel.settled[key] = rx
             spent.rx = rx
             self.heard += pending
 
@@ -360,7 +386,7 @@ class _Simulation:
                 continue
             addrs = [NodeAddress(gid, i + 1) for i in range(size)]
             ledger = TrustTable(NodeAddress(gid, BROADCAST_NODE_ID), cfg.trust_weights)
-            channel = _Channel()
+            channel = _Channel(self.model)
             # `prf` is passed, not defaulted, so a wrapper on `sim.prf` sees
             # every derivation.
             rings = derive_group_keyrings(self.bs_master, addrs[0], addrs, prf)
@@ -402,7 +428,8 @@ class _Simulation:
         spend of death. This one flag decides both how the non-destinations
         of its unicasts pay for the header, deferred or charged as each
         packet goes by, and whether its charges are plain additions or
-        clamped."""
+        clamped. It also empties the channel's settled sums, so they hold
+        one frame's at most."""
         # A frame charges a node at most once per packet: an election
         # (size + 1 packets), a re-key (size - 1), a beacon, a handoff, an
         # uplink and a re-broadcast (4), and a data packet and a replay per
@@ -411,6 +438,7 @@ class _Simulation:
         group.channel.budgeted = not self.config.loss_rate and all(
             n.remaining > spend for n in self._alive_members(group)
         )
+        group.channel.settled = {}
 
     def _observe(
         self, group: _Group, subject: NodeAddress, kind: str, value: Optional[float] = None
@@ -512,7 +540,7 @@ class _Simulation:
             is_dest = dest == BROADCAST_NODE_ID or listener.addr.node_id == dest
             if not is_dest:
                 # Promiscuous listeners parse the clear header, then gate off.
-                listener.charge(self.model.rx_per_octet * linksec.HEADER_BYTES)
+                listener.charge(group.channel.header_rx)
                 continue
             if header is None:
                 # Rejected on the clear header: no open to pay for.

@@ -162,7 +162,7 @@ def charge_node(spent_tx=0.0, deferred=0, alive=True, budgeted=False, model=None
     ledger = TrustTable(NodeAddress(0, BROADCAST_NODE_ID), config.trust_weights)
     ledger.record(addr, "packet-transmitted")
     ledger.record(peer, "packet-received")
-    channel = sim._Channel()
+    channel = sim._Channel(config.energy_model)
     channel.deferred = deferred
     channel.budgeted = budgeted
     made = sim._Node(addr, None, ledger, channel, config)
@@ -311,6 +311,15 @@ class TestEnergyAccounting:
             id="cfg1",
         ),
         *golden_params(BUDGET_GOLDENS),
+        pytest.param(None, sim.config_from_dict(BIG_GROUP), id="big_group"),
+        # Re-keys at frames 25 and 50: their deliveries leave each
+        # recipient's `rx` distinct, so those frames' settles share few sums.
+        pytest.param(
+            None,
+            SimConfig(seed=3, node_count=60, group_count=1, sim_length=60,
+                      session_length=25),
+            id="rekeys_60",
+        ),
     ])
     def test_deferred_header_listens_equal_eager_debits(self, monkeypatch, name, cfg):
         """Turning the budget off everywhere (every listener debited as the
@@ -468,6 +477,59 @@ class TestEnergyAccounting:
             assert node.alive == reference.alive
             assert node.channel.deaths == (not reference.alive)
             assert node.frozen == (None if reference.alive else seen)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rx_per_octet=st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324]), st.floats(0.0, 0.01)
+        ),
+        # Members draw their first rx charges and their pending counts from
+        # small pools, so equal and unequal keys both occur.
+        starts=st.lists(
+            st.lists(st.floats(0.0, 1.0), max_size=3), min_size=1, max_size=3
+        ),
+        counts=st.lists(st.integers(0, 600), min_size=1, max_size=3),
+        members=st.lists(st.integers(0, 2), min_size=2, max_size=6),
+        rounds=st.lists(
+            st.lists(st.integers(0, 2), min_size=6, max_size=6), min_size=1, max_size=3
+        ),
+    )
+    @example(rx_per_octet=0.0003, starts=[[0.25]], counts=[600],
+             members=[0, 0, 0], rounds=[[0] * 6, [0] * 6])
+    def test_shared_settles_match_the_reference_ledger(
+        self, rx_per_octet, starts, counts, members, rounds
+    ):
+        """Members of one channel settling from equal or unequal `rx` and
+        counts, some of them reusing a sum another made, book what
+        `ReferenceLedger` books for the same header amounts, one by one."""
+        model = EnergyModel(rx_per_octet=rx_per_octet, initial_energy=1e4)
+        config = SimConfig(energy_model=model)
+        channel = sim._Channel(model)
+        ledger = TrustTable(NodeAddress(0, BROADCAST_NODE_ID), config.trust_weights)
+        header = rx_per_octet * linksec.HEADER_BYTES
+        nodes, references = [], []
+        for i, start in enumerate(members):
+            node = sim._Node(NodeAddress(0, i + 1), None, ledger, channel, config)
+            reference = oracles.ReferenceLedger(model.initial_energy)
+            for joules in starts[start % len(starts)]:
+                node.charge(rx=joules)
+                reference.charge("rx", joules)
+            nodes.append(node)
+            references.append(reference)
+        kinds = ("tx", "rx", "crypto")
+        for picks in rounds:
+            pending = [counts[pick % len(counts)] for pick in picks[:len(nodes)]]
+            channel.deferred += max(pending)
+            for node, count in zip(nodes, pending):
+                node.heard += max(pending) - count  # sat out the others' listens
+            for node, reference, count in zip(nodes, references, pending):
+                node.settle()
+                for _ in range(count):
+                    reference.charge("rx", header)
+                assert [repr(getattr(n.stats.ledger, k)) for n in nodes for k in kinds] == [
+                    repr(r.spent[k]) for r in references for k in kinds
+                ]
+        assert not any(r.clamped for r in references)
 
     def test_single_node_zero_radio(self):
         em = EnergyModel()
@@ -898,6 +960,37 @@ class TestObservationViews:
         sim.run(SimConfig(seed=1, node_count=32, group_count=1, sim_length=3))
         assert pending[0] > 0 and settles[0] > 0
         assert in_tx_crypto[0] == 0
+
+    def test_settle_additions_linear_in_group_size(self, monkeypatch):
+        """In a budgeted frame the members of a symmetric group settle about
+        n^2 deferred listens, but most of them from an `rx` and count that
+        another member already summed: the channel's sums, one addition per
+        listen they cover, take at most 6n additions per frame."""
+        listens, frames = [0], []
+        settle, frame_end = sim._Node.settle, sim._Simulation._frame_end
+
+        def settling(self):
+            if self.alive:
+                listens[0] += self.channel.deferred - self.heard
+            settle(self)
+
+        def ending(self, frame):
+            frame_end(self, frame)
+            (group,) = self.groups
+            assert group.channel.budgeted
+            additions = sum(pending for _, pending in group.channel.settled)
+            frames.append((additions, listens[0]))
+            listens[0] = 0
+
+        monkeypatch.setattr(sim._Node, "settle", settling)
+        monkeypatch.setattr(sim._Simulation, "_frame_end", ending)
+        config = sim.config_from_dict(BIG_GROUP)
+        sim.run(config)
+        n = config.node_count
+        assert len(frames) == config.sim_length
+        for additions, settled in frames:
+            assert settled > n * n // 2
+            assert additions <= 6 * n
 
     def test_one_open_per_transmission(self, monkeypatch):
         """Loss-free and honest: every listener of a wire holds the sealing
