@@ -27,6 +27,18 @@ offsets, checksum, final-block pad and tag are plain int XORs there. The
 big-endian values above are converted once: ``l_inv`` and the ``l * x^i``
 table when a key is first set up, and the nonce and ``bitlen`` per packet.
 The tag, the top 32 bits of a big-endian block, is the low word.
+
+Level 0, with ``H = HMAC-SHA256`` under the 10-octet key and ``ctr`` the
+counter as 4 big-endian octets:
+
+* keystream = ``H(0x05 || ctr || i)`` for i = 0, 1, ... (``i`` as 4
+  big-endian octets), concatenated and cut to the payload length;
+* ``c = m XOR keystream``, octet by octet;
+* tag = first 4 octets of ``H(0x06 || ctr || len(aad) || aad || c)``, the
+  length as one octet, so the associated data is at most 255 octets.
+
+The code XORs the payload with its keystream as two ints, read and written
+in one byte order, which is the octet-by-octet XOR.
 """
 
 from __future__ import annotations
@@ -58,16 +70,6 @@ def _halve(x: int) -> int:
     return x2 ^ 0x800000000000000D if x & 1 else x2
 
 
-def _ntz(i: int) -> int:
-    return (i & -i).bit_length() - 1
-
-
-def _pad_block(data: bytes) -> int:
-    if len(data) >= rc5.BLOCK_BYTES:
-        raise ValueError("associated data must fit one block with padding")
-    return int.from_bytes(data + b"\x80", "little")
-
-
 def _byteswap(x: int) -> int:
     """Map a 64-bit big-endian block value to RC5's little-endian one, or back."""
     return int.from_bytes(x.to_bytes(8, "little"), "big")
@@ -88,48 +90,49 @@ def _setup(key: bytes, rounds: int) -> tuple[rc5.Schedule, int, tuple[int, ...]]
 def _block_mode(key, rounds, counter, aad, data, auth, decrypt):
     """One pass of the block mode over `data` (plaintext, or ciphertext when
     `decrypt`); returns (output, tag), the tag None without `auth`."""
+    if auth and len(aad) >= rc5.BLOCK_BYTES:
+        raise ValueError("associated data must fit one block with padding")
     schedule, l_inv, doubles = _setup(key, rounds)
     enc = rc5.encrypt_int
     core = rc5.decrypt_int if decrypt else enc
     n = len(data)
-    m = max(1, (n + 7) // 8)
     x = int.from_bytes(data, "little")
     nonce = int.from_bytes(counter.to_bytes(8, "big"), "little")
     z = doubles[0] ^ enc(schedule, nonce ^ doubles[0])
-    out = checksum = 0
-    for i in range(1, m):
+    out = checksum = shift = 0
+    # Every block but the last is full; `i` numbers the block after this one.
+    for i in range(2, (n + 7) // 8 + 1):
         blk = x & _M64
         x >>= 64
         y = core(schedule, blk ^ z) ^ z
-        out |= y << (64 * i - 64)
+        out |= y << shift
+        shift += 64
         checksum ^= y if decrypt else blk
-        z ^= doubles[_ntz(i + 1)]
-    final_bytes = n - 8 * (m - 1)
+        z ^= doubles[(i & -i).bit_length() - 1]  # l * x^ntz(i)
+    final_bytes = n - shift // 8
     # bitlen(m_final) fits the last octet of the big-endian block.
     pad = enc(schedule, ((final_bytes * 8) << 56) ^ l_inv ^ z)
     y = (x ^ pad) & ((1 << 8 * final_bytes) - 1)
-    out |= y << (64 * m - 64)
-    ct_final = x if decrypt else y
-    checksum ^= ct_final ^ pad
+    out |= y << shift
+    checksum ^= (x if decrypt else y) ^ pad
     tag = None
     if auth:
-        t = enc(schedule, checksum ^ z) ^ enc(schedule, _pad_block(aad))
+        t = enc(schedule, checksum ^ z) ^ enc(schedule, int.from_bytes(aad + b"\x80", "little"))
         tag = (t & _M32).to_bytes(TAG_BYTES, "little")
     return out.to_bytes(n, "little"), tag
 
 
-def _keystream(key: bytes, counter: int, length: int) -> bytes:
-    out = bytearray()
-    ctr = counter.to_bytes(4, "big")
-    index = 0
-    while len(out) < length:
-        msg = _TAG_STREAM + ctr + index.to_bytes(4, "big")
-        out += hmac_sha256(key, msg)
-        index += 1
-    return bytes(out[:length])
+def _xor_stream(key: bytes, counter: int, text: bytes) -> bytes:
+    """`text` XOR the level-0 keystream, as one XOR of two ints."""
+    n = len(text)
+    prefix = _TAG_STREAM + counter.to_bytes(4, "big")
+    stream = b"".join([hmac_sha256(key, prefix + i.to_bytes(4, "big")) for i in range((n + 31) // 32)])
+    return (int.from_bytes(text, "little") ^ int.from_bytes(stream[:n], "little")).to_bytes(n, "little")
 
 
 def _stream_tag(key: bytes, counter: int, aad: bytes, ciphertext: bytes) -> bytes:
+    if len(aad) > 255:
+        raise ValueError("level-0 associated data must be at most 255 octets")
     msg = (
         _TAG_STREAM_MAC
         + counter.to_bytes(4, "big")
@@ -140,11 +143,10 @@ def _stream_tag(key: bytes, counter: int, aad: bytes, ciphertext: bytes) -> byte
     return hmac_sha256(key, msg)[:TAG_BYTES]
 
 
-def _check_args(key: bytes, counter: int) -> None:
+def _check_stream_key(key: bytes) -> None:
+    # The block modes check the key in `rc5.key_schedule`, on `_setup`'s misses.
     if len(key) != rc5.KEY_BYTES:
         raise ValueError(f"key must be {rc5.KEY_BYTES} octets")
-    if not 0 <= counter < 1 << 32:
-        raise ValueError("counter must fit 32 bits")
 
 
 def seal(
@@ -161,9 +163,11 @@ def seal(
     round count. Identical (key, counter, plaintext) always produce the
     same output; a different counter changes the whole ciphertext.
     """
-    _check_args(key, counter)
+    if not 0 <= counter <= _M32:
+        raise ValueError("counter must fit 32 bits")
     if rounds == 0:
-        ct = bytes(p ^ k for p, k in zip(plaintext, _keystream(key, counter, len(plaintext))))
+        _check_stream_key(key)
+        ct = _xor_stream(key, counter, plaintext)
         return ct, _stream_tag(key, counter, aad, ct) if auth else None
     return _block_mode(key, rounds, counter, aad, plaintext, auth, False)
 
@@ -178,15 +182,15 @@ def open_(
     auth: bool,
 ) -> Optional[bytes]:
     """Inverse of :func:`seal`. Returns None when the tag does not verify."""
-    _check_args(key, counter)
+    if not 0 <= counter <= _M32:
+        raise ValueError("counter must fit 32 bits")
     if rounds == 0:
+        _check_stream_key(key)
         if auth:
             expect = _stream_tag(key, counter, aad, ciphertext)
             if tag is None or not hmac.compare_digest(expect, tag):
                 return None
-        return bytes(
-            c ^ k for c, k in zip(ciphertext, _keystream(key, counter, len(ciphertext)))
-        )
+        return _xor_stream(key, counter, ciphertext)
     plaintext, expect = _block_mode(key, rounds, counter, aad, ciphertext, auth, True)
     if auth and (tag is None or not hmac.compare_digest(expect, tag)):
         return None

@@ -14,6 +14,19 @@ same form. Its key schedule, from :func:`key_schedule`, is
 round-key pair per round. This module caches nothing; ``aead`` caches the
 schedule per (key, rounds). The single-block bytes functions check their
 arguments and wrap the core, so each direction has one round loop.
+
+Every rotation is one multiply and one shift. For a 32-bit word ``x``,
+``x * (2**32 + 1)`` is ``x << 32 | x``: two copies of ``x`` side by side,
+which cannot overlap or carry because ``x < 2**32``. Any 32-bit window of
+that 64-bit value is a rotation of ``x``, so for every ``n`` in 0..31
+
+* ``rotl(x, n) = (x * (2**32 + 1) >> (32 - n)) & 0xFFFFFFFF``
+* ``rotr(x, n) = (x * (2**32 + 1) >> n) & 0xFFFFFFFF``
+
+exactly; ``n = 0`` gives ``>> 32`` and ``>> 0``, both ``x``. The identity
+needs ``x`` already reduced to 32 bits, so decryption masks its
+subtraction before it rotates. Encryption adds the round key before it
+masks, since bits above 32 do not change the sum's low 32 bits.
 """
 
 from __future__ import annotations
@@ -26,11 +39,12 @@ ROUNDS_ALLOWED = (4, 8, 12)
 _P32 = 0xB7E15163
 _Q32 = 0x9E3779B9
 _M32 = 0xFFFFFFFF
+_ROT = 0x1_0000_0001  # 2**32 + 1: x * _ROT is x << 32 | x
 
 
 def _rotl(x: int, n: int) -> int:
-    n &= 31
-    return ((x << n) | (x >> (32 - n))) & _M32 if n else x
+    """Rotate the 32-bit word `x` left by `n` mod 32."""
+    return (x * _ROT >> (32 - (n & 31))) & _M32
 
 
 Schedule = tuple[int, int, tuple[tuple[int, int], ...]]
@@ -65,12 +79,8 @@ def encrypt_int(schedule: Schedule, x: int) -> int:
     a = (x + s0) & _M32
     b = ((x >> 32) + s1) & _M32
     for ka, kb in pairs:
-        x = a ^ b
-        n = b & 31
-        a = (((x << n) | (x >> (32 - n))) + ka) & _M32
-        x = b ^ a
-        n = a & 31
-        b = (((x << n) | (x >> (32 - n))) + kb) & _M32
+        a = (((a ^ b) * _ROT >> (32 - (b & 31))) + ka) & _M32
+        b = (((b ^ a) * _ROT >> (32 - (a & 31))) + kb) & _M32
     return a | b << 32
 
 
@@ -80,12 +90,8 @@ def decrypt_int(schedule: Schedule, x: int) -> int:
     a = x & _M32
     b = x >> 32
     for ka, kb in reversed(pairs):
-        x = (b - kb) & _M32
-        n = a & 31
-        b = (((x >> n) | (x << (32 - n))) & _M32) ^ a
-        x = (a - ka) & _M32
-        n = b & 31
-        a = (((x >> n) | (x << (32 - n))) & _M32) ^ b
+        b = ((((b - kb) & _M32) * _ROT >> (a & 31)) ^ a) & _M32
+        a = ((((a - ka) & _M32) * _ROT >> (b & 31)) ^ b) & _M32
     return ((a - s0) & _M32) | ((b - s1) & _M32) << 32
 
 

@@ -5,6 +5,9 @@ numpy, no shared helpers. The RC5 oracle reproduces the cipher's published
 reference chain (see test_rc5), which anchors everything pinned from it.
 """
 
+import hashlib
+import hmac
+
 P32, Q32 = 0xB7E15163, 0x9E3779B9
 M32 = 0xFFFFFFFF
 
@@ -136,6 +139,40 @@ def ocb_open(key, rounds, counter, aad, ciphertext, tag, auth):
     if auth and tag != expect:
         return None
     return pt
+
+
+# Level-0 keystream XOR and tag, straight from the `aead` module docstring.
+
+
+def _stream_block(key, counter, i):
+    msg = b"\x05" + counter.to_bytes(4, "big") + i.to_bytes(4, "big")
+    return hmac.new(key, msg, hashlib.sha256).digest()
+
+
+def stream_xor(key, counter, text):
+    keystream = b""
+    i = 0
+    while len(keystream) < len(text):
+        keystream += _stream_block(key, counter, i)
+        i += 1
+    return bytes(t ^ k for t, k in zip(text, keystream))
+
+
+def stream_tag(key, counter, aad, ciphertext):
+    assert len(aad) <= 255
+    msg = b"\x06" + counter.to_bytes(4, "big") + bytes([len(aad)]) + aad + ciphertext
+    return hmac.new(key, msg, hashlib.sha256).digest()[:4]
+
+
+def stream_seal(key, counter, aad, plaintext, auth):
+    ct = stream_xor(key, counter, plaintext)
+    return ct, stream_tag(key, counter, aad, ct) if auth else None
+
+
+def stream_open(key, counter, aad, ciphertext, tag, auth):
+    if auth and tag != stream_tag(key, counter, aad, ciphertext):
+        return None
+    return stream_xor(key, counter, ciphertext)
 
 
 def trust_formula(record, weights):

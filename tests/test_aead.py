@@ -121,6 +121,58 @@ def test_block_mode_matches_oracle(rounds, auth):
                 assert oracles.ocb_open(key, rounds, ctr, aad, ct, bad, auth) is None
 
 
+@pytest.mark.parametrize("auth", (True, False))
+def test_level0_matches_oracle(auth):
+    # Every payload length a packet can carry, longer ones whose keystream
+    # takes a second or third HMAC output, associated data up to 255
+    # octets, and counters at the byte and word edges.
+    rnd = random.Random(2000 + auth)
+    key = rnd.randbytes(10)
+    for n in (*range(30), 32, 33, 64, 65, 100):
+        for k, ctr in enumerate(EDGE_COUNTERS):
+            pt = rnd.randbytes(n)
+            aad = rnd.randbytes((n * 9 + k) % 256)
+            sealed = aead.seal(key, 0, ctr, aad, pt, auth)
+            assert sealed == oracles.stream_seal(key, ctr, aad, pt, auth)
+            ct, tag = sealed
+            assert aead.open_(key, 0, ctr, aad, ct, tag, auth) == pt
+            assert oracles.stream_open(key, ctr, aad, ct, tag, auth) == pt
+            if auth:
+                bad = tag[:-1] + bytes((tag[-1] ^ 0x01,))
+                assert aead.open_(key, 0, ctr, aad, ct, bad, auth) is None
+                assert oracles.stream_open(key, ctr, aad, ct, bad, auth) is None
+
+
+def test_level0_aad_limit():
+    # The level-0 tag carries len(aad) in one octet.
+    ct, tag = aead.seal(KEY, 0, 1, b"x" * 255, b"ab", True)
+    assert aead.open_(KEY, 0, 1, b"x" * 255, ct, tag, True) == b"ab"
+    with pytest.raises(ValueError, match="255 octets"):
+        aead.seal(KEY, 0, 1, b"x" * 256, b"ab", True)
+    with pytest.raises(ValueError, match="255 octets"):
+        aead.open_(KEY, 0, 1, b"x" * 256, ct, tag, True)
+    # Without a tag the associated data is not read.
+    assert aead.seal(KEY, 0, 1, b"x" * 256, b"ab", False) == (ct, None)
+
+
+@pytest.mark.parametrize("rounds,auth", ALL_MODES)
+def test_argument_checks_on_both_directions(rounds, auth):
+    # A bad key or counter raises from seal and from open_ at every level;
+    # the counter is checked with the good key's schedule already cached.
+    aead.seal(KEY, rounds, 1, b"", b"x", auth)
+    tag = bytes(4) if auth else None
+    for key, ctr in ((KEY[:-1], 1), (KEY + b"\x00", 1), (KEY, -1), (KEY, 1 << 32)):
+        with pytest.raises(ValueError):
+            aead.seal(key, rounds, ctr, b"", b"x", auth)
+        with pytest.raises(ValueError):
+            aead.open_(key, rounds, ctr, b"", b"x", tag, auth)
+    if rounds:
+        with pytest.raises(ValueError, match="one block"):
+            aead.seal(KEY, rounds, 1, bytes(8), b"x", True)
+        with pytest.raises(ValueError, match="one block"):
+            aead.open_(KEY, rounds, 1, bytes(8), b"x", bytes(4), True)
+
+
 @pytest.mark.parametrize("rounds,auth", BLOCK_MODES)
 def test_block_count_matches_energy_model(rounds, auth, monkeypatch):
     # The simulator charges crypto energy per `rc5_invocations` block; count

@@ -86,6 +86,37 @@ def test_core_matches_oracle():
             assert rc5.decrypt_block(key, rounds, enc) == block
 
 
+# Words at the carry and sign edges, for the word the first half-round rotates.
+EDGE_WORDS = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
+
+
+@pytest.mark.parametrize("rounds", (4, 8, 12))
+def test_first_half_round_rotates_by_every_amount(rounds):
+    # Encrypt first rotates a + s0 XOR b + s1 left by (b + s1) & 31; decrypt
+    # first rotates b - s[2r+1] right by a & 31. Pick blocks that hit each
+    # amount 0..31 (0 is the `>> 32` edge of the multiply form) with edge and
+    # random words, and check them against the straight-line oracle.
+    rnd = random.Random(500 + rounds)
+    key = rnd.randbytes(10)
+    schedule = rc5.key_schedule(key, rounds)
+    s0, s1, pairs = schedule
+    kb_last = pairs[-1][1]
+    m32 = 0xFFFFFFFF
+    for n in range(32):
+        for word in EDGE_WORDS + (rnd.getrandbits(32),):
+            b = (n + 32 * rnd.getrandbits(27)) & m32
+            a = word ^ b
+            x = ((a - s0) & m32) | ((b - s1) & m32) << 32
+            assert ((x >> 32) + s1) & 31 == n
+            block = x.to_bytes(8, "little")
+            assert rc5.encrypt_int(schedule, x).to_bytes(8, "little") == oracles.rc5_encrypt(key, rounds, block)
+
+            x = (n + 32 * rnd.getrandbits(27)) | ((word + kb_last) & m32) << 32
+            assert x & 31 == n
+            block = x.to_bytes(8, "little")
+            assert rc5.decrypt_int(schedule, x).to_bytes(8, "little") == oracles.rc5_decrypt(key, rounds, block)
+
+
 def test_round_counts_diverge():
     key = bytes(range(10))
     block = b"\x5a" * 8
