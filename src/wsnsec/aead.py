@@ -26,6 +26,8 @@ returns without packing words. XOR does not depend on byte order, so the
 offsets, checksum, final-block pad and tag are plain int XORs there. The
 big-endian values above are converted once: ``l_inv`` and the ``l * x^i``
 table when a key is first set up, and the nonce and ``bitlen`` per packet.
+The table stops at ``i = 8``, the largest ``ntz(i)`` below 512, so the block
+modes take at most 511 blocks: 4,088 octets of plaintext or ciphertext.
 The tag, the top 32 bits of a big-endian block, is the low word.
 
 Level 0, with ``H = HMAC-SHA256`` under the 10-octet key and ``ctr`` the
@@ -53,6 +55,7 @@ from .keys import hmac_sha256
 TAG_BYTES = 4
 _M32 = 0xFFFFFFFF
 _M64 = 0xFFFFFFFF_FFFFFFFF
+_MAX_BLOCK_MODE_BYTES = 511 * rc5.BLOCK_BYTES  # see the `l * x^i` table
 
 # Domain tags for the level-0 stream expansion and its tag (the key
 # derivation tags 0x01-0x04 live in `keys`).
@@ -92,10 +95,14 @@ def _block_mode(key, rounds, counter, aad, data, auth, decrypt):
     `decrypt`); returns (output, tag), the tag None without `auth`."""
     if auth and len(aad) >= rc5.BLOCK_BYTES:
         raise ValueError("associated data must fit one block with padding")
+    n = len(data)
+    if n > _MAX_BLOCK_MODE_BYTES:
+        raise ValueError(
+            f"block-mode data must be at most {_MAX_BLOCK_MODE_BYTES} octets"
+        )
     schedule, l_inv, doubles = _setup(key, rounds)
     enc = rc5.encrypt_int
     core = rc5.decrypt_int if decrypt else enc
-    n = len(data)
     x = int.from_bytes(data, "little")
     nonce = int.from_bytes(counter.to_bytes(8, "big"), "little")
     z = doubles[0] ^ enc(schedule, nonce ^ doubles[0])

@@ -236,10 +236,11 @@ class PendingWire:
     """A wire whose seal has not run yet: what `encode_pending` returns.
 
     It carries its `PacketHeader`, whose level names the rounds and the
-    tag, so `len()` is the wire's size and `parse_wire` returns the header
-    without sealing or decoding octets. `bytes()` reads the wire: the first
-    read packs the header and seals, and every read sees the same bytes.
-    Sealing late is exact, because a seal is a pure function of its inputs."""
+    tag, so `len()` is the wire's size and `header` is what `parse_wire`
+    returns for its bytes, with no seal and no octets decoded. `bytes()`
+    reads the wire: the first read packs the header and seals, and every
+    read sees the same bytes. Sealing late is exact, because a seal is a
+    pure function of its inputs."""
 
     key: bytes
     counter: int
@@ -263,7 +264,7 @@ class PendingWire:
 
 
 def decode(
-    wire: bytes | PendingWire,
+    wire: bytes,
     keyring: KeyRing,
     expected: CounterState,
     loss_threshold: int = DEFAULT_LOSS_THRESHOLD,
@@ -280,20 +281,17 @@ def decode(
 
     This is `parse_wire` followed by `decode_parsed`; a caller with many
     receivers of one wire can run the first once and the second per ring.
-    A `PendingWire` from `encode_pending` decodes as its bytes do, and a
-    receiver under its key reads it without a block pass.
     """
     if loss_threshold < 0:
         raise ValueError("loss_threshold must be >= 0")
     return decode_parsed(wire, parse_wire(wire), keyring, expected, loss_threshold)
 
 
-def parse_wire(wire: bytes | PendingWire) -> PacketHeader:
+def parse_wire(wire: bytes) -> PacketHeader:
     """The half of `decode` that depends on the wire alone: its header,
     checked against the reserved lengths and the wire's size. Raises
-    FormatError. A pending wire's own header is returned, checked the same
-    way; it is neither sealed nor decoded from octets."""
-    header = wire.header if isinstance(wire, PendingWire) else PacketHeader.decode(wire)
+    FormatError. A `PendingWire` needs no parse: it carries its header."""
+    header = PacketHeader.decode(wire)
     if header.length > MAX_PAYLOAD:
         raise FormatError(f"length {header.length} is reserved-invalid")
     if len(wire) != wire_size(header.length, header.level.auth):
@@ -310,8 +308,8 @@ def decode_parsed(
 ) -> bytes:
     """The half of `decode` that depends on the receiver: the group check,
     the key lookup, the counter search and the open, for a `header` that
-    `parse_wire` returned for `wire`. `loss_threshold` must be >= 0; the
-    rest is as `decode`.
+    `parse_wire` returned for `wire`, or for a `PendingWire` and its own
+    header. `loss_threshold` must be >= 0; the rest is as `decode`.
 
     A `PendingWire` is its own seal. Under a receive key equal to its key,
     the wrap candidate equal to its counter yields its payload without a

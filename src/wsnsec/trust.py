@@ -27,10 +27,11 @@ class NeighborRecord:
     """Observation counters for one neighbor.
 
     The two energy/signal slots hold the latest two samples, with t1 the
-    older. Routing cost (rc) is recorded but does not enter the trust
-    formula. `_trust` keeps the trust value of these counters under the
-    weights of the table(s) holding the row; None means it is yet to be
-    computed. Tables that share a row must share their weights.
+    older. Routing cost (rc) is a column of the paper's record that no
+    event sets, so it stays 0; it does not enter the trust formula.
+    `_trust` keeps the trust value of these counters under the weights of
+    the table(s) holding the row; None means it is yet to be computed.
+    Tables that share a row must share their weights.
     """
 
     ae_t1: float = 0.0

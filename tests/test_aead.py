@@ -174,6 +174,20 @@ def test_argument_checks_on_both_directions(rounds, auth):
 
 
 @pytest.mark.parametrize("rounds,auth", BLOCK_MODES)
+def test_block_mode_length_limit(rounds, auth):
+    # The `l * x^i` table stops at i = 8, so 511 blocks are the most a block
+    # mode takes; one octet more raises a ValueError, not an IndexError.
+    pt = random.Random(rounds * 10 + auth).randbytes(4088)
+    ct, tag = aead.seal(KEY, rounds, 7, b"", pt, auth)
+    assert (ct, tag) == oracles.ocb_seal(KEY, rounds, 7, b"", pt, auth)
+    assert aead.open_(KEY, rounds, 7, b"", ct, tag, auth) == pt
+    with pytest.raises(ValueError, match="4088 octets"):
+        aead.seal(KEY, rounds, 7, b"", pt + b"x", auth)
+    with pytest.raises(ValueError, match="4088 octets"):
+        aead.open_(KEY, rounds, 7, b"", ct + b"x", tag, auth)
+
+
+@pytest.mark.parametrize("rounds,auth", BLOCK_MODES)
 def test_block_count_matches_energy_model(rounds, auth, monkeypatch):
     # The simulator charges crypto energy per `rc5_invocations` block; count
     # the blocks the int core actually enciphers, with the key set up first.
@@ -216,7 +230,7 @@ def test_int_core_matches_oracle(rounds):
 def test_setup_is_the_one_schedule_cache(monkeypatch):
     # A re-keying run expands each (key, rounds) schedule once, in aead._setup.
     # Honest simulator wires are never sealed, so the run is a golden whose
-    # replays and lost packets still run the cipher.
+    # lost packets still run the cipher.
     assert not hasattr(rc5.key_schedule, "cache_info")
     calls = Counter()
     expand = rc5.key_schedule
@@ -228,7 +242,7 @@ def test_setup_is_the_one_schedule_cache(monkeypatch):
     monkeypatch.setattr(rc5, "key_schedule", counted)
     aead._setup.cache_clear()
     goldens = pathlib.Path(__file__).parent / "vectors" / "sim_golden" / "configs.json"
-    config = sim.config_from_dict(json.loads(goldens.read_text())["habitat_replay_loss"])
+    config = sim.config_from_dict(json.loads(goldens.read_text())["military_two_groups_loss"])
     report = sim.run(config)
     assert report.rekeys
     assert calls and set(calls.values()) == {1}

@@ -110,7 +110,7 @@ class TestSplitEncode:
             wire = linksec.encode(level, ring_src, CounterState(last), dest, payload)
             assert len(seals) == 1
             assert len(pending) == len(wire)
-            assert linksec.parse_wire(pending) == linksec.parse_wire(wire)
+            assert pending.header == linksec.parse_wire(wire)
             assert pending.header.encode() == wire[:linksec.HEADER_BYTES]
             assert len(seals) == 1
             assert bytes(linksec.PendingWire(*args)) == bytes(pending) == wire
@@ -381,7 +381,7 @@ def _hinted(wire, ring, last):
     state = CounterState(last)
     try:
         got = linksec.decode_parsed(
-            wire, linksec.parse_wire(wire), ring, state,
+            wire, wire.header, ring, state,
             linksec.DEFAULT_LOSS_THRESHOLD,
         )
     except linksec.DecodeError as exc:
@@ -517,6 +517,25 @@ class TestCounterExhaustion:
         with pytest.raises(ReplayError):
             linksec.decode(wire, ring_head, rx)
         assert rx.value == (1 << 32) - 1
+
+    def test_counter_state_bounds(self):
+        assert CounterState((1 << 32) - 1).value == (1 << 32) - 1
+        for value in (-1, 1 << 32):
+            with pytest.raises(ValueError):
+                CounterState(value)
+
+    def test_loss_threshold_bounds(self):
+        """A negative threshold is refused; at 0 the in-order candidate is
+        still tried, so an in-order packet decodes."""
+        ring_head, ring_src, _ = make_rings()
+        level = SecurityLevel(Encryption.RC5_R8, True)
+        wire = linksec.encode(level, ring_src, CounterState(), HEAD.node_id, b"in order")
+        rx = CounterState()
+        with pytest.raises(ValueError):
+            linksec.decode(wire, ring_head, rx, loss_threshold=-1)
+        assert rx.value == 0
+        assert linksec.decode(wire, ring_head, rx, loss_threshold=0) == b"in order"
+        assert rx.value == 1
 
 
 class TestTamper:

@@ -2,6 +2,7 @@ import hmac
 import json
 import os
 import pathlib
+import random
 import threading
 import time
 import tracemalloc
@@ -69,6 +70,56 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+class SealedAtOnce(linksec.PendingWire):
+    """A pending wire sealed as it is made, under a key that no ring holds:
+    its own plaintext answers no open, so every listener runs the real open
+    on its bytes."""
+
+    __slots__ = ()
+
+    def __bytes__(self):
+        return self._wire
+
+
+def seal_at_once(monkeypatch):
+    """Make `sim` seal every wire as it is made and open every wire for
+    real, replays included. The seal is read through `PendingWire`'s own
+    `bytes()`, once per wire."""
+    encode_pending = linksec.encode_pending
+
+    def sealing(*args):
+        made = encode_pending(*args)
+        wire = SealedAtOnce(b"", made.counter, made.header, made.payload)
+        wire._wire = bytes(made)
+        return wire
+
+    monkeypatch.setattr(linksec, "encode_pending", sealing)
+
+
+def replay_configs(count):
+    """`count` seeded small configs, each with one or two replay attackers
+    per group, some with loss and some with batteries that run out."""
+    configs = []
+    for seed in range(count):
+        rnd = random.Random(seed)
+        node_count, group_count = rnd.randint(3, 9), rnd.randint(1, 2)
+        adversaries = []
+        for gid in range(group_count):
+            size = node_count // group_count + (gid < node_count % group_count)
+            for node in rnd.sample(range(1, size + 1), min(size, rnd.randint(1, 2))):
+                adversaries.append({"node": f"{gid}.{node}", "behavior": "replay-attacker",
+                                    "start_frame": rnd.randint(0, 3)})
+        configs.append(sim.config_from_dict({
+            "seed": seed, "node_count": node_count, "group_count": group_count,
+            "sim_length": rnd.randint(10, 25), "session_length": rnd.randint(3, 10),
+            "scenario": rnd.choice(sim.SCENARIO_NAMES), "adaptive": rnd.random() < 0.5,
+            "loss_rate": rnd.choice([0.0, 0.1, 0.3]),
+            "energy_model": {"initial_energy": rnd.uniform(0.3, 3.0)},
+            "adversaries": adversaries,
+        }))
+    return configs
 
 
 def reachable_keys(root):
@@ -565,12 +616,13 @@ class TestSavings:
                          "fixed_level": {"encryption": 0, "auth": False}},
         })
         headers, classes = [], []
-        parse_wire = linksec.parse_wire
+        encode_pending = linksec.encode_pending
         transmit = sim._Simulation._transmit
 
-        def recording_headers(wire):
-            headers.append(parse_wire(wire))
-            return headers[-1]
+        def recording_headers(*args):
+            wire = encode_pending(*args)
+            headers.append(wire.header)
+            return wire
 
         def recording_classes(self, group, frame, sender, dest, pclass, *args):
             on_air = len(self.slot_log)
@@ -578,7 +630,7 @@ class TestSavings:
             classes.extend([pclass] * (len(self.slot_log) - on_air))
             return decoded
 
-        monkeypatch.setattr(linksec, "parse_wire", recording_headers)
+        monkeypatch.setattr(linksec, "encode_pending", recording_headers)
         monkeypatch.setattr(sim._Simulation, "_transmit", recording_classes)
         report = sim.run(config)
         assert len(report.rekeys) == 2 and len(headers) == len(classes)
@@ -1007,11 +1059,13 @@ class TestObservationViews:
         assert opens[0] == 0
 
     def test_replayed_and_lost_wires_open_for_real(self, monkeypatch):
-        """A replayed wire is bytes, not the pending wire, so no plaintext
-        answers its opens, and a listener that lost packets may try wraps
-        before the sealing counter: those opens still run the cipher."""
+        """A replayed wire is the captured pending wire, so its own plaintext
+        answers a listener under its key, which rejects it as a replay. A
+        listener that lost packets may try wraps before the sealing counter:
+        those opens still run the cipher."""
         opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
-        report = sim.run(sim.config_from_dict(GOLDEN_CONFIGS["habitat_replay_loss"]))
+        report = sim.run(sim.config_from_dict(GOLDEN_CONFIGS["military_two_groups_loss"]))
+        assert any(not honest for *_, honest in report.slot_log)
         assert sum(s.replay_rejects for s in report.nodes.values()) > 0
         assert opens[0] > 0
 
@@ -1020,15 +1074,18 @@ class TestObservationViews:
         """The cipher opens of each arm, pinned. Every listener opens for
         itself: `habitat_death_loss` makes 40 more per arm, and
         `military_two_groups_loss` 50 more, than when the listeners of one
-        wire shared a memo of opens."""
+        wire shared a memo of opens. A replay is the captured pending wire,
+        answered by its own plaintext under its key: `habitat_replay_loss`
+        makes 38 fewer per arm, and `military_two_groups_loss` 19 fewer,
+        than when a replay was bytes."""
         pinned = {
             "agri_captured_two_groups": (500, 500),
             "agri_death": (0, 0),
             "agri_listen_death_24": (0, 0),
             "habitat_death_loss": (270, 275),
             "habitat_election": (875, 875),
-            "habitat_replay_loss": (38, 38),
-            "military_two_groups_loss": (249, 249),
+            "habitat_replay_loss": (0, 0),
+            "military_two_groups_loss": (230, 230),
         }
         config = sim.config_from_dict(GOLDEN_CONFIGS[name])
         opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
@@ -1062,8 +1119,8 @@ class TestObservationViews:
         assert seals[0] == opens[0] == 0
 
     def test_seals_exactly_the_wires_that_are_read(self, monkeypatch):
-        """With replays and loss, a wire is sealed once if a real open or a
-        replayer's retransmission reads it, and never otherwise."""
+        """With replays and loss, a wire is sealed once if a real open reads
+        it, and never otherwise: a replayer's retransmission seals nothing."""
         seals = count_calls(monkeypatch, sim.linksec.aead, "seal")
         read, opened, replayed = set(), set(), []
         wire_bytes, open_ = linksec.PendingWire.__bytes__, linksec.aead.open_
@@ -1088,13 +1145,18 @@ class TestObservationViews:
         monkeypatch.setattr(linksec.PendingWire, "__bytes__", recording_read)
         monkeypatch.setattr(linksec.aead, "open_", recording_open)
         monkeypatch.setattr(sim._Simulation, "_transmit", recording_replays)
-        config = sim.config_from_dict(GOLDEN_CONFIGS["habitat_replay_loss"])
-        for adaptive in (False, True):
-            sim.run(replace(config, adaptive=adaptive))
-        assert opened and replayed
-        assert seals[0] == len(read)  # each wire read was sealed once
-        assert set(read) == opened | {bytes(wire) for wire in replayed}
-        assert seals[0] == len(read)  # every replayed wire was sealed on air
+        real_opens = 0
+        for name in ("habitat_replay_loss", "military_two_groups_loss"):
+            config = sim.config_from_dict(GOLDEN_CONFIGS[name])
+            for adaptive in (False, True):
+                seals[0] = 0
+                read.clear()
+                opened.clear()
+                sim.run(replace(config, adaptive=adaptive))
+                assert seals[0] == len(read)  # each wire read was sealed once
+                assert read == opened
+                real_opens += len(opened)
+        assert real_opens and replayed
 
     def test_replayer_retransmits_what_encode_makes(self, monkeypatch):
         """A replayer captures a pending wire. The bytes it puts on air are
@@ -1203,7 +1265,7 @@ class TestObservationViews:
         def recording_pairs(self, group, frame, sender, dest, pclass, payload,
                             replayed_wire=None):
             if sender.alive and dest not in (BROADCAST_NODE_ID, group.head.addr.node_id):
-                src = sender.addr.node_id if replayed_wire is None else bytes(replayed_wire)[2]
+                src = sender.addr.node_id if replayed_wire is None else replayed_wire.header.src
                 pairs.add(frozenset(
                     (NodeAddress(group.gid, src), NodeAddress(group.gid, dest))
                 ))
@@ -1224,8 +1286,8 @@ class TestObservationViews:
         assert sum(len(n.ring.pairwise) for n in simulation.nodes.values()) == 2 * len(pairs)
 
     def test_one_header_parse_per_transmission(self, monkeypatch):
-        """A header is decoded from octets only for a replayed wire, once
-        per wire and not once per listener: an honest wire carries its own."""
+        """No header is decoded from octets: every wire, a replayed one
+        included, carries its own."""
         parses = 0
         decode = linksec.PacketHeader.decode.__func__
 
@@ -1239,28 +1301,7 @@ class TestObservationViews:
         assert report.slot_log and parses == 0
         report = sim.run(sim.config_from_dict(GOLDEN_CONFIGS["habitat_replay_loss"]))
         replays = sum(not honest for *_, honest in report.slot_log)
-        assert parses == replays > 0
-
-    def test_malformed_wire_counts_one_format_reject_per_destination(self):
-        simulation = sim._Simulation(
-            SimConfig(seed=1, node_count=5, group_count=1, sim_length=0)
-        )
-        group = simulation.groups[0]
-        sender = group.nodes[1]
-        wire = linksec.encode(
-            SecurityLevel(Encryption.XOR, True), sender.ring, CounterState(),
-            BROADCAST_NODE_ID, b"hello",
-        )
-        for bad in (wire[:-1], wire + b"\x00", wire[:3]):
-            decoded = simulation._transmit(
-                group, 0, sender, BROADCAST_NODE_ID, PacketClass.CONTROL, b"",
-                replayed_wire=bad,
-            )
-            assert decoded == {}
-        for node in group.nodes:
-            stats = node.stats
-            assert stats.format_rejects == (0 if node is sender else 3)
-            assert stats.decode_ok == stats.auth_rejects == stats.ledger.crypto == 0
+        assert replays > 0 and parses == 0
 
     def test_setup_hashes_each_hmac_key_pad_once(self, monkeypatch):
         """Every HMAC runs from cached pad states: set-up hashes pads for the
@@ -1391,12 +1432,12 @@ class TestObservationViews:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     def test_seal_on_demand_changes_no_output(self, monkeypatch, name):
-        """Both arms of every golden give the same output when every
-        listener is handed `bytes(wire)`: each wire is sealed as it is made
-        and is no seal of its own, so every open runs the cipher. Every wire
-        that the lazy run sealed has the bytes of the eager run's seal. The
-        opens are counted per arm run by `sim.run` in this process: the
-        counter cannot see an arm that `compare_fixed_vs_adaptive` forks."""
+        """Both arms of every golden give the same output when every wire,
+        replays included, is sealed as it is made and answers no open from
+        its own plaintext, so every open runs the cipher. Every wire that
+        the lazy run sealed has the bytes of the eager run's seal. The opens
+        are counted per arm run by `sim.run` in this process: the counter
+        cannot see an arm that `compare_fixed_vs_adaptive` forks."""
         config = sim.config_from_dict(GOLDEN_CONFIGS[name])
         opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
         sealed = {}  # a pending wire's fields -> its bytes, for every wire read in a run
@@ -1417,10 +1458,7 @@ class TestObservationViews:
 
         monkeypatch.setattr(linksec.PendingWire, "__bytes__", recording)
         lazy = list(both_arms())
-        encode_pending = linksec.encode_pending
-        monkeypatch.setattr(
-            linksec, "encode_pending", lambda *args: bytes(encode_pending(*args))
-        )
+        seal_at_once(monkeypatch)
         eager = list(both_arms())
         assert sum(o for *_, o in eager) > sum(o for *_, o in lazy)
         for (got, got_wires, _), (want, want_wires, _) in zip(lazy, eager):
@@ -1435,6 +1473,49 @@ class TestObservationViews:
             for (fixed, *_), (adaptive, *_) in (lazy, eager)
         ]
         assert savings[0].savings_csv() == savings[1].savings_csv()
+
+    def test_pending_replays_change_no_output(self, monkeypatch):
+        """Beyond the goldens: 50 small configs with replay attackers, loss
+        and deaths run the same with pending wires, replays included, as
+        with every wire sealed at once and opened for real."""
+        configs = replay_configs(50)
+        opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
+        pending = [sim.run(config) for config in configs]
+        pending_opens = opens[0]
+        seal_at_once(monkeypatch)
+        for got, config in zip(pending, configs):
+            want = sim.run(config)
+            assert got.nodes == want.nodes
+            assert got.slot_log == want.slot_log
+            assert got.energy_csv() == want.energy_csv()
+            assert got.trust_csv() == want.trust_csv()
+            assert got.elections == want.elections
+            assert got.rekeys == want.rekeys
+        assert opens[0] - pending_opens > pending_opens
+        stats = [s for report in pending for s in report.nodes.values()]
+        assert sum(not honest for r in pending for *_, honest in r.slot_log) > 0
+        assert sum(s.replay_accepted for s in stats) > 0
+        assert sum(s.replay_rejects for s in stats) > 0
+        assert sum(not s.alive for s in stats) > 0
+        assert any(config.loss_rate for config in configs)
+
+    def test_replay_reuses_its_replayers_slot(self):
+        """A replay is on air in the slot of the honest transmission just
+        before it, in the same frame and group: its replayer's own. Checked
+        on both arms of the replay goldens and on 50 small configs."""
+        configs = [
+            replace(sim.config_from_dict(GOLDEN_CONFIGS[name]), adaptive=adaptive)
+            for name in ("habitat_replay_loss", "military_two_groups_loss")
+            for adaptive in (False, True)
+        ] + replay_configs(50)
+        replays = 0
+        for config in configs:
+            log = sim.run(config).slot_log
+            for i, (frame, gid, slot, replayer, honest) in enumerate(log):
+                if not honest:
+                    assert i > 0 and log[i - 1] == (frame, gid, slot, replayer, True)
+                    replays += 1
+        assert replays > 0
 
 
 ARMS = pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])

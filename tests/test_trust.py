@@ -204,6 +204,21 @@ class TestRecordEvents:
         rec = table.rows[B]
         assert (rec.ae_t1, rec.ae_t2) == (90.0, 70.0)
 
+    def test_energy_sample_range(self):
+        """A flat battery reads 0.0, which is a sample like any other; a
+        negative reading and a missing one are refused and store nothing."""
+        table = TrustTable(observer=A)
+        table.record(B, "energy-sample", 0.0)
+        table.record(C, "energy-sample", 5.0)
+        table.record(C, "energy-sample", 0.0)
+        assert (table.rows[B].ae_t1, table.rows[B].ae_t2) == (0.0, 0.0)
+        assert (table.rows[C].ae_t1, table.rows[C].ae_t2) == (5.0, 0.0)
+        assert not table.rows[C].suspicious
+        for bad in (-1e-9, None):
+            with pytest.raises(ValueError):
+                table.record(C, "energy-sample", bad)
+        assert (table.rows[C].ae_t1, table.rows[C].ae_t2) == (5.0, 0.0)
+
     def test_signal_sample_range(self):
         table = TrustTable(observer=A)
         with pytest.raises(ValueError):
