@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from typing import Optional
 
 from . import linksec, sim
@@ -61,9 +62,13 @@ def keyring_to_dict(ring: KeyRing) -> dict:
 
 def keyring_from_dict(data: dict) -> KeyRing:
     """Read a keyring in the shape :func:`keyring_to_dict` writes. A field
-    that is missing or of the wrong JSON shape raises ValueError naming it."""
+    that is missing, unknown or of the wrong JSON shape raises ValueError
+    naming it."""
     if not isinstance(data, dict):
         raise ValueError(f"keyring must be a JSON object, not {type(data).__name__}")
+    unknown = set(data) - {f.name for f in fields(KeyRing)}
+    if unknown:
+        raise ValueError(f"unknown keyring keys: {sorted(unknown)}")
     missing = [f for f in ("owner", "head", "node_based", "broadcast") if f not in data]
     if missing:
         raise ValueError(f"keyring needs {', '.join(missing)}")

@@ -236,11 +236,11 @@ class PendingWire:
     """A wire whose seal has not run yet: what `encode_pending` returns.
 
     It carries its `PacketHeader`, whose level names the rounds and the
-    tag, so `len()` is the wire's size and `header` is what `parse_wire`
-    returns for its bytes, with no seal and no octets decoded. `bytes()`
-    reads the wire: the first read packs the header and seals, and every
-    read sees the same bytes. Sealing late is exact, because a seal is a
-    pure function of its inputs."""
+    tag, so `len()` is the wire's size and `header` is the header its bytes
+    carry, with no seal and no octets decoded. `bytes()` reads the wire:
+    the first read packs the header and seals, and every read sees the same
+    bytes. Sealing late is exact, because a seal is a pure function of its
+    inputs."""
 
     key: bytes
     counter: int
@@ -264,7 +264,7 @@ class PendingWire:
 
 
 def decode(
-    wire: bytes,
+    wire: bytes | PendingWire,
     keyring: KeyRing,
     expected: CounterState,
     loss_threshold: int = DEFAULT_LOSS_THRESHOLD,
@@ -279,54 +279,35 @@ def decode(
     single reconstructed counter is taken on faith when it advances, and
     freshness degrades to counter monotonicity alone.
 
-    This is `parse_wire` followed by `decode_parsed`; a caller with many
-    receivers of one wire can run the first once and the second per ring.
+    A `bytes` wire's header is parsed and checked against the reserved
+    lengths and the wire's size. A `PendingWire` carries its header and is
+    its own seal. Under a receive key equal to its key, the wrap candidate
+    equal to its counter yields its payload without a block pass. This is
+    exact, because OCB is invertible: an open at the true key and counter
+    always verifies and returns the plaintext. Every other candidate and
+    every receiver that holds another key runs the real open, and the
+    replay check applies to the answered candidate as to any other, so the
+    outcome and `expected` are those of decoding `bytes(wire)`. A pending
+    wire is sealed only for a real open.
     """
     if loss_threshold < 0:
         raise ValueError("loss_threshold must be >= 0")
-    return decode_parsed(wire, parse_wire(wire), keyring, expected, loss_threshold)
-
-
-def parse_wire(wire: bytes) -> PacketHeader:
-    """The half of `decode` that depends on the wire alone: its header,
-    checked against the reserved lengths and the wire's size. Raises
-    FormatError. A `PendingWire` needs no parse: it carries its header."""
-    header = PacketHeader.decode(wire)
-    if header.length > MAX_PAYLOAD:
-        raise FormatError(f"length {header.length} is reserved-invalid")
-    if len(wire) != wire_size(header.length, header.level.auth):
-        raise FormatError("wire size does not match header")
-    return header
-
-
-def decode_parsed(
-    wire: bytes | PendingWire,
-    header: PacketHeader,
-    keyring: KeyRing,
-    expected: CounterState,
-    loss_threshold: int,
-) -> bytes:
-    """The half of `decode` that depends on the receiver: the group check,
-    the key lookup, the counter search and the open, for a `header` that
-    `parse_wire` returned for `wire`, or for a `PendingWire` and its own
-    header. `loss_threshold` must be >= 0; the rest is as `decode`.
-
-    A `PendingWire` is its own seal. Under a receive key equal to its key,
-    the wrap candidate equal to its counter yields its payload without a
-    block pass. This is exact, because OCB is invertible: an open at the
-    true key and counter always verifies and returns the plaintext. Every
-    other candidate, every receiver that holds another key and every
-    `bytes` wire runs the real open, and the replay check applies to the
-    answered candidate as to any other, so the outcome and `expected` are
-    those of decoding `bytes(wire)`. A pending wire is sealed only for a
-    real open."""
+    pending = isinstance(wire, PendingWire)
+    if pending:
+        header = wire.header
+    else:
+        header = PacketHeader.decode(wire)
+        if header.length > MAX_PAYLOAD:
+            raise FormatError(f"length {header.length} is reserved-invalid")
+        if len(wire) != wire_size(header.length, header.level.auth):
+            raise FormatError("wire size does not match header")
     if header.group != keyring.owner[0]:  # the owner's group id
         raise AuthenticationError(
             f"packet for group {header.group}, ring owner in {keyring.owner.group_id}"
         )
     key = _receiver_key(keyring, header.src, header.dest).data
     # The counter that the wire answers from its own plaintext, if any.
-    own = wire.counter if isinstance(wire, PendingWire) and wire.key == key else None
+    own = wire.counter if pending and wire.key == key else None
     last = expected.value
     base = ((last + 1) & _WRAP_MASK) | header.counter_lsb
 

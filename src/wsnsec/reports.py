@@ -39,6 +39,9 @@ class NodeStats:
     decode_ok: int = 0
     auth_rejects: int = 0
     replay_rejects: int = 0
+    # No simulator path sets it: every simulator wire is a pending wire,
+    # which carries its header and cannot be malformed. The benchmark's
+    # reject count and the goldens' stats.csv still read the column.
     format_rejects: int = 0
     replay_accepted: int = 0
     bcast_ok_before_rekey: int = 0

@@ -539,8 +539,8 @@ class _Simulation:
             listener.charge(rx_cost, open_cost)
             state = listener.counter_from(header.src, header.dest)
             try:
-                plain = linksec.decode_parsed(
-                    wire, header, listener.ring, state, self.config.loss_threshold
+                plain = linksec.decode(
+                    wire, listener.ring, state, self.config.loss_threshold
                 )
             except linksec.ReplayError:
                 listener.stats.replay_rejects += 1

@@ -153,6 +153,23 @@ class TestPacketCommands:
         assert err.startswith("error: invalid:")
         assert "keyring" in err and field in err
 
+    def test_unknown_keyring_key_named(self, capsys, rings, tmp_path):
+        """A ring file that misspells `session` loads nothing: the misspelt
+        key is named, by the reader and by the command."""
+        _, ring_head, _, _ = rings
+        data = cli.keyring_to_dict(ring_head)
+        data["sesion"] = data.pop("session")
+        with pytest.raises(ValueError, match=r"unknown keyring keys: \['sesion'\]"):
+            cli.keyring_from_dict(data)
+        path = tmp_path / "misspelt.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(
+            capsys, "packet-decode", "--keyring", str(path), "--counter", "0", "00" * 9
+        )
+        assert code == cli.EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: invalid:") and "sesion" in err
+
 
 class TestDeriveKeys:
     def test_prints_all_keys(self, capsys, tmp_path):

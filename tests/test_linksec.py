@@ -110,7 +110,7 @@ class TestSplitEncode:
             wire = linksec.encode(level, ring_src, CounterState(last), dest, payload)
             assert len(seals) == 1
             assert len(pending) == len(wire)
-            assert pending.header == linksec.parse_wire(wire)
+            assert pending.header == PacketHeader.decode(wire)
             assert pending.header.encode() == wire[:linksec.HEADER_BYTES]
             assert len(seals) == 1
             assert bytes(linksec.PendingWire(*args)) == bytes(pending) == wire
@@ -298,23 +298,29 @@ def _outcome(wire, ring, last, loss_threshold=linksec.DEFAULT_LOSS_THRESHOLD):
     return got, state.value
 
 
+def _seal(level, ring, sent, dest, payload):
+    """The pending wire of one `encode_pending` from a send counter at `sent`."""
+    return linksec.encode_pending(level, ring, CounterState(sent), dest, payload)
+
+
 def _decode_cases():
-    """name -> (wire, ring, last counter) decodes that cover every outcome."""
+    """name -> (wire, ring, last counter) decodes that cover every outcome.
+    Each wire but the forged one is the pending wire that `encode_pending`
+    returns; `bytes()` reads what it puts on air."""
     ring_head, ring_src, ring_peer = make_rings()
     r8 = SecurityLevel(Encryption.RC5_R8, True)
-    uplink = linksec.encode(r8, ring_src, CounterState(), HEAD.node_id, b"up")
-    forged = uplink[:-1] + bytes((uplink[-1] ^ 0x01,))
-    ahead = linksec.encode(r8, ring_src, CounterState(300), HEAD.node_id, b"late")
+    uplink = _seal(r8, ring_src, 0, HEAD.node_id, b"up")
+    sealed = bytes(uplink)
+    forged = sealed[:-1] + bytes((sealed[-1] ^ 0x01,))
+    ahead = _seal(r8, ring_src, 300, HEAD.node_id, b"late")
     bare = SecurityLevel(Encryption.RC5_R4, False)
-    untagged = linksec.encode(bare, ring_src, CounterState(7), HEAD.node_id, b"plain")
-    bcast = linksec.encode(r8, ring_src, CounterState(9), BROADCAST_NODE_ID, b"all")
+    untagged = _seal(bare, ring_src, 7, HEAD.node_id, b"plain")
+    bcast = _seal(r8, ring_src, 9, BROADCAST_NODE_ID, b"all")
     session_head, session_src, stale_peer = make_rings()
     k1 = SymmetricKey(b"\x31" * 10)
     session_head.session = session_src.session = k1  # the peer missed the re-key
-    session = linksec.encode(r8, session_head, CounterState(), BROADCAST_NODE_ID, b"s")
-    xor = linksec.encode(
-        SecurityLevel(Encryption.XOR, True), ring_src, CounterState(3), BROADCAST_NODE_ID, b"x"
-    )
+    session = _seal(r8, session_head, 0, BROADCAST_NODE_ID, b"s")
+    xor = _seal(SecurityLevel(Encryption.XOR, True), ring_src, 3, BROADCAST_NODE_ID, b"x")
     return {
         "ok": [(uplink, ring_head, 0)],
         "replay": [(uplink, ring_head, 1)],
@@ -333,21 +339,18 @@ def _decode_cases():
 
 
 class TestSplitDecode:
-    """`decode` is `parse_wire` once per wire, then `decode_parsed` per ring."""
+    """`decode` takes a wire's bytes, whose header it parses on every call,
+    or its pending wire, which carries its header and is never parsed."""
 
     @pytest.mark.parametrize("case", sorted(_decode_cases()))
     def test_parsed_once_same_outcome(self, case):
+        """The pending wire and its bytes give one outcome and one counter,
+        and a header parsed from the bytes is the one the wire carries."""
         for wire, ring, last in _decode_cases()[case]:
-            header = linksec.parse_wire(wire)
-            assert header == PacketHeader.decode(wire)
-            state = CounterState(last)
-            try:
-                got = linksec.decode_parsed(
-                    wire, header, ring, state, linksec.DEFAULT_LOSS_THRESHOLD
-                )
-            except linksec.DecodeError as exc:
-                got = (type(exc), str(exc))
-            assert (got, state.value) == _outcome(wire, ring, last)
+            data = bytes(wire)
+            if isinstance(wire, linksec.PendingWire):
+                assert wire.header == PacketHeader.decode(data)
+            assert _outcome(wire, ring, last) == _outcome(data, ring, last)
 
     def test_cases_cover_every_outcome(self):
         got = {_outcome(*d)[0] for decodes in _decode_cases().values() for d in decodes}
@@ -356,37 +359,26 @@ class TestSplitDecode:
         ahead, ring_head, _ = _decode_cases()["wrap_search"][0]
         assert _outcome(ahead, ring_head, 0) == (b"late", 301)
 
-    def test_parse_wire_rejects_what_decode_rejects_on_format(self):
+    def test_format_rejects_name_their_cause(self):
+        """A bytes wire that is truncated, has a reserved length or does not
+        match its header's size is refused before any key is looked up, and
+        the receive counter stays."""
         ring_head, ring_src, _ = make_rings()
         wire = linksec.encode(
             SecurityLevel(Encryption.RC5_R8, True), ring_src, CounterState(),
             HEAD.node_id, b"hello",
         )
         reserved = bytes((GROUP, HEAD.node_id, SRC.node_id, (30 << 3) | 0x03, 1))
-        for bad in (wire[:-1], wire + b"\x00", wire[:3], reserved + bytes(34)):
-            with pytest.raises(FormatError) as parsed:
-                linksec.parse_wire(bad)
-            with pytest.raises(FormatError) as decoded:
-                linksec.decode(bad, ring_head, CounterState())
-            assert str(parsed.value) == str(decoded.value)
-
-
-def _seal(level, ring, sent, dest, payload):
-    """The pending wire of one `encode_pending` from a send counter at `sent`."""
-    return linksec.encode_pending(level, ring, CounterState(sent), dest, payload)
-
-
-def _hinted(wire, ring, last):
-    """`_outcome` through `decode_parsed`, on the pending `wire` itself."""
-    state = CounterState(last)
-    try:
-        got = linksec.decode_parsed(
-            wire, wire.header, ring, state,
-            linksec.DEFAULT_LOSS_THRESHOLD,
-        )
-    except linksec.DecodeError as exc:
-        got = (type(exc), str(exc))
-    return got, state.value
+        cases = [
+            (wire[:3], "truncated header"),
+            (wire[:4], "truncated header"),
+            (reserved + bytes(34), "length 30 is reserved-invalid"),
+            (wire[:-1], "wire size does not match header"),
+            (wire + b"\x00", "wire size does not match header"),
+            (wire[:linksec.HEADER_BYTES], "wire size does not match header"),
+        ]
+        for bad, message in cases:
+            assert _outcome(bad, ring_head, 5) == ((FormatError, message), 5)
 
 
 @pytest.fixture
@@ -401,9 +393,9 @@ def opens(monkeypatch):
 
 
 class TestSealHint:
-    """`decode_parsed` on a pending wire gives `decode`'s outcome on its
-    bytes, and runs the cipher only for candidates the wire's own seal does
-    not answer."""
+    """`decode` on a pending wire gives its outcome on the wire's bytes, and
+    runs the cipher only for candidates the wire's own seal does not
+    answer."""
 
     R8 = SecurityLevel(Encryption.RC5_R8, True)
     BARE = SecurityLevel(Encryption.RC5_R4, False)
@@ -411,7 +403,7 @@ class TestSealHint:
     def test_true_hint_opens_nothing(self, opens):
         ring_head, ring_src, _ = make_rings()
         wire = _seal(self.R8, ring_src, 0, HEAD.node_id, b"up")
-        assert _hinted(wire, ring_head, 0) == (b"up", 1)
+        assert _outcome(wire, ring_head, 0) == (b"up", 1)
         assert opens == []
 
     def test_hint_under_another_key_opens_for_real(self, opens):
@@ -423,7 +415,7 @@ class TestSealHint:
         alone = _outcome(bytes(wire), stale_peer, 0)
         del opens[:]
         assert alone[0][0] is AuthenticationError
-        assert _hinted(wire, stale_peer, 0) == alone
+        assert _outcome(wire, stale_peer, 0) == alone
         assert len(opens) == linksec.DEFAULT_LOSS_THRESHOLD + 1
 
     @pytest.mark.parametrize("wraps", range(linksec.DEFAULT_LOSS_THRESHOLD + 1))
@@ -432,7 +424,7 @@ class TestSealHint:
         ahead of the first candidate: each earlier candidate is a real open."""
         ring_head, ring_src, _ = make_rings()
         wire = _seal(self.R8, ring_src, wraps << 8, HEAD.node_id, b"late")
-        assert _hinted(wire, ring_head, 0) == (b"late", (wraps << 8) + 1)
+        assert _outcome(wire, ring_head, 0) == (b"late", (wraps << 8) + 1)
         assert opens == [(w << 8) + 1 for w in range(wraps)]
 
     @pytest.mark.parametrize("last", [1, 2, 254])
@@ -440,7 +432,7 @@ class TestSealHint:
         """The first candidate is the sealing counter 1, at or below `last`."""
         ring_head, ring_src, _ = make_rings()
         wire = _seal(self.R8, ring_src, 0, HEAD.node_id, b"again")
-        got, after = _hinted(wire, ring_head, last)
+        got, after = _outcome(wire, ring_head, last)
         assert got[0] is ReplayError and after == last
         assert opens == []
         assert (got, after) == _outcome(bytes(wire), ring_head, last)
@@ -448,7 +440,7 @@ class TestSealHint:
     def test_untagged_matching_hint_accepts(self, opens):
         ring_head, ring_src, _ = make_rings()
         wire = _seal(self.BARE, ring_src, 7, HEAD.node_id, b"plain")
-        assert _hinted(wire, ring_head, 0) == (b"plain", 8)
+        assert _outcome(wire, ring_head, 0) == (b"plain", 8)
         assert opens == []
 
     def test_untagged_mismatched_hint_opens_for_real(self, opens):
@@ -463,7 +455,7 @@ class TestSealHint:
             alone = _outcome(bytes(wire), ring_head, 0)
             assert alone == (alone[0], 1) and alone[0] != b"plain"
             del opens[:]
-            assert _hinted(wire, ring_head, 0) == alone
+            assert _outcome(wire, ring_head, 0) == alone
             assert opens == [1]
 
     @settings(max_examples=300, deadline=None)
@@ -484,7 +476,7 @@ class TestSealHint:
         ring_head, ring_src, _ = make_rings()
         wire = _seal(level, ring_src, sent, HEAD.node_id, payload)
         last = min(max(sent - lost, 0), (1 << 32) - 1)
-        got = _hinted(wire, ring_head, last)
+        got = _outcome(wire, ring_head, last)
         assert got == _outcome(bytes(wire), ring_head, last)
 
 

@@ -771,6 +771,43 @@ class TestTwoArms:
         assert forks[0] == 1
         assert_no_child_left()
 
+    def test_forks_on_two_cpus(self, monkeypatch, forks):
+        """Two allowed CPUs are enough to run the fixed arm in a child."""
+        if not hasattr(os, "fork") or threading.active_count() != 1:
+            pytest.skip("this process may not fork")
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        config = sim.config_from_dict(GOLDEN_CONFIGS["agri_death"])
+        got = sim.compare_fixed_vs_adaptive(config)
+        assert forks[0] == 1
+        assert_no_child_left()
+        assert_same_run(got.fixed, sim.run(replace(config, adaptive=False)))
+
+    def test_reply_that_cannot_be_pickled_raises_child_process_error(
+        self, monkeypatch, forks
+    ):
+        """The fixed arm raises an exception that pickle cannot name, so the
+        child writes no whole reply: it ends with a non-zero code, and the
+        caller raises `ChildProcessError` rather than reading a cut pickle."""
+        if not self.FORKS:
+            pytest.skip("compare runs its arms in turn on this host")
+
+        class LocalError(Exception):
+            pass
+
+        real = sim.run
+
+        def failing_fixed_arm(config):
+            if not config.adaptive:
+                raise LocalError("fixed arm")
+            return real(config)
+
+        monkeypatch.setattr(sim, "run", failing_fixed_arm)
+        config = sim.config_from_dict(GOLDEN_CONFIGS["agri_death"])
+        with pytest.raises(ChildProcessError, match="without a complete reply"):
+            sim.compare_fixed_vs_adaptive(config)
+        assert forks[0] == 1
+        assert_no_child_left()
+
     def test_child_flushes_no_buffer_of_the_caller(self, tmp_path):
         path = tmp_path / "buffered.txt"
         with open(path, "w", encoding="utf-8") as fh:
@@ -1096,6 +1133,24 @@ class TestObservationViews:
             got.append(opens[0])
         assert tuple(got) == pinned[name]
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_one_decode_call_per_decode_outcome(self, monkeypatch, name):
+        """Every listener decodes through `linksec.decode`, once per wire,
+        and each call ends in one of the outcomes `NodeStats` counts, so a
+        span on `decode` sees every decode of a run. Each arm runs in
+        process: the counter cannot see an arm that
+        `compare_fixed_vs_adaptive` forks."""
+        config = sim.config_from_dict(GOLDEN_CONFIGS[name])
+        decodes = count_calls(monkeypatch, sim.linksec, "decode")
+        for adaptive in (False, True):
+            decodes[0] = 0
+            report = sim.run(replace(config, adaptive=adaptive))
+            outcomes = sum(
+                s.decode_ok + s.auth_rejects + s.replay_rejects
+                for s in report.nodes.values()
+            )
+            assert decodes[0] == outcomes > 0
+
     @pytest.mark.parametrize(
         "config",
         [sim.config_from_dict(BIG_GROUP)] + [
@@ -1400,7 +1455,7 @@ class TestObservationViews:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     def test_seal_hint_changes_no_output(self, monkeypatch, name):
         """Both arms of every golden give the same output when no listener
-        gets the sealer's hint, the pending wire itself: `decode_parsed` is
+        gets the sealer's hint, the pending wire itself: `linksec.decode` is
         handed `bytes(wire)`, so every open runs the cipher. The opens are
         counted on both arms run by `sim.run` in this process: the counter
         cannot see an arm that `compare_fixed_vs_adaptive` forks."""
@@ -1415,12 +1470,12 @@ class TestObservationViews:
 
         hinted = sim.compare_fixed_vs_adaptive(config)
         hinted_opens = opens_of_both_arms()
-        decode_parsed = sim.linksec.decode_parsed
+        decode = sim.linksec.decode
 
         def unhinted(wire, *args):
-            return decode_parsed(bytes(wire), *args)
+            return decode(bytes(wire), *args)
 
-        monkeypatch.setattr(sim.linksec, "decode_parsed", unhinted)
+        monkeypatch.setattr(sim.linksec, "decode", unhinted)
         stripped = sim.compare_fixed_vs_adaptive(config)
         assert opens_of_both_arms() > hinted_opens
         for got, want in ((hinted.fixed, stripped.fixed),

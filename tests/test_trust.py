@@ -231,6 +231,35 @@ class TestRecordEvents:
         with pytest.raises(ValueError):
             table.record(B, "packet-dropped")  # nothing received to drop
 
+    def test_signal_samples_shift(self):
+        """The first sample fills both slots; each later one shifts them."""
+        table = TrustTable(observer=A)
+        table.record(B, "signal-sample", 0.8)
+        assert (table.rows[B].pss_t1, table.rows[B].pss_t2) == (0.8, 0.8)
+        for v in (0.6, 0.5):
+            table.record(B, "signal-sample", v)
+        assert (table.rows[B].pss_t1, table.rows[B].pss_t2) == (0.6, 0.5)
+
+    def test_collisions_bounded_by_transmissions(self):
+        table = TrustTable(observer=A)
+        with pytest.raises(ValueError):
+            table.record(B, "collision")  # nothing transmitted to collide
+        table.record(B, "packet-transmitted")
+        table.record(B, "collision")
+        with pytest.raises(ValueError):
+            table.record(B, "collision")
+        assert (table.rows[B].npc, table.rows[B].npt) == (1, 1)
+
+    def test_control_forwards_bounded_by_receipts(self):
+        table = TrustTable(observer=A)
+        with pytest.raises(ValueError):
+            table.record(B, "control-forwarded")  # nothing received to forward
+        table.record(B, "control-received-for-forward")
+        table.record(B, "control-forwarded")
+        with pytest.raises(ValueError):
+            table.record(B, "control-forwarded")
+        assert (table.rows[B].craf, table.rows[B].crf) == (1, 1)
+
     def test_unknown_kind(self):
         table = TrustTable(observer=A)
         with pytest.raises(ValueError):
