@@ -22,7 +22,8 @@ from .linksec import (
     dissect,
     encode,
 )
-from .sim import SimConfig, compare_fixed_vs_adaptive, run
+from .config import SimConfig
+from .sim import compare_fixed_vs_adaptive, run
 from .trust import NeighborRecord, TrustTable, TrustWeights, compute_trust, run_election
 
 __all__ = [

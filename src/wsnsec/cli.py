@@ -7,6 +7,8 @@ computation from an observation CSV.
 Exit codes: 0 success, 2 usage, 3 invalid input or config, 4
 authentication reject, 5 replay reject, 6 malformed packet. Failures print
 one machine-readable line to stderr: ``error: <category>: <message>``.
+Key-ring files, written by ``derive-keys --ring-out`` and read by
+``--keyring``, have the format the `config` module gives.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
 from typing import Optional
 
 from . import linksec, sim
 from .addressing import NodeAddress
 from .agent import SCENARIO_ALIASES, SCENARIO_NAMES
-from .config import load_config, read_weights
-from .keys import KeyRing, SymmetricKey, derive_keyring, derive_session_key
+from .config import keyring_to_dict, load_config, load_keyring, read_weights
+from .keys import SymmetricKey, derive_keyring, derive_session_key
 from .linksec import CounterState, Encryption, SecurityLevel
 from .trust import CSV_COLUMNS, RECORD_FIELDS, NeighborRecord, compute_trust
 
@@ -40,89 +41,26 @@ def _fail(category: str, message: str, code: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Keyring file format (JSON, hex-encoded keys)
-# ---------------------------------------------------------------------------
-
-def keyring_to_dict(ring: KeyRing) -> dict:
-    return {
-        "owner": str(ring.owner),
-        "head": str(ring.head),
-        "node_based": ring.node_based.hex(),
-        "broadcast": ring.broadcast.hex(),
-        "session": ring.session.hex() if ring.session else None,
-        "pairwise": {str(a): k.hex() for a, k in sorted(ring.pairwise.items())},
-        "peer_broadcast": {
-            str(a): k.hex() for a, k in sorted(ring.peer_broadcast.items())
-        },
-        "peer_node_based": {
-            str(a): k.hex() for a, k in sorted(ring.peer_node_based.items())
-        },
-    }
-
-
-def keyring_from_dict(data: dict) -> KeyRing:
-    """Read a keyring in the shape :func:`keyring_to_dict` writes. A field
-    that is missing, unknown or of the wrong JSON shape raises ValueError
-    naming it."""
-    if not isinstance(data, dict):
-        raise ValueError(f"keyring must be a JSON object, not {type(data).__name__}")
-    unknown = set(data) - {f.name for f in fields(KeyRing)}
-    if unknown:
-        raise ValueError(f"unknown keyring keys: {sorted(unknown)}")
-    missing = [f for f in ("owner", "head", "node_based", "broadcast") if f not in data]
-    if missing:
-        raise ValueError(f"keyring needs {', '.join(missing)}")
-
-    def read(name: str, parse, value):
-        try:
-            return parse(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"keyring field {name!r}: {exc}") from exc
-
-    def keymap(name: str) -> dict[NodeAddress, SymmetricKey]:
-        obj = data.get(name, {})
-        if not isinstance(obj, dict):
-            raise ValueError(f"keyring field {name!r} must be an object")
-        return {
-            read(name, NodeAddress.parse, a): read(name, SymmetricKey.from_hex, h)
-            for a, h in obj.items()
-        }
-
-    session = data.get("session")
-    return KeyRing(
-        owner=read("owner", NodeAddress.parse, data["owner"]),
-        head=read("head", NodeAddress.parse, data["head"]),
-        node_based=read("node_based", SymmetricKey.from_hex, data["node_based"]),
-        broadcast=read("broadcast", SymmetricKey.from_hex, data["broadcast"]),
-        pairwise=keymap("pairwise"),
-        peer_broadcast=keymap("peer_broadcast"),
-        peer_node_based=keymap("peer_node_based"),
-        session=None if session is None else read("session", SymmetricKey.from_hex, session),
-    )
-
-
-def _load_ring(path: str) -> KeyRing:
-    with open(path, "r", encoding="utf-8") as fh:
-        return keyring_from_dict(json.load(fh))
-
-
-# ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_run(args) -> int:
-    config = load_config(args.config, args.set or [])
-    report = sim.run(config)
-    os.makedirs(args.out_dir, exist_ok=True)
-    outputs = {
-        "energy.csv": report.energy_csv(),
-        "trust.csv": report.trust_csv(),
-        "summary.txt": report.summary_text(),
-    }
-    for name, text in outputs.items():
-        with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as fh:
+def _write_outputs(out_dir: str, outputs: dict[str, str], summary: str) -> None:
+    """Write each named output file and `summary.txt` into `out_dir`, then
+    print the summary."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in {**outputs, "summary.txt": summary}.items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
-    print(report.summary_text(), end="")
+    print(summary, end="")
+
+
+def _cmd_run(args) -> int:
+    report = sim.run(load_config(args.config, args.set or []))
+    _write_outputs(
+        args.out_dir,
+        {"energy.csv": report.energy_csv(), "trust.csv": report.trust_csv()},
+        report.summary_text(),
+    )
     return 0
 
 
@@ -137,17 +75,15 @@ def _cmd_compare(args) -> int:
     shorthand = [f"{key}={json.dumps(v)}" for key, v in flags.items() if v is not None]
     config = load_config(args.config, shorthand + (args.set or []))
     savings = sim.compare_fixed_vs_adaptive(config)
-    os.makedirs(args.out_dir, exist_ok=True)
-    outputs = {
-        "fixed_energy.csv": savings.fixed.energy_csv(),
-        "adaptive_energy.csv": savings.adaptive.energy_csv(),
-        "savings.csv": savings.savings_csv(),
-        "summary.txt": savings.summary_text(),
-    }
-    for name, text in outputs.items():
-        with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(text)
-    print(savings.summary_text(), end="")
+    _write_outputs(
+        args.out_dir,
+        {
+            "fixed_energy.csv": savings.fixed.energy_csv(),
+            "adaptive_energy.csv": savings.adaptive.energy_csv(),
+            "savings.csv": savings.savings_csv(),
+        },
+        savings.summary_text(),
+    )
     return 0
 
 
@@ -173,7 +109,7 @@ def _cmd_derive_keys(args) -> int:
 
 
 def _cmd_packet_encode(args) -> int:
-    ring = _load_ring(args.keyring)
+    ring = load_keyring(args.keyring)
     state = CounterState(args.counter)
     level = SecurityLevel(Encryption(args.level), args.auth)
     wire = linksec.encode(level, ring, state, args.dest, bytes.fromhex(args.payload))
@@ -183,7 +119,7 @@ def _cmd_packet_encode(args) -> int:
 
 
 def _cmd_packet_decode(args) -> int:
-    ring = _load_ring(args.keyring)
+    ring = load_keyring(args.keyring)
     state = CounterState(args.counter)
     payload = linksec.decode(
         bytes.fromhex(args.wire), ring, state, args.loss_threshold
@@ -218,13 +154,21 @@ def _cmd_trust(args) -> int:
         [float(w) for w in args.weights.split(",")] if args.weights else None
     )
     with open(args.observations, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "neighbor" not in reader.fieldnames:
+        lines = csv.reader(fh)
+        header = next(lines, None)
+        if header is None or "neighbor" not in header:
             raise ValueError("observation CSV needs a 'neighbor' column")
-        unknown = set(reader.fieldnames) - set(CSV_COLUMNS)
+        unknown = set(header) - set(CSV_COLUMNS)
         if unknown:
             raise ValueError(f"unknown observation columns: {sorted(unknown)}")
-        for row in reader:
+        for cells in lines:
+            if not cells:
+                continue  # a blank line
+            if len(cells) != len(header):
+                raise ValueError(
+                    f"observation line {lines.line_num} has {len(cells)} cells, not {len(header)}"
+                )
+            row = dict(zip(header, cells))
             record = NeighborRecord()
             for name, kind in RECORD_FIELDS.items():
                 # The suspicious flag does not enter the trust formula.

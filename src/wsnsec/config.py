@@ -1,4 +1,4 @@
-"""Simulator configuration and its JSON file format.
+"""The two JSON file formats: simulator configs and key rings.
 
 `SimConfig` holds everything a run depends on. A config file is a JSON
 object of its fields, and `_read` turns each JSON object into the dataclass
@@ -6,6 +6,13 @@ that owns it: it checks each value's JSON type against its field's
 annotation and names any unknown, mistyped or missing key. Only the scenario
 (a preset's name, or an object over a preset), the list form of the trust
 weights and the list of adversaries are read by hand.
+
+A key-ring file is a JSON object of `KeyRing` fields, read by the same
+`_read` and written by `keyring_to_dict`. Keys are hex strings and
+addresses "G.N" strings. `owner`, `head`, `node_based` and `broadcast` are
+required; `session` may be left out or null, and each of `pairwise`,
+`peer_broadcast` and `peer_node_based` may be left out or be an object of
+hex keys by address.
 """
 
 from __future__ import annotations
@@ -13,11 +20,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from typing import Optional, get_type_hints
+from typing import Mapping, Optional, get_type_hints
 
 from . import linksec
 from .addressing import NodeAddress
 from .agent import SCENARIO_ALIASES, SCENARIO_NAMES, ScenarioPolicy, default_policy
+from .keys import KeyRing, SymmetricKey
 from .linksec import Encryption
 from .trust import TrustWeights
 
@@ -108,14 +116,36 @@ class SimConfig:
 _JSON_TYPES = {
     bool: (bool,), int: (int,), float: (int, float), str: (str,), Encryption: (int,),
 }
-# Field annotation -> how a value is built from its JSON value.
-_FROM_JSON = {Encryption: Encryption, NodeAddress: NodeAddress.parse}
 
 
 def _object(data, name: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{name} must be an object, not {type(data).__name__}")
     return data
+
+
+def _key(text) -> SymmetricKey:
+    """A key from its hex string."""
+    if not isinstance(text, str):
+        raise ValueError(f"a key must be a hex string, not {type(text).__name__}")
+    return SymmetricKey.from_hex(text)
+
+
+def _key_map(data) -> dict[NodeAddress, SymmetricKey]:
+    """Keys by address from an object of hex keys by "G.N" address."""
+    return {NodeAddress.parse(a): _key(k) for a, k in _object(data, "a key map").items()}
+
+
+# Field annotation -> how a value is built from its JSON value. Each builder
+# that has no `_JSON_TYPES` entry checks its value's type itself.
+_FROM_JSON = {
+    Encryption: Encryption,
+    NodeAddress: NodeAddress.parse,
+    SymmetricKey: _key,
+    Optional[SymmetricKey]: lambda text: None if text is None else _key(text),
+    dict[NodeAddress, SymmetricKey]: _key_map,
+    Mapping[NodeAddress, SymmetricKey]: _key_map,
+}
 
 
 def _read(cls, data, name: str, /, **defaults):
@@ -236,3 +266,26 @@ def load_config(
         key, raw = item.split("=", 1)
         set_override(data, key.strip(), raw.strip())
     return config_from_dict(data)
+
+
+def keyring_to_dict(ring: KeyRing) -> dict:
+    """`ring` as the JSON object of a key-ring file."""
+    def hex_map(keys) -> dict:
+        return {str(a): k.hex() for a, k in sorted(keys.items())}
+
+    return {
+        "owner": str(ring.owner),
+        "head": str(ring.head),
+        "node_based": ring.node_based.hex(),
+        "broadcast": ring.broadcast.hex(),
+        "session": ring.session.hex() if ring.session else None,
+        "pairwise": hex_map(ring.pairwise),
+        "peer_broadcast": hex_map(ring.peer_broadcast),
+        "peer_node_based": hex_map(ring.peer_node_based),
+    }
+
+
+def load_keyring(path: str) -> KeyRing:
+    """Read a key-ring file in the shape `keyring_to_dict` writes."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _read(KeyRing, json.load(fh), "keyring")

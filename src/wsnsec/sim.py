@@ -110,11 +110,8 @@ from typing import Optional
 
 from . import aead, linksec
 from .addressing import BROADCAST_NODE_ID, NodeAddress
-from .agent import SCENARIO_NAMES, PacketClass, SecurityAgent
-from .config import (  # callers look these and SCENARIO_NAMES up on `sim`, too
-    ADVERSARY_BEHAVIORS, AdversarySpec, EnergyModel, SimConfig,
-    config_from_dict, load_config, set_override,
-)
+from .agent import PacketClass, SecurityAgent
+from .config import AdversarySpec, EnergyModel, SimConfig
 from .keys import (
     KeyRing,
     SymmetricKey,

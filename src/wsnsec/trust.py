@@ -193,8 +193,8 @@ class TrustTable:
 
     @staticmethod
     def _energy_sample(rec: NeighborRecord, value: Optional[float]) -> None:
-        if value is None or value < 0:
-            raise ValueError("energy sample requires a non-negative value")
+        if value is None or not 0 <= value < math.inf:
+            raise ValueError("energy sample must be finite and non-negative")
         if rec._energy_samples == 0:
             rec.ae_t1 = rec.ae_t2 = value
             rec._energy_samples = 1

@@ -15,6 +15,7 @@ import oracles
 from wsnsec import aead, linksec, rc5, sim
 from wsnsec.addressing import BROADCAST_NODE_ID, NodeAddress
 from wsnsec.agent import default_policy
+from wsnsec.config import AdversarySpec, EnergyModel, SimConfig
 from wsnsec.keys import SymmetricKey, derive_keyring, prf
 from wsnsec.linksec import (
     AuthenticationError,
@@ -24,7 +25,6 @@ from wsnsec.linksec import (
     ReplayError,
     SecurityLevel,
 )
-from wsnsec.sim import AdversarySpec, EnergyModel, SimConfig
 from wsnsec.trust import TrustWeights, compute_trust
 
 VECTOR_DIR = pathlib.Path(__file__).parent / "vectors"

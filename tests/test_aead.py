@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from wsnsec import aead, rc5, sim
+from wsnsec.config import config_from_dict
 
 KEY = bytes.fromhex("000102030405060708f0")
 ALL_MODES = [(r, a) for r in (0, 4, 8, 12) for a in (True, False)]
@@ -242,7 +243,7 @@ def test_setup_is_the_one_schedule_cache(monkeypatch):
     monkeypatch.setattr(rc5, "key_schedule", counted)
     aead._setup.cache_clear()
     goldens = pathlib.Path(__file__).parent / "vectors" / "sim_golden" / "configs.json"
-    config = sim.config_from_dict(json.loads(goldens.read_text())["military_two_groups_loss"])
+    config = config_from_dict(json.loads(goldens.read_text())["military_two_groups_loss"])
     report = sim.run(config)
     assert report.rekeys
     assert calls and set(calls.values()) == {1}

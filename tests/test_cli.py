@@ -3,9 +3,9 @@ import os
 
 import pytest
 
-from wsnsec import cli, linksec, sim
+from wsnsec import cli, config, linksec, sim
 from wsnsec.addressing import NodeAddress
-from wsnsec.keys import SymmetricKey, derive_keyring
+from wsnsec.keys import SymmetricKey, derive_group_keyrings, derive_keyring
 from wsnsec.linksec import CounterState, Encryption, SecurityLevel
 from wsnsec.trust import NeighborRecord, TrustWeights, compute_trust
 
@@ -27,8 +27,8 @@ def rings(tmp_path):
     ring_head = derive_keyring(master, head, head, [src])
     src_path = tmp_path / "src.json"
     head_path = tmp_path / "head.json"
-    src_path.write_text(json.dumps(cli.keyring_to_dict(ring_src)))
-    head_path.write_text(json.dumps(cli.keyring_to_dict(ring_head)))
+    src_path.write_text(json.dumps(config.keyring_to_dict(ring_src)))
+    head_path.write_text(json.dumps(config.keyring_to_dict(ring_head)))
     return ring_src, ring_head, str(src_path), str(head_path)
 
 
@@ -133,6 +133,14 @@ class TestPacketCommands:
                 lambda d: {**d, "peer_broadcast": {"x": "00" * 10}}, "peer_broadcast",
                 id="bad-map-address",
             ),
+            pytest.param(
+                lambda d: {**d, "peer_node_based": {"2.1": 7}}, "peer_node_based",
+                id="int-in-map",
+            ),
+            pytest.param(lambda d: {**d, "session": ["00"]}, "session", id="list-session"),
+            pytest.param(
+                lambda d: {**d, "node_based": "00" * 9}, "node_based", id="short-key"
+            ),
         ] + [
             pytest.param(
                 lambda d, f=field: {k: v for k, v in d.items() if k != f}, field,
@@ -144,7 +152,7 @@ class TestPacketCommands:
     def test_wrong_keyring_shape_names_field(self, capsys, rings, tmp_path, edit, field):
         ring_src, _, _, _ = rings
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(edit(cli.keyring_to_dict(ring_src))))
+        path.write_text(json.dumps(edit(config.keyring_to_dict(ring_src))))
         code, _, err = run_cli(
             capsys, "packet-encode", "--keyring", str(path), "--dest", "1",
             "--level", "2", "--payload", "00",
@@ -157,12 +165,12 @@ class TestPacketCommands:
         """A ring file that misspells `session` loads nothing: the misspelt
         key is named, by the reader and by the command."""
         _, ring_head, _, _ = rings
-        data = cli.keyring_to_dict(ring_head)
+        data = config.keyring_to_dict(ring_head)
         data["sesion"] = data.pop("session")
-        with pytest.raises(ValueError, match=r"unknown keyring keys: \['sesion'\]"):
-            cli.keyring_from_dict(data)
         path = tmp_path / "misspelt.json"
         path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=r"unknown keyring keys: \['sesion'\]"):
+            config.load_keyring(str(path))
         code, out, err = run_cli(
             capsys, "packet-decode", "--keyring", str(path), "--counter", "0", "00" * 9
         )
@@ -193,9 +201,22 @@ class TestDeriveKeys:
         assert lines["broadcast"][0][0] == ring.broadcast.hex()
         assert len(lines["pairwise"]) == 2
         assert len(lines["session"]) == 1
-        saved = cli.keyring_from_dict(json.loads(ring_out.read_text()))
+        saved = config.load_keyring(str(ring_out))
         assert saved.node_based == ring.node_based
         assert saved.pairwise == ring.pairwise
+
+    def test_group_ring_reads_back_equal(self, tmp_path):
+        """A `derive_group_keyrings` ring, whose peer maps are shared and
+        read-only, reads back as a ring of plain dicts that compares equal."""
+        members = [NodeAddress(3, n) for n in (1, 4, 9)]
+        ring = derive_group_keyrings(SymmetricKey.from_hex(MASTER), members[0], members)[1]
+        ring.pairwise[members[0]] = SymmetricKey(bytes(range(10)))
+        ring.session = SymmetricKey(bytes(10))
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(config.keyring_to_dict(ring)))
+        saved = config.load_keyring(str(path))
+        assert saved == ring
+        assert type(saved.peer_broadcast) is dict and type(saved.peer_node_based) is dict
 
     def test_bad_master_hex(self, capsys):
         code, _, err = run_cli(
@@ -249,6 +270,27 @@ class TestTrustCommand:
         assert code == cli.EXIT_INVALID
 
     @pytest.mark.parametrize(
+        "row, cells", [("0.3,5", 2), ("0.4,5,4,10,1,99,77", 7)], ids=["short", "long"]
+    )
+    def test_row_cell_count_must_match_header(self, capsys, tmp_path, row, cells):
+        """A row with cells missing or left over is refused, naming its line,
+        not read with defaults or cut short."""
+        path = tmp_path / "obs.csv"
+        path.write_text(f"neighbor,ae_t1,ae_t2,npt,npc\n{row}\n")
+        code, out, err = run_cli(capsys, "trust", "--observations", str(path))
+        assert code == cli.EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: invalid:")
+        assert f"line 2 has {cells} cells" in err
+
+    def test_empty_cell_is_not_given(self, capsys, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("neighbor,ae_t1,ae_t2,npt,npc\n0.3,5,,,\n")
+        code, out, _ = run_cli(capsys, "trust", "--observations", str(path))
+        assert code == 0
+        assert out == f"0.3 {compute_trust(NeighborRecord(ae_t1=5), TrustWeights()):.4f}\n"
+
+    @pytest.mark.parametrize(
         "column, cell",
         [("ae_t1", "nan"), ("ae_t1", "inf"), ("pss_t2", "-1.5"), ("crf", "-3"),
          ("npt", "nan")],
@@ -285,7 +327,7 @@ class TestSimCommands:
         cfg.write_text('{"seed": 5, "node_count": 4, "group_count": 1, "sim_length": 4}')
         out_dir = tmp_path / "out"
         run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(out_dir))
-        direct = sim.run(sim.load_config(str(cfg)))
+        direct = sim.run(config.load_config(str(cfg)))
         assert (out_dir / "energy.csv").read_text() == direct.energy_csv()
 
     def test_run_applies_set_without_config(self, capsys, tmp_path):
@@ -295,7 +337,7 @@ class TestSimCommands:
             "--out-dir", str(out_dir),
         )
         assert code == 0
-        direct = sim.run(sim.config_from_dict({"node_count": 3, "sim_length": 2}))
+        direct = sim.run(config.config_from_dict({"node_count": 3, "sim_length": 2}))
         assert (out_dir / "energy.csv").read_text() == direct.energy_csv()
 
     def test_run_writes_trust_table(self, capsys, tmp_path):
@@ -330,7 +372,7 @@ class TestSimCommands:
             "--out-dir", str(out_dir),
         )
         assert code == 0
-        direct = sim.compare_fixed_vs_adaptive(sim.config_from_dict(
+        direct = sim.compare_fixed_vs_adaptive(config.config_from_dict(
             {"scenario": "agriculture", "node_count": 4, "group_count": 1, "sim_length": 1}
         ))
         assert (out_dir / "savings.csv").read_text() == direct.savings_csv()
@@ -366,7 +408,7 @@ class TestSimCommands:
         )
         assert code == 0
         assert "scenario: agricultural-farming" in out
-        direct = sim.compare_fixed_vs_adaptive(sim.config_from_dict(
+        direct = sim.compare_fixed_vs_adaptive(config.config_from_dict(
             {"scenario": "agriculture", "node_count": 4, "group_count": 1,
              "sim_length": 3, "seed": 2}
         ))

@@ -16,11 +16,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 import oracles
 from wsnsec import keys, linksec, sim
 from wsnsec.addressing import BROADCAST_NODE_ID, NodeAddress
-from wsnsec.agent import LEVEL_STRONGEST, PacketClass, default_policy
+from wsnsec.agent import LEVEL_STRONGEST, SCENARIO_NAMES, PacketClass, default_policy
+from wsnsec.config import (
+    ADVERSARY_BEHAVIORS, AdversarySpec, EnergyModel, SimConfig,
+    config_from_dict, load_config, set_override,
+)
 from wsnsec.keys import SymmetricKey, derive_keyring
 from wsnsec.linksec import CounterState, Encryption, SecurityLevel
 from wsnsec.reports import EnergyLedger
-from wsnsec.sim import AdversarySpec, EnergyModel, SimConfig
 from wsnsec.trust import TrustTable
 
 from test_keys import check_group_rings
@@ -111,10 +114,10 @@ def replay_configs(count):
             for node in rnd.sample(range(1, size + 1), min(size, rnd.randint(1, 2))):
                 adversaries.append({"node": f"{gid}.{node}", "behavior": "replay-attacker",
                                     "start_frame": rnd.randint(0, 3)})
-        configs.append(sim.config_from_dict({
+        configs.append(config_from_dict({
             "seed": seed, "node_count": node_count, "group_count": group_count,
             "sim_length": rnd.randint(10, 25), "session_length": rnd.randint(3, 10),
-            "scenario": rnd.choice(sim.SCENARIO_NAMES), "adaptive": rnd.random() < 0.5,
+            "scenario": rnd.choice(SCENARIO_NAMES), "adaptive": rnd.random() < 0.5,
             "loss_rate": rnd.choice([0.0, 0.1, 0.3]),
             "energy_model": {"initial_energy": rnd.uniform(0.3, 3.0)},
             "adversaries": adversaries,
@@ -170,7 +173,7 @@ NEVER_BUDGETED = ("agri_death", "agri_listen_death_24")
 
 
 def golden_params(names):
-    return [pytest.param(name, sim.config_from_dict(GOLDEN_CONFIGS[name]), id=name)
+    return [pytest.param(name, config_from_dict(GOLDEN_CONFIGS[name]), id=name)
             for name in names]
 
 
@@ -362,7 +365,7 @@ class TestEnergyAccounting:
             id="cfg1",
         ),
         *golden_params(BUDGET_GOLDENS),
-        pytest.param(None, sim.config_from_dict(BIG_GROUP), id="big_group"),
+        pytest.param(None, config_from_dict(BIG_GROUP), id="big_group"),
         # Re-keys at frames 25 and 50: their deliveries leave each
         # recipient's `rx` distinct, so those frames' settles share few sums.
         pytest.param(
@@ -609,7 +612,7 @@ class TestSavings:
     def test_untagged_fixed_level_still_tags_key_material(self, monkeypatch):
         """A custom fixed arm that sends XOR without a tag still delivers
         each session key at the strongest level, with a tag."""
-        config = sim.config_from_dict({
+        config = config_from_dict({
             "adaptive": False, "node_count": 4, "group_count": 1,
             "session_length": 15, "sim_length": 31,
             "scenario": {"base_level": {"encryption": 0, "auth": True},
@@ -674,7 +677,7 @@ class TestTwoArms:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     def test_forked_compare_equals_runs_in_process(self, forks, name):
-        config = sim.config_from_dict(GOLDEN_CONFIGS[name])
+        config = config_from_dict(GOLDEN_CONFIGS[name])
         got = sim.compare_fixed_vs_adaptive(config)
         assert forks[0] == self.FORKS
         assert_no_child_left()
@@ -686,7 +689,7 @@ class TestTwoArms:
         assert got.savings_csv() == want.savings_csv()
 
     def test_no_fork_beside_another_thread(self, forks):
-        config = sim.config_from_dict(GOLDEN_CONFIGS["habitat_replay_loss"])
+        config = config_from_dict(GOLDEN_CONFIGS["habitat_replay_loss"])
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
@@ -703,7 +706,7 @@ class TestTwoArms:
     def test_no_fork_on_one_cpu(self, monkeypatch, forks):
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 1)
-        config = sim.config_from_dict(GOLDEN_CONFIGS["agri_death"])
+        config = config_from_dict(GOLDEN_CONFIGS["agri_death"])
         got = sim.compare_fixed_vs_adaptive(config)
         assert forks[0] == 0
         assert_same_run(got.fixed, sim.run(replace(config, adaptive=False)))
@@ -722,7 +725,7 @@ class TestTwoArms:
             return real(config)
 
         monkeypatch.setattr(sim, "run", failing_fixed_arm)
-        config = sim.config_from_dict(GOLDEN_CONFIGS["agri_death"])
+        config = config_from_dict(GOLDEN_CONFIGS["agri_death"])
         with pytest.raises(type(exc)) as raised:
             sim.compare_fixed_vs_adaptive(config)
         assert raised.type is type(exc)
@@ -746,7 +749,7 @@ class TestTwoArms:
             raise exc
 
         monkeypatch.setattr(sim, "run", slow_fixed_arm)
-        config = sim.config_from_dict(GOLDEN_CONFIGS["agri_death"])
+        config = config_from_dict(GOLDEN_CONFIGS["agri_death"])
         t0 = time.monotonic()
         with pytest.raises(type(exc)):
             sim.compare_fixed_vs_adaptive(config)
@@ -765,7 +768,7 @@ class TestTwoArms:
             return real(config)
 
         monkeypatch.setattr(sim, "run", dying_fixed_arm)
-        config = sim.config_from_dict(GOLDEN_CONFIGS["agri_death"])
+        config = config_from_dict(GOLDEN_CONFIGS["agri_death"])
         with pytest.raises(ChildProcessError, match="wait status"):
             sim.compare_fixed_vs_adaptive(config)
         assert forks[0] == 1
@@ -776,7 +779,7 @@ class TestTwoArms:
         if not hasattr(os, "fork") or threading.active_count() != 1:
             pytest.skip("this process may not fork")
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        config = sim.config_from_dict(GOLDEN_CONFIGS["agri_death"])
+        config = config_from_dict(GOLDEN_CONFIGS["agri_death"])
         got = sim.compare_fixed_vs_adaptive(config)
         assert forks[0] == 1
         assert_no_child_left()
@@ -802,7 +805,7 @@ class TestTwoArms:
             return real(config)
 
         monkeypatch.setattr(sim, "run", failing_fixed_arm)
-        config = sim.config_from_dict(GOLDEN_CONFIGS["agri_death"])
+        config = config_from_dict(GOLDEN_CONFIGS["agri_death"])
         with pytest.raises(ChildProcessError, match="without a complete reply"):
             sim.compare_fixed_vs_adaptive(config)
         assert forks[0] == 1
@@ -813,7 +816,7 @@ class TestTwoArms:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("written once")
             sim.compare_fixed_vs_adaptive(
-                sim.config_from_dict(GOLDEN_CONFIGS["agri_death"])
+                config_from_dict(GOLDEN_CONFIGS["agri_death"])
             )
         assert path.read_text() == "written once"
 
@@ -923,7 +926,7 @@ class TestObservationViews:
     """Each group records observations once; members read views of it."""
 
     def test_no_table_holds_its_observer(self):
-        report = sim.run(sim.config_from_dict(GOLDEN_CONFIGS["habitat_death_loss"]))
+        report = sim.run(config_from_dict(GOLDEN_CONFIGS["habitat_death_loss"]))
         assert any(not s.alive for s in report.nodes.values())
         for addr, table in report.trust_tables.items():
             assert table.observer == addr
@@ -971,7 +974,7 @@ class TestObservationViews:
                     empty_views += expected is None
 
         monkeypatch.setattr(sim._Simulation, "_frame_end", checking)
-        config = sim.config_from_dict(data)
+        config = config_from_dict(data)
         sim.run(config)
         # Only a member alone in its group has no neighbors; (4, 3) makes two.
         alone = 2 if data.get("group_count") == 3 else 0
@@ -1073,7 +1076,7 @@ class TestObservationViews:
 
         monkeypatch.setattr(sim._Node, "settle", settling)
         monkeypatch.setattr(sim._Simulation, "_frame_end", ending)
-        config = sim.config_from_dict(BIG_GROUP)
+        config = config_from_dict(BIG_GROUP)
         sim.run(config)
         n = config.node_count
         assert len(frames) == config.sim_length
@@ -1101,7 +1104,7 @@ class TestObservationViews:
         listener that lost packets may try wraps before the sealing counter:
         those opens still run the cipher."""
         opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
-        report = sim.run(sim.config_from_dict(GOLDEN_CONFIGS["military_two_groups_loss"]))
+        report = sim.run(config_from_dict(GOLDEN_CONFIGS["military_two_groups_loss"]))
         assert any(not honest for *_, honest in report.slot_log)
         assert sum(s.replay_rejects for s in report.nodes.values()) > 0
         assert opens[0] > 0
@@ -1124,7 +1127,7 @@ class TestObservationViews:
             "habitat_replay_loss": (0, 0),
             "military_two_groups_loss": (230, 230),
         }
-        config = sim.config_from_dict(GOLDEN_CONFIGS[name])
+        config = config_from_dict(GOLDEN_CONFIGS[name])
         opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
         got = []
         for adaptive in (False, True):
@@ -1140,7 +1143,7 @@ class TestObservationViews:
         span on `decode` sees every decode of a run. Each arm runs in
         process: the counter cannot see an arm that
         `compare_fixed_vs_adaptive` forks."""
-        config = sim.config_from_dict(GOLDEN_CONFIGS[name])
+        config = config_from_dict(GOLDEN_CONFIGS[name])
         decodes = count_calls(monkeypatch, sim.linksec, "decode")
         for adaptive in (False, True):
             decodes[0] = 0
@@ -1153,10 +1156,10 @@ class TestObservationViews:
 
     @pytest.mark.parametrize(
         "config",
-        [sim.config_from_dict(BIG_GROUP)] + [
+        [config_from_dict(BIG_GROUP)] + [
             SimConfig(seed=1, node_count=20, group_count=2, sim_length=51,
                       session_length=50, scenario=default_policy(name))
-            for name in sim.SCENARIO_NAMES
+            for name in SCENARIO_NAMES
         ],
         ids=["big_group", "savings_military", "savings_habitat", "savings_agriculture"],
     )
@@ -1202,7 +1205,7 @@ class TestObservationViews:
         monkeypatch.setattr(sim._Simulation, "_transmit", recording_replays)
         real_opens = 0
         for name in ("habitat_replay_loss", "military_two_groups_loss"):
-            config = sim.config_from_dict(GOLDEN_CONFIGS[name])
+            config = config_from_dict(GOLDEN_CONFIGS[name])
             for adaptive in (False, True):
                 seals[0] = 0
                 read.clear()
@@ -1244,7 +1247,7 @@ class TestObservationViews:
         monkeypatch.setattr(sim, "linksec", Recording())
         monkeypatch.setattr(sim._Simulation, "_transmit", recording_replays)
         for name in ("habitat_replay_loss", "military_two_groups_loss"):
-            sim.run(sim.config_from_dict(GOLDEN_CONFIGS[name]))
+            sim.run(config_from_dict(GOLDEN_CONFIGS[name]))
         assert replays
         for wire in replays:
             assert isinstance(wire, linksec.PendingWire)
@@ -1329,7 +1332,7 @@ class TestObservationViews:
 
         monkeypatch.setattr(sim, "prf", recording)
         monkeypatch.setattr(sim._Simulation, "_transmit", recording_pairs)
-        simulation = sim._Simulation(sim.config_from_dict(data))
+        simulation = sim._Simulation(config_from_dict(data))
         assert derived == []
         simulation.run()
         assert len(derived) == len(set(derived)) == len(pairs) > 0
@@ -1352,9 +1355,9 @@ class TestObservationViews:
             return decode(cls, data)
 
         monkeypatch.setattr(linksec.PacketHeader, "decode", classmethod(counting))
-        report = sim.run(sim.config_from_dict(BIG_GROUP))
+        report = sim.run(config_from_dict(BIG_GROUP))
         assert report.slot_log and parses == 0
-        report = sim.run(sim.config_from_dict(GOLDEN_CONFIGS["habitat_replay_loss"]))
+        report = sim.run(config_from_dict(GOLDEN_CONFIGS["habitat_replay_loss"]))
         replays = sum(not honest for *_, honest in report.slot_log)
         assert replays > 0 and parses == 0
 
@@ -1409,7 +1412,7 @@ class TestObservationViews:
         """The base station keeps the master to derive pairwise keys on
         first use; no ring, nor anything reachable from one, holds it."""
         for name in ("habitat_election", "military_two_groups_loss"):
-            simulation = sim._Simulation(sim.config_from_dict(GOLDEN_CONFIGS[name]))
+            simulation = sim._Simulation(config_from_dict(GOLDEN_CONFIGS[name]))
             report = simulation.run()
             assert report.rekeys
             master = simulation.bs_master
@@ -1437,7 +1440,7 @@ class TestObservationViews:
     def test_lazy_pairwise_keys_change_no_output(self, name, adaptive):
         """Rings pre-filled with every pairwise key, as per-node derivation
         gives them, produce the same run as keys derived on first use."""
-        config = replace(sim.config_from_dict(GOLDEN_CONFIGS[name]), adaptive=adaptive)
+        config = replace(config_from_dict(GOLDEN_CONFIGS[name]), adaptive=adaptive)
         lazy = sim._Simulation(config)
         eager = sim._Simulation(config)
         for group in eager.groups:
@@ -1459,7 +1462,7 @@ class TestObservationViews:
         handed `bytes(wire)`, so every open runs the cipher. The opens are
         counted on both arms run by `sim.run` in this process: the counter
         cannot see an arm that `compare_fixed_vs_adaptive` forks."""
-        config = sim.config_from_dict(GOLDEN_CONFIGS[name])
+        config = config_from_dict(GOLDEN_CONFIGS[name])
         opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
 
         def opens_of_both_arms():
@@ -1493,7 +1496,7 @@ class TestObservationViews:
         the lazy run sealed has the bytes of the eager run's seal. The opens
         are counted per arm run by `sim.run` in this process: the counter
         cannot see an arm that `compare_fixed_vs_adaptive` forks."""
-        config = sim.config_from_dict(GOLDEN_CONFIGS[name])
+        config = config_from_dict(GOLDEN_CONFIGS[name])
         opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
         sealed = {}  # a pending wire's fields -> its bytes, for every wire read in a run
         wire_bytes = linksec.PendingWire.__bytes__
@@ -1559,7 +1562,7 @@ class TestObservationViews:
         before it, in the same frame and group: its replayer's own. Checked
         on both arms of the replay goldens and on 50 small configs."""
         configs = [
-            replace(sim.config_from_dict(GOLDEN_CONFIGS[name]), adaptive=adaptive)
+            replace(config_from_dict(GOLDEN_CONFIGS[name]), adaptive=adaptive)
             for name in ("habitat_replay_loss", "military_two_groups_loss")
             for adaptive in (False, True)
         ] + replay_configs(50)
@@ -1585,7 +1588,7 @@ class TestPerPacketAllocations:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     @ARMS
     def test_no_level_built_after_setup(self, monkeypatch, name, adaptive):
-        config = replace(sim.config_from_dict(GOLDEN_CONFIGS[name]), adaptive=adaptive)
+        config = replace(config_from_dict(GOLDEN_CONFIGS[name]), adaptive=adaptive)
         simulation = sim._Simulation(config)
         built = count_calls(monkeypatch, SecurityLevel, "__init__")
         simulation.run()
@@ -1594,7 +1597,7 @@ class TestPerPacketAllocations:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     @ARMS
     def test_one_counter_state_per_direction(self, monkeypatch, name, adaptive):
-        config = replace(sim.config_from_dict(GOLDEN_CONFIGS[name]), adaptive=adaptive)
+        config = replace(config_from_dict(GOLDEN_CONFIGS[name]), adaptive=adaptive)
         built = count_calls(monkeypatch, CounterState, "__init__")
         simulation = sim._Simulation(config)
         simulation.run()
@@ -1605,7 +1608,7 @@ class TestPerPacketAllocations:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     @ARMS
     def test_address_builds_do_not_grow_with_frames(self, monkeypatch, name, adaptive):
-        config = replace(sim.config_from_dict(GOLDEN_CONFIGS[name]), adaptive=adaptive)
+        config = replace(config_from_dict(GOLDEN_CONFIGS[name]), adaptive=adaptive)
         built = count_calls(monkeypatch, NodeAddress, "__new__")
 
         def builds(frames):
@@ -1679,7 +1682,7 @@ class TestConfigLoading:
             ' "trust_weights": [0.1, 0.1, 0.1, 0.1, 0.1, 0.1],\n'
             ' "rekey_threshold": 0.3}'
         )
-        cfg = sim.load_config(str(path))
+        cfg = load_config(str(path))
         assert cfg.seed == 11
         assert cfg.scenario.name == "agricultural-farming"
         assert cfg.energy_model.initial_energy == 50.0
@@ -1692,7 +1695,7 @@ class TestConfigLoading:
     def test_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"seed": 1, "node_count": 4, "group_count": 1, "sim_length": 5}')
-        cfg = sim.load_config(
+        cfg = load_config(
             str(path), ["sim_length=9", "energy_model.tx_per_octet=0.001"]
         )
         assert cfg.sim_length == 9
@@ -1704,7 +1707,7 @@ class TestConfigLoading:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps({key: 500}))
             with pytest.raises(ValueError, match=key):
-                sim.load_config(str(path))
+                load_config(str(path))
 
     def test_every_scalar_field_accepted(self):
         values = {
@@ -1718,7 +1721,7 @@ class TestConfigLoading:
             if isinstance(getattr(default, f.name), (int, float))
         }
         assert scalars == set(values)
-        cfg = sim.config_from_dict(values)
+        cfg = config_from_dict(values)
         for name, value in values.items():
             assert getattr(cfg, name) == value != getattr(default, name)
 
@@ -1737,12 +1740,12 @@ class TestConfigLoading:
     def test_non_finite_numbers_rejected(self, dotted, raw):
         # JSON accepts NaN and Infinity; construction must name the field.
         data = {"scenario": {"name": "habitat"}}
-        sim.set_override(data, dotted, raw)
+        set_override(data, dotted, raw)
         with pytest.raises(ValueError, match=dotted.rsplit(".", 1)[1]):
-            sim.config_from_dict(data)
+            config_from_dict(data)
 
     def test_custom_scenario(self):
-        cfg = sim.config_from_dict(
+        cfg = config_from_dict(
             {
                 "scenario": {
                     "name": "orchard",
@@ -1770,7 +1773,7 @@ class TestGoldens:
     @pytest.fixture(scope="class")
     def savings(self):
         return {
-            name: sim.compare_fixed_vs_adaptive(sim.config_from_dict(data))
+            name: sim.compare_fixed_vs_adaptive(config_from_dict(data))
             for name, data in GOLDEN_CONFIGS.items()
         }
 
@@ -1787,16 +1790,16 @@ class TestGoldens:
         """The pinned set exercises every scenario, every adversary kind,
         channel loss, several groups, an election, a node death, and a
         death in a loss-free group of at least 16 members."""
-        configs = [sim.config_from_dict(d) for d in GOLDEN_CONFIGS.values()]
+        configs = [config_from_dict(d) for d in GOLDEN_CONFIGS.values()]
         reports = [s.adaptive for s in savings.values()]
         assert any(
             c.loss_rate == 0 and c.node_count // c.group_count >= 16
             and any(not s.alive for s in r.nodes.values())
             for c, r in zip(configs, reports)
         )
-        assert {c.scenario.name for c in configs} == set(sim.SCENARIO_NAMES)
+        assert {c.scenario.name for c in configs} == set(SCENARIO_NAMES)
         assert {a.behavior for c in configs for a in c.adversaries} == set(
-            sim.ADVERSARY_BEHAVIORS
+            ADVERSARY_BEHAVIORS
         )
         assert any(c.loss_rate > 0 for c in configs)
         assert any(c.group_count > 1 for c in configs)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from wsnsec import sim
 from wsnsec.addressing import NodeAddress
+from wsnsec.config import config_from_dict
 from wsnsec.trust import (
     CSV_COLUMNS,
     RECORD_FIELDS,
@@ -219,6 +220,22 @@ class TestRecordEvents:
                 table.record(C, "energy-sample", bad)
         assert (table.rows[C].ae_t1, table.rows[C].ae_t2) == (5.0, 0.0)
 
+    def test_non_finite_energy_sample_refused(self):
+        """NaN and infinite readings are refused and store nothing, so
+        trust stays a number in [0, 1)."""
+        table = TrustTable(observer=A)
+        table.record(B, "energy-sample", 500.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                table.record(B, "energy-sample", bad)
+            with pytest.raises(ValueError):
+                table.record(C, "energy-sample", bad)
+        assert (table.rows[B].ae_t1, table.rows[B].ae_t2) == (500.0, 500.0)
+        assert table.rows[C]._energy_samples == 0
+        table.record(C, "energy-sample", 5.0)
+        for node in (B, C):
+            assert 0.0 <= table.trust(node) < 1.0
+
     def test_signal_sample_range(self):
         table = TrustTable(observer=A)
         with pytest.raises(ValueError):
@@ -298,7 +315,7 @@ class TestTablesToCsv:
     def test_run_with_a_death_matches_reference(self):
         """Live views share the ledger's rows; the dead hold frozen copies.
         Each table is built afresh from a generator, as `trust_csv` may be."""
-        report = sim.run(sim.config_from_dict(GOLDEN_CONFIGS["habitat_election"]))
+        report = sim.run(config_from_dict(GOLDEN_CONFIGS["habitat_election"]))
         assert any(not stats.alive for stats in report.nodes.values())
         tables = report.trust_tables
         ids = [id(rec) for table in tables.values() for rec in table.rows.values()]
