@@ -99,8 +99,8 @@ def _cmd_derive_keys(args) -> int:
         print(f"pairwise {addr} {ring.pairwise[addr].hex()}")
     if args.session_group is not None:
         base = NodeAddress.parse(args.base_station)
-        k1 = derive_session_key(master, args.session_group, base)
-        print(f"session {k1.hex()}")
+        ring.session = derive_session_key(master, args.session_group, base)
+        print(f"session {ring.session.hex()}")
     if args.ring_out:
         with open(args.ring_out, "w", encoding="utf-8") as fh:
             json.dump(keyring_to_dict(ring), fh, indent=2)
@@ -161,6 +161,9 @@ def _cmd_trust(args) -> int:
         unknown = set(header) - set(CSV_COLUMNS)
         if unknown:
             raise ValueError(f"unknown observation columns: {sorted(unknown)}")
+        # Every row is checked before any is printed, so a malformed row
+        # leaves nothing on stdout.
+        results = []
         for cells in lines:
             if not cells:
                 continue  # a blank line
@@ -174,7 +177,8 @@ def _cmd_trust(args) -> int:
                 # The suspicious flag does not enter the trust formula.
                 if kind is not bool and row.get(name):
                     setattr(record, name, _observation(name, row[name], kind))
-            print(f"{row['neighbor']} {compute_trust(record, weights):.4f}")
+            results.append(f"{row['neighbor']} {compute_trust(record, weights):.4f}\n")
+    print("".join(results), end="")
     return 0
 
 

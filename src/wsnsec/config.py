@@ -111,23 +111,40 @@ class SimConfig:
             )
 
 
-# Field annotation -> the types its JSON value may have, matched exactly: a
-# bool is not a number here. An `Encryption` is a level's code.
+# Field annotation -> the types its JSON value may have, matched exactly (a
+# bool is not a number here), and what the field is called in a message. An
+# `Encryption` is a level's code.
 _JSON_TYPES = {
-    bool: (bool,), int: (int,), float: (int, float), str: (str,), Encryption: (int,),
+    bool: ((bool,), "a boolean"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    Encryption: ((int,), "an integer"),
 }
+
+# The JSON type of each type `json.load` makes. The lookup is on the exact
+# type, so a bool, which Python counts an int, reads "boolean".
+_JSON_NAMES = {
+    type(None): "null", bool: "boolean", int: "number", float: "number",
+    str: "string", list: "array", dict: "object",
+}
+
+
+def _json_type(value) -> str:
+    """The JSON type of `value`, for messages."""
+    return _JSON_NAMES.get(type(value), type(value).__name__)
 
 
 def _object(data, name: str) -> dict:
     if not isinstance(data, dict):
-        raise ValueError(f"{name} must be an object, not {type(data).__name__}")
+        raise ValueError(f"{name} must be an object, not {_json_type(data)}")
     return data
 
 
 def _key(text) -> SymmetricKey:
     """A key from its hex string."""
     if not isinstance(text, str):
-        raise ValueError(f"a key must be a hex string, not {type(text).__name__}")
+        raise ValueError(f"a key must be a hex string, not {_json_type(text)}")
     return SymmetricKey.from_hex(text)
 
 
@@ -167,8 +184,9 @@ def _read(cls, data, name: str, /, **defaults):
         kind, where = kinds[key], f"{name} key {key}"
         if is_dataclass(kind):
             values[key] = _read(kind, value, key)
-        elif kind in _JSON_TYPES and type(value) not in _JSON_TYPES[kind]:
-            raise ValueError(f"{where} must be {kind.__name__}, not {type(value).__name__}")
+        elif kind in _JSON_TYPES and type(value) not in _JSON_TYPES[kind][0]:
+            expected = _JSON_TYPES[kind][1]
+            raise ValueError(f"{where} must be {expected}, not {_json_type(value)}")
         else:
             try:
                 values[key] = _FROM_JSON.get(kind, lambda v: v)(value)
@@ -203,7 +221,7 @@ def _read_scenario(data, initial_energy: float) -> ScenarioPolicy:
     if isinstance(data, str):
         return default_policy(data, initial_energy)
     if not isinstance(data, dict):
-        raise ValueError(f"scenario must be a name or an object, not {type(data).__name__}")
+        raise ValueError(f"scenario must be a name or an object, not {_json_type(data)}")
     name = data.get("name")
     name = SCENARIO_ALIASES.get(name, name) if isinstance(name, str) else None
     if name in SCENARIO_NAMES:
@@ -223,7 +241,7 @@ def config_from_dict(data: dict) -> SimConfig:
     `AdversarySpec` objects."""
     adversaries = _object(data, "config").get("adversaries", [])
     if not isinstance(adversaries, list):
-        raise ValueError(f"adversaries must be a list, not {type(adversaries).__name__}")
+        raise ValueError(f"adversaries must be an array, not {_json_type(adversaries)}")
     special = ("scenario", "trust_weights", "adversaries")
     config = _read(
         SimConfig, {k: v for k, v in data.items() if k not in special}, "config",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .addressing import NodeAddress
-from .trust import TrustTable, tables_to_csv
+from .trust import TrustTables
 
 
 @dataclass
@@ -71,9 +71,11 @@ class RekeyEvent:
 class SimReport:
     """What one run produced.
 
-    `trust_tables` holds each node's trust table at the end of the run.
-    The tables of nodes alive at the end share their row objects, one per
-    subject and group; a node that died holds copies made at its death.
+    `trust_tables` maps each node to its trust table at the end of the run.
+    It holds each group's shared ledger and each dead node's copy, frozen at
+    its death, and builds a node's view of its group's ledger (the ledger's
+    row objects without its own row) only when that node is read.
+    `trust_csv` writes from the held tables and builds no view.
     """
 
     seed: int
@@ -83,7 +85,7 @@ class SimReport:
     nodes: dict[NodeAddress, NodeStats]
     elections: list[ElectionEvent]
     rekeys: list[RekeyEvent]
-    trust_tables: dict[NodeAddress, TrustTable]
+    trust_tables: TrustTables
     slot_log: list[tuple[int, int, int, NodeAddress, bool]]
 
     def total_energy(self) -> float:
@@ -111,7 +113,7 @@ class SimReport:
 
     def trust_csv(self) -> str:
         """Every observer's neighbor table, one header, fixed column order."""
-        return tables_to_csv(self.trust_tables[a] for a in sorted(self.trust_tables))
+        return self.trust_tables.to_csv()
 
 
 @dataclass

@@ -38,9 +38,12 @@ Model (desk scale, normative for the closed-form energy tests):
   its clique, and observation is loss-free (`loss_rate` drops deliveries,
   not observations). All alive members therefore see the same events about
   every subject but themselves, so each group keeps one shared ledger of
-  neighbor rows and a member's trust table is a view of it without its own
-  row. A node that dies keeps a frozen copy of what it had seen. Lossy or
-  partial observation would need one table per observer again.
+  neighbor rows, and a member's trust table is the ledger without its own
+  row. A node that dies keeps a frozen copy of what it had seen. Elections
+  and the report hold the ledgers and frozen copies themselves: a member's
+  view, a table of its own, is built only when `SimReport.trust_tables` is
+  read at that member, and `trust.csv` is written from the ledgers. Lossy
+  or partial observation would need one table per observer again.
 * Energy: each event charges a node once, through `_Node.charge`, which
   charges receive, then crypto, then transmit energy. Every destination
   listener pays a full open's receive and crypto energy, a destination that
@@ -123,7 +126,7 @@ from .keys import (
 )
 from .linksec import CounterState, Encryption, SecurityLevel
 from .reports import ElectionEvent, NodeStats, RekeyEvent, SavingsReport, SimReport
-from .trust import TrustTable, run_election
+from .trust import TrustTable, TrustTables, run_election
 
 BASE_STATION = NodeAddress(0, 0)
 _SESSION_SEED_TAG = b"\x10"
@@ -260,17 +263,15 @@ class _Node:
         self.frozen = TrustTable(
             self.addr,
             self.ledger.weights,
-            {s: replace(rec) for s, rec in self.view().rows.items()},
+            {s: replace(rec) for s, rec in self.ledger.rows.items() if s != self.addr},
         )
 
-    def view(self) -> TrustTable:
-        """This node's trust table: the group ledger without its own row,
-        or the copy frozen at its death."""
-        if self.frozen is not None:
-            return self.frozen
-        rows = dict(self.ledger.rows)
-        rows.pop(self.addr, None)
-        return TrustTable(self.addr, self.ledger.weights, rows)
+    @property
+    def table(self) -> TrustTable:
+        """The table this node's trust is read from: the copy frozen at its
+        death, or else the group ledger, whose row about this node is not
+        its own to read."""
+        return self.ledger if self.frozen is None else self.frozen
 
     def counter_to(self, dest: int) -> CounterState:
         try:
@@ -607,7 +608,10 @@ class _Simulation:
                 member.addr.encode() + b"\x00\x00",
             )
         # Step 3: tally and hand over.
-        tables = {n.addr: n.view() for n in members}
+        # `run_election` skips each voter's own row, so a member still alive
+        # votes from the group ledger itself; one that died during the vote
+        # from its frozen copy.
+        tables = {n.addr: n.table for n in members}
         new_head, vice = run_election([n.addr for n in members], tables, head.addr)
         result = new_head.encode() + (vice.encode() if vice else b"\x00\x00")
         self._transmit(
@@ -784,7 +788,7 @@ class _Simulation:
             nodes={addr: node.stats for addr, node in self.nodes.items()},
             elections=self.elections,
             rekeys=self.rekeys,
-            trust_tables={addr: node.view() for addr, node in self.nodes.items()},
+            trust_tables=TrustTables({addr: node.table for addr, node in self.nodes.items()}),
             slot_log=self.slot_log,
         )
 

@@ -11,13 +11,12 @@ votes.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Optional, get_type_hints
+from typing import Optional, get_type_hints
 
 from .addressing import NodeAddress
 
@@ -123,9 +122,11 @@ class TrustTable:
     `election_trust` and `to_csv`), once per change of the row.
 
     The simulator keeps one table per group, recording each observation
-    once, and hands every member a view of it: a table over the same row
-    objects without the member's own row. A trust value computed through
-    one view is kept on the row, so every view holding that row reads it.
+    once. A member reads it without its own row: elections and the trust
+    CSV read the shared table itself, and `TrustTables` builds a member's
+    view, a table over the same row objects, only when one is read. A trust
+    value computed through any of them is kept on the row, so every table
+    holding that row reads it.
 
     Single-owner: operations are plain single-writer updates with no
     locking; move the table between threads, never share it.
@@ -231,36 +232,97 @@ class TrustTable:
 
     def to_csv(self) -> str:
         """Rows in the documented column order, one line per neighbor."""
-        return tables_to_csv([self])
+        return tables_to_csv([(self.observer, self)])
 
 
-def tables_to_csv(tables: Iterable[TrustTable]) -> str:
-    """The trust CSV of `tables`: one header, then each table's rows in
-    neighbor order. Floats have nine decimals and flags read 0 or 1.
+def tables_to_csv(tables: Iterable[tuple[NodeAddress, TrustTable]]) -> str:
+    """The trust CSV of `(observer, table)` pairs: one header, then each
+    observer's rows in neighbor order. Floats have nine decimals and flags
+    read 0 or 1.
 
-    Views share the group ledger's row objects, and a shared row's cells
-    after the observer are the same in every table that files it under the
-    same neighbor, so each row object is formatted once per neighbor. The
-    memo keeps the row itself, so no id it is keyed on is reused while it
-    runs."""
+    An observer reads a table filed under another observer, a group's shared
+    ledger, without its own row, as through a view. A line is the observer
+    and a tail: the row's cells from the neighbor on, joined. A shared row's
+    tail is the same in every table that files it under the same neighbor,
+    so each row object is formatted once per neighbor, and each table's
+    tails are put in neighbor order once, however many observers read it.
+    The memos keep the rows and tables themselves, so no id they are keyed
+    on is reused while it runs. No cell holds a comma, a quote or a newline
+    (addresses read "G.N", and every number is digits, a sign and a point),
+    so the text is exactly what `csv.writer` writes for the same cells.
+
+    Each line is written as it is made. Joining an observer's lines first
+    is faster, but those large temporary strings fragment the heap that the
+    growing text lives in: a process writing a 254-member run's CSV over
+    and over peaked about 2 MB higher."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    memo: dict[int, tuple[NeighborRecord, NodeAddress, list]] = {}
-    for table in tables:
-        observer = str(table.observer)
-        for neighbor in sorted(table.rows):
-            rec = table.rows[neighbor]
-            seen = memo.get(id(rec))
-            if seen is None or seen[1] != neighbor:
-                counters = [
-                    f"{getattr(rec, name):.9f}" if kind is float else int(getattr(rec, name))
-                    for name, kind in RECORD_FIELDS.items()
-                ]
-                trust = f"{table.trust(neighbor):.9f}"
-                seen = memo[id(rec)] = (rec, neighbor, [str(neighbor), *counters, trust])
-            writer.writerow([observer, *seen[2]])
+    buf.write(",".join(CSV_COLUMNS) + "\n")
+    formatted: dict[int, tuple[NeighborRecord, NodeAddress, str]] = {}
+    ordered: dict[int, tuple[TrustTable, list[tuple[NodeAddress, str]]]] = {}
+    for observer, table in tables:
+        seen = ordered.get(id(table))
+        if seen is None:
+            tails = [(n, _tail(table, n, formatted)) for n in sorted(table.rows)]
+            seen = ordered[id(table)] = (table, tails)
+        own = observer if table.observer != observer else None
+        prefix = f"{observer},"
+        for neighbor, tail in seen[1]:
+            if neighbor != own:
+                buf.write(prefix + tail)
     return buf.getvalue()
+
+
+def _tail(
+    table: TrustTable,
+    neighbor: NodeAddress,
+    formatted: dict[int, tuple[NeighborRecord, NodeAddress, str]],
+) -> str:
+    """The neighbor's line from the neighbor on, with its end; taken from
+    `formatted` when its row was last formatted under the same neighbor."""
+    rec = table.rows[neighbor]
+    seen = formatted.get(id(rec))
+    if seen is None or seen[1] != neighbor:
+        cells = [
+            f"{getattr(rec, name):.9f}" if kind is float else str(int(getattr(rec, name)))
+            for name, kind in RECORD_FIELDS.items()
+        ]
+        tail = f"{neighbor},{','.join(cells)},{table.trust(neighbor):.9f}\n"
+        seen = formatted[id(rec)] = (rec, neighbor, tail)
+    return seen[2]
+
+
+class TrustTables(Mapping[NodeAddress, TrustTable]):
+    """Read-only trust tables by observer, held as the tables they are read
+    from: an observer's own table, such as the copy a dead node froze, or a
+    ledger filed under another observer that several observers share.
+
+    Reading an observer whose table is a shared ledger builds its view: a
+    table over the ledger's row objects without the observer's own row.
+    `to_csv` writes from the held tables and builds no view. Two mappings
+    compare equal when they read the same tables; a mapping pickles with
+    each shared ledger once."""
+
+    def __init__(self, tables: dict[NodeAddress, TrustTable]) -> None:
+        self._tables = tables
+
+    def __getitem__(self, observer: NodeAddress) -> TrustTable:
+        table = self._tables[observer]
+        if table.observer == observer:
+            return table
+        rows = dict(table.rows)
+        rows.pop(observer, None)
+        return TrustTable(observer, table.weights, rows)
+
+    def __iter__(self) -> Iterator[NodeAddress]:
+        return iter(self._tables)
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+    def to_csv(self) -> str:
+        """Every observer's table, in address order, as `tables_to_csv` writes it."""
+        return tables_to_csv((a, self._tables[a]) for a in sorted(self._tables))
+
 
 def run_election(
     group: Iterable[NodeAddress],

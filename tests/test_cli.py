@@ -5,7 +5,12 @@ import pytest
 
 from wsnsec import cli, config, linksec, sim
 from wsnsec.addressing import NodeAddress
-from wsnsec.keys import SymmetricKey, derive_group_keyrings, derive_keyring
+from wsnsec.keys import (
+    SymmetricKey,
+    derive_group_keyrings,
+    derive_keyring,
+    derive_session_key,
+)
 from wsnsec.linksec import CounterState, Encryption, SecurityLevel
 from wsnsec.trust import NeighborRecord, TrustWeights, compute_trust
 
@@ -179,6 +184,17 @@ class TestPacketCommands:
         assert err.startswith("error: invalid:") and "sesion" in err
 
 
+    def test_null_key_named_in_json_terms(self, rings, tmp_path):
+        ring_src, _, _, _ = rings
+        path = tmp_path / "null.json"
+        path.write_text(
+            json.dumps({**config.keyring_to_dict(ring_src), "pairwise": {"2.1": None}})
+        )
+        with pytest.raises(ValueError) as caught:
+            config.load_keyring(str(path))
+        assert str(caught.value) == "keyring key pairwise: a key must be a hex string, not null"
+
+
 class TestDeriveKeys:
     def test_prints_all_keys(self, capsys, tmp_path):
         ring_out = tmp_path / "ring.json"
@@ -217,6 +233,35 @@ class TestDeriveKeys:
         saved = config.load_keyring(str(path))
         assert saved == ring
         assert type(saved.peer_broadcast) is dict and type(saved.peer_node_based) is dict
+
+    def test_session_key_written_to_ring(self, capsys, tmp_path):
+        """`--session-group` puts the session key it prints in the `--ring-out`
+        file, so a member's saved ring opens its head's session broadcast."""
+        paths = {}
+        for name, node, neighbor in (("member", "2.5", "2.1"), ("head", "2.1", "2.5")):
+            paths[name] = str(tmp_path / f"{name}.json")
+            code, out, _ = run_cli(
+                capsys, "derive-keys", "--master", MASTER, "--node", node, "--head", "2.1",
+                "--neighbors", neighbor, "--session-group", "2", "--ring-out", paths[name],
+            )
+            assert code == 0
+            printed = dict(line.split(" ", 1) for line in out.splitlines() if " " in line)
+            assert json.loads((tmp_path / f"{name}.json").read_text())["session"] == (
+                printed["session"]
+            )
+        assert config.load_keyring(paths["member"]).session == derive_session_key(
+            SymmetricKey.from_hex(MASTER), 2, NodeAddress(0, 0)
+        )
+        code, out, _ = run_cli(
+            capsys, "packet-encode", "--keyring", paths["head"], "--dest", "255",
+            "--level", "2", "--payload", "68656c6c6f",
+        )
+        assert code == 0
+        code, out, err = run_cli(
+            capsys, "packet-decode", "--keyring", paths["member"], out.split()[0]
+        )
+        assert (code, err) == (0, "")
+        assert out.split()[0] == "68656c6c6f"
 
     def test_bad_master_hex(self, capsys):
         code, _, err = run_cli(
@@ -282,6 +327,15 @@ class TestTrustCommand:
         assert out == ""
         assert err.startswith("error: invalid:")
         assert f"line 2 has {cells} cells" in err
+
+    def test_malformed_later_row_prints_nothing(self, capsys, tmp_path):
+        """Every row is checked before any trust is printed."""
+        path = tmp_path / "obs.csv"
+        path.write_text("neighbor,npt,npc\n1.1,10,1\n1.2,10\n")
+        code, out, err = run_cli(capsys, "trust", "--observations", str(path))
+        assert code == cli.EXIT_INVALID
+        assert out == ""
+        assert err == "error: invalid: observation line 3 has 2 cells, not 3\n"
 
     def test_empty_cell_is_not_given(self, capsys, tmp_path):
         path = tmp_path / "obs.csv"
@@ -489,3 +543,29 @@ class TestSimCommands:
         assert code == cli.EXIT_INVALID
         assert err.startswith("error: invalid:")
         assert field in err
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("seed=null", "config key seed must be an integer, not null"),
+            ("seed=true", "config key seed must be an integer, not boolean"),
+            ("seed=1.5", "config key seed must be an integer, not number"),
+            ("adaptive=1", "config key adaptive must be a boolean, not number"),
+            ('loss_rate="x"', "config key loss_rate must be a number, not string"),
+            ("energy_model=[1]", "energy_model must be an object, not array"),
+            ("adversaries={}", "adversaries must be an array, not object"),
+            ("scenario=5", "scenario must be a name or an object, not number"),
+            ('adversaries=["x"]', "adversary must be an object, not string"),
+            ('scenario={"name":"habitat","min_level":{"encryption":true,"auth":true}}',
+             "min_level key encryption must be an integer, not boolean"),
+        ],
+    )
+    def test_wrong_json_type_named_in_json_terms(self, capsys, tmp_path, override, message):
+        """Type messages name JSON types; a bool, though a Python int, reads
+        "boolean"."""
+        code, _, err = run_cli(
+            capsys, "run", "--out-dir", str(tmp_path), "--set", "node_count=4",
+            "--set", "group_count=1", "--set", "sim_length=2", "--set", override,
+        )
+        assert code == cli.EXIT_INVALID
+        assert err == f"error: invalid: {message}\n"

@@ -24,7 +24,7 @@ from wsnsec.config import (
 from wsnsec.keys import SymmetricKey, derive_keyring
 from wsnsec.linksec import CounterState, Encryption, SecurityLevel
 from wsnsec.reports import EnergyLedger
-from wsnsec.trust import TrustTable
+from wsnsec.trust import TrustTable, TrustTables
 
 from test_keys import check_group_rings
 
@@ -520,7 +520,7 @@ class TestEnergyAccounting:
         paths = [False, True] if reference.alive and not reference.clamped else [False]
         for budgeted in paths:
             node = charge_node(deferred=deferred, budgeted=budgeted, model=model)
-            seen = node.view()
+            seen = TrustTables({node.addr: node.table})[node.addr]
             for event in events:
                 node.charge(**event)
             node.settle()
@@ -966,7 +966,7 @@ class TestObservationViews:
             frame_end(self, frame)
             for node in self.nodes.values():
                 if node.alive:
-                    view = node.view()
+                    view = TrustTables({node.addr: node.table})[node.addr]
                     expected = min(
                         (view.election_trust(s) for s in view.rows), default=None
                     )
@@ -979,6 +979,27 @@ class TestObservationViews:
         # Only a member alone in its group has no neighbors; (4, 3) makes two.
         alone = 2 if data.get("group_count") == 3 else 0
         assert empty_views == alone * config.sim_length
+
+    @pytest.mark.parametrize("name", list(GOLDEN_CONFIGS))
+    def test_one_table_per_group_and_per_death(self, monkeypatch, name):
+        """A run builds one trust table per group, its shared ledger, and
+        one per death, the dead node's frozen copy. Elections read the
+        ledgers and frozen copies, and the trust CSV is written from them:
+        neither builds a view."""
+        made = 0
+        init = TrustTable.__init__
+
+        def counting(self, *args, **kwargs):
+            nonlocal made
+            made += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TrustTable, "__init__", counting)
+        report = sim.run(config_from_dict(GOLDEN_CONFIGS[name]))
+        report.trust_csv()
+        groups = len({addr.group_id for addr in report.nodes})
+        deaths = sum(not stats.alive for stats in report.nodes.values())
+        assert made == groups + deaths
 
     @pytest.mark.parametrize("members", [8, 32])
     def test_records_per_transmission_independent_of_group_size(

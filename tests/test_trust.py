@@ -3,20 +3,23 @@ import io
 import json
 import math
 import pathlib
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from wsnsec import sim
-from wsnsec.addressing import NodeAddress
+from wsnsec.addressing import BROADCAST_NODE_ID, NodeAddress
 from wsnsec.config import config_from_dict
 from wsnsec.trust import (
     CSV_COLUMNS,
     RECORD_FIELDS,
     NeighborRecord,
     TrustTable,
+    TrustTables,
     TrustWeights,
     _ratio,
     compute_trust,
@@ -293,6 +296,19 @@ class TestRecordEvents:
         assert lines[1].split(",")[1] == str(B)
 
 
+ADDRESSES = st.builds(NodeAddress, st.integers(0, 2), st.integers(1, 6))
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+COUNTS = st.integers(0, 2**63)
+RECORDS = st.builds(
+    NeighborRecord,
+    **{name: FLOATS if kind is float else COUNTS if kind is int else st.booleans()
+       for name, kind in RECORD_FIELDS.items()},
+)
+
+
 def reference_csv(tables):
     """The trust CSV written row by row, formatting every row it meets: the
     oracle for `tables_to_csv`, which formats each shared row once."""
@@ -321,9 +337,11 @@ class TestTablesToCsv:
         ids = [id(rec) for table in tables.values() for rec in table.rows.values()]
         assert len(set(ids)) < len(ids)  # some rows are shared
         want = reference_csv(tables[a] for a in sorted(tables))
-        fresh = (TrustTable(t.observer, t.weights, dict(t.rows)) for t in tables.values())
-        assert tables_to_csv(fresh) == tables_to_csv(tables.values())
-        assert tables_to_csv(tables[a] for a in sorted(tables)) == want
+        fresh = (
+            (a, TrustTable(t.observer, t.weights, dict(t.rows))) for a, t in tables.items()
+        )
+        assert tables_to_csv(fresh) == tables_to_csv(tables.items())
+        assert tables_to_csv((a, tables[a]) for a in sorted(tables)) == want
         assert report.trust_csv() == want
 
     def test_lone_table_matches_reference(self):
@@ -333,6 +351,87 @@ class TestTablesToCsv:
             table.rows[neighbor] = random_valid_record(rnd)
         table.rows[NodeAddress(0, 9)] = table.rows[B]  # one row under two neighbors
         assert table.to_csv() == reference_csv([table])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_tables_match_reference(self, data):
+        """Random ledgers, each shared by several observers, frozen copies
+        and observers' own tables, with rows filed under several neighbors
+        and in several tables, trust cached on some rows and not on others,
+        and floats from the smallest subnormal to the largest finite: the
+        text is the oracle's for the tables each observer reads."""
+        weights = data.draw(st.sampled_from([TrustWeights(), TrustWeights(*[0.1] * 6)]))
+        pool = data.draw(st.lists(RECORDS, min_size=1, max_size=6))
+
+        def rows():
+            picks = data.draw(st.dictionaries(ADDRESSES, st.integers(0, len(pool) - 1)))
+            return {n: pool[i] for n, i in picks.items()}
+
+        ledgers = [
+            TrustTable(NodeAddress(g, BROADCAST_NODE_ID), weights, rows())
+            for g in range(data.draw(st.integers(1, 3)))
+        ]
+        own = [
+            TrustTable(observer, weights, rows())
+            for observer in data.draw(st.lists(ADDRESSES, max_size=3))
+        ]
+        frozen = [
+            TrustTable(observer, weights, {
+                n: replace(rec) for n, rec in ledger.rows.items() if n != observer
+            })
+            for observer, ledger in data.draw(
+                st.lists(st.tuples(ADDRESSES, st.sampled_from(ledgers)), max_size=3)
+            )
+        ]
+        for table in [*ledgers, *own, *frozen]:
+            for neighbor in table.rows:
+                if data.draw(st.booleans(), label="cache trust"):
+                    table.trust(neighbor)
+        sources = [st.tuples(ADDRESSES, st.sampled_from(ledgers))]
+        if own or frozen:
+            sources.append(st.sampled_from([(t.observer, t) for t in own + frozen]))
+        pairs = data.draw(st.lists(st.one_of(*sources)))
+        got = tables_to_csv(iter(pairs))
+
+        def view(observer, table):
+            if table.observer == observer:
+                return table
+            rows = {n: rec for n, rec in table.rows.items() if n != observer}
+            return TrustTable(observer, table.weights, rows)
+
+        assert got == reference_csv(view(*pair) for pair in pairs)
+
+
+class TestTrustTables:
+    def ledger_and_tables(self):
+        ledger = TrustTable(NodeAddress(0, BROADCAST_NODE_ID))
+        for subject in (A, B, C):
+            ledger.record(subject, "packet-transmitted")
+        dead = TrustTable(D, ledger.weights, {A: replace(ledger.rows[A])})
+        return ledger, dead, TrustTables({A: ledger, B: ledger, D: dead})
+
+    def test_views_built_when_read(self):
+        """A member reads the ledger's row objects without its own row; a
+        table filed under its own observer is read as it is."""
+        ledger, dead, tables = self.ledger_and_tables()
+        assert list(tables) == [A, B, D] and len(tables) == 3
+        view = tables[A]
+        assert (view.observer, list(view.rows)) == (A, [B, C])
+        assert view.rows[B] is ledger.rows[B] and view.weights is ledger.weights
+        assert tables[D] is dead
+        assert dict(tables.items()) == {A: view, B: tables[B], D: dead}
+        with pytest.raises(KeyError):
+            tables[C]
+
+    def test_equality_and_pickling(self):
+        ledger, dead, tables = self.ledger_and_tables()
+        _, _, other = self.ledger_and_tables()
+        assert tables == other == dict(tables)
+        other[A].rows[C].npt += 1  # the view holds the ledger's row
+        assert tables != other
+        back = pickle.loads(pickle.dumps(tables))
+        assert back == tables and back.to_csv() == tables.to_csv()
+        assert back[A].rows[C] is back[B].rows[C]  # one ledger, still shared
 
 
 def table_with_trust(observer, values):
