@@ -14,15 +14,16 @@ deployment), so later head elections need no re-derivation. The master key
 itself is deleted the moment derivation finishes: compromising a deployed
 node exposes one-hop keys only, never the derivation root.
 
-A single-hop clique can derive all its members' rings in one pass, each key
-once. Its rings differ from those of per-node derivation in two ways: their
-pairwise maps start empty, and each family of peer keys is one read-only map
-shared by the whole group, holding every member's entry, the owner's own
-included. That entry is the owner's own key, so no ring gains key material.
-The simulator, which plays the safe base station and keeps the master,
-derives a pair's key with `pairwise_key` on the pair's first unicast and
-stores it in both rings. Per-node `derive_keyring` is unchanged: it still
-derives a pairwise key for every neighbor.
+`derive_group_keyrings` is the one derivation of node-based and broadcast
+keys: it derives a group's rings in one pass, each key once, and each family
+of peer keys is one read-only map shared by the whole group, holding every
+member's entry, the owner's own included. That entry is the owner's own key,
+so no ring gains key material. The group's rings start with no pairwise keys.
+`derive_keyring` takes the owner's ring from the group of the owner and its
+neighbors and adds a pairwise key for every neighbor. The simulator, which
+plays the safe base station and keeps the master, instead derives a pair's
+key with `pairwise_key` on the pair's first unicast and stores it in both
+rings.
 
 Byte encodings are normative and bit-exact. Each derivation is prefixed with
 a 1-octet domain-separation tag so no two formulas can collide:
@@ -42,15 +43,12 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import logging
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional
 
 from .addressing import NodeAddress
-
-log = logging.getLogger(__name__)
 
 KEY_BYTES = 10
 
@@ -147,9 +145,9 @@ class KeyRing:
     """A node's post-setup key material. It has no field for the master
     key, so no ring carries the master key past setup.
 
-    `pairwise` is the ring's own dict. The peer maps of a per-node ring are
-    its own dicts too; those of a `derive_group_keyrings` ring are shared
-    read-only by every ring of its group and include the owner's own entry.
+    `pairwise` is the ring's own dict. A derived ring's peer maps are shared
+    read-only by every ring of its group and include the owner's own entry;
+    a ring read from a file has plain dicts.
     """
 
     owner: NodeAddress
@@ -180,34 +178,27 @@ def derive_keyring(
 ) -> KeyRing:
     """Run the deployment-time derivation and drop the master key.
 
-    Besides the owner's own keys, the ring carries the broadcast and
-    node-based keys of every neighbor: both are derivable only while the
-    master key exists, and they are what lets the node decrypt neighbor
-    broadcasts and, if elected head later, member uplinks.
+    The ring is the owner's ring from `derive_group_keyrings` over the owner
+    and its neighbors, with a pairwise key for every neighbor. So besides
+    the owner's own keys it carries the broadcast and node-based keys of
+    every neighbor: both are derivable only while the master key exists,
+    and they are what lets the node decrypt neighbor broadcasts and, if
+    elected head later, member uplinks.
     """
-    own = owner.encode()
     # Keyed on the 2-octet encoding, which orders as the addresses do
     # (group, then node) and hashes as plain bytes; duplicates collapse.
     unique = {n.encode(): n for n in neighbors}
-    if own in unique:
+    if owner.encode() in unique:
         raise ValueError("a node is not its own neighbor")
-    order = sorted(unique)
-    for peer in order:
-        if unique[peer].group_id != owner.group_id:
-            raise ValueError(f"neighbor {unique[peer]} outside group {owner.group_id}")
+    peers = [unique[e] for e in sorted(unique)]
+    for n in peers:
+        if n.group_id != owner.group_id:
+            raise ValueError(f"neighbor {n} outside group {owner.group_id}")
 
-    head = group_head.encode()
-    ring = KeyRing(
-        owner=owner,
-        head=group_head,
-        node_based=prf_fn(master, TAG_NODE_BASED + own + head),
-        broadcast=prf_fn(master, TAG_BROADCAST + own),
-    )
-    for peer in order:
-        n = unique[peer]
+    rings = derive_group_keyrings(master, group_head, [owner, *peers], prf_fn)
+    ring = next(r for r in rings if r.owner == owner)
+    for n in peers:
         ring.pairwise[n] = pairwise_key(master, owner, n, prf_fn)
-        ring.peer_broadcast[n] = prf_fn(master, TAG_BROADCAST + peer)
-        ring.peer_node_based[n] = prf_fn(master, TAG_NODE_BASED + peer + head)
     # Master key deletion: the returned ring never references it.
     return ring
 
@@ -220,16 +211,14 @@ def derive_group_keyrings(
 ) -> list[KeyRing]:
     """Derive the rings of a single-hop clique in one pass.
 
-    Each ring equals `derive_keyring(master, m, group_head, others)` for its
-    member `m`, except in its three maps. Its `pairwise` dict starts empty:
-    the caller, which keeps the master, adds a pair's key from
-    `pairwise_key` when the pair first needs it. Its `peer_broadcast` and
-    `peer_node_based` are one read-only map per family for the whole group,
-    holding every member, `m` too, whose entries are `m`'s own `broadcast`
-    and `node_based` keys. Every key is derived once: 2n node-based and
-    broadcast keys. Rings come back in address order; the only mutable
-    objects a ring holds are its own, so an election or re-key on one
-    leaves the others untouched.
+    Each ring's `pairwise` dict starts empty: the caller, which keeps the
+    master, adds a pair's key from `pairwise_key` when the pair needs it.
+    Its `peer_broadcast` and `peer_node_based` are one read-only map per
+    family for the whole group, holding every member, the owner too, whose
+    entries are the owner's own `broadcast` and `node_based` keys. Every key
+    is derived once: 2n node-based and broadcast keys. Rings come back in
+    address order; the only mutable objects a ring holds are its own, so an
+    election or re-key on one leaves the others untouched.
     """
     members = list(members)
     unique = {m.encode(): m for m in members}
@@ -291,8 +280,4 @@ def rekey_group(
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
     recipients = {n for n, t in member_trust.items() if t >= threshold}
     head_ring.session = k1
-    if not recipients and member_trust:
-        log.warning(
-            "re-key of group %d excludes every member", head_ring.owner.group_id
-        )
     return recipients

@@ -164,10 +164,10 @@ def _receiver_key(ring: KeyRing, src: int, dest: int) -> SymmetricKey:
     # compares equal to the plain `(group, node)` tuple, so the plain tuple
     # finds its entry without building an address per packet. `owner[0]` and
     # `owner[1]` are its group and node ids, read without the properties. A
-    # group ring's peer maps hold its owner's own keys too, so a wire from
+    # derived ring's peer maps hold its owner's own keys too, so a wire from
     # the owner itself is refused here rather than by a missing entry. The
-    # maps are subscripted: a shared map is a `MappingProxyType`, whose
-    # `.get` costs far more than a dict's.
+    # maps are subscripted: a derived ring's map is a `MappingProxyType`,
+    # whose `.get` costs far more than a dict's.
     owner = ring.owner
     try:
         if dest == BROADCAST_NODE_ID:

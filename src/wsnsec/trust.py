@@ -242,14 +242,13 @@ def tables_to_csv(tables: Iterable[tuple[NodeAddress, TrustTable]]) -> str:
 
     An observer reads a table filed under another observer, a group's shared
     ledger, without its own row, as through a view. A line is the observer
-    and a tail: the row's cells from the neighbor on, joined. A shared row's
-    tail is the same in every table that files it under the same neighbor,
-    so each row object is formatted once per neighbor, and each table's
-    tails are put in neighbor order once, however many observers read it.
-    The memos keep the rows and tables themselves, so no id they are keyed
-    on is reused while it runs. No cell holds a comma, a quote or a newline
-    (addresses read "G.N", and every number is digits, a sign and a point),
-    so the text is exactly what `csv.writer` writes for the same cells.
+    and a tail: the row's cells from the neighbor on, joined. Each table's
+    tails are formatted and put in neighbor order once, however many
+    observers read it. The memo keeps the tables themselves, so no id it is
+    keyed on is reused while it runs. No cell holds a comma, a quote or a
+    newline (addresses read "G.N", and every number is digits, a sign and a
+    point), so the text is exactly what `csv.writer` writes for the same
+    cells.
 
     Each line is written as it is made. Joining an observer's lines first
     is faster, but those large temporary strings fragment the heap that the
@@ -257,12 +256,11 @@ def tables_to_csv(tables: Iterable[tuple[NodeAddress, TrustTable]]) -> str:
     and over peaked about 2 MB higher."""
     buf = io.StringIO()
     buf.write(",".join(CSV_COLUMNS) + "\n")
-    formatted: dict[int, tuple[NeighborRecord, NodeAddress, str]] = {}
     ordered: dict[int, tuple[TrustTable, list[tuple[NodeAddress, str]]]] = {}
     for observer, table in tables:
         seen = ordered.get(id(table))
         if seen is None:
-            tails = [(n, _tail(table, n, formatted)) for n in sorted(table.rows)]
+            tails = [(n, _tail(table, n)) for n in sorted(table.rows)]
             seen = ordered[id(table)] = (table, tails)
         own = observer if table.observer != observer else None
         prefix = f"{observer},"
@@ -272,23 +270,14 @@ def tables_to_csv(tables: Iterable[tuple[NodeAddress, TrustTable]]) -> str:
     return buf.getvalue()
 
 
-def _tail(
-    table: TrustTable,
-    neighbor: NodeAddress,
-    formatted: dict[int, tuple[NeighborRecord, NodeAddress, str]],
-) -> str:
-    """The neighbor's line from the neighbor on, with its end; taken from
-    `formatted` when its row was last formatted under the same neighbor."""
+def _tail(table: TrustTable, neighbor: NodeAddress) -> str:
+    """The neighbor's line from the neighbor on, with its end."""
     rec = table.rows[neighbor]
-    seen = formatted.get(id(rec))
-    if seen is None or seen[1] != neighbor:
-        cells = [
-            f"{getattr(rec, name):.9f}" if kind is float else str(int(getattr(rec, name)))
-            for name, kind in RECORD_FIELDS.items()
-        ]
-        tail = f"{neighbor},{','.join(cells)},{table.trust(neighbor):.9f}\n"
-        seen = formatted[id(rec)] = (rec, neighbor, tail)
-    return seen[2]
+    cells = [
+        f"{getattr(rec, name):.9f}" if kind is float else str(int(getattr(rec, name)))
+        for name, kind in RECORD_FIELDS.items()
+    ]
+    return f"{neighbor},{','.join(cells)},{table.trust(neighbor):.9f}\n"
 
 
 class TrustTables(Mapping[NodeAddress, TrustTable]):

@@ -217,9 +217,12 @@ class TestDeriveKeys:
         assert lines["broadcast"][0][0] == ring.broadcast.hex()
         assert len(lines["pairwise"]) == 2
         assert len(lines["session"]) == 1
+        ring.session = derive_session_key(master, 4, NodeAddress(0, 0))
+        # The whole ring reads back, peer maps and the owner's own entries in
+        # them included.
         saved = config.load_keyring(str(ring_out))
-        assert saved.node_based == ring.node_based
-        assert saved.pairwise == ring.pairwise
+        assert saved == ring
+        assert saved.peer_broadcast[NodeAddress(4, 2)] == ring.broadcast
 
     def test_group_ring_reads_back_equal(self, tmp_path):
         """A `derive_group_keyrings` ring, whose peer maps are shared and

@@ -4,6 +4,8 @@ import pathlib
 import random
 from dataclasses import replace
 
+from typing import Mapping
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,7 +40,7 @@ def held_keys(ring):
     return [
         key
         for value in vars(ring).values()
-        for key in (value.values() if isinstance(value, dict) else (value,))
+        for key in (value.values() if isinstance(value, Mapping) else (value,))
         if isinstance(key, SymmetricKey)
     ]
 
@@ -181,13 +183,67 @@ class TestDerivation:
 
     def test_rejects_foreign_group_neighbor(self):
         master = SymmetricKey(bytes(10))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^neighbor 2\.3 outside group 1$"):
             derive_keyring(master, NodeAddress(1, 2), NodeAddress(1, 1), [NodeAddress(2, 3)])
+        # The first foreign neighbor in address order is the one named.
+        neighbors = [NodeAddress(4, 1), NodeAddress(1, 1), NodeAddress(2, 3)]
+        with pytest.raises(ValueError, match=r"^neighbor 2\.3 outside group 1$"):
+            derive_keyring(master, NodeAddress(1, 2), NodeAddress(1, 1), neighbors)
 
     def test_rejects_self_neighbor(self):
         master = SymmetricKey(bytes(10))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^a node is not its own neighbor$"):
             derive_keyring(master, NodeAddress(1, 2), NodeAddress(1, 1), [NodeAddress(1, 2)])
+        # Checked before the neighbors' groups.
+        with pytest.raises(ValueError, match=r"^a node is not its own neighbor$"):
+            derive_keyring(
+                master, NodeAddress(1, 2), NodeAddress(1, 1), [NodeAddress(2, 3), NodeAddress(1, 2)]
+            )
+
+    def test_duplicates_collapse_and_order_is_free(self):
+        master = SymmetricKey(bytes(range(10)))
+        owner, head = NodeAddress(3, 4), NodeAddress(3, 1)
+        neighbors = [NodeAddress(3, 9), head, NodeAddress(3, 2)]
+        ring = derive_keyring(master, owner, head, neighbors)
+        assert list(ring.pairwise) == sorted(neighbors)
+        assert derive_keyring(master, owner, head, sorted(neighbors)) == ring
+        assert derive_keyring(master, owner, head, [*neighbors, *reversed(neighbors)]) == ring
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_prf_called_3n_plus_2_times(self, n):
+        """The owner's two keys, then per neighbor its two keys and the
+        pair's: no key is derived twice."""
+        calls = []
+
+        def recording(key, message):
+            calls.append(message)
+            return prf(key, message)
+
+        neighbors = [NodeAddress(2, i) for i in range(1, n + 1)]
+        derive_keyring(SymmetricKey(bytes(10)), NodeAddress(2, 9), NodeAddress(2, 1),
+                       neighbors, recording)
+        assert len(calls) == len(set(calls)) == 3 * n + 2
+
+    def test_ring_is_the_group_ring_with_pairwise_keys(self):
+        """One ring shape: a node's ring is its ring from the derivation of
+        the group it and its neighbors make, with a pairwise key for each
+        neighbor. Its peer maps are read-only and hold the owner's own keys."""
+        master = SymmetricKey(bytes(range(10, 20)))
+        owner, head = NodeAddress(6, 7), NodeAddress(6, 40)
+        neighbors = [head, NodeAddress(6, 3), NodeAddress(6, 12)]
+        ring = derive_keyring(master, owner, head, neighbors)
+        (group,) = [
+            r for r in derive_group_keyrings(master, head, [owner, *neighbors])
+            if r.owner == owner
+        ]
+        group.pairwise.update((n, pairwise_key(master, owner, n)) for n in sorted(neighbors))
+        assert ring == group
+        for peers, own in ((ring.peer_broadcast, ring.broadcast),
+                           (ring.peer_node_based, ring.node_based)):
+            assert sorted(peers) == sorted([owner, *neighbors])
+            assert peers[owner] is own
+            with pytest.raises(TypeError):
+                peers[owner] = own
 
     def test_key_lengths_uniform(self):
         master = SymmetricKey(bytes(range(10)))
@@ -216,21 +272,12 @@ class TestDerivation:
 def check_group_rings(rings, direct):
     """The contract of one group's rings fresh from `derive_group_keyrings`,
     against `direct`, the `derive_keyring` ring of each owner. A ring equals
-    its direct ring but for its empty `pairwise` and its two peer maps. Each
-    peer map is the direct one plus the owner's own key. The group shares
-    one read-only map per family, and each ring owns its `pairwise` dict."""
+    its direct ring with no pairwise keys. The group shares one read-only
+    map per family, and each ring owns its `pairwise` dict."""
     for ring in rings:
-        own = direct[ring.owner]
         # Pairwise keys are the caller's to derive on first use.
         assert ring.pairwise == {}
-        assert ring == replace(
-            own, pairwise={}, peer_broadcast=ring.peer_broadcast,
-            peer_node_based=ring.peer_node_based,
-        )
-        assert dict(ring.peer_broadcast) == {**own.peer_broadcast, ring.owner: own.broadcast}
-        assert dict(ring.peer_node_based) == {
-            **own.peer_node_based, ring.owner: own.node_based
-        }
+        assert ring == replace(direct[ring.owner], pairwise={})
         assert ring.peer_broadcast[ring.owner] is ring.broadcast
         assert ring.peer_node_based[ring.owner] is ring.node_based
     for attr in ("peer_broadcast", "peer_node_based"):

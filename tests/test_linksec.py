@@ -185,9 +185,9 @@ def _own_source_wires():
 
 
 class TestOwnSource:
-    """A ring refuses wires from its own owner. A group ring's shared peer
-    maps hold the owner's own keys, under which these wires verify, so
-    only the explicit check in `_receiver_key` refuses them there."""
+    """A ring refuses wires from its own owner. A derived ring's peer maps
+    hold the owner's own keys, under which these wires verify, so only the
+    explicit check in `_receiver_key` refuses them."""
 
     @pytest.mark.parametrize("derive", ["derive_keyring", "derive_group_keyrings"])
     def test_own_source_rejected(self, derive):
@@ -196,7 +196,8 @@ class TestOwnSource:
         else:
             rings = derive_group_keyrings(MASTER, HEAD, [PEER, SRC, HEAD])
             (ring,) = [r for r in rings if r.owner == HEAD]
-            assert ring.peer_broadcast[HEAD] == ring.broadcast
+        assert ring.peer_broadcast[HEAD] == ring.broadcast
+        assert ring.peer_node_based[HEAD] == ring.node_based
         assert ring.session is None
         for wire in _own_source_wires():
             expected = CounterState(5)
