@@ -150,10 +150,20 @@ def _stream_tag(key: bytes, counter: int, aad: bytes, ciphertext: bytes) -> byte
     return hmac_sha256(key, msg)[:TAG_BYTES]
 
 
-def _check_stream_key(key: bytes) -> None:
-    # The block modes check the key in `rc5.key_schedule`, on `_setup`'s misses.
+def _crypt(key, rounds, counter, aad, data, auth, decrypt):
+    """What `seal` and `open_` share: checks the counter and, at level 0,
+    the key (the block modes check it in `rc5.key_schedule`, on `_setup`'s
+    misses), then runs the block mode, or at `rounds` 0 the keystream, over
+    `data`: the plaintext, or the ciphertext when `decrypt`. Returns
+    (output, tag), the tag None without `auth`."""
+    if not 0 <= counter <= _M32:
+        raise ValueError("counter must fit 32 bits")
+    if rounds:
+        return _block_mode(key, rounds, counter, aad, data, auth, decrypt)
     if len(key) != rc5.KEY_BYTES:
         raise ValueError(f"key must be {rc5.KEY_BYTES} octets")
+    out = _xor_stream(key, counter, data)
+    return out, _stream_tag(key, counter, aad, data if decrypt else out) if auth else None
 
 
 def seal(
@@ -164,19 +174,13 @@ def seal(
     plaintext: bytes,
     auth: bool,
 ) -> tuple[bytes, Optional[bytes]]:
-    """Encrypt `plaintext`; returns (ciphertext, tag-or-None).
+    """Encrypt `plaintext`; returns `_crypt`'s (ciphertext, tag-or-None).
 
     `rounds` 0 selects the level-0 keystream XOR, otherwise RC5 with that
     round count. Identical (key, counter, plaintext) always produce the
     same output; a different counter changes the whole ciphertext.
     """
-    if not 0 <= counter <= _M32:
-        raise ValueError("counter must fit 32 bits")
-    if rounds == 0:
-        _check_stream_key(key)
-        ct = _xor_stream(key, counter, plaintext)
-        return ct, _stream_tag(key, counter, aad, ct) if auth else None
-    return _block_mode(key, rounds, counter, aad, plaintext, auth, False)
+    return _crypt(key, rounds, counter, aad, plaintext, auth, False)
 
 
 def open_(
@@ -188,17 +192,11 @@ def open_(
     tag: Optional[bytes],
     auth: bool,
 ) -> Optional[bytes]:
-    """Inverse of :func:`seal`. Returns None when the tag does not verify."""
-    if not 0 <= counter <= _M32:
-        raise ValueError("counter must fit 32 bits")
-    if rounds == 0:
-        _check_stream_key(key)
-        if auth:
-            expect = _stream_tag(key, counter, aad, ciphertext)
-            if tag is None or not hmac.compare_digest(expect, tag):
-                return None
-        return _xor_stream(key, counter, ciphertext)
-    plaintext, expect = _block_mode(key, rounds, counter, aad, ciphertext, auth, True)
+    """Inverse of :func:`seal`. Returns None when the tag does not verify.
+
+    `_crypt` decrypts and recomputes the tag; this only compares it with
+    `tag`, in constant time."""
+    plaintext, expect = _crypt(key, rounds, counter, aad, ciphertext, auth, True)
     if auth and (tag is None or not hmac.compare_digest(expect, tag)):
         return None
     return plaintext

@@ -64,11 +64,21 @@ class ScenarioPolicy:
             raise ValueError("energy_floor must be finite and non-negative")
 
 
-SCENARIO_NAMES = (
-    "military-surveillance",
-    "habitat-monitoring",
-    "agricultural-farming",
-)
+# The three reference scenarios' presets, high, medium and low: base level,
+# minimum level, energy floor as a share of the battery, and trust alarm.
+_PRESETS = {
+    "military-surveillance": (
+        SecurityLevel(Encryption.RC5_R12, True), SecurityLevel(Encryption.RC5_R12, True), 0.0, 0.3
+    ),
+    "habitat-monitoring": (
+        SecurityLevel(Encryption.RC5_R8, True), SecurityLevel(Encryption.RC5_R4, True), 0.2, 0.3
+    ),
+    "agricultural-farming": (
+        SecurityLevel(Encryption.XOR, True), SecurityLevel(Encryption.XOR, True), 0.1, 0.2
+    ),
+}
+
+SCENARIO_NAMES = tuple(_PRESETS)
 
 SCENARIO_ALIASES = {
     "military": "military-surveillance",
@@ -78,33 +88,14 @@ SCENARIO_ALIASES = {
 
 
 def default_policy(name: str, initial_energy: float = 1000.0) -> ScenarioPolicy:
-    """Built-in high/medium/low profiles for the three reference scenarios."""
+    """The preset policy of a reference scenario, by name or alias, for a
+    battery of `initial_energy`."""
     name = SCENARIO_ALIASES.get(name, name)
-    if name == "military-surveillance":
-        return ScenarioPolicy(
-            name=name,
-            base_level=SecurityLevel(Encryption.RC5_R12, True),
-            min_level=SecurityLevel(Encryption.RC5_R12, True),
-            energy_floor=0.0,
-            trust_alarm=0.3,
-        )
-    if name == "habitat-monitoring":
-        return ScenarioPolicy(
-            name=name,
-            base_level=SecurityLevel(Encryption.RC5_R8, True),
-            min_level=SecurityLevel(Encryption.RC5_R4, True),
-            energy_floor=0.2 * initial_energy,
-            trust_alarm=0.3,
-        )
-    if name == "agricultural-farming":
-        return ScenarioPolicy(
-            name=name,
-            base_level=SecurityLevel(Encryption.XOR, True),
-            min_level=SecurityLevel(Encryption.XOR, True),
-            energy_floor=0.1 * initial_energy,
-            trust_alarm=0.2,
-        )
-    raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
+    try:
+        base, minimum, floor_share, alarm = _PRESETS[name]
+    except KeyError:
+        raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}") from None
+    return ScenarioPolicy(name, base, minimum, floor_share * initial_energy, alarm)
 
 
 class SecurityAgent:

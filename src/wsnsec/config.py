@@ -1,11 +1,16 @@
 """The two JSON file formats: simulator configs and key rings.
 
-`SimConfig` holds everything a run depends on. A config file is a JSON
-object of its fields, and `_read` turns each JSON object into the dataclass
-that owns it: it checks each value's JSON type against its field's
-annotation and names any unknown, mistyped or missing key. Only the scenario
-(a preset's name, or an object over a preset), the list form of the trust
-weights and the list of adversaries are read by hand.
+`SimConfig` holds everything a run depends on, and every check of whether
+a config can run is made when it is built: each field's range, the
+topology its `group_sizes` give, and that each adversary spec names a
+distinct node of that topology.
+
+A config file is a JSON object of `SimConfig` fields, and `_read` turns
+each JSON object into the dataclass that owns it: it checks each value's
+JSON type against its field's annotation and names any unknown, mistyped
+or missing key. Only the scenario (a preset's name, or an object over a
+preset), the list form of the trust weights and the list of adversaries
+are read by hand.
 
 A key-ring file is a JSON object of `KeyRing` fields, read by the same
 `_read` and written by `keyring_to_dict`. Keys are hex strings and
@@ -88,11 +93,21 @@ class SimConfig:
             raise ValueError("group_count must be in 1..256")
         if not 1 <= self.node_count <= 65536:
             raise ValueError("node_count must be in 1..65536")
-        per_group = -(-self.node_count // self.group_count)
-        if per_group > MAX_GROUP_MEMBERS:
+        if self.group_count > self.node_count:
+            raise ValueError("group_count must not exceed node_count")
+        sizes = self.group_sizes
+        if sizes[0] > MAX_GROUP_MEMBERS:
             raise ValueError(
-                f"groups of {per_group} exceed {MAX_GROUP_MEMBERS} addressable members"
+                f"groups of {sizes[0]} exceed {MAX_GROUP_MEMBERS} addressable members"
             )
+        seen = set()
+        for spec in self.adversaries:
+            group, node = spec.node
+            if not (group < len(sizes) and 1 <= node <= sizes[group]):
+                raise ValueError(f"adversary {spec.node} is not a simulated node")
+            if spec.node in seen:
+                raise ValueError(f"adversary {spec.node} has more than one spec")
+            seen.add(spec.node)
         if self.session_length < 1:
             raise ValueError("session_length must be at least one frame")
         if self.sim_length < 0:
@@ -109,6 +124,14 @@ class SimConfig:
                 "scenario",
                 default_policy("habitat-monitoring", self.energy_model.initial_energy),
             )
+
+    @property
+    def group_sizes(self) -> tuple[int, ...]:
+        """Members per group, by group id: `node_count` dealt out as evenly
+        as it goes, the larger groups first. Node ids run from 1 to a
+        group's size."""
+        size, extra = divmod(self.node_count, self.group_count)
+        return tuple(size + (gid < extra) for gid in range(self.group_count))
 
 
 # Field annotation -> the types its JSON value may have, matched exactly (a

@@ -71,9 +71,12 @@ class SecurityLevel:
 LEVELS = tuple(SecurityLevel(Encryption(code >> 1), bool(code & 1)) for code in range(8))
 
 
-@dataclass
+@dataclass(slots=True)
 class CounterState:
-    """Last accepted (receive) or last used (send) counter for one direction."""
+    """Last accepted (receive) or last used (send) counter for one direction.
+
+    Slotted: a simulated node holds one per direction it has heard, so a
+    large group holds a number of them that grows with its size squared."""
 
     value: int = 0
 
@@ -271,17 +274,20 @@ def decode(
 ) -> bytes:
     """Verify and decrypt one wire packet, advancing `expected` on success.
 
-    The candidate counter starts as the expected counter's high 24 bits
-    joined with the received low octet; each retry adds one 256-wrap, up to
-    `loss_threshold` wraps. Raises FormatError, AuthenticationError, or
-    ReplayError; `expected` is untouched on any rejection. Without the auth
-    bit nothing can verify a candidate, so there is no wrap search: the
-    single reconstructed counter is taken on faith when it advances, and
-    freshness degrades to counter monotonicity alone.
+    One loop tries the candidate counters in turn. The first is the
+    expected counter's high 24 bits joined with the received low octet. A
+    tagged wire tries `loss_threshold + 1` candidates, each one 256-wrap
+    beyond the last, and the first whose tag verifies answers. An untagged
+    wire has nothing to verify a candidate with, so it tries its one
+    reconstructed counter, and that candidate is taken on faith: its
+    freshness is counter monotonicity alone. An answer whose counter does
+    not advance `expected` is a replay. Raises FormatError,
+    AuthenticationError, or ReplayError; `expected` is untouched on any
+    rejection.
 
     A `bytes` wire's header is parsed and checked against the reserved
     lengths and the wire's size. A `PendingWire` carries its header and is
-    its own seal. Under a receive key equal to its key, the wrap candidate
+    its own seal. Under a receive key equal to its key, the candidate
     equal to its counter yields its payload without a block pass. This is
     exact, because OCB is invertible: an open at the true key and counter
     always verifies and returns the plaintext. Every other candidate and
@@ -310,44 +316,27 @@ def decode(
     own = wire.counter if pending and wire.key == key else None
     last = expected.value
     base = ((last + 1) & _WRAP_MASK) | header.counter_lsb
-
-    if header.level.auth:
-        ct = None
-        for wrap in range(loss_threshold + 1):
-            candidate = (base + (wrap << 8)) & _COUNTER_MASK
-            if candidate == own:
-                payload = wire.payload
-            else:
-                if ct is None:  # the first real open reads the rounds and seals the bytes
-                    rounds = header.level.encryption.rounds
-                    data = bytes(wire)
-                    aad, ct, mac = (
-                        data[:HEADER_BYTES], data[HEADER_BYTES:-MAC_BYTES], data[-MAC_BYTES:]
-                    )
-                payload = aead.open_(key, rounds, candidate, aad, ct, mac, True)
-            if payload is not None:
-                if candidate <= last:
-                    raise ReplayError(f"counter {candidate} not beyond {last}")
-                expected.value = candidate
-                return payload
-        raise AuthenticationError(
-            f"tag mismatch after {loss_threshold + 1} counter attempts"
-        )
-
-    # No tag, no way to verify a candidate: no wrap search. The single
-    # reconstructed counter must advance or the packet is stale.
-    if base <= last:
-        raise ReplayError(f"counter {base} not beyond {last}")
-    if base == own:
-        payload = wire.payload
-    else:
-        data = bytes(wire)
-        payload = aead.open_(
-            key, header.level.encryption.rounds, base,
-            data[:HEADER_BYTES], data[HEADER_BYTES:], None, False,
-        )
-    expected.value = base
-    return payload
+    auth = header.level.auth
+    ct = None
+    for wrap in range(loss_threshold + 1 if auth else 1):
+        candidate = (base + (wrap << 8)) & _COUNTER_MASK
+        if candidate == own:
+            payload = wire.payload
+        else:
+            if ct is None:  # the first real open reads the rounds and seals the bytes
+                rounds = header.level.encryption.rounds
+                data = bytes(wire)
+                end = HEADER_BYTES + header.length
+                aad, ct, tag = data[:HEADER_BYTES], data[HEADER_BYTES:end], data[end:]
+            payload = aead.open_(key, rounds, candidate, aad, ct, tag, auth)
+        if payload is not None:  # always so without a tag
+            if candidate <= last:
+                raise ReplayError(f"counter {candidate} not beyond {last}")
+            expected.value = candidate
+            return payload
+    raise AuthenticationError(
+        f"tag mismatch after {loss_threshold + 1} counter attempts"
+    )
 
 
 def dissect(wire: bytes) -> dict:

@@ -354,10 +354,7 @@ class _Simulation:
             n.addr: n for g in self.groups for n in g.nodes
         }
         for spec in config.adversaries:
-            node = self.nodes.get(spec.node)
-            if node is None:
-                raise ValueError(f"adversary {spec.node} is not a simulated node")
-            node.adversary = spec
+            self.nodes[spec.node].adversary = spec
         for group in self.groups:
             group.replayers = [
                 n for n in group.nodes
@@ -379,13 +376,8 @@ class _Simulation:
 
     def _build_groups(self) -> list[_Group]:
         cfg = self.config
-        sizes = [cfg.node_count // cfg.group_count] * cfg.group_count
-        for i in range(cfg.node_count % cfg.group_count):
-            sizes[i] += 1
         groups = []
-        for gid, size in enumerate(sizes):
-            if size == 0:
-                continue
+        for gid, size in enumerate(cfg.group_sizes):
             addrs = [NodeAddress(gid, i + 1) for i in range(size)]
             ledger = TrustTable(NodeAddress(gid, BROADCAST_NODE_ID), cfg.trust_weights)
             channel = _Channel(self.model)

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from wsnsec.agent import (
     LEVEL_STRONGEST,
+    SCENARIO_ALIASES,
+    SCENARIO_NAMES,
     PacketClass,
     ScenarioPolicy,
     SecurityAgent,
@@ -152,6 +154,39 @@ class TestScenarioPolicy:
 
     def test_floor_scales_with_battery(self):
         assert default_policy("habitat-monitoring", 10.0).energy_floor == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("battery", [0.0, 0.4, 1.5, 6.0, 1000.0, 1e9])
+    @pytest.mark.parametrize("name", [*SCENARIO_NAMES, *SCENARIO_ALIASES])
+    def test_presets_by_name_and_alias(self, name, battery):
+        """Each preset, by its name or its alias, is the policy spelled out
+        here: base level, minimum level, energy floor and trust alarm."""
+        full = SCENARIO_ALIASES.get(name, name)
+        expected = {
+            "military-surveillance": (
+                SecurityLevel(Encryption.RC5_R12, True), SecurityLevel(Encryption.RC5_R12, True),
+                0.0, 0.3,
+            ),
+            "habitat-monitoring": (
+                SecurityLevel(Encryption.RC5_R8, True), SecurityLevel(Encryption.RC5_R4, True),
+                0.2 * battery, 0.3,
+            ),
+            "agricultural-farming": (
+                SecurityLevel(Encryption.XOR, True), SecurityLevel(Encryption.XOR, True),
+                0.1 * battery, 0.2,
+            ),
+        }[full]
+        policy = default_policy(name, battery)
+        assert policy == ScenarioPolicy(full, *expected)
+        assert policy.fixed_level == LEVEL_STRONGEST
+        assert SCENARIO_NAMES == (
+            "military-surveillance", "habitat-monitoring", "agricultural-farming",
+        )
+
+    @pytest.mark.parametrize("alarm", [-0.1, 1.0, math.nan])
+    def test_trust_alarm_range(self, alarm):
+        level = SecurityLevel(Encryption.RC5_R8, True)
+        with pytest.raises(ValueError, match=r"trust_alarm must be in \[0, 1\)"):
+            ScenarioPolicy("bad", level, level, 0.0, alarm)
 
 
 class TestAgentState:

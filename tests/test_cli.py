@@ -340,6 +340,25 @@ class TestTrustCommand:
         assert out == ""
         assert err == "error: invalid: observation line 3 has 2 cells, not 3\n"
 
+    @pytest.mark.parametrize("text", ["", "npt,npc\n10,1\n"], ids=["empty", "no_neighbor"])
+    def test_neighbor_column_required(self, capsys, tmp_path, text):
+        path = tmp_path / "obs.csv"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "trust", "--observations", str(path))
+        assert code == cli.EXIT_INVALID
+        assert out == ""
+        assert err == "error: invalid: observation CSV needs a 'neighbor' column\n"
+
+    def test_blank_line_skipped(self, capsys, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("neighbor,npt,npc\n1.1,10,1\n\n1.2,10,2\n")
+        code, out, _ = run_cli(capsys, "trust", "--observations", str(path))
+        assert code == 0
+        assert out == "".join(
+            f"{n} {compute_trust(NeighborRecord(npt=10, npc=c), TrustWeights()):.4f}\n"
+            for n, c in (("1.1", 1), ("1.2", 2))
+        )
+
     def test_empty_cell_is_not_given(self, capsys, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text("neighbor,ae_t1,ae_t2,npt,npc\n0.3,5,,,\n")

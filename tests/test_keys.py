@@ -268,6 +268,14 @@ class TestDerivation:
         assert derive_session_key(master, 1, bs) != derive_session_key(master, 2, bs)
         assert derive_session_key(master, 1, bs) == derive_session_key(master, 1, bs)
 
+    def test_session_key_group_range(self):
+        master = SymmetricKey(bytes(range(10)))
+        bs = NodeAddress(0, 0)
+        assert derive_session_key(master, 0, bs) != derive_session_key(master, 0xFF, bs)
+        for gid in (-1, 0x100):
+            with pytest.raises(ValueError, match="group id out of 8-bit range"):
+                derive_session_key(master, gid, bs)
+
 
 def check_group_rings(rings, direct):
     """The contract of one group's rings fresh from `derive_group_keyrings`,

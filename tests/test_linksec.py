@@ -1,5 +1,6 @@
 import pathlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -517,6 +518,22 @@ class TestCounterExhaustion:
             with pytest.raises(ValueError):
                 CounterState(value)
 
+    def test_counter_state_memory(self):
+        """A simulated node holds one receive counter per direction it has
+        heard, so a group holds a number that grows with its size squared.
+        Slotted, one costs 48.5 traced bytes with its list slot; with a
+        `__dict__` it cost 88.9. A memory bound, with no timing bound."""
+        n = 10_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            states = [CounterState() for _ in range(n)]
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(states) == n
+        assert (after - before) / n < 64
+
     def test_loss_threshold_bounds(self):
         """A negative threshold is refused; at 0 the in-order candidate is
         still tried, so an in-order packet decodes."""
@@ -578,6 +595,13 @@ class TestFormat:
         with pytest.raises(UnknownDestinationError):
             linksec.encode(
                 SecurityLevel(Encryption.XOR, True), ring_src, CounterState(), 200, b"x"
+            )
+
+    def test_own_address_is_no_destination(self):
+        _, ring_src, _ = make_rings()
+        with pytest.raises(UnknownDestinationError, match="cannot address a packet to oneself"):
+            linksec.encode(
+                SecurityLevel(Encryption.XOR, True), ring_src, CounterState(), SRC.node_id, b"x"
             )
 
     def test_dissect_matches_encode(self):

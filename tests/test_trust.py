@@ -201,6 +201,12 @@ class TestRecordEvents:
         assert table.election_trust(B) == 0.0
         assert table.trust(B) > 0.0  # the formula value itself is untouched
 
+    def test_unseen_neighbor_has_no_election_trust(self):
+        table = TrustTable(observer=A)
+        table.record(B, "packet-received")
+        assert table.election_trust(C) == 0.0
+        assert C not in table.rows
+
     def test_energy_samples_shift(self):
         table = TrustTable(observer=A)
         for v in (100.0, 90.0, 70.0):
@@ -523,3 +529,21 @@ class TestElection:
         }
         head, _ = run_election(members, tables, current_head=A)
         assert head != C
+
+    def test_head_outside_the_group_rejected(self):
+        with pytest.raises(ValueError, match="current head does not belong to the group"):
+            run_election({A, B}, {}, current_head=C)
+
+    def test_members_without_a_table_or_a_candidate_do_not_vote(self):
+        """B has no table, and C's table holds only an off-group node and
+        C itself, so A's vote alone decides: B wins and nobody is vice."""
+        outsider = NodeAddress(1, 1)
+        tables = {
+            A: table_with_trust(A, {B: 0.9, C: 0.5}),
+            C: table_with_trust(C, {outsider: 0.9, C: 0.9}),
+        }
+        assert run_election({A, B, C}, tables, current_head=A) == (B, None)
+
+    def test_incumbent_kept_when_nobody_nominates(self):
+        tables = {A: TrustTable(observer=A), B: table_with_trust(B, {NodeAddress(1, 1): 0.9})}
+        assert run_election({A, B, C}, tables, current_head=C) == (C, None)
