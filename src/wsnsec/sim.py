@@ -39,11 +39,17 @@ Model (desk scale, normative for the closed-form energy tests):
   not observations). All alive members therefore see the same events about
   every subject but themselves, so each group keeps one shared ledger of
   neighbor rows, and a member's trust table is the ledger without its own
-  row. A node that dies keeps a frozen copy of what it had seen. Elections
-  and the report hold the ledgers and frozen copies themselves: a member's
-  view, a table of its own, is built only when `SimReport.trust_tables` is
-  read at that member, and `trust.csv` is written from the ledgers. Lossy
-  or partial observation would need one table per observer again.
+  row. An event is dropped when no alive member but its subject is left to
+  see it. `_observe` checks that rule per event. `_transmit` checks it once
+  for the sender's records, after its listener loop, since a listener's
+  charge can kill. `_frame_end` checks it once per group: every subject
+  there is an alive member and nothing dies there, so the rule reads "two
+  alive members or more". A node that dies keeps a frozen copy of what it
+  had seen. Elections and the report hold the ledgers and frozen copies
+  themselves: a member's view, a table of its own, is built only when
+  `SimReport.trust_tables` is read at that member, and `trust.csv` is
+  written from the ledgers. Lossy or partial observation would need one
+  table per observer again.
 * Energy: each event charges a node once, through `_Node.charge`, which
   charges receive, then crypto, then transmit energy. Every destination
   listener pays a full open's receive and crypto energy, a destination that
@@ -280,13 +286,6 @@ class _Node:
             state = self.out_ctr[dest] = CounterState()
             return state
 
-    def counter_from(self, src: int, dest: int) -> CounterState:
-        try:
-            return self.in_ctr[src, dest]
-        except KeyError:
-            state = self.in_ctr[src, dest] = CounterState()
-            return state
-
 
 class _Group:
     def __init__(
@@ -442,12 +441,18 @@ class _Simulation:
         This stands for every alive member observing it: in a loss-free
         single-hop clique all of them see the same events, except those
         about themselves. The event is dropped when no alive member but its
-        subject is left to see it. Lossy or partial observation would need
+        subject is left to see it (`_watched`). `_transmit` checks that rule
+        once for the sender's records, after its listener loop, and
+        `_frame_end` once per group. Lossy or partial observation would need
         one table per observer again.
         """
-        alive = self._alive_members(group)
-        if len(alive) > 1 or (alive and alive[0].addr != subject):
+        if self._watched(group, subject):
             group.ledger.record(subject, kind, value)
+
+    def _watched(self, group: _Group, subject: NodeAddress) -> bool:
+        """Whether an alive member other than `subject` is left to observe it."""
+        alive = self._alive_members(group)
+        return len(alive) > 1 or (len(alive) == 1 and alive[0].addr != subject)
 
     def _transmit(
         self,
@@ -471,87 +476,104 @@ class _Simulation:
         is a `linksec.PendingWire`, a replayed one included, and its header
         travels with it. Every listener is handed the pending wire, so a
         listener under the sealing key opens it at the sealing counter from
-        its plaintext; every other open is real and seals the wire once."""
+        its plaintext; every other open is real and seals the wire once.
+
+        What is fixed for the transmission (the costs, the wire's size, the
+        receive-counter key, the loss settings) is computed once; the
+        listener loop does only each listener's loss draw, charge and
+        decode. The sender's observations share one check of `_observe`'s
+        drop rule, made after the loop, since a listener's charge in an
+        unbudgeted frame can kill it."""
         if not sender.alive:
             return {}
+        broadcast = dest == BROADCAST_NODE_ID
         # A unicast to anyone but the head rides the pair's pairwise key
         # (see `linksec._sender_key` and `_receiver_key`); a replayed wire's
         # source is its header's.
-        if dest != BROADCAST_NODE_ID and dest != group.head.addr.node_id:
+        if not broadcast and dest != group.head.addr.node_id:
             src = sender.addr.node_id if replayed_wire is None else replayed_wire.header.src
             self._share_pairwise(group, src, dest)
         if replayed_wire is None:
             slot = group.next_slot
             group.next_slot += 1
-            level = self._decide(sender, pclass)
             wire = linksec.encode_pending(
-                level, sender.ring, sender.counter_to(dest), dest, payload
+                self._decide(sender, pclass), sender.ring, sender.counter_to(dest),
+                dest, payload,
             )
-            seal_cost = self._crypto_cost(level, len(payload))
         else:
-            # Verbatim retransmission of the captured wire: no sealing work
-            # is charged.
             slot = group.next_slot - 1
             wire = replayed_wire
-            seal_cost = 0.0
-        size = len(wire)
+        # An honest wire's header holds the sealing level and the payload's
+        # length, so one cost is the seal's and every open's.
+        header = wire.header
+        size = linksec.wire_size(header.length, header.level.auth)
+        open_cost = self._crypto_cost(header.level, header.length)
+        # A replay is a verbatim retransmission: no sealing work is charged.
+        seal_cost = open_cost if replayed_wire is None else 0.0
         sender.charge(crypto=seal_cost, tx=self.model.tx_per_octet * size)
         sender.stats.packets_sent += 1
         self.slot_log.append(
             (frame, group.gid, slot, sender.addr, replayed_wire is None)
         )
 
-        if dest == BROADCAST_NODE_ID or not group.channel.budgeted:
+        channel = group.channel
+        if broadcast or not channel.budgeted:
             listeners = self._alive_members(group)
         else:
             # Every other alive member parses the clear header and gates
             # off; the channel counts that listen and each settles it later.
             target = group.by_id[dest]
             listeners = [target] if target.alive else []
-            group.channel.deferred += 1
+            channel.deferred += 1
             sender.heard += 1
             if target is not sender:  # a replayer may resend a wire sent to it
                 target.heard += 1
-        header = wire.header
-        open_cost = self._crypto_cost(header.level, header.length)
+        loss_rate, threshold = self.config.loss_rate, self.config.loss_threshold
+        draw = self.rng.random
+        ctr_key = (header.src, header.dest)
         rx_cost = self.model.rx_per_octet * size
+        header_rx = channel.header_rx
         decoded: dict[NodeAddress, bytes] = {}
         for listener in listeners:
             if listener is sender:
                 continue
-            if self.config.loss_rate and self.rng.random() < self.config.loss_rate:
+            if loss_rate and draw() < loss_rate:
                 continue
-            is_dest = dest == BROADCAST_NODE_ID or listener.addr.node_id == dest
-            if not is_dest:
+            if not broadcast and listener.addr[1] != dest:  # [1]: the node id
                 # Promiscuous listeners parse the clear header, then gate off.
-                listener.charge(group.channel.header_rx)
+                listener.charge(header_rx)
                 continue
             listener.charge(rx_cost, open_cost)
-            state = listener.counter_from(header.src, header.dest)
+            state = listener.in_ctr.get(ctr_key)
+            if state is None:  # the listener's first wire in this direction
+                state = listener.in_ctr[ctr_key] = CounterState()
+            stats = listener.stats
             try:
-                plain = linksec.decode(
-                    wire, listener.ring, state, self.config.loss_threshold
-                )
+                plain = linksec.decode(wire, listener.ring, state, threshold)
             except linksec.ReplayError:
-                listener.stats.replay_rejects += 1
+                stats.replay_rejects += 1
             except linksec.AuthenticationError:
-                listener.stats.auth_rejects += 1
-                if dest == BROADCAST_NODE_ID:
-                    listener.stats.bcast_fail += 1
+                stats.auth_rejects += 1
+                if broadcast:
+                    stats.bcast_fail += 1
             else:
-                listener.stats.decode_ok += 1
+                stats.decode_ok += 1
                 decoded[listener.addr] = plain
                 if replayed_wire is not None:
-                    listener.stats.replay_accepted += 1
-                if dest == BROADCAST_NODE_ID:
+                    stats.replay_accepted += 1
+                if broadcast:
                     if group.first_rekey_frame is None:
-                        listener.stats.bcast_ok_before_rekey += 1
+                        stats.bcast_ok_before_rekey += 1
                     else:
-                        listener.stats.bcast_ok_after_rekey += 1
-        self._observe(group, sender.addr, "packet-transmitted")
-        if replayed_wire is not None:
-            self._observe(group, sender.addr, "collision")
-        if dest != BROADCAST_NODE_ID:
+                        stats.bcast_ok_after_rekey += 1
+        # `_observe`'s drop rule, once for the sender's records, after the
+        # loop: a listener's charge may have killed the sender's last observer.
+        if self._watched(group, sender.addr):
+            record = group.ledger.record
+            record(sender.addr, "packet-transmitted")
+            if replayed_wire is not None:
+                record(sender.addr, "collision")
+        if not broadcast:
             self._observe(group, group.by_id[dest].addr, "packet-received")
 
         # Replay attackers squirrel away the latest sensed-data wire.
@@ -739,21 +761,26 @@ class _Simulation:
     def _frame_end(self, frame: int) -> None:
         for group in self.groups:
             members = self._alive_members(group)
+            # Every subject is an alive member and nothing dies here, so
+            # `_observe`'s drop rule is one check per group.
+            watched = len(members) > 1
+            ledger = group.ledger
+            record = ledger.record
             for node in members:
                 # Reading `remaining` settles the node's deferred listens, so
                 # every ledger is complete at the end of each frame.
                 node.agent.available_energy = claimed = node.remaining
-                if _acts(node, "captured", frame):
+                if node.adversary is not None and _acts(node, "captured", frame):
                     # Compromised nodes overstate their battery to win
                     # energy-based handovers.
                     claimed = self.model.initial_energy + 1.0 + frame
-                self._observe(group, node.addr, "energy-sample", claimed)
-                self._observe(group, node.addr, "signal-sample", 0.8)
+                if watched:
+                    record(node.addr, "energy-sample", claimed)
+                    record(node.addr, "signal-sample", 0.8)
             # A member's neighbors are the ledger's subjects but itself: the
             # lowest of the ledger's two lowest entries that is not its own
             # is the member's lowest neighbor trust. Missing entries read as
             # (None, None).
-            ledger = group.ledger
             (first, first_subject), (second, _) = (
                 heapq.nsmallest(2, ((ledger.election_trust(s), s) for s in ledger.rows))
                 + [(None, None)] * 2

@@ -24,6 +24,13 @@ def workloads(monkeypatch):
     return importlib.import_module("workloads")
 
 
+@pytest.fixture
+def spans(monkeypatch):
+    # `spans.py`, the traced run's tracer, imports only the standard library.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    return importlib.import_module("spans")
+
+
 def test_every_declared_workload_is_defined(workloads):
     assert sorted(workloads.WORKLOADS) == sorted(WORKLOAD_NAMES)
 
@@ -45,3 +52,34 @@ def test_benchmark_selftest_passes():
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_traced_big_group_unit_sees_each_layer(workloads, spans):
+    """One `big_group` unit under the benchmark's tracer: its span on
+    `linksec.decode` counts every decode outcome of the run's report, and
+    its spans on `TrustTable.record` and `SecurityAgent.decide` see calls.
+    So the simulator reaches each layer through the names the tracer
+    wraps, and `--trace 1` reports what the run did."""
+    workload = workloads.WORKLOADS["big_group"](wsnsec, 1)
+    tracer = spans.Tracer()
+    reports = []
+
+    def timed(fn, *args):
+        reports.append(tracer.root(fn)(*args))
+        return reports[-1]
+
+    tracer.install(wsnsec)
+    try:
+        _, failed, _ = workload.run_unit(timed)
+    finally:
+        tracer.uninstall()
+    assert failed == 0 and workload.checks.failures == []
+    (report,) = reports
+    outcomes = sum(
+        s.decode_ok + s.auth_rejects + s.replay_rejects for s in report.nodes.values()
+    )
+    calls = tracer.summary().calls
+    assert calls["sim.run"] == 1
+    assert calls["linksec.decode"] == outcomes > 0
+    assert calls["trust.TrustTable.record"] > 0
+    assert calls["agent.SecurityAgent.decide"] > 0

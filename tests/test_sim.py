@@ -16,7 +16,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 import oracles
 from wsnsec import keys, linksec, sim
 from wsnsec.addressing import BROADCAST_NODE_ID, NodeAddress
-from wsnsec.agent import LEVEL_STRONGEST, SCENARIO_NAMES, PacketClass, default_policy
+from wsnsec.agent import (
+    LEVEL_STRONGEST, SCENARIO_NAMES, PacketClass, SecurityAgent, default_policy,
+)
 from wsnsec.config import (
     ADVERSARY_BEHAVIORS, AdversarySpec, EnergyModel, SimConfig,
     config_from_dict, load_config, set_override,
@@ -36,6 +38,8 @@ BIG_GROUP = {
     "seed": 11, "node_count": 254, "group_count": 1, "sim_length": 3,
     "scenario": "agricultural-farming",
 }
+# Groups of 2, 1 and 1 members: two heads alone from the start.
+ONE_MEMBER_GROUPS = {"node_count": 4, "group_count": 3, "sim_length": 5}
 STAT_FIELDS = (
     "alive",
     "packets_sent",
@@ -1014,6 +1018,35 @@ class TestObservationViews:
             assert table.observer == addr
             assert addr not in table.rows
 
+    def test_last_survivor_records_nothing_of_itself(self):
+        """An event about a group's last alive member has no one to see it.
+        `_transmit` checks that once for its sender's records, after its
+        listeners are charged: a broadcast whose receive charge kills the
+        last other member records no transmission. `_frame_end` checks it
+        once per group: a lone member samples nothing about itself."""
+        simulation = sim._Simulation(SimConfig(seed=1, node_count=2, group_count=1,
+                                               sim_length=0))
+        group = simulation.groups[0]
+        head, member = group.nodes
+        rows = group.ledger.rows
+
+        def beacon():
+            simulation._transmit(group, 0, head, BROADCAST_NODE_ID,
+                                 PacketClass.ROUTING_CONTROL, b"beacon!!")
+
+        simulation._frame_end(0)
+        assert rows[head.addr]._energy_samples == rows[member.addr]._energy_samples == 1
+        beacon()
+        assert member.alive and rows[head.addr].npt == 1
+        member.charge(tx=member.remaining - 1e-9)  # one receive is more than is left
+        assert member.alive and not group.channel.budgeted
+        beacon()
+        assert not member.alive
+        assert rows[head.addr].npt == 1
+        seen = replace(rows[head.addr])
+        simulation._frame_end(1)
+        assert rows[head.addr] == seen and rows[head.addr]._energy_samples == 1
+
     def test_dead_observer_keeps_counters_from_its_death(self):
         cfg = small_battery_cfg(7)  # the head dies between frames 100 and 110
         at_110 = sim.run(replace(cfg, sim_length=110))
@@ -1033,7 +1066,7 @@ class TestObservationViews:
 
     @pytest.mark.parametrize(
         "data",
-        [*GOLDEN_CONFIGS.values(), {"node_count": 4, "group_count": 3, "sim_length": 5}],
+        [*GOLDEN_CONFIGS.values(), ONE_MEMBER_GROUPS],
         ids=[*GOLDEN_CONFIGS, "one_member_groups"],
     )
     def test_lowest_neighbor_trust_is_the_views_minimum(self, monkeypatch, data):
@@ -1256,6 +1289,37 @@ class TestObservationViews:
                 for s in report.nodes.values()
             )
             assert decodes[0] == outcomes > 0
+
+    @pytest.mark.parametrize(
+        "data",
+        [*GOLDEN_CONFIGS.values(), BIG_GROUP, ONE_MEMBER_GROUPS],
+        ids=[*GOLDEN_CONFIGS, "big_group", "one_member_groups"],
+    )
+    def test_one_agent_decision_per_sealing(self, monkeypatch, data):
+        """An adaptive run asks the agent once per sealing: per honest
+        on-air transmission, per off-group uplink, and per aggregate that a
+        lone head stages without radio. A replay is sealed by no one and
+        asks nothing."""
+        decides = count_calls(monkeypatch, SecurityAgent, "decide")
+        stages = 0
+        group_frame = sim._Simulation._group_frame
+
+        def counting_stages(self, group, frame):
+            nonlocal stages
+            lone = self._alive_members(group) == [group.head]
+            if lone and group.pending_aggregate is not None:
+                stages += 1
+            return group_frame(self, group, frame)
+
+        monkeypatch.setattr(sim._Simulation, "_group_frame", counting_stages)
+        report = sim.run(replace(config_from_dict(data), adaptive=True))
+        honest = sum(honest for *_, honest in report.slot_log)
+        uplinks = sum(s.packets_sent for s in report.nodes.values()) - len(report.slot_log)
+        assert decides[0] == honest + uplinks + stages
+        if data is BIG_GROUP:
+            assert (honest, uplinks, stages) == (767, 2, 0)
+        if data is ONE_MEMBER_GROUPS:
+            assert stages > 0
 
     @pytest.mark.parametrize(
         "config",
