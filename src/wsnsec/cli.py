@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional, TextIO, Union
 
 from . import linksec, sim
 from .addressing import NodeAddress
@@ -44,13 +44,21 @@ def _fail(category: str, message: str, code: int) -> int:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _write_outputs(out_dir: str, outputs: dict[str, str], summary: str) -> None:
+def _write_outputs(
+    out_dir: str,
+    outputs: dict[str, Union[str, Callable[[TextIO], None]]],
+    summary: str,
+) -> None:
     """Write each named output file and `summary.txt` into `out_dir`, then
-    print the summary."""
+    print the summary. An output is its text, or a function that writes it
+    to the open file."""
     os.makedirs(out_dir, exist_ok=True)
-    for name, text in {**outputs, "summary.txt": summary}.items():
+    for name, output in {**outputs, "summary.txt": summary}.items():
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(text)
+            if isinstance(output, str):
+                fh.write(output)
+            else:
+                output(fh)
     print(summary, end="")
 
 
@@ -58,7 +66,7 @@ def _cmd_run(args) -> int:
     report = sim.run(load_config(args.config, args.set or []))
     _write_outputs(
         args.out_dir,
-        {"energy.csv": report.energy_csv(), "trust.csv": report.trust_csv()},
+        {"energy.csv": report.energy_csv(), "trust.csv": report.write_trust_csv},
         report.summary_text(),
     )
     return 0

@@ -11,12 +11,11 @@ votes.
 
 from __future__ import annotations
 
-import io
 import math
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field, fields
-from typing import Optional, get_type_hints
+from typing import Optional, TextIO, get_type_hints
 
 from .addressing import NodeAddress
 
@@ -237,25 +236,27 @@ class TrustTable:
 
 def tables_to_csv(tables: Iterable[tuple[NodeAddress, TrustTable]]) -> str:
     """The trust CSV of `(observer, table)` pairs: one header, then each
-    observer's rows in neighbor order. Floats have nine decimals and flags
-    read 0 or 1.
+    observer's rows in neighbor order, as `csv_pieces` gives them, joined
+    once into the final text."""
+    return "".join(csv_pieces(tables))
+
+
+def csv_pieces(tables: Iterable[tuple[NodeAddress, TrustTable]]) -> Iterator[str]:
+    """The trust CSV of `(observer, table)` pairs as the strings it is made
+    of: the header line, then for each line the observer's "G.N," prefix and
+    the row's tail. Floats have nine decimals and flags read 0 or 1.
 
     An observer reads a table filed under another observer, a group's shared
-    ledger, without its own row, as through a view. A line is the observer
-    and a tail: the row's cells from the neighbor on, joined. Each table's
-    tails are formatted and put in neighbor order once, however many
-    observers read it. The memo keeps the tables themselves, so no id it is
+    ledger, without its own row, as through a view. A tail is the row's
+    cells from the neighbor on, joined. Each table's tails are formatted and
+    put in neighbor order once, however many observers read it, and every
+    piece is one of those strings or the observer's one prefix: nothing is
+    built per line. The memo keeps the tables themselves, so no id it is
     keyed on is reused while it runs. No cell holds a comma, a quote or a
     newline (addresses read "G.N", and every number is digits, a sign and a
     point), so the text is exactly what `csv.writer` writes for the same
-    cells.
-
-    Each line is written as it is made. Joining an observer's lines first
-    is faster, but those large temporary strings fragment the heap that the
-    growing text lives in: a process writing a 254-member run's CSV over
-    and over peaked about 2 MB higher."""
-    buf = io.StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
+    cells."""
+    yield ",".join(CSV_COLUMNS) + "\n"
     ordered: dict[int, tuple[TrustTable, list[tuple[NodeAddress, str]]]] = {}
     for observer, table in tables:
         seen = ordered.get(id(table))
@@ -266,8 +267,8 @@ def tables_to_csv(tables: Iterable[tuple[NodeAddress, TrustTable]]) -> str:
         prefix = f"{observer},"
         for neighbor, tail in seen[1]:
             if neighbor != own:
-                buf.write(prefix + tail)
-    return buf.getvalue()
+                yield prefix
+                yield tail
 
 
 def _tail(table: TrustTable, neighbor: NodeAddress) -> str:
@@ -287,9 +288,9 @@ class TrustTables(Mapping[NodeAddress, TrustTable]):
 
     Reading an observer whose table is a shared ledger builds its view: a
     table over the ledger's row objects without the observer's own row.
-    `to_csv` writes from the held tables and builds no view. Two mappings
-    compare equal when they read the same tables; a mapping pickles with
-    each shared ledger once."""
+    `to_csv` and `write_csv` write from the held tables and build no view.
+    Two mappings compare equal when they read the same tables; a mapping
+    pickles with each shared ledger once."""
 
     def __init__(self, tables: dict[NodeAddress, TrustTable]) -> None:
         self._tables = tables
@@ -310,7 +311,15 @@ class TrustTables(Mapping[NodeAddress, TrustTable]):
 
     def to_csv(self) -> str:
         """Every observer's table, in address order, as `tables_to_csv` writes it."""
-        return tables_to_csv((a, self._tables[a]) for a in sorted(self._tables))
+        return tables_to_csv(self._in_order())
+
+    def write_csv(self, fh: TextIO) -> None:
+        """Write `to_csv`'s text to an open text file, piece by piece,
+        never holding the whole text."""
+        fh.writelines(csv_pieces(self._in_order()))
+
+    def _in_order(self) -> Iterator[tuple[NodeAddress, TrustTable]]:
+        return ((a, self._tables[a]) for a in sorted(self._tables))
 
 
 def run_election(

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -424,6 +425,32 @@ class TestSimCommands:
         trust = (out_dir / "trust.csv").read_text().splitlines()
         assert trust[0].startswith("observer,neighbor,ae_t1")
         assert len(trust) == 1 + 4 * 3  # each of 4 observers has 3 neighbors
+
+    def test_outputs_match_library_on_a_golden(self, capsys, tmp_path):
+        """Two groups, deaths and elections: `run` writes the library's
+        `trust.csv` and `energy.csv`, and `compare` the library's energy
+        files of both arms, byte for byte."""
+        golden = json.loads(
+            (pathlib.Path(__file__).parent / "vectors" / "sim_golden" / "configs.json").read_text()
+        )["habitat_death_loss"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(golden))
+        direct = sim.run(config.load_config(str(cfg)))
+        assert len({a.group_id for a in direct.nodes}) == 2
+        assert any(not s.alive for s in direct.nodes.values()) and direct.elections
+        out_dir = tmp_path / "run"
+        code, _, _ = run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert code == 0
+        assert (out_dir / "trust.csv").read_bytes() == direct.trust_csv().encode()
+        assert (out_dir / "energy.csv").read_bytes() == direct.energy_csv().encode()
+        savings = sim.compare_fixed_vs_adaptive(config.load_config(str(cfg)))
+        out_dir = tmp_path / "cmp"
+        code, _, _ = run_cli(capsys, "compare", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert code == 0
+        for name, report in (("fixed_energy.csv", savings.fixed),
+                             ("adaptive_energy.csv", savings.adaptive)):
+            assert (out_dir / name).read_bytes() == report.energy_csv().encode()
+        assert (out_dir / "savings.csv").read_bytes() == savings.savings_csv().encode()
 
     def test_compare_scenario_quick_flags(self, capsys, tmp_path):
         out_dir = tmp_path / "cmp"

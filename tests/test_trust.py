@@ -5,6 +5,8 @@ import math
 import pathlib
 import pickle
 import random
+import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from wsnsec import sim
 from wsnsec.addressing import BROADCAST_NODE_ID, NodeAddress
-from wsnsec.config import config_from_dict
+from wsnsec.config import SimConfig, config_from_dict
 from wsnsec.trust import (
     CSV_COLUMNS,
     RECORD_FIELDS,
@@ -23,6 +25,7 @@ from wsnsec.trust import (
     TrustWeights,
     _ratio,
     compute_trust,
+    csv_pieces,
     run_election,
     tables_to_csv,
 )
@@ -315,6 +318,13 @@ RECORDS = st.builds(
 )
 
 
+def streamed(write):
+    """The text `write` writes to an open text file."""
+    buf = io.StringIO()
+    write(buf)
+    return buf.getvalue()
+
+
 def reference_csv(tables):
     """The trust CSV written row by row, formatting every row it meets: the
     oracle for `tables_to_csv`, which formats each shared row once."""
@@ -336,7 +346,8 @@ def reference_csv(tables):
 class TestTablesToCsv:
     def test_run_with_a_death_matches_reference(self):
         """Live views share the ledger's rows; the dead hold frozen copies.
-        Each table is built afresh from a generator, as `trust_csv` may be."""
+        Each table is built afresh from a generator, as `trust_csv` may be.
+        The streamed writer writes the same text."""
         report = sim.run(config_from_dict(GOLDEN_CONFIGS["habitat_election"]))
         assert any(not stats.alive for stats in report.nodes.values())
         tables = report.trust_tables
@@ -349,6 +360,7 @@ class TestTablesToCsv:
         assert tables_to_csv(fresh) == tables_to_csv(tables.items())
         assert tables_to_csv((a, tables[a]) for a in sorted(tables)) == want
         assert report.trust_csv() == want
+        assert streamed(report.write_trust_csv) == want
 
     def test_lone_table_matches_reference(self):
         rnd = random.Random(5)
@@ -365,7 +377,8 @@ class TestTablesToCsv:
         and observers' own tables, with rows filed under several neighbors
         and in several tables, trust cached on some rows and not on others,
         and floats from the smallest subnormal to the largest finite: the
-        text is the oracle's for the tables each observer reads."""
+        text is the oracle's for the tables each observer reads, joined or
+        streamed."""
         weights = data.draw(st.sampled_from([TrustWeights(), TrustWeights(*[0.1] * 6)]))
         pool = data.draw(st.lists(RECORDS, min_size=1, max_size=6))
 
@@ -406,6 +419,32 @@ class TestTablesToCsv:
             return TrustTable(observer, table.weights, rows)
 
         assert got == reference_csv(view(*pair) for pair in pairs)
+        assert streamed(lambda fh: fh.writelines(csv_pieces(iter(pairs)))) == got
+
+    def test_csv_memory(self):
+        """Two groups of 127 members, 3 frames: the joined text is made in
+        one piece, below 1.5 times its length at its peak, and the streamed
+        write holds under 1 MB. A text grown in a buffer and copied out
+        peaked at 2.56 times its length."""
+        report = sim.run(SimConfig(seed=7, node_count=254, group_count=2, sim_length=3))
+        tracemalloc.start()
+        try:
+            text = report.trust_csv()
+            joined = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text.splitlines()) == 1 + 2 * 127 * 126
+        assert joined < 1.5 * len(text)
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                report.write_trust_csv(fh)
+                written = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            fh.seek(0)
+            assert fh.read() == text
+        assert written < 1_000_000
 
 
 class TestTrustTables:
