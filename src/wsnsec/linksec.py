@@ -148,13 +148,16 @@ def wire_size(payload_len: int, auth: bool) -> int:
 # ---------------------------------------------------------------------------
 
 def _sender_key(ring: KeyRing, dest: int) -> SymmetricKey:
+    # `[0]` and `[1]` of an address are its group and node ids, read without
+    # the properties (see `_receiver_key`).
     if dest == BROADCAST_NODE_ID:
         return ring.session if ring.session is not None else ring.broadcast
-    if dest == ring.owner.node_id:
+    owner, head = ring.owner, ring.head
+    if dest == owner[1]:
         raise UnknownDestinationError("cannot address a packet to oneself")
-    if dest == ring.head.node_id and ring.owner != ring.head:
+    if dest == head[1] and owner != head:
         return ring.node_based
-    group = ring.owner.group_id
+    group = owner[0]
     try:
         return ring.pairwise[group, dest]  # see `_receiver_key` on the tuple
     except KeyError:

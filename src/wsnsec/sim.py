@@ -40,12 +40,13 @@ Model (desk scale, normative for the closed-form energy tests):
   every subject but themselves, so each group keeps one shared ledger of
   neighbor rows, and a member's trust table is the ledger without its own
   row. An event is dropped when no alive member but its subject is left to
-  see it. `_observe` checks that rule per event. `_transmit` checks it once
-  for the sender's records, after its listener loop, since a listener's
-  charge can kill. `_frame_end` checks it once per group: every subject
-  there is an alive member and nothing dies there, so the rule reads "two
-  alive members or more". A node that dies keeps a frozen copy of what it
-  had seen. Elections and the report hold the ledgers and frozen copies
+  see it. `_observe` checks that rule per event. `_transmit` checks it
+  against one read of the alive members, for the sender's records and the
+  destination's, after its listener loop, since a listener's charge can
+  kill. `_frame_end` checks it once per group: every subject there is an
+  alive member and nothing dies there, so the rule reads "two alive members
+  or more". A node that dies keeps a frozen copy of what it had seen.
+  Elections and the report hold the ledgers and frozen copies
   themselves: a member's view, a table of its own, is built only when
   `SimReport.trust_tables` is read at that member, and `trust.csv` is
   written from the ledgers. Lossy or partial observation would need one
@@ -137,6 +138,14 @@ from .trust import TrustTable, TrustTables, run_election
 BASE_STATION = NodeAddress(0, 0)
 _SESSION_SEED_TAG = b"\x10"
 
+# The packet classes, bound once. `EnumType` defines `__getattr__`, so on
+# CPython 3.11 reading a member off its class, `PacketClass.SENSED_DATA`,
+# takes the slow attribute path: 100 ns, against 7 ns for a module global.
+_ROUTING_CONTROL = PacketClass.ROUTING_CONTROL
+_SENSED_DATA = PacketClass.SENSED_DATA
+_CONTROL = PacketClass.CONTROL
+_KEY_MATERIAL = PacketClass.KEY_MATERIAL
+
 
 # =============================================================================
 # Internal node / group state
@@ -200,7 +209,8 @@ class _Node:
 
     @property
     def remaining(self) -> float:
-        self.settle()
+        if self.channel.deferred != self.heard:
+            self.settle()
         return self.model.initial_energy - self.stats.ledger.total
 
     def settle(self) -> None:
@@ -235,30 +245,42 @@ class _Node:
         bounds it by the battery left, so the clamp returns it and the node
         cannot die. Only a nonzero rx amount settles first, so the `rx`
         additions keep their order; settling adds to `rx` alone, and no
-        clamp reads the total. Every float is that of the clamped path."""
+        clamp reads the total. Every float is that of the clamped path.
+
+        Off the budget, the total is read on entry and again only after a
+        nonzero amount. A living node enters with `left > 0`, or with an
+        empty battery and `left` 0.0 or -0.0, so a zero amount would book
+        0.0 or -0.0, which changes no field (none is ever -0.0): skipping
+        it leaves every float, and `left`, as they were."""
         stats = self.stats
         if not stats.alive:
             return
         spent = stats.ledger
-        if self.channel.budgeted:
+        channel = self.channel
+        if channel.budgeted:
             if rx:
-                if self.channel.deferred != self.heard:
+                if channel.deferred != self.heard:
                     self.settle()
                 spent.rx += rx
             spent.crypto += crypto
             spent.tx += tx
             return
-        if self.channel.deferred != self.heard:
+        if channel.deferred != self.heard:
             self.settle()
         initial = self.model.initial_energy
-        spent.rx += min(rx, initial - spent.total)
         left = initial - spent.total
-        if left > 0:
-            spent.crypto += min(crypto, left)
+        if rx:
+            spent.rx += min(rx, left)
             left = initial - spent.total
+        if left > 0:
+            if crypto:
+                spent.crypto += min(crypto, left)
+                left = initial - spent.total
             if left > 0:
-                spent.tx += min(tx, left)
-                if initial - spent.total > 0:
+                if tx:
+                    spent.tx += min(tx, left)
+                    left = initial - spent.total
+                if left > 0:
                     return
         self._die()
 
@@ -323,7 +345,7 @@ _OCTETS = bytes(range(256)) * 2
 def _reading(node: _Node, frame: int) -> bytes:
     """The node's sensed payload for one frame: the 10 octets counting up
     from `frame + node id`, mod 256."""
-    start = (frame + node.addr.node_id) & 0xFF
+    start = (frame + node.addr[1]) & 0xFF  # [1]: the node id
     return _OCTETS[start:start + 10]
 
 
@@ -402,12 +424,9 @@ class _Simulation:
     def _decide(self, sender: _Node, pclass: PacketClass) -> SecurityLevel:
         # Key material takes the agent's rule in both arms: a session key
         # always ships at the strongest level, with a tag.
-        if self.config.adaptive or pclass is PacketClass.KEY_MATERIAL:
+        if self.config.adaptive or pclass is _KEY_MATERIAL:
             return sender.agent.decide(pclass)
         return self.config.scenario.fixed_level
-
-    def _crypto_cost(self, level: SecurityLevel, payload_len: int) -> float:
-        return self.crypto_costs[(level.encryption << 1) | level.auth][payload_len]
 
     def _alive_members(self, group: _Group) -> list[_Node]:
         if group.deaths_seen != group.channel.deaths:
@@ -441,18 +460,15 @@ class _Simulation:
         This stands for every alive member observing it: in a loss-free
         single-hop clique all of them see the same events, except those
         about themselves. The event is dropped when no alive member but its
-        subject is left to see it (`_watched`). `_transmit` checks that rule
-        once for the sender's records, after its listener loop, and
-        `_frame_end` once per group. Lossy or partial observation would need
-        one table per observer again.
+        subject is left to see it. `_transmit` checks that rule against one
+        read of the alive members, after its listener loop, for the
+        sender's records and the destination's, and `_frame_end` once per
+        group. Lossy or partial observation would need one table per
+        observer again.
         """
-        if self._watched(group, subject):
-            group.ledger.record(subject, kind, value)
-
-    def _watched(self, group: _Group, subject: NodeAddress) -> bool:
-        """Whether an alive member other than `subject` is left to observe it."""
         alive = self._alive_members(group)
-        return len(alive) > 1 or (len(alive) == 1 and alive[0].addr != subject)
+        if len(alive) > 1 or (alive and alive[0].addr != subject):
+            group.ledger.record(subject, kind, value)
 
     def _transmit(
         self,
@@ -481,17 +497,20 @@ class _Simulation:
         What is fixed for the transmission (the costs, the wire's size, the
         receive-counter key, the loss settings) is computed once; the
         listener loop does only each listener's loss draw, charge and
-        decode. The sender's observations share one check of `_observe`'s
-        drop rule, made after the loop, since a listener's charge in an
-        unbudgeted frame can kill it."""
-        if not sender.alive:
+        decode. The sender's records and the destination's share one read
+        of the alive members for `_observe`'s drop rule, made after the
+        loop, since a listener's charge in an unbudgeted frame can kill it.
+        Addresses are read by index, `[1]` the node id, without the
+        properties."""
+        if not sender.stats.alive:
             return {}
         broadcast = dest == BROADCAST_NODE_ID
+        target = None if broadcast else group.by_id[dest]
         # A unicast to anyone but the head rides the pair's pairwise key
         # (see `linksec._sender_key` and `_receiver_key`); a replayed wire's
         # source is its header's.
-        if not broadcast and dest != group.head.addr.node_id:
-            src = sender.addr.node_id if replayed_wire is None else replayed_wire.header.src
+        if not broadcast and dest != group.head.addr[1]:
+            src = sender.addr[1] if replayed_wire is None else replayed_wire.header.src
             self._share_pairwise(group, src, dest)
         if replayed_wire is None:
             slot = group.next_slot
@@ -506,8 +525,9 @@ class _Simulation:
         # An honest wire's header holds the sealing level and the payload's
         # length, so one cost is the seal's and every open's.
         header = wire.header
-        size = linksec.wire_size(header.length, header.level.auth)
-        open_cost = self._crypto_cost(header.level, header.length)
+        level = header.level
+        size = linksec.wire_size(header.length, level.auth)
+        open_cost = self.crypto_costs[(level.encryption << 1) | level.auth][header.length]
         # A replay is a verbatim retransmission: no sealing work is charged.
         seal_cost = open_cost if replayed_wire is None else 0.0
         sender.charge(crypto=seal_cost, tx=self.model.tx_per_octet * size)
@@ -522,8 +542,7 @@ class _Simulation:
         else:
             # Every other alive member parses the clear header and gates
             # off; the channel counts that listen and each settles it later.
-            target = group.by_id[dest]
-            listeners = [target] if target.alive else []
+            listeners = [target] if target.stats.alive else []
             channel.deferred += 1
             sender.heard += 1
             if target is not sender:  # a replayer may resend a wire sent to it
@@ -566,20 +585,23 @@ class _Simulation:
                         stats.bcast_ok_before_rekey += 1
                     else:
                         stats.bcast_ok_after_rekey += 1
-        # `_observe`'s drop rule, once for the sender's records, after the
-        # loop: a listener's charge may have killed the sender's last observer.
-        if self._watched(group, sender.addr):
-            record = group.ledger.record
+        # `_observe`'s drop rule, after the loop: a listener's charge may have
+        # killed the last observer of the sender or of the destination. The
+        # records kill no one, so one read of the alive members serves both.
+        alive = self._alive_members(group)
+        many = len(alive) > 1
+        record = group.ledger.record
+        if many or (alive and alive[0] is not sender):
             record(sender.addr, "packet-transmitted")
             if replayed_wire is not None:
                 record(sender.addr, "collision")
-        if not broadcast:
-            self._observe(group, group.by_id[dest].addr, "packet-received")
+        if target is not None and (many or (alive and alive[0] is not target)):
+            record(target.addr, "packet-received")
 
         # Replay attackers squirrel away the latest sensed-data wire.
-        if pclass is PacketClass.SENSED_DATA and replayed_wire is None:
+        if pclass is _SENSED_DATA and replayed_wire is None:
             for node in group.replayers:
-                if node.alive and node is not sender:
+                if node.stats.alive and node is not sender:
                     node.captured_wire = (wire, dest)
         return decoded
 
@@ -611,14 +633,14 @@ class _Simulation:
             return
         # Step 1: the head calls for a re-election.
         self._transmit(
-            group, frame, head, BROADCAST_NODE_ID, PacketClass.CONTROL, b"reelect!"
+            group, frame, head, BROADCAST_NODE_ID, _CONTROL, b"reelect!"
         )
         # Step 2: every other member casts its vote toward the head.
         for member in members:
             if member is head:
                 continue
             self._transmit(
-                group, frame, member, head.addr.node_id, PacketClass.CONTROL,
+                group, frame, member, head.addr.node_id, _CONTROL,
                 member.addr.encode() + b"\x00\x00",
             )
         # Step 3: tally and hand over.
@@ -629,7 +651,7 @@ class _Simulation:
         new_head, vice = run_election([n.addr for n in members], tables, head.addr)
         result = new_head.encode() + (vice.encode() if vice else b"\x00\x00")
         self._transmit(
-            group, frame, head, BROADCAST_NODE_ID, PacketClass.CONTROL, result
+            group, frame, head, BROADCAST_NODE_ID, _CONTROL, result
         )
         self.elections.append(
             ElectionEvent(frame, group.gid, head.addr, new_head, vice)
@@ -660,7 +682,7 @@ class _Simulation:
         )
         for addr in sorted(recipients):
             decoded = self._transmit(
-                group, frame, head, addr.node_id, PacketClass.KEY_MATERIAL, k1.data
+                group, frame, head, addr.node_id, _KEY_MATERIAL, k1.data
             )
             if addr in decoded:
                 self.nodes[addr].ring.session = SymmetricKey(decoded[addr])
@@ -679,31 +701,33 @@ class _Simulation:
         if not members:
             return
         head = group.head
-        if not head.alive:
+        if not head.stats.alive:
             return
+        crypto_costs = self.crypto_costs
         others = [n for n in members if n is not head]
         if not others:
             # Lone node: nothing goes on air; it stages its sealed aggregate
             # until a relay exists.
             if group.pending_aggregate is not None:
-                level = self._decide(head, PacketClass.SENSED_DATA)
-                head.charge(crypto=self._crypto_cost(level, len(group.pending_aggregate)))
+                level = self._decide(head, _SENSED_DATA)
+                costs = crypto_costs[(level.encryption << 1) | level.auth]
+                head.charge(crypto=costs[len(group.pending_aggregate)])
             group.pending_aggregate = _reading(head, frame)
             return
         duty = others[frame % len(others)]
+        head_id = head.addr[1]  # the node id
 
         # Head slot: schedule beacon, then the aggregate handoff.
         beacon = frame.to_bytes(4, "big") + bytes((group.gid,)) + b"\x00\x00\x00"
         beacon_rx = self._transmit(
-            group, frame, head, BROADCAST_NODE_ID, PacketClass.ROUTING_CONTROL, beacon
+            group, frame, head, BROADCAST_NODE_ID, _ROUTING_CONTROL, beacon
         )
         duty_has_beacon = duty.addr in beacon_rx
         self._observe(group, duty.addr, "control-received-for-forward")
         handoff_ok = False
         if group.pending_aggregate is not None:
             decoded = self._transmit(
-                group, frame, head, duty.addr.node_id, PacketClass.SENSED_DATA,
-                group.pending_aggregate,
+                group, frame, head, duty.addr[1], _SENSED_DATA, group.pending_aggregate
             )
             self._observe(group, duty.addr, "data-received-for-forward")
             handoff_ok = duty.addr in decoded
@@ -713,8 +737,7 @@ class _Simulation:
         collected: list[bytes] = []
         for member in others:
             decoded = self._transmit(
-                group, frame, member, head.addr.node_id, PacketClass.SENSED_DATA,
-                _reading(member, frame),
+                group, frame, member, head_id, _SENSED_DATA, _reading(member, frame)
             )
             if head.addr in decoded:
                 collected.append(decoded[head.addr])
@@ -728,11 +751,11 @@ class _Simulation:
                         # Uplink toward the base station: off-group radio,
                         # modeled as transmit + seal cost with no receiver.
                         length = len(group.pending_aggregate)
-                        level = self._decide(member, PacketClass.SENSED_DATA)
+                        level = self._decide(member, _SENSED_DATA)
                         size = linksec.wire_size(length, level.auth)
+                        costs = crypto_costs[(level.encryption << 1) | level.auth]
                         member.charge(
-                            crypto=self._crypto_cost(level, length),
-                            tx=self.model.tx_per_octet * size,
+                            crypto=costs[length], tx=self.model.tx_per_octet * size
                         )
                         member.stats.packets_sent += 1
                         self._observe(group, member.addr, "data-forwarded")
@@ -741,8 +764,8 @@ class _Simulation:
                         pass
                     else:
                         self._transmit(
-                            group, frame, member, BROADCAST_NODE_ID,
-                            PacketClass.ROUTING_CONTROL, beacon,
+                            group, frame, member, BROADCAST_NODE_ID, _ROUTING_CONTROL,
+                            beacon,
                         )
                         self._observe(group, member.addr, "control-forwarded")
 
@@ -750,8 +773,7 @@ class _Simulation:
             if replays and member.captured_wire is not None:
                 wire, dest = member.captured_wire
                 self._transmit(
-                    group, frame, member, dest, PacketClass.SENSED_DATA, b"",
-                    replayed_wire=wire,
+                    group, frame, member, dest, _SENSED_DATA, b"", replayed_wire=wire
                 )
 
         # The head's own reading joins locally; the aggregate ships next frame.

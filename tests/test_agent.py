@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wsnsec.agent import (
     LEVEL_STRONGEST,
@@ -17,6 +17,14 @@ from wsnsec.linksec import LEVELS, Encryption, SecurityLevel
 MILITARY = default_policy("military-surveillance", 1000.0)
 HABITAT = default_policy("habitat-monitoring", 1000.0)
 FARM = default_policy("agricultural-farming", 1000.0)
+# A policy whose minimum is its base, above XOR, with no tag by default.
+PINNED_R8 = ScenarioPolicy(
+    name="pinned-r8",
+    base_level=SecurityLevel(Encryption.RC5_R8, False),
+    min_level=SecurityLevel(Encryption.RC5_R8, True),
+    energy_floor=50.0,
+    trust_alarm=0.2,
+)
 
 
 def decide(policy, pclass=PacketClass.SENSED_DATA, energy=math.inf, trust=None):
@@ -125,6 +133,17 @@ def policies(draw):
     st.none() | st.floats(0.0, 1.0, exclude_max=True),
     st.sampled_from(PacketClass),
 )
+# The edges of the ladder's comparisons and clamps, which random floats
+# rarely hit: trust exactly at the alarm (no step up, so low energy steps
+# down), energy exactly at the floor (no step down), a step up from
+# RC5_R12, steps down from a base at the minimum (RC5_R8 and XOR), and a
+# node without neighbors on low energy.
+@example(HABITAT, 100.0, HABITAT.trust_alarm, PacketClass.SENSED_DATA)
+@example(HABITAT, HABITAT.energy_floor, 0.9, PacketClass.SENSED_DATA)
+@example(MILITARY, 500.0, 0.0, PacketClass.CONTROL)
+@example(PINNED_R8, 10.0, 0.5, PacketClass.SENSED_DATA)
+@example(FARM, 0.0, 0.9, PacketClass.ROUTING_CONTROL)
+@example(HABITAT, 100.0, None, PacketClass.CONTROL)
 def test_ladder_stays_within_policy(policy, energy, trust, pclass):
     level = decide(policy, pclass, energy, trust)
     # The shared table entry itself, equal to the level built from the rule.

@@ -1047,6 +1047,41 @@ class TestObservationViews:
         simulation._frame_end(1)
         assert rows[head.addr] == seen and rows[head.addr]._energy_samples == 1
 
+    @pytest.mark.parametrize(
+        "sender_dies, dest_dies, sender_seen, dest_seen",
+        [
+            pytest.param(True, False, True, False, id="sender-dies-on-its-charge"),
+            pytest.param(False, True, False, True, id="destination-dies-on-receive"),
+            pytest.param(True, True, False, False, id="nobody-survives"),
+        ],
+    )
+    def test_unicast_drop_rule_with_one_survivor_or_none(
+        self, sender_dies, dest_dies, sender_seen, dest_seen
+    ):
+        """A unicast's two records, the sender's `packet-transmitted` and
+        the destination's `packet-received`, each follow `_observe`'s drop
+        rule after the charges: the event is kept while an alive member
+        other than its subject is left. In a group of two, the one who
+        survives sees only the other's event, and with no survivor both
+        are dropped."""
+        simulation = sim._Simulation(SimConfig(seed=1, node_count=2, group_count=1,
+                                               sim_length=0))
+        group = simulation.groups[0]
+        head, member = group.nodes
+        rows = group.ledger.rows
+        simulation._frame_end(0)  # every member gets its row
+        for node, dies in ((member, sender_dies), (head, dest_dies)):
+            if dies:  # one seal or receive is more than is left
+                node.charge(tx=node.remaining - 1e-9)
+        assert head.alive and member.alive and not group.channel.budgeted
+        before = (rows[member.addr].npt, rows[head.addr].npr)
+        simulation._transmit(group, 0, member, head.addr.node_id,
+                             PacketClass.SENSED_DATA, b"reading!")
+        assert (member.alive, head.alive) == (not sender_dies, not dest_dies)
+        assert (rows[member.addr].npt, rows[head.addr].npr) == (
+            before[0] + sender_seen, before[1] + dest_seen
+        )
+
     def test_dead_observer_keeps_counters_from_its_death(self):
         cfg = small_battery_cfg(7)  # the head dies between frames 100 and 110
         at_110 = sim.run(replace(cfg, sim_length=110))
