@@ -29,8 +29,9 @@ Model (desk scale, normative for the closed-form energy tests):
   handoff and re-key deliveries), so set-up is linear in the group's size,
   in time and in memory.
 * Elections: when the head's remaining energy falls below 20% of the group
-  median it calls an election (broadcast + one vote per member + result
-  broadcast) and hands over to the vote winner.
+  median (taken as `statistics.median` takes it, from one local sort) it
+  calls an election (broadcast + one vote per member + result broadcast)
+  and hands over to the vote winner.
 * Adversaries: `drop-fraction` nodes drop duty obligations, `replay-attacker`
   nodes retransmit a captured packet out of slot each frame, `captured`
   nodes advertise rising energy readings and trip the suspicious flag.
@@ -46,6 +47,11 @@ Model (desk scale, normative for the closed-form energy tests):
   kill. `_frame_end` checks it once per group: every subject there is an
   alive member and nothing dies there, so the rule reads "two alive members
   or more". A node that dies keeps a frozen copy of what it had seen.
+  At a frame's end each alive member's energy and signal samples go into
+  the ledger through `TrustTable.record`, the one entry for observations,
+  and one pass over the ledger, `TrustTable.lowest_two`, gives every
+  member's lowest neighbor trust: the lower of the two lowest entries that
+  is not the member's own.
   Elections and the report hold the ledgers and frozen copies
   themselves: a member's view, a table of its own, is built only when
   `SimReport.trust_tables` is read at that member, and `trust.csv` is
@@ -107,12 +113,10 @@ drives adversary drops and channel loss, everything else is arithmetic.
 
 from __future__ import annotations
 
-import heapq
 import os
 import pickle
 import random
 import signal
-import statistics
 import threading
 from dataclasses import replace
 from functools import lru_cache
@@ -628,7 +632,12 @@ class _Simulation:
             and frame - group.last_election_frame < self.config.session_length
         ):
             return
-        median = statistics.median(n.remaining for n in members)
+        # The median as `statistics.median` takes it: the middle of the
+        # sorted batteries, or the mean of the middle two.
+        left = [n.remaining for n in members]
+        left.sort()
+        half = len(left) // 2
+        median = left[half] if len(left) % 2 else (left[half - 1] + left[half]) / 2
         if head.remaining >= 0.2 * median:
             return
         # Step 1: the head calls for a re-election.
@@ -769,8 +778,8 @@ class _Simulation:
                         )
                         self._observe(group, member.addr, "control-forwarded")
 
-            replays = _acts(member, "replay-attacker", frame)
-            if replays and member.captured_wire is not None:
+            # Only a replayer ever holds a captured wire.
+            if member.captured_wire is not None and _acts(member, "replay-attacker", frame):
                 wire, dest = member.captured_wire
                 self._transmit(
                     group, frame, member, dest, _SENSED_DATA, b"", replayed_wire=wire
@@ -800,13 +809,10 @@ class _Simulation:
                     record(node.addr, "energy-sample", claimed)
                     record(node.addr, "signal-sample", 0.8)
             # A member's neighbors are the ledger's subjects but itself: the
-            # lowest of the ledger's two lowest entries that is not its own
+            # lower of the ledger's two lowest entries that is not its own
             # is the member's lowest neighbor trust. Missing entries read as
             # (None, None).
-            (first, first_subject), (second, _) = (
-                heapq.nsmallest(2, ((ledger.election_trust(s), s) for s in ledger.rows))
-                + [(None, None)] * 2
-            )[:2]
+            (first, first_subject), (second, _) = ledger.lowest_two()
             for node in members:
                 node.agent.lowest_neighbor_trust = (
                     first if first_subject != node.addr else second

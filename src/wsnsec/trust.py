@@ -81,34 +81,39 @@ class TrustWeights:
         return (self.w1, self.w2, self.w3, self.w4, self.w5, self.w6)
 
 
-def _ratio(num: float, den: float) -> float:
-    """Behavior ratio clamped to [0, 1]; an undefined ratio (zero
-    denominator) counts as neutral: a node never asked to forward has not
-    misbehaved."""
-    if den == 0:
-        return 1.0
-    r = num / den
-    # Clamps as `min(max(r, 0.0), 1.0)` does, -0.0 and NaN included.
-    return 0.0 if r < 0.0 else 1.0 if r > 1.0 else r
-
-
 def compute_trust(record: NeighborRecord, weights: TrustWeights) -> float:
     """Weighted sum of the six behavior ratios; always in [0, 1).
 
     The six terms: energy drain ratio, signal drift ratio, control and data
     forwarding ratios, collision-freeness, and delivery (non-drop) ratio.
-    A rising signal sample would make the drift ratio negative; each term
-    is clamped into [0, 1] so trust stays well-defined.
+    An undefined ratio (zero denominator) counts as neutral: a node never
+    asked to forward has not misbehaved, and one that never sent or
+    received has collided or dropped nothing. A rising signal sample would
+    make the drift ratio negative; each ratio is clamped into [0, 1], as
+    `min(max(r, 0.0), 1.0)` clamps it, -0.0 and NaN included, so trust stays
+    well-defined. The clamps are written out in place, with no call per
+    term: the simulator computes a trust per row and frame.
     """
-    a1 = _ratio(record.ae_t1 - record.ae_t2, record.ae_t1)
-    a2 = _ratio(record.pss_t1 - record.pss_t2, record.pss_t1)
-    a3 = _ratio(record.craf, record.crf)
-    a4 = _ratio(record.draf, record.drf)
-    a5 = 1.0 if record.npt == 0 else 1.0 - _ratio(record.npc, record.npt)
-    a6 = 1.0 if record.npr == 0 else 1.0 - _ratio(record.pd, record.npr)
+    ae = record.ae_t1
+    pss = record.pss_t1
+    crf = record.crf
+    drf = record.drf
+    npt = record.npt
+    npr = record.npr
+    r1 = 1.0 if ae == 0 else (ae - record.ae_t2) / ae
+    r2 = 1.0 if pss == 0 else (pss - record.pss_t2) / pss
+    r3 = 1.0 if crf == 0 else record.craf / crf
+    r4 = 1.0 if drf == 0 else record.draf / drf
+    # 1 - clamp(0.0) is the neutral 1.0 of a node that never sent or received.
+    r5 = 0.0 if npt == 0 else record.npc / npt
+    r6 = 0.0 if npr == 0 else record.pd / npr
     return (
-        weights.w1 * a1 + weights.w2 * a2 + weights.w3 * a3
-        + weights.w4 * a4 + weights.w5 * a5 + weights.w6 * a6
+        weights.w1 * (0.0 if r1 < 0.0 else 1.0 if r1 > 1.0 else r1)
+        + weights.w2 * (0.0 if r2 < 0.0 else 1.0 if r2 > 1.0 else r2)
+        + weights.w3 * (0.0 if r3 < 0.0 else 1.0 if r3 > 1.0 else r3)
+        + weights.w4 * (0.0 if r4 < 0.0 else 1.0 if r4 > 1.0 else r4)
+        + weights.w5 * (1.0 - (0.0 if r5 < 0.0 else 1.0 if r5 > 1.0 else r5))
+        + weights.w6 * (1.0 - (0.0 if r6 < 0.0 else 1.0 if r6 > 1.0 else r6))
     )
 
 
@@ -116,9 +121,13 @@ def compute_trust(record: NeighborRecord, weights: TrustWeights) -> float:
 class TrustTable:
     """One observer's per-neighbor records and derived trust values.
 
-    Recording an observation only updates the row; `trust(neighbor)`
+    `record` is the one entry for observations: every event, per packet or
+    per frame, goes through it, and it only updates the row. `trust(neighbor)`
     computes the neighbor's trust when it is read (also through
-    `election_trust` and `to_csv`), once per change of the row.
+    `election_trust`, `lowest_two` and `to_csv`), once per change of the
+    row. `lowest_two` gives the two lowest `(election_trust, subject)` pairs
+    in one pass over the rows: the lower of them that is not a member's own
+    is that member's lowest neighbor trust.
 
     The simulator keeps one table per group, recording each observation
     once. A member reads it without its own row: elections and the trust
@@ -143,30 +152,46 @@ class TrustTable:
             rec._trust = compute_trust(rec, self.weights)
         return rec._trust
 
-    def row(self, neighbor: NodeAddress) -> NeighborRecord:
-        rec = self.rows.get(neighbor)
-        if rec is None:
-            rec = NeighborRecord()
-            self.rows[neighbor] = rec
-        return rec
-
     def record(self, neighbor: NodeAddress, kind: str, value: Optional[float] = None) -> None:
-        """Apply one observation event; exactly one field changes.
+        """Apply one observation event; exactly one field changes. A row is
+        made on its subject's first event.
 
         An energy sample that is higher than the previous one is not
         stored: claiming to regain energy marks the neighbor suspicious
         instead, which zeroes it out for election purposes.
         """
-        rec = self.row(neighbor)
+        rec = self.rows.get(neighbor)
+        if rec is None:
+            rec = self.rows[neighbor] = NeighborRecord()
         # The kinds recorded per packet or per frame come first.
         if kind == "packet-transmitted":
             rec.npt += 1
         elif kind == "packet-received":
             rec.npr += 1
         elif kind == "energy-sample":
-            self._energy_sample(rec, value)
+            if value is None or not 0 <= value < math.inf:
+                raise ValueError("energy sample must be finite and non-negative")
+            if rec._energy_samples == 0:
+                rec.ae_t1 = rec.ae_t2 = value
+                rec._energy_samples = 1
+            elif value > rec.ae_t2:
+                # Energy cannot grow; a node advertising more energy than
+                # before is faking its reading.
+                rec.suspicious = True
+            else:
+                rec.ae_t1 = rec.ae_t2
+                rec.ae_t2 = value
+                rec._energy_samples += 1
         elif kind == "signal-sample":
-            self._signal_sample(rec, value)
+            if value is None or not 0.0 < value <= 1.0:
+                raise ValueError("signal sample must be normalized into (0, 1]")
+            if rec._signal_samples == 0:
+                rec.pss_t1 = rec.pss_t2 = value
+                rec._signal_samples = 1
+            else:
+                rec.pss_t1 = rec.pss_t2
+                rec.pss_t2 = value
+                rec._signal_samples += 1
         elif kind == "control-received-for-forward":
             rec.crf += 1
         elif kind == "control-forwarded":
@@ -191,35 +216,6 @@ class TrustTable:
             raise ValueError(f"unknown event kind {kind!r}")
         rec._trust = None
 
-    @staticmethod
-    def _energy_sample(rec: NeighborRecord, value: Optional[float]) -> None:
-        if value is None or not 0 <= value < math.inf:
-            raise ValueError("energy sample must be finite and non-negative")
-        if rec._energy_samples == 0:
-            rec.ae_t1 = rec.ae_t2 = value
-            rec._energy_samples = 1
-            return
-        if value > rec.ae_t2:
-            # Energy cannot grow; a node advertising more energy than
-            # before is faking its reading.
-            rec.suspicious = True
-            return
-        rec.ae_t1 = rec.ae_t2
-        rec.ae_t2 = value
-        rec._energy_samples += 1
-
-    @staticmethod
-    def _signal_sample(rec: NeighborRecord, value: Optional[float]) -> None:
-        if value is None or not 0.0 < value <= 1.0:
-            raise ValueError("signal sample must be normalized into (0, 1]")
-        if rec._signal_samples == 0:
-            rec.pss_t1 = rec.pss_t2 = value
-            rec._signal_samples = 1
-            return
-        rec.pss_t1 = rec.pss_t2
-        rec.pss_t2 = value
-        rec._signal_samples += 1
-
     def election_trust(self, neighbor: NodeAddress) -> float:
         """Trust as used for voting and re-keying: suspicious peers count 0."""
         rec = self.rows.get(neighbor)
@@ -228,6 +224,32 @@ class TrustTable:
         if rec.suspicious:
             return 0.0
         return self.trust(neighbor)
+
+    def lowest_two(self) -> tuple[
+        tuple[Optional[float], Optional[NodeAddress]],
+        tuple[Optional[float], Optional[NodeAddress]],
+    ]:
+        """The two lowest `(election_trust, subject)` pairs over the rows,
+        lowest first, in one pass; ties break toward the lower address, and
+        a missing pair reads `(None, None)`. A stale trust is computed and
+        kept on its row, as `trust` does."""
+        weights = self.weights
+        first = second = None
+        first_subject = second_subject = None
+        for subject, rec in self.rows.items():
+            if rec.suspicious:
+                t = 0.0
+            else:
+                t = rec._trust
+                if t is None:
+                    t = rec._trust = compute_trust(rec, weights)
+            # `(t, subject) < (first, first_subject)`, without the tuples.
+            if first_subject is None or t < first or (t == first and subject < first_subject):
+                first, second = t, first
+                first_subject, second_subject = subject, first_subject
+            elif second_subject is None or t < second or (t == second and subject < second_subject):
+                second, second_subject = t, subject
+        return (first, first_subject), (second, second_subject)
 
     def to_csv(self) -> str:
         """Rows in the documented column order, one line per neighbor."""

@@ -3,6 +3,7 @@ And its imports: ``pyproject.toml`` declares no dependencies."""
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -40,6 +41,23 @@ def test_imports_only_stdlib():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_import_loads_no_unused_stdlib_module():
+    """In a fresh interpreter, `import wsnsec` loads none of `statistics`
+    (which brings `decimal`, `fractions` and `numbers` along), `heapq` or
+    `logging`. The package uses none of them, and each would cost every
+    start of the CLI."""
+    src = str(pathlib.Path(wsnsec.__file__).parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import wsnsec; "
+        "print(*sorted({'statistics', 'heapq', 'logging'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, src],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.split() == []
 
 
 @pytest.mark.parametrize(

@@ -56,10 +56,14 @@ def test_benchmark_selftest_passes():
 
 def test_traced_big_group_unit_sees_each_layer(workloads, spans):
     """One `big_group` unit under the benchmark's tracer: its span on
-    `linksec.decode` counts every decode outcome of the run's report, and
-    its spans on `TrustTable.record` and `SecurityAgent.decide` see calls.
-    So the simulator reaches each layer through the names the tracer
-    wraps, and `--trace 1` reports what the run did."""
+    `linksec.decode` counts every decode outcome of the run's report, its
+    span on `compute_trust` one call per member and frame (each frame's
+    energy samples leave every row stale, and the frame's end reads each
+    row's trust once), its span on `TrustTable.record` the run's 3,062
+    observations, and its span on `SecurityAgent.decide` calls. An honest
+    run's counts do not depend on its seed. So the simulator reaches each
+    layer through the names the tracer wraps, and `--trace 1` reports what
+    the run did."""
     workload = workloads.WORKLOADS["big_group"](wsnsec, 1)
     tracer = spans.Tracer()
     reports = []
@@ -81,5 +85,6 @@ def test_traced_big_group_unit_sees_each_layer(workloads, spans):
     calls = tracer.summary().calls
     assert calls["sim.run"] == 1
     assert calls["linksec.decode"] == outcomes > 0
-    assert calls["trust.TrustTable.record"] > 0
+    assert calls["trust.compute_trust"] == len(report.nodes) * report.frames == 254 * 3
+    assert calls["trust.TrustTable.record"] == 3062
     assert calls["agent.SecurityAgent.decide"] > 0

@@ -23,7 +23,6 @@ from wsnsec.trust import (
     TrustTable,
     TrustTables,
     TrustWeights,
-    _ratio,
     compute_trust,
     csv_pieces,
     run_election,
@@ -158,8 +157,20 @@ class TestTrustOracle:
         "num", [-0.0, 0.0, -1e-300, 0.5, 1.0, 1.5, math.inf, -math.inf, math.nan]
     )
     def test_ratio_clamps_as_min_and_max(self, num):
-        """Every float the division can give, -0.0 and NaN included."""
-        assert repr(_ratio(num, 1.0)) == repr(min(max(num, 0.0), 1.0))
+        """Every float the division can give, -0.0 and NaN included, as each
+        of the six ratios in turn: `compute_trust` clamps it as the oracle's
+        `min(max(r, 0.0), 1.0)` does. Rows built directly may hold floats in
+        the count fields; a denominator of 1.0 makes the ratio the float."""
+        planted = [
+            dict(ae_t1=1.0, ae_t2=1.0 - num), dict(pss_t1=1.0, pss_t2=1.0 - num),
+            dict(crf=1.0, craf=num), dict(drf=1.0, draf=num),
+            dict(npt=1.0, npc=num), dict(npr=1.0, pd=num),
+        ]
+        for fields_ in planted:
+            record = NeighborRecord(**fields_)
+            got = compute_trust(record, TrustWeights())
+            want = oracles.trust_formula(record, TrustWeights())
+            assert repr(got) == repr(want), fields_
 
 
 class TestTrustWeights:
