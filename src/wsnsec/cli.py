@@ -4,9 +4,14 @@ Thin wrappers over the library: simulation runs, fixed-vs-adaptive
 comparisons, key derivation, packet encode/decode/dissect, and trust
 computation from an observation CSV.
 
-Exit codes: 0 success, 2 usage, 3 invalid input or config, 4
-authentication reject, 5 replay reject, 6 malformed packet. Failures print
-one machine-readable line to stderr: ``error: <category>: <message>``.
+Exit codes: 0 success, 1 standard output closed by its reader, 2 usage, 3
+invalid input or config, 4 authentication reject, 5 replay reject, 6
+malformed packet. Failures 3 to 6 print one machine-readable line to
+stderr: ``error: <category>: <message>``. A closed standard output
+(``wsnsec ... | head -n 0``) is handled as the Python docs' note on SIGPIPE
+advises: what is left to write goes to the null device, nothing is printed
+on stderr, and the exit code is 1. A program fault is not caught: it exits
+1 too, with a traceback.
 Key-ring files, written by ``derive-keys --ring-out`` and read by
 ``--keyring``, have the format the `config` module gives.
 """
@@ -29,6 +34,7 @@ from .keys import SymmetricKey, derive_keyring, derive_session_key
 from .linksec import CounterState, Encryption, SecurityLevel
 from .trust import CSV_COLUMNS, RECORD_FIELDS, NeighborRecord, compute_trust
 
+EXIT_CLOSED_PIPE = 1
 EXIT_INVALID = 3
 EXIT_AUTH = 4
 EXIT_REPLAY = 5
@@ -265,14 +271,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: send that to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except linksec.ReplayError as exc:
         return _fail("replay", str(exc), EXIT_REPLAY)
     except linksec.AuthenticationError as exc:
         return _fail("authentication", str(exc), EXIT_AUTH)
     except linksec.FormatError as exc:
         return _fail("format", str(exc), EXIT_FORMAT)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         return _fail("invalid", str(exc), EXIT_INVALID)
 
 

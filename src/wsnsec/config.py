@@ -23,7 +23,7 @@ hex keys by address.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Mapping, Optional, get_type_hints
 
@@ -39,8 +39,20 @@ MAX_GROUP_MEMBERS = 254  # node id 0 is the base station, 0xFF is broadcast
 ADVERSARY_BEHAVIORS = ("drop-fraction", "replay-attacker", "captured")
 
 
+# The most joules a field of `EnergyModel` may hold: its nJ, `value * 10**9`,
+# is then still a finite float.
+MAX_JOULES = sys.float_info.max / 10**9
+
+
 @dataclass(frozen=True)
 class EnergyModel:
+    """Energy costs and the battery, in joules.
+
+    The simulator rounds each field to the nearest whole nanojoule (nJ)
+    once per run, as `round(value * 10**9)`, and keeps its books in nJ: a
+    field finer than that is run as rounded. Each default is a whole number
+    of nJ. A field must lie in [0, `MAX_JOULES`]."""
+
     tx_per_octet: float = 0.0006
     rx_per_octet: float = 0.0003
     rc5_per_block_per_round: float = 0.000002
@@ -50,8 +62,8 @@ class EnergyModel:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if not 0 <= getattr(self, f.name) < math.inf:
-                raise ValueError(f"{f.name} must be finite and non-negative")
+            if not 0 <= getattr(self, f.name) <= MAX_JOULES:
+                raise ValueError(f"{f.name} must be in [0, {MAX_JOULES:.6g}] J")
 
 
 @dataclass(frozen=True)

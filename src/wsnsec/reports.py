@@ -24,7 +24,8 @@ from .trust import TrustTables
 
 @dataclass
 class EnergyLedger:
-    """A node's spent energy; every charge and clamp reads `total`'s sum order."""
+    """A node's spent energy in joules. The simulator keeps its books in
+    whole nanojoules (nJ) and writes each field here once, when a run ends."""
 
     tx: float = 0.0
     rx: float = 0.0
@@ -32,7 +33,10 @@ class EnergyLedger:
 
     @property
     def total(self) -> float:
-        return self.tx + self.rx + self.crypto
+        """The exact sum of the three fields' nJ, in joules: books that
+        sum to the same nJ read the same total. Each field's nJ is read back
+        exactly up to 2**51 nJ (2.2e6 J)."""
+        return (round(self.tx * 10**9) + round(self.rx * 10**9) + round(self.crypto * 10**9)) / 10**9
 
 
 @dataclass

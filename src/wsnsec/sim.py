@@ -57,13 +57,16 @@ Model (desk scale, normative for the closed-form energy tests):
   `SimReport.trust_tables` is read at that member, and `trust.csv` is
   written from the ledgers. Lossy or partial observation would need one
   table per observer again.
-* Energy: each event charges a node once, through `_Node.charge`, which
+* Energy: every amount is a whole number of nanojoules (nJ). Each
+  `EnergyModel` field is rounded to whole nJ once per run, and every cost is
+  a product or sum of those, so a node's books are Python ints and balance
+  exactly. Each event charges a node once, through `_Node.charge`, which
   charges receive, then crypto, then transmit energy. Every destination
   listener pays a full open's receive and crypto energy, a destination that
   rejects the clear header its receive energy alone, a header-only listener
   the header's receive energy, and every sender a full seal's crypto and
-  transmit energy. `EnergyLedger.total` fixes the order in which the three
-  are summed, and every clamp reads it.
+  transmit energy. When `run` ends, each node's books go into its
+  `NodeStats.ledger` in joules.
 * Reception: the simulator keeps a separate receive counter per listener and
   direction. On the host, every wire is the `linksec.PendingWire` that
   `linksec.encode_pending` returns, and a replay puts the captured one on
@@ -86,19 +89,13 @@ Model (desk scale, normative for the closed-form energy tests):
   can spend. One budget decides two things. First, header-only listens: the
   non-destinations of a unicast are not charged one by one. The group counts
   the listen, and each node adds its pending header costs to its receive
-  energy one at a time, in order, before its next nonzero receive charge or
-  energy read. A node that settles from the receive energy and count that
-  another member of its group has already settled from in the frame takes
-  that member's sum instead (see `_Channel`), so a symmetric group's frame
-  makes O(n) additions rather than one per listen, which is O(n^2). A re-key
-  frame still makes O(n^2): each delivery leaves its recipient's receive
-  energy distinct. Second, plain charges: no charge of such a frame can be
-  clamped or kill, so each amount of `_Node.charge` is one addition to its
-  ledger field, with no clamp and no death check. `min(j, r)` is `j`
-  whenever `j <= r`, so every float, death and frozen view is that of the
-  clamped path charging every listener at once. Under loss (drawn per
-  listener) or near a death, every listener is charged as the packet goes
-  by, and every amount is clamped.
+  energy in one multiply before its next clamped charge or energy read.
+  Second, plain charges: no charge of such a frame can be clamped or kill,
+  so each amount of `_Node.charge` is one addition to its books, with no
+  clamp and no death check. Integers add in any order, so every book, death
+  and frozen view is that of the clamped path charging every listener at
+  once. Under loss (drawn per listener) or near a death, every listener is
+  charged as the packet goes by, and every amount is clamped.
 
 * Two arms at once: `compare_fixed_vs_adaptive` runs the fixed arm in one
   forked child and the adaptive arm in the caller, when that is safe (a
@@ -158,30 +155,21 @@ _KEY_MATERIAL = PacketClass.KEY_MATERIAL
 class _Channel:
     """What a group's members share without holding each other: whether the
     current frame is budgeted (see the module docstring), the count of
-    header-only listens deferred so far, the count of deaths, one header
-    listen's receive energy, and the frame's settled sums.
-
-    `settled` maps `(rx, pending)` to the `rx` that adding `header_rx`
-    `pending` times, in order, makes, so a member settling from the same
-    `rx` and count as another reuses its sum. That is exact: repeated float
-    addition is a pure function of the start, the addend and the count, and
-    `header_rx` is fixed per run. The one pair of distinct floats that a
-    dict keys as one is 0.0 and -0.0, and no ledger's `rx` is ever -0.0: it
-    starts at 0.0 and is only ever added amounts >= 0 or -0.0, and
-    0.0 + -0.0 is 0.0. `_Simulation._plan_listens` empties `settled` at each
-    frame's start, so it holds one frame's sums at most.
+    header-only listens deferred so far, the count of deaths, and, in nJ,
+    one header listen's receive energy and the battery each member starts
+    with.
 
     It is kept apart from `_Group` so that a node holds no reference to its
     group. A node that held its group would close a node-group cycle, and
     each run's nodes would stay alive until a full collection: merged, the
     `big_group` benchmark workload peaked about 12 % higher in memory."""
 
-    def __init__(self, model: EnergyModel) -> None:
+    def __init__(self, header_rx: int, battery: int) -> None:
         self.budgeted = False
         self.deferred = 0
         self.deaths = 0
-        self.header_rx = model.rx_per_octet * linksec.HEADER_BYTES
-        self.settled: dict[tuple[float, int], float] = {}
+        self.header_rx = header_rx
+        self.battery = battery
 
 
 class _Node:
@@ -201,7 +189,8 @@ class _Node:
         self.frozen: Optional[TrustTable] = None
         self.agent = SecurityAgent(config.scenario)
         self.stats = NodeStats(address=addr)
-        self.model = config.energy_model
+        self.battery = channel.battery
+        self.tx = self.rx = self.crypto = 0  # the books: nJ spent, by ledger field
         self.adversary: Optional[AdversarySpec] = None
         self.captured_wire: Optional[tuple[linksec.PendingWire, int]] = None  # (wire, dest)
         self.out_ctr: dict[int, CounterState] = {}
@@ -212,81 +201,54 @@ class _Node:
         return self.stats.alive
 
     @property
-    def remaining(self) -> float:
+    def left(self) -> int:
+        """The battery left in nJ, the deferred listens settled first."""
         if self.channel.deferred != self.heard:
             self.settle()
-        return self.model.initial_energy - self.stats.ledger.total
+        return self.battery - self.tx - self.rx - self.crypto
+
+    @property
+    def remaining(self) -> float:
+        """The battery left in joules: what the agent, elections and trust
+        samples read."""
+        return self.left / 10**9
 
     def settle(self) -> None:
-        """Charge the header-only listens deferred since the last settle, one
-        addition each, as the eager charges would have made them. A sum some
-        member of the group already made from the same `rx` and count is
-        looked up instead (see `_Channel`): the same float, since repeated
-        addition of one addend is a pure function of the start and the count."""
-        channel = self.channel
-        pending = channel.deferred - self.heard
-        if pending and self.stats.alive:
-            spent = self.stats.ledger
-            key = (spent.rx, pending)
-            rx = channel.settled.get(key)
-            if rx is None:
-                rx = spent.rx
-                header_rx = channel.header_rx
-                for _ in range(pending):
-                    rx += header_rx
-                channel.settled[key] = rx
-            spent.rx = rx
+        """Charge the header-only listens deferred since the last settle, in
+        one multiply: each costs the channel's `header_rx`."""
+        if self.stats.alive:
+            pending = self.channel.deferred - self.heard
+            self.rx += pending * self.channel.header_rx
             self.heard += pending
 
-    def charge(self, rx: float = 0.0, crypto: float = 0.0, tx: float = 0.0) -> None:
-        """Charge one event's receive, crypto and transmit energy, in that
-        order, each clamped to the battery left; the node dies when nothing
-        is left, and a dead node is charged nothing more. An amount of 0 J
-        is charged like any other, so a node with no battery dies on its
-        first charge.
+    def charge(self, rx: int = 0, crypto: int = 0, tx: int = 0) -> None:
+        """Charge one event's receive, crypto and transmit energy, in nJ and
+        in that order, each clamped to the battery left; the node dies when
+        nothing is left, and a dead node is charged nothing more. An amount
+        of 0 nJ is charged like any other, so a node with no battery dies on
+        its first charge. A clamped amount leaves exactly 0 nJ, so a node
+        dies on the charge that spends its last nJ.
 
         In a budgeted frame each amount is one plain addition: the budget
         bounds it by the battery left, so the clamp returns it and the node
-        cannot die. Only a nonzero rx amount settles first, so the `rx`
-        additions keep their order; settling adds to `rx` alone, and no
-        clamp reads the total. Every float is that of the clamped path.
-
-        Off the budget, the total is read on entry and again only after a
-        nonzero amount. A living node enters with `left > 0`, or with an
-        empty battery and `left` 0.0 or -0.0, so a zero amount would book
-        0.0 or -0.0, which changes no field (none is ever -0.0): skipping
-        it leaves every float, and `left`, as they were."""
-        stats = self.stats
-        if not stats.alive:
+        cannot die. Integers add in any order, so the deferred listens are
+        left to settle later."""
+        if not self.stats.alive:
             return
-        spent = stats.ledger
-        channel = self.channel
-        if channel.budgeted:
-            if rx:
-                if channel.deferred != self.heard:
-                    self.settle()
-                spent.rx += rx
-            spent.crypto += crypto
-            spent.tx += tx
+        if self.channel.budgeted:
+            self.rx += rx
+            self.crypto += crypto
+            self.tx += tx
             return
-        if channel.deferred != self.heard:
-            self.settle()
-        initial = self.model.initial_energy
-        left = initial - spent.total
-        if rx:
-            spent.rx += min(rx, left)
-            left = initial - spent.total
-        if left > 0:
-            if crypto:
-                spent.crypto += min(crypto, left)
-                left = initial - spent.total
-            if left > 0:
-                if tx:
-                    spent.tx += min(tx, left)
-                    left = initial - spent.total
-                if left > 0:
-                    return
-        self._die()
+        left = self.left
+        rx = min(rx, left)
+        crypto = min(crypto, left - rx)
+        tx = min(tx, left - rx - crypto)
+        self.rx += rx
+        self.crypto += crypto
+        self.tx += tx
+        if rx + crypto + tx == left:
+            self._die()
 
     def _die(self) -> None:
         self.stats.alive = False
@@ -367,7 +329,10 @@ class _Simulation:
     def __init__(self, config: SimConfig):
         self.config = config
         self.rng = random.Random(config.seed)
-        self.model = config.energy_model
+        model = self.model = config.energy_model
+        self.tx_per_octet, self.rx_per_octet, self.battery = (
+            _nj(j) for j in (model.tx_per_octet, model.rx_per_octet, model.initial_energy)
+        )
         # Network-wide deployment master key; the simulator plays the safe
         # base station and therefore keeps it for session seeds and
         # pairwise keys.
@@ -385,14 +350,12 @@ class _Simulation:
                 n for n in group.nodes
                 if n.adversary is not None and n.adversary.behavior == "replay-attacker"
             ]
-        self.crypto_costs = _crypto_costs(self.model)
-        # The most one packet can charge a node: the largest wire's radio and
-        # the dearest open or seal.
-        self.packet_spend = max(
-            self.model.tx_per_octet, self.model.rx_per_octet
-        ) * linksec.wire_size(linksec.MAX_PAYLOAD, True) + max(
-            costs[linksec.MAX_PAYLOAD] for costs in self.crypto_costs
-        )
+        self.crypto_costs = _crypto_costs(model)
+        # The most one packet can charge a node, in nJ: the largest wire's
+        # radio and the dearest open or seal.
+        self.packet_spend = max(self.tx_per_octet, self.rx_per_octet) * linksec.wire_size(
+            linksec.MAX_PAYLOAD, True
+        ) + max(costs[linksec.MAX_PAYLOAD] for costs in self.crypto_costs)
         self.elections: list[ElectionEvent] = []
         self.rekeys: list[RekeyEvent] = []
         self.slot_log: list[tuple[int, int, int, NodeAddress, bool]] = []
@@ -405,7 +368,7 @@ class _Simulation:
         for gid, size in enumerate(cfg.group_sizes):
             addrs = [NodeAddress(gid, i + 1) for i in range(size)]
             ledger = TrustTable(NodeAddress(gid, BROADCAST_NODE_ID), cfg.trust_weights)
-            channel = _Channel(self.model)
+            channel = _Channel(self.rx_per_octet * linksec.HEADER_BYTES, self.battery)
             # `prf` is passed, not defaulted, so a wrapper on `sim.prf` sees
             # every derivation.
             rings = derive_group_keyrings(self.bs_master, addrs[0], addrs, prf)
@@ -444,17 +407,15 @@ class _Simulation:
         spend of death. This one flag decides both how the non-destinations
         of its unicasts pay for the header, deferred or charged as each
         packet goes by, and whether its charges are plain additions or
-        clamped. It also empties the channel's settled sums, so they hold
-        one frame's at most."""
+        clamped."""
         # A frame charges a node at most once per packet: an election
         # (size + 1 packets), a re-key (size - 1), a beacon, a handoff, an
         # uplink and a re-broadcast (4), and a data packet and a replay per
         # other member (2 * size - 2).
         spend = (4 * len(group.nodes) + 2) * self.packet_spend
         group.channel.budgeted = not self.config.loss_rate and all(
-            n.remaining > spend for n in self._alive_members(group)
+            n.left > spend for n in self._alive_members(group)
         )
-        group.channel.settled = {}
 
     def _observe(
         self, group: _Group, subject: NodeAddress, kind: str, value: Optional[float] = None
@@ -533,8 +494,8 @@ class _Simulation:
         size = linksec.wire_size(header.length, level.auth)
         open_cost = self.crypto_costs[(level.encryption << 1) | level.auth][header.length]
         # A replay is a verbatim retransmission: no sealing work is charged.
-        seal_cost = open_cost if replayed_wire is None else 0.0
-        sender.charge(crypto=seal_cost, tx=self.model.tx_per_octet * size)
+        seal_cost = open_cost if replayed_wire is None else 0
+        sender.charge(crypto=seal_cost, tx=self.tx_per_octet * size)
         sender.stats.packets_sent += 1
         self.slot_log.append(
             (frame, group.gid, slot, sender.addr, replayed_wire is None)
@@ -554,7 +515,7 @@ class _Simulation:
         loss_rate, threshold = self.config.loss_rate, self.config.loss_threshold
         draw = self.rng.random
         ctr_key = (header.src, header.dest)
-        rx_cost = self.model.rx_per_octet * size
+        rx_cost = self.rx_per_octet * size
         header_rx = channel.header_rx
         decoded: dict[NodeAddress, bytes] = {}
         for listener in listeners:
@@ -764,7 +725,7 @@ class _Simulation:
                         size = linksec.wire_size(length, level.auth)
                         costs = crypto_costs[(level.encryption << 1) | level.auth]
                         member.charge(
-                            crypto=costs[length], tx=self.model.tx_per_octet * size
+                            crypto=costs[length], tx=self.tx_per_octet * size
                         )
                         member.stats.packets_sent += 1
                         self._observe(group, member.addr, "data-forwarded")
@@ -799,7 +760,7 @@ class _Simulation:
             record = ledger.record
             for node in members:
                 # Reading `remaining` settles the node's deferred listens, so
-                # every ledger is complete at the end of each frame.
+                # every node's books are complete at the end of each frame.
                 node.agent.available_energy = claimed = node.remaining
                 if node.adversary is not None and _acts(node, "captured", frame):
                     # Compromised nodes overstate their battery to win
@@ -827,6 +788,9 @@ class _Simulation:
                 self._maybe_rekey(group, frame)
                 self._group_frame(group, frame)
             self._frame_end(frame)
+        for node in self.nodes.values():  # the books, in joules
+            spent = node.stats.ledger
+            spent.tx, spent.rx, spent.crypto = node.tx / 10**9, node.rx / 10**9, node.crypto / 10**9
         return SimReport(
             seed=self.config.seed,
             scenario_name=self.config.scenario.name,
@@ -840,35 +804,34 @@ class _Simulation:
         )
 
 
-def _crypto_costs(model: EnergyModel) -> tuple[tuple[float, ...], ...]:
-    """One seal's or open's crypto energy under `model`, by the level's wire
-    code (encryption << 1 | auth) and the payload length; built once per
-    model."""
-    return _crypto_table(model, repr(model))
+def _nj(joules: float) -> int:
+    """`joules` in whole nanojoules, rounded half to even."""
+    return round(joules * 10**9)
 
 
-# Keyed on the repr as well: models compare equal across 0, 0.0 and -0.0,
-# whose products differ in type or sign.
 @lru_cache(maxsize=32)
-def _crypto_table(model: EnergyModel, _exact: str) -> tuple[tuple[float, ...], ...]:
+def _crypto_costs(model: EnergyModel) -> tuple[tuple[int, ...], ...]:
+    """One seal's or open's crypto energy under `model`, in nJ, by the
+    level's wire code (encryption << 1 | auth) and the payload length; built
+    once per model. Models that compare equal round to the same nJ."""
     return tuple(
         tuple(_crypto_energy(model, level, n) for n in range(linksec.MAX_PAYLOAD + 1))
         for level in linksec.LEVELS
     )
 
 
-def _crypto_energy(model: EnergyModel, level: SecurityLevel, payload_len: int) -> float:
-    """The crypto energy of one seal or open of `payload_len` octets."""
+def _crypto_energy(model: EnergyModel, level: SecurityLevel, payload_len: int) -> int:
+    """The crypto energy of one seal or open of `payload_len` octets, in nJ."""
     if level.encryption is Encryption.XOR:
-        cost = model.xor_per_octet * payload_len
+        cost = _nj(model.xor_per_octet) * payload_len
     else:
         cost = (
-            model.rc5_per_block_per_round
+            _nj(model.rc5_per_block_per_round)
             * level.encryption.rounds
             * aead.rc5_invocations(payload_len, level.auth)
         )
     if level.auth:
-        cost += model.mac_fixed
+        cost += _nj(model.mac_fixed)
     return cost
 
 

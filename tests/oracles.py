@@ -198,27 +198,27 @@ def trust_formula(record, weights):
 
 
 class ReferenceLedger:
-    """A node's energy book, charged one `(kind, joules)` at a time: each
-    amount is clamped to the battery left, `initial - total`, and the node
-    dies once nothing is left (`initial - total <= 0`), even on a 0 J
-    charge. A dead node is charged nothing more. `total` sums tx, rx and
-    crypto in that order; `clamped` says whether any amount was cut."""
+    """A node's energy book in whole nanojoules, charged one `(kind, nj)` at
+    a time: each amount is clamped to the battery left, `initial - total`,
+    and the node dies once nothing is left (`initial - total == 0`), even on
+    a 0 nJ charge. A dead node is charged nothing more. `clamped` says
+    whether any amount was cut."""
 
     def __init__(self, initial):
         self.initial = initial
-        self.spent = {"tx": 0.0, "rx": 0.0, "crypto": 0.0}
+        self.spent = {"tx": 0, "rx": 0, "crypto": 0}
         self.alive = True
         self.clamped = False
 
     def total(self):
         return self.spent["tx"] + self.spent["rx"] + self.spent["crypto"]
 
-    def charge(self, kind, joules):
+    def charge(self, kind, nj):
         if not self.alive:
             return
         left = self.initial - self.total()
-        if left < joules:
+        if left < nj:
             self.clamped = True
-        self.spent[kind] += min(joules, left)
-        if self.initial - self.total() <= 0:
+        self.spent[kind] += min(nj, left)
+        if self.initial == self.total():
             self.alive = False

@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -194,6 +196,26 @@ class TestPacketCommands:
         with pytest.raises(ValueError) as caught:
             config.load_keyring(str(path))
         assert str(caught.value) == "keyring key pairwise: a key must be a hex string, not null"
+
+
+def test_closed_stdout_exits_1_quietly():
+    """A reader that closed the pipe before the script writes (`wsnsec ...
+    | head -n 0`) ends the script with exit 1 and nothing on stderr: no
+    "invalid input" line, and no error from the flush at exit."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(pathlib.Path(cli.__file__).parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "wsnsec.cli", "derive-keys", "--master", MASTER,
+             "--node", "2.5", "--head", "2.1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (cli.EXIT_CLOSED_PIPE, b"")
 
 
 class TestDeriveKeys:

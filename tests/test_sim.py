@@ -29,6 +29,7 @@ from wsnsec.reports import EnergyLedger, SavingsReport
 from wsnsec.trust import TrustTable, TrustTables
 
 from test_keys import check_group_rings
+from test_trust_bookkeeping import frame_configs
 
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "vectors" / "sim_golden"
@@ -185,24 +186,24 @@ def watch_budgets(monkeypatch):
     """Record every group frame as `(simulation, group, budgeted, left)`.
 
     In a budgeted frame, `left` maps each member alive at its start to its
-    battery left then, and to its battery left and whether it is alive once
-    the frame's charges are done, read at `_frame_end`; it is empty
-    otherwise. Reading `remaining` only settles deferred listens, in order,
-    as the simulator does itself."""
+    battery left then, in nJ, and to its battery left and whether it is
+    alive once the frame's charges are done, read at `_frame_end`; it is
+    empty otherwise. Reading `left` only settles deferred listens, as the
+    simulator does itself."""
     frames, open_frames = [], []
     plan, frame_end = sim._Simulation._plan_listens, sim._Simulation._frame_end
 
     def planning(self, group):
         plan(self, group)
         budgeted = group.channel.budgeted
-        left = {n: [n.remaining] for n in self._alive_members(group)} if budgeted else {}
+        left = {n: [n.left] for n in self._alive_members(group)} if budgeted else {}
         frames.append((self, group, budgeted, left))
         open_frames.append(left)
 
     def ending(self, frame):
         for left in open_frames:
             for node, reads in left.items():
-                reads += node.remaining, node.alive
+                reads += node.left, node.alive
         open_frames.clear()
         frame_end(self, frame)
 
@@ -211,22 +212,34 @@ def watch_budgets(monkeypatch):
     return frames
 
 
-def charge_node(spent_tx=0.0, deferred=0, alive=True, budgeted=False, model=None):
-    """A lone node with `model`'s battery (1 J by default), `spent_tx`
-    already spent, `deferred` listens pending on its channel, and the
-    channel's budget flag set."""
-    config = SimConfig(energy_model=model or EnergyModel(initial_energy=1.0))
+# One joule, and a header listen's receive energy under the default model,
+# in nJ.
+J = 10**9
+HEADER_RX = sim._nj(EnergyModel().rx_per_octet) * linksec.HEADER_BYTES
+
+
+def charge_node(spent_tx=0, deferred=0, alive=True, budgeted=False, battery=J,
+                header_rx=HEADER_RX):
+    """A lone node with a battery of `battery` nJ, `spent_tx` nJ already
+    spent, `deferred` listens of `header_rx` nJ each pending on its channel,
+    and the channel's budget flag set."""
+    config = SimConfig()
     addr, peer = NodeAddress(0, 1), NodeAddress(0, 2)
     ledger = TrustTable(NodeAddress(0, BROADCAST_NODE_ID), config.trust_weights)
     ledger.record(addr, "packet-transmitted")
     ledger.record(peer, "packet-received")
-    channel = sim._Channel(config.energy_model)
+    channel = sim._Channel(header_rx, battery)
     channel.deferred = deferred
     channel.budgeted = budgeted
     made = sim._Node(addr, None, ledger, channel, config)
-    made.stats.ledger.tx = spent_tx
+    made.tx = spent_tx
     made.stats.alive = alive
     return made
+
+
+def books(node):
+    """A node's books: the nJ it has spent, by ledger field."""
+    return node.tx, node.rx, node.crypto
 
 
 class TestBasics:
@@ -370,8 +383,7 @@ class TestEnergyAccounting:
         ),
         *golden_params(BUDGET_GOLDENS),
         pytest.param(None, config_from_dict(BIG_GROUP), id="big_group"),
-        # Re-keys at frames 25 and 50: their deliveries leave each
-        # recipient's `rx` distinct, so those frames' settles share few sums.
+        # Re-keys at frames 25 and 50.
         pytest.param(
             None,
             SimConfig(seed=3, node_count=60, group_count=1, sim_length=60,
@@ -381,7 +393,7 @@ class TestEnergyAccounting:
     ])
     def test_deferred_header_listens_equal_eager_debits(self, monkeypatch, name, cfg):
         """Turning the budget off everywhere (every listener debited as the
-        packet goes by, every charge clamped) changes no float of either
+        packet goes by, every charge clamped) changes no nJ of either
         arm."""
         for arm in (replace(cfg, adaptive=False), replace(cfg, adaptive=True)):
             with monkeypatch.context() as patched:
@@ -399,7 +411,7 @@ class TestEnergyAccounting:
             with monkeypatch.context() as patched:
                 patched.setattr(sim._Simulation, "_plan_listens", lambda self, group: None)
                 eager = sim.run(arm)
-            assert budgeted.nodes == eager.nodes  # every ledger float, exactly
+            assert budgeted.nodes == eager.nodes  # every ledger, exactly
             assert budgeted.trust_csv() == eager.trust_csv()
             assert budgeted.elections == eager.elections
             assert budgeted.rekeys == eager.rekeys
@@ -434,14 +446,14 @@ class TestEnergyAccounting:
     @pytest.mark.parametrize(
         "spent_tx, deferred, alive, rx, crypto, budgeted",
         [
-            (0.0, 0, True, 0.25, 0.125, False),  # no pending listens
-            (0.0, 3, True, 0.25, 0.125, False),  # deferred listens settle first
-            (0.9, 3, True, 0.25, 0.125, False),  # the rx charge kills: no crypto
-            (0.6, 0, True, 0.25, 0.5, False),  # the crypto charge kills
-            (0.9, 3, False, 0.25, 0.125, False),  # already dead: nothing changes
-            (0.0, 0, True, 0.25, 0.125, True),  # plain additions
-            (0.0, 3, True, 0.25, 0.125, True),  # settled, then plain additions
-            (0.9, 3, False, 0.25, 0.125, True),
+            (0, 0, True, J // 4, J // 8, False),  # no pending listens
+            (0, 3, True, J // 4, J // 8, False),  # deferred listens settle first
+            (J * 9 // 10, 3, True, J // 4, J // 8, False),  # the rx charge kills: no crypto
+            (J * 6 // 10, 0, True, J // 4, J // 2, False),  # the crypto charge kills
+            (J * 9 // 10, 3, False, J // 4, J // 8, False),  # already dead: nothing changes
+            (0, 0, True, J // 4, J // 8, True),  # plain additions
+            (0, 3, True, J // 4, J // 8, True),  # plain additions, settled later
+            (J * 9 // 10, 3, False, J // 4, J // 8, True),
         ],
         ids=["plain", "deferred", "dies_on_rx", "dies_on_crypto", "dead",
              "plain_budgeted", "deferred_budgeted", "dead_budgeted"],
@@ -453,118 +465,147 @@ class TestEnergyAccounting:
         one.charge(rx, crypto)
         two.charge(rx=rx)
         two.charge(crypto=crypto)
-        assert one.stats == two.stats  # every ledger float, exactly, and `alive`
+        assert (books(one), one.stats) == (books(two), two.stats)  # and `alive`
         assert (one.heard, one.channel.deaths) == (two.heard, two.channel.deaths)
         assert one.frozen == two.frozen
         if alive and not one.stats.alive:
             assert one.channel.deaths == 1
+            assert sum(books(one)) == one.battery  # the clamp spent the rest
             peer = NodeAddress(0, 2)
             assert list(one.frozen.rows) == [peer]
             assert one.frozen.rows[peer] is not one.ledger.rows[peer]  # a copy
-            assert (one.stats.ledger.crypto == 0) == (spent_tx == 0.9)
+            assert (one.crypto == 0) == (spent_tx == J * 9 // 10)
         else:
             assert one.frozen is None and one.channel.deaths == 0
-        if budgeted and alive:  # the same floats as the clamped charge
+        if budgeted and alive:  # the same books as the clamped charge
             clamped = charge_node(spent_tx, deferred, alive, budgeted=False)
             clamped.charge(rx, crypto)
-            assert (one.stats, one.heard) == (clamped.stats, clamped.heard)
+            one.settle()
+            assert (books(one), one.stats, one.heard) == (
+                books(clamped), clamped.stats, clamped.heard
+            )
 
     @pytest.mark.parametrize("deferred", [0, 3])
     @pytest.mark.parametrize("kind", ["tx", "rx", "crypto"])
     def test_budgeted_debit_equals_clamped_debit(self, kind, deferred):
         """Far from death, a plain charge adds what the clamped one adds.
-        A tx or crypto charge leaves the pending listens to a later settle,
-        which adds the same floats to `rx`."""
-        clamped, plain = (charge_node(0.25, deferred, budgeted=b) for b in (False, True))
-        clamped.charge(**{kind: 0.125})
-        plain.charge(**{kind: 0.125})
-        assert plain.heard == (deferred if kind == "rx" else 0)
+        It leaves the pending listens to a later settle, which adds the
+        same nJ to `rx`."""
+        clamped, plain = (charge_node(J // 4, deferred, budgeted=b) for b in (False, True))
+        clamped.charge(**{kind: J // 8})
+        plain.charge(**{kind: J // 8})
+        assert (plain.heard, clamped.heard) == (0, deferred)
         assert plain.remaining == clamped.remaining
-        assert (plain.stats, plain.heard) == (clamped.stats, clamped.heard)
+        assert (books(plain), plain.stats, plain.heard) == (
+            books(clamped), clamped.stats, clamped.heard
+        )
         assert plain.stats.alive and plain.channel.deaths == 0
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 6a: float rounding leaves a node alive after a "
-        "clamped charge spends all that is left",
-    )
     def test_clamped_charge_that_spends_the_rest_kills(self):
-        """The ledger of node 1.3 before its 190th charge in the fixed arm of
-        golden `habitat_death_loss`. The clamp charges the rest of the tx
-        amount, yet 2.2e-16 J reads as left, so the node dies one charge
-        late. Integer energy units make the books exact."""
-        node = charge_node(model=EnergyModel(initial_energy=1.5))
-        spent = node.stats.ledger
-        spent.tx, spent.rx = 0.9899999999999993, 0.49109999999999976
-        spent.crypto = 0.01813800000000001
-        node.charge(crypto=0.000154, tx=0.0174)
-        assert spent.tx < 0.9899999999999993 + 0.0174  # the tx amount was clamped
-        node.charge()  # 0 J: a node with nothing left dies on it
+        """The books of node 1.3 before its 190th charge in the fixed arm of
+        golden `habitat_death_loss`, in nJ. The clamp charges the 608,000
+        nJ left of the tx amount, which leaves exactly 0 nJ, so the node
+        dies on that charge."""
+        node = charge_node(battery=1_500_000_000)
+        node.tx, node.rx, node.crypto = 990_000_000, 491_100_000, 18_138_000
+        node.charge(crypto=154_000, tx=17_400_000)
+        assert books(node) == (990_608_000, 491_100_000, 18_292_000)
+        assert sum(books(node)) == node.battery
         assert not node.alive and node.channel.deaths == 1
+        node.charge(rx=1)  # the dead are charged nothing more
+        assert sum(books(node)) == node.battery
+
+    def test_books_balance_over_frame_configs(self, monkeypatch):
+        """Both arms of 100 seeded `frame_configs`: a dead node's books sum
+        to its battery to the nJ, a living node's to less, and nothing is
+        booked after a death. Each ledger holds the books in joules, and
+        its total is their exact sum. The set is not vacuous: nodes die in
+        loss-free groups and under loss."""
+        at_death = {}
+        die = sim._Node._die
+
+        def dying(self):
+            at_death[self] = books(self)
+            die(self)
+
+        monkeypatch.setattr(sim._Node, "_die", dying)
+        dead_by_loss = set()
+        for config in frame_configs(100):
+            for arm in (replace(config, adaptive=False), replace(config, adaptive=True)):
+                simulation = sim._Simulation(arm)
+                simulation.run()
+                for node in simulation.nodes.values():
+                    spent = sum(books(node))
+                    assert node.battery == round(config.energy_model.initial_energy * J)
+                    if node.alive:
+                        assert spent < node.battery and node not in at_death
+                    else:
+                        assert spent == node.battery and books(node) == at_death[node]
+                        dead_by_loss.add(config.loss_rate)
+                    ledger = node.stats.ledger
+                    assert [ledger.tx, ledger.rx, ledger.crypto] == [nj / J for nj in books(node)]
+                    assert ledger.total == spent / J
+        assert dead_by_loss == {0.0, 0.1, 0.2}
 
     @settings(max_examples=300, deadline=None)
     @given(
         # Pending listens exist only in budgeted frames, which leave them
         # battery to spare: an empty battery has none.
         battery=st.one_of(
-            st.tuples(st.sampled_from([0.0, -0.0]), st.just(0)),
-            st.tuples(st.floats(0.0, 4.0), st.integers(0, 6)),
+            st.just((0, 0)),
+            st.tuples(st.integers(0, 4 * J), st.integers(0, 6)),
         ),
-        header_rx=st.floats(0.0, 0.01),
+        header_rx=st.integers(0, 50_000_000),
         events=st.lists(
             st.dictionaries(
                 st.sampled_from(["rx", "crypto", "tx"]),
-                st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 8.0)),
+                st.one_of(st.just(0), st.integers(0, 8 * J)),
                 min_size=1,
             ),
             max_size=8,
         ),
     )
-    # The rx amount kills with 3.06 - (0.78 + 2.28) < 0 J left, so any amount
-    # charged after that death would book a negative float.
-    @example(battery=(3.06, 0), header_rx=0.0,
-             events=[{"tx": 0.78}, {"rx": 5.0, "crypto": 0.0, "tx": 0.0}])
+    # The rx amount is clamped to the 2.28 J left and kills: the crypto and
+    # tx amounts after it book nothing.
+    @example(battery=(3_060_000_000, 0), header_rx=0,
+             events=[{"tx": 780_000_000}, {"rx": 5 * J, "crypto": 0, "tx": 0}])
+    # A charge of exactly what is left kills.
+    @example(battery=(1_000, 2), header_rx=100, events=[{"tx": 800}])
     def test_charges_match_the_reference_ledger(self, battery, header_rx, events):
         """Each charge through `_Node.charge` books what `ReferenceLedger`
         books for its amounts in rx, crypto, tx order, with the pending
-        header listens as the first rx amounts: the same floats, life,
-        death count and frozen view. When nothing is clamped, the budgeted
-        path books the same floats."""
+        header listens as the first rx amounts: the same nJ, life, death
+        count and frozen view. When nothing is clamped, the budgeted path
+        books the same nJ."""
         initial, deferred = battery
         reference = oracles.ReferenceLedger(initial)
         for _ in range(deferred):
-            reference.charge("rx", header_rx * linksec.HEADER_BYTES)
+            reference.charge("rx", header_rx)
         assume(reference.alive and not reference.clamped)
         for event in events:
             for kind in ("rx", "crypto", "tx"):
                 if kind in event:
                     reference.charge(kind, event[kind])
-        model = EnergyModel(rx_per_octet=header_rx, initial_energy=initial)
         paths = [False, True] if reference.alive and not reference.clamped else [False]
         for budgeted in paths:
-            node = charge_node(deferred=deferred, budgeted=budgeted, model=model)
+            node = charge_node(deferred=deferred, budgeted=budgeted, battery=initial,
+                               header_rx=header_rx)
             seen = TrustTables({node.addr: node.table})[node.addr]
             for event in events:
                 node.charge(**event)
             node.settle()
-            spent = node.stats.ledger
-            assert [repr(getattr(spent, kind)) for kind in ("tx", "rx", "crypto")] == [
-                repr(reference.spent[kind]) for kind in ("tx", "rx", "crypto")
-            ]
+            assert list(books(node)) == [reference.spent[k] for k in ("tx", "rx", "crypto")]
             assert node.alive == reference.alive
             assert node.channel.deaths == (not reference.alive)
             assert node.frozen == (None if reference.alive else seen)
 
     @settings(max_examples=200, deadline=None)
     @given(
-        rx_per_octet=st.one_of(
-            st.sampled_from([0.0, -0.0, 5e-324]), st.floats(0.0, 0.01)
-        ),
+        header_rx=st.integers(0, 50_000_000),
         # Members draw their first rx charges and their pending counts from
-        # small pools, so equal and unequal keys both occur.
+        # small pools, so equal and unequal books and counts both occur.
         starts=st.lists(
-            st.lists(st.floats(0.0, 1.0), max_size=3), min_size=1, max_size=3
+            st.lists(st.integers(0, J), max_size=3), min_size=1, max_size=3
         ),
         counts=st.lists(st.integers(0, 600), min_size=1, max_size=3),
         members=st.lists(st.integers(0, 2), min_size=2, max_size=6),
@@ -572,29 +613,26 @@ class TestEnergyAccounting:
             st.lists(st.integers(0, 2), min_size=6, max_size=6), min_size=1, max_size=3
         ),
     )
-    @example(rx_per_octet=0.0003, starts=[[0.25]], counts=[600],
+    @example(header_rx=HEADER_RX, starts=[[J // 4]], counts=[600],
              members=[0, 0, 0], rounds=[[0] * 6, [0] * 6])
     def test_shared_settles_match_the_reference_ledger(
-        self, rx_per_octet, starts, counts, members, rounds
+        self, header_rx, starts, counts, members, rounds
     ):
-        """Members of one channel settling from equal or unequal `rx` and
-        counts, some of them reusing a sum another made, book what
-        `ReferenceLedger` books for the same header amounts, one by one."""
-        model = EnergyModel(rx_per_octet=rx_per_octet, initial_energy=1e4)
-        config = SimConfig(energy_model=model)
-        channel = sim._Channel(model)
+        """Members of one channel, each settling its own count of the
+        channel's deferred listens, book what `ReferenceLedger` books for
+        the same header amounts, one by one."""
+        config = SimConfig()
+        channel = sim._Channel(header_rx, 10_000 * J)
         ledger = TrustTable(NodeAddress(0, BROADCAST_NODE_ID), config.trust_weights)
-        header = rx_per_octet * linksec.HEADER_BYTES
         nodes, references = [], []
         for i, start in enumerate(members):
             node = sim._Node(NodeAddress(0, i + 1), None, ledger, channel, config)
-            reference = oracles.ReferenceLedger(model.initial_energy)
-            for joules in starts[start % len(starts)]:
-                node.charge(rx=joules)
-                reference.charge("rx", joules)
+            reference = oracles.ReferenceLedger(node.battery)
+            for nj in starts[start % len(starts)]:
+                node.charge(rx=nj)
+                reference.charge("rx", nj)
             nodes.append(node)
             references.append(reference)
-        kinds = ("tx", "rx", "crypto")
         for picks in rounds:
             pending = [counts[pick % len(counts)] for pick in picks[:len(nodes)]]
             channel.deferred += max(pending)
@@ -603,9 +641,9 @@ class TestEnergyAccounting:
             for node, reference, count in zip(nodes, references, pending):
                 node.settle()
                 for _ in range(count):
-                    reference.charge("rx", header)
-                assert [repr(getattr(n.stats.ledger, k)) for n in nodes for k in kinds] == [
-                    repr(r.spent[k]) for r in references for k in kinds
+                    reference.charge("rx", header_rx)
+                assert [books(n) for n in nodes] == [
+                    tuple(r.spent[k] for k in ("tx", "rx", "crypto")) for r in references
                 ]
         assert not any(r.clamped for r in references)
 
@@ -1038,7 +1076,7 @@ class TestObservationViews:
         assert rows[head.addr]._energy_samples == rows[member.addr]._energy_samples == 1
         beacon()
         assert member.alive and rows[head.addr].npt == 1
-        member.charge(tx=member.remaining - 1e-9)  # one receive is more than is left
+        member.charge(tx=member.left - 1)  # one receive is more than is left
         assert member.alive and not group.channel.budgeted
         beacon()
         assert not member.alive
@@ -1072,7 +1110,7 @@ class TestObservationViews:
         simulation._frame_end(0)  # every member gets its row
         for node, dies in ((member, sender_dies), (head, dest_dies)):
             if dies:  # one seal or receive is more than is left
-                node.charge(tx=node.remaining - 1e-9)
+                node.charge(tx=node.left - 1)
         assert head.alive and member.alive and not group.channel.budgeted
         before = (rows[member.addr].npt, rows[head.addr].npr)
         simulation._transmit(group, 0, member, head.addr.node_id,
@@ -1203,57 +1241,24 @@ class TestObservationViews:
         assert sender_charges == [1] * len(report.slot_log)
 
     def test_budgeted_seal_and_send_make_no_settle(self, monkeypatch):
-        """In a budgeted frame a sender's charge, which has no rx amount,
-        adds to `tx` and `crypto` alone, so it leaves its pending listens
-        for the next receive charge or energy read."""
+        """In a budgeted frame a charge, a sender's seal and send or a
+        destination's receive and open, is plain additions to the books: it
+        leaves its node's pending listens for the next energy read."""
         settles = count_calls(monkeypatch, sim._Node, "settle")
         charge = sim._Node.charge
-        in_tx_crypto, pending = [0], [0]
+        in_charges, pending = [0], [0]
 
-        def charging(self, rx=0.0, crypto=0.0, tx=0.0):
-            if rx:
-                return charge(self, rx, crypto, tx)
+        def charging(self, rx=0, crypto=0, tx=0):
             assert self.channel.budgeted
             pending[0] += self.channel.deferred != self.heard
             before = settles[0]
             charge(self, rx, crypto, tx)
-            in_tx_crypto[0] += settles[0] - before
+            in_charges[0] += settles[0] - before
 
         monkeypatch.setattr(sim._Node, "charge", charging)
         sim.run(SimConfig(seed=1, node_count=32, group_count=1, sim_length=3))
         assert pending[0] > 0 and settles[0] > 0
-        assert in_tx_crypto[0] == 0
-
-    def test_settle_additions_linear_in_group_size(self, monkeypatch):
-        """In a budgeted frame the members of a symmetric group settle about
-        n^2 deferred listens, but most of them from an `rx` and count that
-        another member already summed: the channel's sums, one addition per
-        listen they cover, take at most 6n additions per frame."""
-        listens, frames = [0], []
-        settle, frame_end = sim._Node.settle, sim._Simulation._frame_end
-
-        def settling(self):
-            if self.alive:
-                listens[0] += self.channel.deferred - self.heard
-            settle(self)
-
-        def ending(self, frame):
-            frame_end(self, frame)
-            (group,) = self.groups
-            assert group.channel.budgeted
-            additions = sum(pending for _, pending in group.channel.settled)
-            frames.append((additions, listens[0]))
-            listens[0] = 0
-
-        monkeypatch.setattr(sim._Node, "settle", settling)
-        monkeypatch.setattr(sim._Simulation, "_frame_end", ending)
-        config = config_from_dict(BIG_GROUP)
-        sim.run(config)
-        n = config.node_count
-        assert len(frames) == config.sim_length
-        for additions, settled in frames:
-            assert settled > n * n // 2
-            assert additions <= 6 * n
+        assert in_charges[0] == 0
 
     def test_one_open_per_transmission(self, monkeypatch):
         """Loss-free and honest: every listener of a wire holds the sealing
@@ -1853,22 +1858,16 @@ class TestSetUp:
 
     def test_crypto_table_is_the_formula(self):
         """The cached table holds `_crypto_energy` for every level and
-        length, to the repr, and models that compare equal but differ in
-        a zero's type or sign get tables of their own."""
-        models = [
-            EnergyModel(),
-            EnergyModel(xor_per_octet=0.0, mac_fixed=0.0),
-            EnergyModel(xor_per_octet=0, mac_fixed=0),
-            EnergyModel(xor_per_octet=-0.0, mac_fixed=-0.0),
-        ]
-        for model in models:
+        length, a whole number of nJ each."""
+        for model in (EnergyModel(), EnergyModel(xor_per_octet=0.0, mac_fixed=0.0)):
             table = sim._crypto_costs(model)
             assert sim._crypto_costs(model) is table
             assert len(table) == len(linksec.LEVELS)
             for code, level in enumerate(linksec.LEVELS):
                 assert len(table[code]) == linksec.MAX_PAYLOAD + 1
                 for n, cost in enumerate(table[code]):
-                    assert repr(cost) == repr(sim._crypto_energy(model, level, n))
+                    assert type(cost) is int
+                    assert cost == sim._crypto_energy(model, level, n)
         simulation = sim._Simulation(SimConfig(seed=1, node_count=3, group_count=1))
         assert simulation.crypto_costs is sim._crypto_costs(simulation.model)
 
@@ -1933,6 +1932,8 @@ class TestConfigLoading:
             ("energy_model.initial_energy", "NaN"),
             ("energy_model.initial_energy", "Infinity"),
             ("energy_model.tx_per_octet", "NaN"),
+            # Above about 1.8e299 J, the amount in nJ overflows a float.
+            ("energy_model.initial_energy", "1e300"),
             ("trust_weights.w3", "NaN"),
             ("trust_weights.w3", "Infinity"),
             ("scenario.energy_floor", "NaN"),

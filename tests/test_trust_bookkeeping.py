@@ -262,7 +262,7 @@ class ParentSimulation:
                         size = linksec.wire_size(length, level.auth)
                         costs = crypto_costs[(level.encryption << 1) | level.auth]
                         member.charge(
-                            crypto=costs[length], tx=self.model.tx_per_octet * size
+                            crypto=costs[length], tx=self.tx_per_octet * size
                         )
                         member.stats.packets_sent += 1
                         self._observe(group, member.addr, "data-forwarded")
