@@ -10,8 +10,10 @@ malformed packet. Failures 3 to 6 print one machine-readable line to
 stderr: ``error: <category>: <message>``. A closed standard output
 (``wsnsec ... | head -n 0``) is handled as the Python docs' note on SIGPIPE
 advises: what is left to write goes to the null device, nothing is printed
-on stderr, and the exit code is 1. A program fault is not caught: it exits
-1 too, with a traceback.
+on stderr, and the exit code is 1. An `OSError` is invalid input only
+where it comes from reading or writing a file named on the command line.
+Any other, such as a fork the system refuses to ``compare``, is not caught,
+like a program fault: it exits 1 too, with a traceback.
 Key-ring files, written by ``derive-keys --ring-out`` and read by
 ``--keyring``, have the format the `config` module gives.
 """
@@ -19,6 +21,7 @@ Key-ring files, written by ``derive-keys --ring-out`` and read by
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -46,6 +49,16 @@ def _fail(category: str, message: str, code: int) -> int:
     return code
 
 
+@contextlib.contextmanager
+def _named_files():
+    """Raise an `OSError` from within as a `ValueError`: invalid input. Only
+    the reads and writes of files named on the command line run within."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -58,18 +71,21 @@ def _write_outputs(
     """Write each named output file and `summary.txt` into `out_dir`, then
     print the summary. An output is its text, or a function that writes it
     to the open file."""
-    os.makedirs(out_dir, exist_ok=True)
-    for name, output in {**outputs, "summary.txt": summary}.items():
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            if isinstance(output, str):
-                fh.write(output)
-            else:
-                output(fh)
+    with _named_files():
+        os.makedirs(out_dir, exist_ok=True)
+        for name, output in {**outputs, "summary.txt": summary}.items():
+            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+                if isinstance(output, str):
+                    fh.write(output)
+                else:
+                    output(fh)
     print(summary, end="")
 
 
 def _cmd_run(args) -> int:
-    report = sim.run(load_config(args.config, args.set or []))
+    with _named_files():
+        config = load_config(args.config, args.set or [])
+    report = sim.run(config)
     _write_outputs(
         args.out_dir,
         {"energy.csv": report.energy_csv(), "trust.csv": report.write_trust_csv},
@@ -87,7 +103,8 @@ def _cmd_compare(args) -> int:
         "seed": args.seed,
     }
     shorthand = [f"{key}={json.dumps(v)}" for key, v in flags.items() if v is not None]
-    config = load_config(args.config, shorthand + (args.set or []))
+    with _named_files():
+        config = load_config(args.config, shorthand + (args.set or []))
     savings = sim.compare_fixed_vs_adaptive(config)
     _write_outputs(
         args.out_dir,
@@ -116,14 +133,15 @@ def _cmd_derive_keys(args) -> int:
         ring.session = derive_session_key(master, args.session_group, base)
         print(f"session {ring.session.hex()}")
     if args.ring_out:
-        with open(args.ring_out, "w", encoding="utf-8") as fh:
+        with _named_files(), open(args.ring_out, "w", encoding="utf-8") as fh:
             json.dump(keyring_to_dict(ring), fh, indent=2)
             fh.write("\n")
     return 0
 
 
 def _cmd_packet_encode(args) -> int:
-    ring = load_keyring(args.keyring)
+    with _named_files():
+        ring = load_keyring(args.keyring)
     state = CounterState(args.counter)
     level = SecurityLevel(Encryption(args.level), args.auth)
     wire = linksec.encode(level, ring, state, args.dest, bytes.fromhex(args.payload))
@@ -133,7 +151,8 @@ def _cmd_packet_encode(args) -> int:
 
 
 def _cmd_packet_decode(args) -> int:
-    ring = load_keyring(args.keyring)
+    with _named_files():
+        ring = load_keyring(args.keyring)
     state = CounterState(args.counter)
     payload = linksec.decode(
         bytes.fromhex(args.wire), ring, state, args.loss_threshold
@@ -167,7 +186,7 @@ def _cmd_trust(args) -> int:
     weights = read_weights(
         [float(w) for w in args.weights.split(",")] if args.weights else None
     )
-    with open(args.observations, "r", encoding="utf-8", newline="") as fh:
+    with _named_files(), open(args.observations, "r", encoding="utf-8", newline="") as fh:
         lines = csv.reader(fh)
         header = next(lines, None)
         if header is None or "neighbor" not in header:
@@ -284,7 +303,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail("authentication", str(exc), EXIT_AUTH)
     except linksec.FormatError as exc:
         return _fail("format", str(exc), EXIT_FORMAT)
-    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+    except ValueError as exc:  # json.JSONDecodeError is one
         return _fail("invalid", str(exc), EXIT_INVALID)
 
 

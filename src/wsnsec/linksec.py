@@ -293,8 +293,11 @@ def decode(
     its own seal. Under a receive key equal to its key, the candidate
     equal to its counter yields its payload without a block pass. This is
     exact, because OCB is invertible: an open at the true key and counter
-    always verifies and returns the plaintext. Every other candidate and
-    every receiver that holds another key runs the real open, and the
+    always verifies and returns the plaintext. When that candidate is the
+    first, as for every honest wire sent with no loss since the last
+    accepted one, it answers before the loop, with the loop's first-pass
+    replay check, message and update of `expected`. Every other candidate
+    and every receiver that holds another key runs the real open, and the
     replay check applies to the answered candidate as to any other, so the
     outcome and `expected` are those of decoding `bytes(wire)`. A pending
     wire is sealed only for a real open.
@@ -319,6 +322,11 @@ def decode(
     own = wire.counter if pending and wire.key == key else None
     last = expected.value
     base = ((last + 1) & _WRAP_MASK) | header.counter_lsb
+    if base == own:  # the loop's first pass, answered before the loop is set up
+        if base <= last:
+            raise ReplayError(f"counter {base} not beyond {last}")
+        expected.value = base
+        return wire.payload
     auth = header.level.auth
     ct = None
     for wrap in range(loss_threshold + 1 if auth else 1):

@@ -68,22 +68,25 @@ Model (desk scale, normative for the closed-form energy tests):
   transmit energy. When `run` ends, each node's books go into its
   `NodeStats.ledger` in joules.
 * Reception: the simulator keeps a separate receive counter per listener and
-  direction. On the host, every wire is the `linksec.PendingWire` that
-  `linksec.encode_pending` returns, and a replay puts the captured one on
-  air again: its counter is reserved and its `PacketHeader` travels with it,
-  so no header is parsed from octets, and it is sealed only when a real
-  open reads its bytes. Listeners decode the pending wire itself, which is
-  its own seal: one holding the sealing key gets the plaintext at the
-  sealing counter with no block pass, which is exact because an OCB open at
-  the true key and counter always verifies and returns the plaintext. Every
-  other open is real: wraps tried before the sealing counter and receivers
-  under another key (a stale session, an excluded member). A late seal is
-  exact too, since a seal is a pure function of its inputs, so every
+  direction, made on the listener's first wire in that direction. On the host,
+  every wire is the `linksec.PendingWire` that `linksec.encode_pending`
+  returns, and a replay puts the captured one on air again: its counter is
+  reserved and its `PacketHeader` travels with it, so no header is parsed from
+  octets, and it is sealed only when a real open reads its bytes. Listeners
+  decode the pending wire itself, which is its own seal: one holding the
+  sealing key gets the plaintext at the sealing counter with no block pass,
+  which is exact because an OCB open at the true key and counter always
+  verifies and returns the plaintext. When the sealing counter is the first
+  candidate, as for an honest wire with no loss since the listener's last
+  accepted one, `linksec.decode` answers before it sets up its wrap search.
+  Every other open is real: wraps tried before the sealing counter and
+  receivers under another key (a stale session, an excluded member). A late
+  seal is exact too, since a seal is a pure function of its inputs, so every
   listener's energy, counters and outcome are as if the wire had been sealed
   and opened for real. Honest simulator traffic therefore runs no cipher at
-  all; the `codec` benchmark workload, acceptance criteria 3 and 8, the
-  packet vectors, the oracle tests and criterion 6 (real opens under stale
-  session keys) keep it covered.
+  all; the `codec` benchmark workload, acceptance criteria 3 and 8, the packet
+  vectors, the oracle tests and criterion 6 (real opens under stale session
+  keys) keep it covered.
 * Budgeted frames: a group's frame is budgeted when the group is
   loss-free and its every alive member has more battery left than one frame
   can spend. One budget decides two things. First, header-only listens: the
@@ -115,6 +118,7 @@ import pickle
 import random
 import signal
 import threading
+from collections import defaultdict
 from dataclasses import replace
 from functools import lru_cache
 from typing import Optional
@@ -193,8 +197,8 @@ class _Node:
         self.tx = self.rx = self.crypto = 0  # the books: nJ spent, by ledger field
         self.adversary: Optional[AdversarySpec] = None
         self.captured_wire: Optional[tuple[linksec.PendingWire, int]] = None  # (wire, dest)
-        self.out_ctr: dict[int, CounterState] = {}
-        self.in_ctr: dict[tuple[int, int], CounterState] = {}
+        self.out_ctr: defaultdict[int, CounterState] = defaultdict(CounterState)
+        self.in_ctr: defaultdict[tuple[int, int], CounterState] = defaultdict(CounterState)
 
     @property
     def alive(self) -> bool:
@@ -266,13 +270,6 @@ class _Node:
         death, or else the group ledger, whose row about this node is not
         its own to read."""
         return self.ledger if self.frozen is None else self.frozen
-
-    def counter_to(self, dest: int) -> CounterState:
-        try:
-            return self.out_ctr[dest]
-        except KeyError:
-            state = self.out_ctr[dest] = CounterState()
-            return state
 
 
 class _Group:
@@ -481,7 +478,7 @@ class _Simulation:
             slot = group.next_slot
             group.next_slot += 1
             wire = linksec.encode_pending(
-                self._decide(sender, pclass), sender.ring, sender.counter_to(dest),
+                self._decide(sender, pclass), sender.ring, sender.out_ctr[dest],
                 dest, payload,
             )
         else:
@@ -528,12 +525,9 @@ class _Simulation:
                 listener.charge(header_rx)
                 continue
             listener.charge(rx_cost, open_cost)
-            state = listener.in_ctr.get(ctr_key)
-            if state is None:  # the listener's first wire in this direction
-                state = listener.in_ctr[ctr_key] = CounterState()
             stats = listener.stats
             try:
-                plain = linksec.decode(wire, listener.ring, state, threshold)
+                plain = linksec.decode(wire, listener.ring, listener.in_ctr[ctr_key], threshold)
             except linksec.ReplayError:
                 stats.replay_rejects += 1
             except linksec.AuthenticationError:

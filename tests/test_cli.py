@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import pathlib
@@ -216,6 +217,32 @@ def test_closed_stdout_exits_1_quietly():
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (cli.EXIT_CLOSED_PIPE, b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("nonsense",),
+        ("run", "--nonsense"),
+        ("compare", "--scenario", "moon"),
+        ("derive-keys", "--node", "2.5", "--head", "2.1"),
+        ("packet-encode", "--keyring", "r.json", "--dest", "1", "--level", "4",
+         "--payload", "00"),
+        ("packet-decode", "--keyring", "r.json"),
+        ("packet-dissect",),
+        ("trust",),
+    ],
+    ids=["none", "unknown-command", "run", "compare", "derive-keys", "packet-encode",
+         "packet-decode", "packet-dissect", "trust"],
+)
+def test_usage_errors_exit_2(capsys, argv):
+    """Each subcommand, given arguments its parser refuses, exits 2 with
+    argparse's usage message, before any file is read."""
+    with pytest.raises(SystemExit) as caught:
+        cli.main(list(argv))
+    assert caught.value.code == 2
+    assert "usage: wsnsec" in capsys.readouterr().err
 
 
 class TestDeriveKeys:
@@ -640,3 +667,56 @@ class TestSimCommands:
         )
         assert code == cli.EXIT_INVALID
         assert err == f"error: invalid: {message}\n"
+
+
+class TestOSErrors:
+    """An OSError is invalid input where a file named on the command line
+    is read or written, and nowhere else."""
+
+    SMALL = ("--nodes", "4", "--groups", "1", "--frames", "2")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--config", "{missing}/cfg.json", "--out-dir", "{tmp}"),
+            ("compare", "--config", "{missing}/cfg.json", "--out-dir", "{tmp}"),
+            ("packet-encode", "--keyring", "{missing}/r.json", "--dest", "1",
+             "--level", "0", "--payload", "00"),
+            ("packet-decode", "--keyring", "{missing}/r.json", "00"),
+            ("trust", "--observations", "{missing}/obs.csv"),
+            ("derive-keys", "--master", MASTER, "--node", "2.5", "--head", "2.1",
+             "--ring-out", "{missing}/r.json"),
+            ("run", "--set", "node_count=4", "--set", "group_count=1",
+             "--set", "sim_length=2", "--out-dir", "{file}"),
+            ("compare", *SMALL, "--out-dir", "{file}"),
+        ],
+        ids=["run-config", "compare-config", "encode-keyring", "decode-keyring",
+             "trust-observations", "derive-keys-ring-out", "run-out-dir",
+             "compare-out-dir"],
+    )
+    def test_named_file_errors_exit_invalid(self, capsys, tmp_path, argv):
+        """A file that cannot be read, or an output that cannot be written
+        (a missing directory, an out-dir that is a file), exits 3."""
+        (tmp_path / "file").write_text("")
+        names = {"missing": tmp_path / "missing", "tmp": tmp_path, "file": tmp_path / "file"}
+        code, _, err = run_cli(capsys, *(a.format(**names) for a in argv))
+        assert code == cli.EXIT_INVALID
+        assert err.startswith("error: invalid: [Errno ")
+
+    def test_refused_fork_is_not_invalid_input(self, capsys, monkeypatch, tmp_path):
+        """A fork the system refuses is no fault of the input: `main` lets
+        the OSError through (exit 1 with a traceback), prints no "invalid"
+        line and leaves no child. No process is started: the fork is a
+        stand-in that raises."""
+        def refuse():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(sim, "_may_fork", lambda: True)
+        monkeypatch.setattr(os, "fork", refuse)
+        with pytest.raises(OSError) as caught:
+            cli.main(["compare", *self.SMALL, "--out-dir", str(tmp_path)])
+        assert caught.value.errno == errno.EAGAIN
+        assert capsys.readouterr().err == ""
+        assert not (tmp_path / "savings.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

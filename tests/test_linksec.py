@@ -470,16 +470,19 @@ class TestSealHint:
             st.integers(0, (1 << 32) - 2),
         ),
         lost=st.integers(-300, 1500),
+        threshold=st.integers(0, 8),
     )
-    def test_true_hint_changes_no_outcome(self, level, payload, sent, lost):
+    def test_true_hint_changes_no_outcome(self, level, payload, sent, lost, threshold):
         """Any level and length, a receiver behind by `lost` packets (ahead
-        when negative), counters up to 2**32 - 1: decoding the pending wire
-        gives the outcome of decoding its bytes."""
+        when negative), counters up to 2**32 - 1, a search of 1 to 9 wraps:
+        decoding the pending wire gives the outcome of decoding its bytes,
+        whether its own seal answers before the search, in it, or not at
+        all."""
         ring_head, ring_src, _ = make_rings()
         wire = _seal(level, ring_src, sent, HEAD.node_id, payload)
         last = min(max(sent - lost, 0), (1 << 32) - 1)
-        got = _outcome(wire, ring_head, last)
-        assert got == _outcome(bytes(wire), ring_head, last)
+        got = _outcome(wire, ring_head, last, threshold)
+        assert got == _outcome(bytes(wire), ring_head, last, threshold)
 
 
 class TestCounterExhaustion:
