@@ -41,13 +41,29 @@ counter as 4 big-endian octets:
 
 The code XORs the payload with its keystream as two ints, read and written
 in one byte order, which is the octet-by-octet XOR.
+
+An open takes the candidate counters of the receiver's counter-wrap search
+and answers with the first whose tag verifies; without a tag the first
+answers. Its work is split by what it depends on:
+
+* once per wire: the key set-up lookup, ``E(pad(aad))`` (which does not
+  depend on the nonce), and the ciphertext as one int with its block
+  layout: the final block, its ``bitlen`` input and its mask;
+* once per candidate: the nonce offset ``r``, the ``m`` full-block
+  decrypts, the final pad ``y`` and the tag compare.
+
+An open of ``k`` candidates that none answers thus makes ``1 + k(m + 3)``
+block-cipher calls, where ``k`` opens of one candidate make ``k(m + 4)``.
+Nothing is kept from one call to the next. At level 0 every value depends
+on the counter, but the tag is checked first, so only the candidate that
+answers pays for the keystream.
 """
 
 from __future__ import annotations
 
 import hmac
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import rc5
 from .keys import hmac_sha256
@@ -56,6 +72,10 @@ TAG_BYTES = 4
 _M32 = 0xFFFFFFFF
 _M64 = 0xFFFFFFFF_FFFFFFFF
 _MAX_BLOCK_MODE_BYTES = 511 * rc5.BLOCK_BYTES  # see the `l * x^i` table
+_COUNTER_RANGE = "counter must fit 32 bits"
+# Level 0 checks the key's length itself; the block modes check it in
+# `rc5.key_schedule`, on `_setup`'s misses.
+_KEY_LENGTH = f"key must be {rc5.KEY_BYTES} octets"
 
 # Domain tags for the level-0 stream expansion and its tag (the key
 # derivation tags 0x01-0x04 live in `keys`).
@@ -90,43 +110,16 @@ def _setup(key: bytes, rounds: int) -> tuple[rc5.Schedule, int, tuple[int, ...]]
     return schedule, _byteswap(_halve(l)), tuple(map(_byteswap, doubles))
 
 
-def _block_mode(key, rounds, counter, aad, data, auth, decrypt):
-    """One pass of the block mode over `data` (plaintext, or ciphertext when
-    `decrypt`); returns (output, tag), the tag None without `auth`."""
+def _block_setup(key, rounds, aad, data, auth):
+    """Checks the associated data and the length of `data` for the block
+    modes and returns `_setup`'s (schedule, l_inv, doubles)."""
     if auth and len(aad) >= rc5.BLOCK_BYTES:
         raise ValueError("associated data must fit one block with padding")
-    n = len(data)
-    if n > _MAX_BLOCK_MODE_BYTES:
+    if len(data) > _MAX_BLOCK_MODE_BYTES:
         raise ValueError(
             f"block-mode data must be at most {_MAX_BLOCK_MODE_BYTES} octets"
         )
-    schedule, l_inv, doubles = _setup(key, rounds)
-    enc = rc5.encrypt_int
-    core = rc5.decrypt_int if decrypt else enc
-    x = int.from_bytes(data, "little")
-    nonce = int.from_bytes(counter.to_bytes(8, "big"), "little")
-    z = doubles[0] ^ enc(schedule, nonce ^ doubles[0])
-    out = checksum = shift = 0
-    # Every block but the last is full; `i` numbers the block after this one.
-    for i in range(2, (n + 7) // 8 + 1):
-        blk = x & _M64
-        x >>= 64
-        y = core(schedule, blk ^ z) ^ z
-        out |= y << shift
-        shift += 64
-        checksum ^= y if decrypt else blk
-        z ^= doubles[(i & -i).bit_length() - 1]  # l * x^ntz(i)
-    final_bytes = n - shift // 8
-    # bitlen(m_final) fits the last octet of the big-endian block.
-    pad = enc(schedule, ((final_bytes * 8) << 56) ^ l_inv ^ z)
-    y = (x ^ pad) & ((1 << 8 * final_bytes) - 1)
-    out |= y << shift
-    checksum ^= (x if decrypt else y) ^ pad
-    tag = None
-    if auth:
-        t = enc(schedule, checksum ^ z) ^ enc(schedule, int.from_bytes(aad + b"\x80", "little"))
-        tag = (t & _M32).to_bytes(TAG_BYTES, "little")
-    return out.to_bytes(n, "little"), tag
+    return _setup(key, rounds)
 
 
 def _xor_stream(key: bytes, counter: int, text: bytes) -> bytes:
@@ -150,22 +143,6 @@ def _stream_tag(key: bytes, counter: int, aad: bytes, ciphertext: bytes) -> byte
     return hmac_sha256(key, msg)[:TAG_BYTES]
 
 
-def _crypt(key, rounds, counter, aad, data, auth, decrypt):
-    """What `seal` and `open_` share: checks the counter and, at level 0,
-    the key (the block modes check it in `rc5.key_schedule`, on `_setup`'s
-    misses), then runs the block mode, or at `rounds` 0 the keystream, over
-    `data`: the plaintext, or the ciphertext when `decrypt`. Returns
-    (output, tag), the tag None without `auth`."""
-    if not 0 <= counter <= _M32:
-        raise ValueError("counter must fit 32 bits")
-    if rounds:
-        return _block_mode(key, rounds, counter, aad, data, auth, decrypt)
-    if len(key) != rc5.KEY_BYTES:
-        raise ValueError(f"key must be {rc5.KEY_BYTES} octets")
-    out = _xor_stream(key, counter, data)
-    return out, _stream_tag(key, counter, aad, data if decrypt else out) if auth else None
-
-
 def seal(
     key: bytes,
     rounds: int,
@@ -174,36 +151,113 @@ def seal(
     plaintext: bytes,
     auth: bool,
 ) -> tuple[bytes, Optional[bytes]]:
-    """Encrypt `plaintext`; returns `_crypt`'s (ciphertext, tag-or-None).
+    """Encrypt `plaintext`; returns (ciphertext, tag), the tag None without
+    `auth`.
 
     `rounds` 0 selects the level-0 keystream XOR, otherwise RC5 with that
     round count. Identical (key, counter, plaintext) always produce the
     same output; a different counter changes the whole ciphertext.
     """
-    return _crypt(key, rounds, counter, aad, plaintext, auth, False)
+    if not 0 <= counter <= _M32:
+        raise ValueError(_COUNTER_RANGE)
+    if not rounds:
+        if len(key) != rc5.KEY_BYTES:
+            raise ValueError(_KEY_LENGTH)
+        ct = _xor_stream(key, counter, plaintext)
+        return ct, _stream_tag(key, counter, aad, ct) if auth else None
+    schedule, l_inv, doubles = _block_setup(key, rounds, aad, plaintext, auth)
+    enc = rc5.encrypt_int
+    n = len(plaintext)
+    x = int.from_bytes(plaintext, "little")
+    nonce = int.from_bytes(counter.to_bytes(8, "big"), "little")
+    z = doubles[0] ^ enc(schedule, nonce ^ doubles[0])
+    out = checksum = shift = 0
+    # Every block but the last is full; `i` numbers the block after this one.
+    for i in range(2, (n + 7) // 8 + 1):
+        blk = x & _M64
+        x >>= 64
+        out |= (enc(schedule, blk ^ z) ^ z) << shift
+        shift += 64
+        checksum ^= blk
+        z ^= doubles[(i & -i).bit_length() - 1]  # l * x^ntz(i)
+    final_bits = 8 * n - shift
+    # bitlen(m_final) fits the last octet of the big-endian block.
+    pad = enc(schedule, (final_bits << 56) ^ l_inv ^ z)
+    y = (x ^ pad) & ((1 << final_bits) - 1)
+    out |= y << shift
+    tag = None
+    if auth:
+        t = enc(schedule, checksum ^ y ^ pad ^ z) ^ enc(schedule, int.from_bytes(aad + b"\x80", "little"))
+        tag = (t & _M32).to_bytes(TAG_BYTES, "little")
+    return out.to_bytes(n, "little"), tag
 
 
 def open_(
     key: bytes,
     rounds: int,
-    counter: int,
+    counters: Iterable[int],
     aad: bytes,
     ciphertext: bytes,
     tag: Optional[bytes],
     auth: bool,
-) -> Optional[bytes]:
-    """Inverse of :func:`seal`. Returns None when the tag does not verify.
+) -> Optional[tuple[int, bytes]]:
+    """Inverse of :func:`seal`, tried at each of `counters` in turn.
 
-    `_crypt` decrypts and recomputes the tag; this only compares it with
-    `tag`, in constant time."""
-    plaintext, expect = _crypt(key, rounds, counter, aad, ciphertext, auth, True)
-    if auth and (tag is None or not hmac.compare_digest(expect, tag)):
+    Returns (counter, plaintext) for the first counter whose tag verifies,
+    compared in constant time, or None when none does. Without `auth`
+    nothing is verified, so the first counter answers. Each counter is
+    checked as it is tried. The work that does not depend on the counter
+    runs once, before the first; see the module docstring.
+    """
+    if not rounds:
+        if len(key) != rc5.KEY_BYTES:
+            raise ValueError(_KEY_LENGTH)
+        for counter in counters:
+            if not 0 <= counter <= _M32:
+                raise ValueError(_COUNTER_RANGE)
+            if auth and (
+                tag is None
+                or not hmac.compare_digest(_stream_tag(key, counter, aad, ciphertext), tag)
+            ):
+                continue
+            return counter, _xor_stream(key, counter, ciphertext)
         return None
-    return plaintext
+    schedule, l_inv, doubles = _block_setup(key, rounds, aad, ciphertext, auth)
+    enc, dec = rc5.encrypt_int, rc5.decrypt_int
+    n = len(ciphertext)
+    x = int.from_bytes(ciphertext, "little")
+    blocks = (n + 7) // 8
+    last = 64 * blocks - 64 if n else 0  # the final block's bit offset
+    final = x >> last  # the final block's ciphertext, zero-padded
+    final_bits = 8 * n - last
+    final_in = (final_bits << 56) ^ l_inv
+    mask = (1 << final_bits) - 1
+    e_aad = enc(schedule, int.from_bytes(aad + b"\x80", "little")) if auth else 0
+    for counter in counters:
+        if not 0 <= counter <= _M32:
+            raise ValueError(_COUNTER_RANGE)
+        nonce = int.from_bytes(counter.to_bytes(8, "big"), "little")
+        z = doubles[0] ^ enc(schedule, nonce ^ doubles[0])
+        out = checksum = shift = 0
+        # Every block but the last is full; `i` numbers the block after this one.
+        for i in range(2, blocks + 1):
+            y = dec(schedule, ((x >> shift) & _M64) ^ z) ^ z
+            out |= y << shift
+            shift += 64
+            checksum ^= y
+            z ^= doubles[(i & -i).bit_length() - 1]  # l * x^ntz(i)
+        pad = enc(schedule, final_in ^ z)
+        out |= ((final ^ pad) & mask) << last
+        if auth:
+            t = enc(schedule, checksum ^ final ^ pad ^ z) ^ e_aad
+            if tag is None or not hmac.compare_digest((t & _M32).to_bytes(TAG_BYTES, "little"), tag):
+                continue
+        return counter, out.to_bytes(n, "little")
+    return None
 
 
 def rc5_invocations(payload_len: int, auth: bool) -> int:
-    """Cipher-block invocations one seal (or open) performs; used by the
-    simulator's energy accounting."""
+    """Cipher-block invocations of one seal, or of one open of a single
+    candidate counter; used by the simulator's energy accounting."""
     m = max(1, (payload_len + 7) // 8)
     return m + 1 + (2 if auth else 0)

@@ -12,8 +12,10 @@ stderr: ``error: <category>: <message>``. A closed standard output
 advises: what is left to write goes to the null device, nothing is printed
 on stderr, and the exit code is 1. An `OSError` is invalid input only
 where it comes from reading or writing a file named on the command line.
-Any other, such as a fork the system refuses to ``compare``, is not caught,
-like a program fault: it exits 1 too, with a traceback.
+Any other, such as standard output failing with ``ENOSPC`` on a full disk,
+is not caught, like a program fault: it exits 1 too, with a traceback. A
+fork the system refuses is no error: ``compare`` then runs its two arms in
+turn, for the same output.
 Key-ring files, written by ``derive-keys --ring-out`` and read by
 ``--keyring``, have the format the `config` module gives.
 """

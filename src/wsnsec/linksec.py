@@ -277,16 +277,17 @@ def decode(
 ) -> bytes:
     """Verify and decrypt one wire packet, advancing `expected` on success.
 
-    One loop tries the candidate counters in turn. The first is the
-    expected counter's high 24 bits joined with the received low octet. A
-    tagged wire tries `loss_threshold + 1` candidates, each one 256-wrap
-    beyond the last, and the first whose tag verifies answers. An untagged
-    wire has nothing to verify a candidate with, so it tries its one
-    reconstructed counter, and that candidate is taken on faith: its
-    freshness is counter monotonicity alone. An answer whose counter does
-    not advance `expected` is a replay. Raises FormatError,
-    AuthenticationError, or ReplayError; `expected` is untouched on any
-    rejection.
+    The candidate counters are tried in turn. The first is the expected
+    counter's high 24 bits joined with the received low octet. A tagged wire
+    has `loss_threshold + 1` candidates, each one 256-wrap beyond the last
+    (mod 2**32), and the first whose tag verifies answers. An untagged wire
+    has nothing to verify a candidate with, so it has its one reconstructed
+    counter, and that candidate is taken on faith: its freshness is counter
+    monotonicity alone. The candidates go to one `aead.open_` call, which
+    does the wire's own work once and pays only the cipher for each further
+    candidate. An answer whose counter does not advance `expected` is a
+    replay. Raises FormatError, AuthenticationError, or ReplayError;
+    `expected` is untouched on any rejection.
 
     A `bytes` wire's header is parsed and checked against the reserved
     lengths and the wire's size. A `PendingWire` carries its header and is
@@ -295,9 +296,10 @@ def decode(
     exact, because OCB is invertible: an open at the true key and counter
     always verifies and returns the plaintext. When that candidate is the
     first, as for every honest wire sent with no loss since the last
-    accepted one, it answers before the loop, with the loop's first-pass
-    replay check, message and update of `expected`. Every other candidate
-    and every receiver that holds another key runs the real open, and the
+    accepted one, it answers before the open, with the same replay check,
+    message and update of `expected`. When it is a later one, the open gets
+    only the candidates before it, and the payload answers if none of them
+    does. A receiver that holds another key opens every candidate. The
     replay check applies to the answered candidate as to any other, so the
     outcome and `expected` are those of decoding `bytes(wire)`. A pending
     wire is sealed only for a real open.
@@ -322,32 +324,36 @@ def decode(
     own = wire.counter if pending and wire.key == key else None
     last = expected.value
     base = ((last + 1) & _WRAP_MASK) | header.counter_lsb
-    if base == own:  # the loop's first pass, answered before the loop is set up
+    if base == own:  # the first candidate, answered before the open is set up
         if base <= last:
             raise ReplayError(f"counter {base} not beyond {last}")
         expected.value = base
         return wire.payload
-    auth = header.level.auth
-    ct = None
-    for wrap in range(loss_threshold + 1 if auth else 1):
-        candidate = (base + (wrap << 8)) & _COUNTER_MASK
-        if candidate == own:
-            payload = wire.payload
-        else:
-            if ct is None:  # the first real open reads the rounds and seals the bytes
-                rounds = header.level.encryption.rounds
-                data = bytes(wire)
-                end = HEADER_BYTES + header.length
-                aad, ct, tag = data[:HEADER_BYTES], data[HEADER_BYTES:end], data[end:]
-            payload = aead.open_(key, rounds, candidate, aad, ct, tag, auth)
-        if payload is not None:  # always so without a tag
-            if candidate <= last:
-                raise ReplayError(f"counter {candidate} not beyond {last}")
-            expected.value = candidate
-            return payload
-    raise AuthenticationError(
-        f"tag mismatch after {loss_threshold + 1} counter attempts"
-    )
+    level = header.level
+    # The candidates, each one 256-wrap beyond the last, taken mod 2**32.
+    stop = base + ((loss_threshold + 1 if level.auth else 1) << 8)
+    candidates = range(base, stop, 256)
+    if stop > _COUNTER_MASK + 256:
+        candidates = [c & _COUNTER_MASK for c in candidates]
+    answer = None
+    if own is not None and own in candidates:  # its own plaintext answers `own`
+        answer = own, wire.payload
+        candidates = candidates[:candidates.index(own)]
+    data = bytes(wire)
+    end = HEADER_BYTES + header.length
+    answer = aead.open_(
+        key, level.encryption.rounds, candidates, data[:HEADER_BYTES],
+        data[HEADER_BYTES:end], data[end:], level.auth,
+    ) or answer
+    if answer is None:
+        raise AuthenticationError(
+            f"tag mismatch after {loss_threshold + 1} counter attempts"
+        )
+    counter, payload = answer
+    if counter <= last:
+        raise ReplayError(f"counter {counter} not beyond {last}")
+    expected.value = counter
+    return payload
 
 
 def dissect(wire: bytes) -> dict:

@@ -849,7 +849,9 @@ def _fork_run(config: SimConfig) -> tuple[int, int]:
     """Start `run(config)` in a forked child; returns its pid and the read
     end of a pipe that carries the pickled `(True, report)` or
     `(False, exception)`. The child leaves through `os._exit`, so it never
-    flushes the caller's stdio buffers or runs its atexit hooks."""
+    flushes the caller's stdio buffers or runs its atexit hooks. A pipe or
+    fork that the system refuses raises its `OSError`, with no descriptor
+    left open."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -881,7 +883,9 @@ def compare_fixed_vs_adaptive(config: SimConfig) -> SavingsReport:
     level; the adaptive arm lets the per-node agent pick levels. Where
     `_may_fork` allows, the fixed arm runs in a forked child while the
     caller runs the adaptive arm; since each arm is a pure function of its
-    config, the report equals that of running the two in turn. A child's
+    config, the report equals that of running the two in turn. If the
+    system refuses the pipe or the child (an `OSError` such as `EAGAIN`),
+    the caller runs the two in turn, for the same report. A child's
     exception is raised again here with its class and message; a child
     that ends without a whole reply raises `ChildProcessError`. If the
     caller's arm raises or is interrupted, the child is killed. Every path
@@ -890,11 +894,17 @@ def compare_fixed_vs_adaptive(config: SimConfig) -> SavingsReport:
     arm."""
     fixed_config = replace(config, adaptive=False)
     adaptive_config = replace(config, adaptive=True)
-    if not _may_fork():
+    child = None
+    if _may_fork():
+        try:
+            child = _fork_run(fixed_config)
+        except OSError:  # refused: the arms run in turn below
+            pass
+    if child is None:
         fixed = run(fixed_config)
         adaptive = run(adaptive_config)
     else:
-        pid, read_fd = _fork_run(fixed_config)
+        pid, read_fd = child
         status = None
         with os.fdopen(read_fd, "rb") as pipe:
             try:

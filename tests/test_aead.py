@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from wsnsec import aead, rc5, sim
@@ -25,7 +26,7 @@ def test_roundtrip_all_lengths(rounds, auth):
         ct, tag = aead.seal(KEY, rounds, ctr, aad, pt, auth)
         assert len(ct) == n
         assert (tag is None) == (not auth)
-        assert aead.open_(KEY, rounds, ctr, aad, ct, tag, auth) == pt
+        assert aead.open_(KEY, rounds, [ctr], aad, ct, tag, auth) == (ctr, pt)
 
 
 @pytest.mark.parametrize("rounds", (0, 4, 8, 12))
@@ -48,41 +49,41 @@ def test_bit_flips_rejected(rounds, auth):
     for i in range(len(ct) * 8):
         bad = bytearray(ct)
         bad[i // 8] ^= 1 << (i % 8)
-        assert aead.open_(KEY, rounds, 77, aad, bytes(bad), tag, True) is None
+        assert aead.open_(KEY, rounds, [77], aad, bytes(bad), tag, True) is None
     for i in range(len(tag) * 8):
         bad = bytearray(tag)
         bad[i // 8] ^= 1 << (i % 8)
-        assert aead.open_(KEY, rounds, 77, aad, ct, bytes(bad), True) is None
+        assert aead.open_(KEY, rounds, [77], aad, ct, bytes(bad), True) is None
 
 
 def test_aad_is_bound():
     ct, tag = aead.seal(KEY, 8, 5, b"\x09\x01\x02\x03\x04", b"payload", True)
-    assert aead.open_(KEY, 8, 5, b"\x09\x01\x02\x03\x05", ct, tag, True) is None
+    assert aead.open_(KEY, 8, [5], b"\x09\x01\x02\x03\x05", ct, tag, True) is None
 
 
 def test_wrong_counter_rejected():
     ct, tag = aead.seal(KEY, 8, 5, b"aadaa", b"payload", True)
-    assert aead.open_(KEY, 8, 6, b"aadaa", ct, tag, True) is None
+    assert aead.open_(KEY, 8, [6], b"aadaa", ct, tag, True) is None
 
 
 def test_empty_payload_auth():
     ct, tag = aead.seal(KEY, 12, 9, b"aadaa", b"", True)
     assert ct == b"" and tag is not None and len(tag) == 4
-    assert aead.open_(KEY, 12, 9, b"aadaa", b"", tag, True) == b""
+    assert aead.open_(KEY, 12, [9], b"aadaa", b"", tag, True) == (9, b"")
 
 
 def test_wrong_key_rejected():
     other = bytes.fromhex("ffeeddccbbaa99887766")
     ct, tag = aead.seal(KEY, 4, 3, b"aadaa", b"data!", True)
-    assert aead.open_(other, 4, 3, b"aadaa", ct, tag, True) is None
+    assert aead.open_(other, 4, [3], b"aadaa", ct, tag, True) is None
 
 
 def test_level0_without_tag_is_malleable():
     # Documented weakening: the XOR level without the auth bit flips along.
     ct, _ = aead.seal(KEY, 0, 6, b"", b"\x00\x00", False)
     tampered = bytes((ct[0] ^ 0x01, ct[1]))
-    out = aead.open_(KEY, 0, 6, b"", tampered, None, False)
-    assert out == b"\x01\x00"
+    out = aead.open_(KEY, 0, [6], b"", tampered, None, False)
+    assert out == (6, b"\x01\x00")
 
 
 def test_counter_out_of_range():
@@ -114,11 +115,11 @@ def test_block_mode_matches_oracle(rounds, auth):
             sealed = aead.seal(key, rounds, ctr, aad, pt, auth)
             assert sealed == oracles.ocb_seal(key, rounds, ctr, aad, pt, auth)
             ct, tag = sealed
-            assert aead.open_(key, rounds, ctr, aad, ct, tag, auth) == pt
+            assert aead.open_(key, rounds, [ctr], aad, ct, tag, auth) == (ctr, pt)
             assert oracles.ocb_open(key, rounds, ctr, aad, ct, tag, auth) == pt
             if auth:
                 bad = bytes((tag[0] ^ 0x80,)) + tag[1:]
-                assert aead.open_(key, rounds, ctr, aad, ct, bad, auth) is None
+                assert aead.open_(key, rounds, [ctr], aad, ct, bad, auth) is None
                 assert oracles.ocb_open(key, rounds, ctr, aad, ct, bad, auth) is None
 
 
@@ -136,22 +137,22 @@ def test_level0_matches_oracle(auth):
             sealed = aead.seal(key, 0, ctr, aad, pt, auth)
             assert sealed == oracles.stream_seal(key, ctr, aad, pt, auth)
             ct, tag = sealed
-            assert aead.open_(key, 0, ctr, aad, ct, tag, auth) == pt
+            assert aead.open_(key, 0, [ctr], aad, ct, tag, auth) == (ctr, pt)
             assert oracles.stream_open(key, ctr, aad, ct, tag, auth) == pt
             if auth:
                 bad = tag[:-1] + bytes((tag[-1] ^ 0x01,))
-                assert aead.open_(key, 0, ctr, aad, ct, bad, auth) is None
+                assert aead.open_(key, 0, [ctr], aad, ct, bad, auth) is None
                 assert oracles.stream_open(key, ctr, aad, ct, bad, auth) is None
 
 
 def test_level0_aad_limit():
     # The level-0 tag carries len(aad) in one octet.
     ct, tag = aead.seal(KEY, 0, 1, b"x" * 255, b"ab", True)
-    assert aead.open_(KEY, 0, 1, b"x" * 255, ct, tag, True) == b"ab"
+    assert aead.open_(KEY, 0, [1], b"x" * 255, ct, tag, True) == (1, b"ab")
     with pytest.raises(ValueError, match="255 octets"):
         aead.seal(KEY, 0, 1, b"x" * 256, b"ab", True)
     with pytest.raises(ValueError, match="255 octets"):
-        aead.open_(KEY, 0, 1, b"x" * 256, ct, tag, True)
+        aead.open_(KEY, 0, [1], b"x" * 256, ct, tag, True)
     # Without a tag the associated data is not read.
     assert aead.seal(KEY, 0, 1, b"x" * 256, b"ab", False) == (ct, None)
 
@@ -166,12 +167,12 @@ def test_argument_checks_on_both_directions(rounds, auth):
         with pytest.raises(ValueError):
             aead.seal(key, rounds, ctr, b"", b"x", auth)
         with pytest.raises(ValueError):
-            aead.open_(key, rounds, ctr, b"", b"x", tag, auth)
+            aead.open_(key, rounds, [ctr], b"", b"x", tag, auth)
     if rounds:
         with pytest.raises(ValueError, match="one block"):
             aead.seal(KEY, rounds, 1, bytes(8), b"x", True)
         with pytest.raises(ValueError, match="one block"):
-            aead.open_(KEY, rounds, 1, bytes(8), b"x", bytes(4), True)
+            aead.open_(KEY, rounds, [1], bytes(8), b"x", bytes(4), True)
 
 
 @pytest.mark.parametrize("rounds,auth", BLOCK_MODES)
@@ -181,11 +182,11 @@ def test_block_mode_length_limit(rounds, auth):
     pt = random.Random(rounds * 10 + auth).randbytes(4088)
     ct, tag = aead.seal(KEY, rounds, 7, b"", pt, auth)
     assert (ct, tag) == oracles.ocb_seal(KEY, rounds, 7, b"", pt, auth)
-    assert aead.open_(KEY, rounds, 7, b"", ct, tag, auth) == pt
+    assert aead.open_(KEY, rounds, [7], b"", ct, tag, auth) == (7, pt)
     with pytest.raises(ValueError, match="4088 octets"):
         aead.seal(KEY, rounds, 7, b"", pt + b"x", auth)
     with pytest.raises(ValueError, match="4088 octets"):
-        aead.open_(KEY, rounds, 7, b"", ct + b"x", tag, auth)
+        aead.open_(KEY, rounds, [7], b"", ct + b"x", tag, auth)
 
 
 @pytest.mark.parametrize("rounds,auth", BLOCK_MODES)
@@ -210,8 +211,59 @@ def test_block_count_matches_energy_model(rounds, auth, monkeypatch):
         ct, tag = aead.seal(key, rounds, 7, b"hdr", pt, auth)
         assert len(calls) == aead.rc5_invocations(n, auth)
         del calls[:]
-        assert aead.open_(key, rounds, 7, b"hdr", ct, tag, auth) == pt
+        assert aead.open_(key, rounds, [7], b"hdr", ct, tag, auth) == (7, pt)
         assert len(calls) == aead.rc5_invocations(n, auth)
+
+
+def _oracle_open(key, rounds, counters, aad, ct, tag, auth):
+    """The answer of trying the oracle's open at each counter in turn."""
+    for counter in counters:
+        if rounds:
+            pt = oracles.ocb_open(key, rounds, counter, aad, ct, tag, auth)
+        else:
+            pt = oracles.stream_open(key, counter, aad, ct, tag, auth)
+        if pt is not None:
+            return counter, pt
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mode=st.sampled_from(ALL_MODES),
+    key=st.binary(min_size=10, max_size=10),
+    aad=st.binary(max_size=7),
+    payload=st.binary(max_size=29),
+    threshold=st.integers(0, 8),
+    first=st.one_of(
+        st.integers(0, (1 << 32) - 1), st.integers((1 << 32) - 8 * 256, (1 << 32) - 1)
+    ),
+    true_at=st.one_of(st.none(), st.integers(0, 8)),
+    forged=st.sampled_from(["tag", "counter"]),
+)
+def test_open_equals_the_oracle_at_each_candidate(
+    mode, key, aad, payload, threshold, first, true_at, forged
+):
+    """One open of a candidate list answers as the oracle's open tried at
+    each candidate in order. The candidates are a receiver's counter-wrap
+    search, `threshold + 1` of them 256 apart and taken mod 2**32. The wire
+    is sealed at the candidate `true_at` or, when that is None or past the
+    list, forged: its tag is flipped, or it is sealed 256 before the first
+    candidate."""
+    rounds, auth = mode
+    candidates = [(first + (w << 8)) & aead._M32 for w in range(threshold + 1)]
+    truth = true_at is not None and true_at <= threshold
+    counter = candidates[true_at] if truth else (first - 256) & aead._M32
+    ct, tag = aead.seal(key, rounds, counter, aad, payload, auth)
+    if not truth and forged == "tag" and auth:
+        tag = bytes((tag[0] ^ 0x01,)) + tag[1:]
+    got = aead.open_(key, rounds, candidates, aad, ct, tag, auth)
+    assert got == _oracle_open(key, rounds, candidates, aad, ct, tag, auth)
+    if not auth:
+        assert got[0] == candidates[0]
+    elif truth:
+        assert got == (counter, payload)
+    else:
+        assert got is None
 
 
 @pytest.mark.parametrize("rounds", (4, 8, 12))

@@ -704,19 +704,37 @@ class TestOSErrors:
         assert err.startswith("error: invalid: [Errno ")
 
     def test_refused_fork_is_not_invalid_input(self, capsys, monkeypatch, tmp_path):
-        """A fork the system refuses is no fault of the input: `main` lets
-        the OSError through (exit 1 with a traceback), prints no "invalid"
-        line and leaves no child. No process is started: the fork is a
-        stand-in that raises."""
+        """A fork the system refuses is no fault of the input, and no fault
+        at all: `compare` runs its arms in turn, exits 0 and writes the
+        `savings.csv` that it writes when it may not fork, leaving no child.
+        No process is started: the fork is a stand-in that raises."""
         def refuse():
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
-        monkeypatch.setattr(sim, "_may_fork", lambda: True)
         monkeypatch.setattr(os, "fork", refuse)
-        with pytest.raises(OSError) as caught:
-            cli.main(["compare", *self.SMALL, "--out-dir", str(tmp_path)])
-        assert caught.value.errno == errno.EAGAIN
-        assert capsys.readouterr().err == ""
-        assert not (tmp_path / "savings.csv").exists()
+        written = {}
+        for may_fork in (True, False):
+            monkeypatch.setattr(sim, "_may_fork", lambda: may_fork)
+            out_dir = tmp_path / str(may_fork)
+            code, _, err = run_cli(capsys, "compare", *self.SMALL, "--out-dir", str(out_dir))
+            assert (code, err) == (0, "")
+            written[may_fork] = (out_dir / "savings.csv").read_text()
+        assert written[True] == written[False]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_other_os_error_is_not_invalid_input(self, capsys, monkeypatch, tmp_path):
+        """An OSError from anywhere but a named file is not invalid input:
+        `main` lets it through (exit 1 with a traceback), prints no
+        "invalid" line and writes no output. The stand-in is a run that
+        raises."""
+        def failing_run(config):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(sim, "_may_fork", lambda: False)
+        monkeypatch.setattr(sim, "run", failing_run)
+        with pytest.raises(OSError) as caught:
+            cli.main(["compare", *self.SMALL, "--out-dir", str(tmp_path)])
+        assert caught.value.errno == errno.EIO
+        assert capsys.readouterr().err == ""
+        assert not (tmp_path / "savings.csv").exists()

@@ -383,14 +383,25 @@ class TestSplitDecode:
             assert _outcome(bad, ring_head, 5) == ((FormatError, message), 5)
 
 
+def tried(counters, answer) -> list:
+    """The counters an `aead.open_` call tried: every candidate passed, up
+    to the one that answered."""
+    counters = list(counters)
+    return counters if answer is None else counters[:counters.index(answer[0]) + 1]
+
+
 @pytest.fixture
 def opens(monkeypatch):
-    """The counters of every real `aead.open_` call, in order."""
+    """The counters that real `aead.open_` calls tried, in order."""
     calls = []
     real_open = linksec.aead.open_
-    monkeypatch.setattr(
-        linksec.aead, "open_", lambda *a: calls.append(a[2]) or real_open(*a)
-    )
+
+    def recording(*args):
+        answer = real_open(*args)
+        calls.extend(tried(args[2], answer))
+        return answer
+
+    monkeypatch.setattr(linksec.aead, "open_", recording)
     return calls
 
 
@@ -549,6 +560,63 @@ class TestCounterExhaustion:
         assert rx.value == 0
         assert linksec.decode(wire, ring_head, rx, loss_threshold=0) == b"in order"
         assert rx.value == 1
+
+
+BLOCK_MODES = [Encryption.RC5_R4, Encryption.RC5_R8, Encryption.RC5_R12]
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """The count of block-cipher calls, in both directions; the count is the
+    list's item."""
+    calls = [0]
+
+    def counting(core):
+        def counted(schedule, x):
+            calls[0] += 1
+            return core(schedule, x)
+        return counted
+
+    monkeypatch.setattr(linksec.aead.rc5, "encrypt_int", counting(linksec.aead.rc5.encrypt_int))
+    monkeypatch.setattr(linksec.aead.rc5, "decrypt_int", counting(linksec.aead.rc5.decrypt_int))
+    return calls
+
+
+class TestOpenCost:
+    """A decode opens its wire once: `E(pad(aad))` runs once per wire, and
+    each candidate tried costs its nonce offset, its `m` full blocks, the
+    final pad and the tag, with the key set up before."""
+
+    @pytest.mark.parametrize("threshold", [0, 4, 8])
+    @pytest.mark.parametrize("length", [0, 8, 15, 24, 29])  # m = 0, 0, 1, 2, 3
+    @pytest.mark.parametrize("encryption", BLOCK_MODES)
+    def test_forged_wire(self, block_calls, encryption, length, threshold):
+        ring_head, ring_src, _ = make_rings()
+        level = SecurityLevel(encryption, True)
+        wire = linksec.encode(level, ring_src, CounterState(), HEAD.node_id, bytes(length))
+        assert linksec.decode(wire, ring_head, CounterState()) == bytes(length)
+        forged = wire[:-1] + bytes((wire[-1] ^ 0x01,))
+        block_calls[0] = 0
+        with pytest.raises(AuthenticationError):
+            linksec.decode(forged, ring_head, CounterState(), loss_threshold=threshold)
+        m = max(length - 1, 0) // 8
+        assert block_calls[0] == 1 + (threshold + 1) * (m + 3)
+
+    @pytest.mark.parametrize("wraps", range(linksec.DEFAULT_LOSS_THRESHOLD + 1))
+    @pytest.mark.parametrize("length", [0, 29])
+    def test_wire_answered_after_a_loss_burst(self, block_calls, length, wraps):
+        """The sealing counter is `wraps` 256-wraps past the first candidate;
+        with no wrap the open costs one seal's `rc5_invocations`."""
+        ring_head, ring_src, _ = make_rings()
+        level = SecurityLevel(Encryption.RC5_R12, True)
+        linksec.encode(level, ring_src, CounterState(), HEAD.node_id, b"")  # key set up
+        wire = linksec.encode(level, ring_src, CounterState(wraps << 8), HEAD.node_id, bytes(length))
+        block_calls[0] = 0
+        assert linksec.decode(wire, ring_head, CounterState()) == bytes(length)
+        m = max(length - 1, 0) // 8
+        assert block_calls[0] == 1 + (wraps + 1) * (m + 3)
+        if not wraps:
+            assert block_calls[0] == linksec.aead.rc5_invocations(length, True)
 
 
 class TestTamper:

@@ -1,3 +1,4 @@
+import errno
 import hmac
 import json
 import os
@@ -29,6 +30,7 @@ from wsnsec.reports import EnergyLedger, SavingsReport
 from wsnsec.trust import TrustTable, TrustTables
 
 from test_keys import check_group_rings
+from test_linksec import tried
 from test_trust_bookkeeping import frame_configs
 
 
@@ -78,6 +80,21 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def count_open_attempts(monkeypatch):
+    """Wrap `aead.open_` to count the candidate counters it tries (see
+    `test_linksec.tried`); the count is the list's item."""
+    attempts = [0]
+    real = linksec.aead.open_
+
+    def counting(*args):
+        answer = real(*args)
+        attempts[0] += len(tried(args[2], answer))
+        return answer
+
+    monkeypatch.setattr(linksec.aead, "open_", counting)
+    return attempts
 
 
 class SealedAtOnce(linksec.PendingWire):
@@ -779,6 +796,39 @@ class TestTwoArms:
         assert forks[0] == 0
         assert_same_run(got.fixed, sim.run(replace(config, adaptive=False)))
 
+    @pytest.mark.parametrize("refused", ["pipe", "fork"])
+    def test_refused_pipe_or_fork_runs_the_arms_in_turn(self, monkeypatch, refused):
+        """A pipe or a child that the system refuses (`EAGAIN` here) is no
+        error: the caller runs both arms in turn, for the same report, and
+        closes any pipe it made. No process is started: the refused call is
+        a stand-in that raises."""
+        pipes = []
+        real_pipe = os.pipe
+
+        def recorded_pipe():
+            pipes.extend(real_pipe())
+            return pipes[-2:]
+
+        def refuse(*args):
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(sim, "_may_fork", lambda: True)
+        monkeypatch.setattr(sim.os, "pipe", recorded_pipe)
+        monkeypatch.setattr(sim.os, refused, refuse)
+        config = config_from_dict(GOLDEN_CONFIGS["habitat_replay_loss"])
+        got = sim.compare_fixed_vs_adaptive(config)
+        assert len(pipes) == (2 if refused == "fork" else 0)
+        for fd in pipes:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        assert_no_child_left()
+        fixed = sim.run(replace(config, adaptive=False))
+        adaptive = sim.run(replace(config, adaptive=True))
+        assert_same_run(got.fixed, fixed)
+        assert_same_run(got.adaptive, adaptive)
+        want = sim.SavingsReport(config.scenario.name, fixed, adaptive)
+        assert got.savings_csv() == want.savings_csv()
+
     def test_cpu_count_decides_without_sched_getaffinity(self, monkeypatch):
         """Where the platform cannot report the CPUs this process may run on,
         the machine's count decides; an unknown count is one CPU."""
@@ -1264,7 +1314,7 @@ class TestObservationViews:
         """Loss-free and honest: every listener of a wire holds the sealing
         key and expects the sealing counter, so the seal's own plaintext
         answers every open and the cipher opens no wire."""
-        opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
+        opens = count_open_attempts(monkeypatch)
         report = sim.run(
             SimConfig(seed=1, node_count=12, group_count=2, sim_length=12,
                       session_length=5, scenario=military())
@@ -1279,7 +1329,7 @@ class TestObservationViews:
         answers a listener under its key, which rejects it as a replay. A
         listener that lost packets may try wraps before the sealing counter:
         those opens still run the cipher."""
-        opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
+        opens = count_open_attempts(monkeypatch)
         report = sim.run(config_from_dict(GOLDEN_CONFIGS["military_two_groups_loss"]))
         assert any(not honest for *_, honest in report.slot_log)
         assert sum(s.replay_rejects for s in report.nodes.values()) > 0
@@ -1304,7 +1354,7 @@ class TestObservationViews:
             "military_two_groups_loss": (230, 230),
         }
         config = config_from_dict(GOLDEN_CONFIGS[name])
-        opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
+        opens = count_open_attempts(monkeypatch)
         got = []
         for adaptive in (False, True):
             opens[0] = 0
@@ -1375,7 +1425,7 @@ class TestObservationViews:
         cipher: no wire is sealed, and every open is answered by the seal's
         plaintext."""
         seals = count_calls(monkeypatch, sim.linksec.aead, "seal")
-        opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
+        opens = count_open_attempts(monkeypatch)
         for adaptive in (False, True):
             report = sim.run(replace(config, adaptive=adaptive))
             assert report.slot_log
@@ -1396,9 +1446,9 @@ class TestObservationViews:
             read.add(wire)
             return wire
 
-        def recording_open(key, rounds, counter, aad, ct, tag, auth):
+        def recording_open(key, rounds, counters, aad, ct, tag, auth):
             opened.add(aad + ct + (tag or b""))
-            return open_(key, rounds, counter, aad, ct, tag, auth)
+            return open_(key, rounds, counters, aad, ct, tag, auth)
 
         def recording_replays(self, group, frame, sender, dest, pclass, payload,
                               replayed_wire=None):
@@ -1670,7 +1720,7 @@ class TestObservationViews:
         counted on both arms run by `sim.run` in this process: the counter
         cannot see an arm that `compare_fixed_vs_adaptive` forks."""
         config = config_from_dict(GOLDEN_CONFIGS[name])
-        opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
+        opens = count_open_attempts(monkeypatch)
 
         def opens_of_both_arms():
             before = opens[0]
@@ -1704,7 +1754,7 @@ class TestObservationViews:
         are counted per arm run by `sim.run` in this process: the counter
         cannot see an arm that `compare_fixed_vs_adaptive` forks."""
         config = config_from_dict(GOLDEN_CONFIGS[name])
-        opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
+        opens = count_open_attempts(monkeypatch)
         sealed = {}  # a pending wire's fields -> its bytes, for every wire read in a run
         wire_bytes = linksec.PendingWire.__bytes__
 
@@ -1744,7 +1794,7 @@ class TestObservationViews:
         and deaths run the same with pending wires, replays included, as
         with every wire sealed at once and opened for real."""
         configs = replay_configs(50)
-        opens = count_calls(monkeypatch, sim.linksec.aead, "open_")
+        opens = count_open_attempts(monkeypatch)
         pending = [sim.run(config) for config in configs]
         pending_opens = opens[0]
         seal_at_once(monkeypatch)
