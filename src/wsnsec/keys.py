@@ -46,7 +46,7 @@ import hmac
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .addressing import NodeAddress
 
@@ -97,8 +97,6 @@ class SymmetricKey:
     def __repr__(self) -> str:
         return f"SymmetricKey({self.data.hex()})"
 
-
-PrfFn = Callable[["SymmetricKey", bytes], "SymmetricKey"]
 
 _SHA256_BLOCK = 64
 _IPAD = bytes(x ^ 0x36 for x in range(256))
@@ -160,13 +158,11 @@ class KeyRing:
     session: Optional[SymmetricKey] = None
 
 
-def pairwise_key(
-    master: SymmetricKey, a: NodeAddress, b: NodeAddress, prf_fn: PrfFn = prf
-) -> SymmetricKey:
+def pairwise_key(master: SymmetricKey, a: NodeAddress, b: NodeAddress) -> SymmetricKey:
     """The key `a` and `b` share: the PRF of 0x02 || min || max, so both
     ends derive the same key."""
     x, y = a.encode(), b.encode()
-    return prf_fn(master, TAG_PAIRWISE + (x + y if x < y else y + x))
+    return prf(master, TAG_PAIRWISE + (x + y if x < y else y + x))
 
 
 def derive_keyring(
@@ -174,7 +170,6 @@ def derive_keyring(
     owner: NodeAddress,
     group_head: NodeAddress,
     neighbors: Iterable[NodeAddress],
-    prf_fn: PrfFn = prf,
 ) -> KeyRing:
     """Run the deployment-time derivation and drop the master key.
 
@@ -195,10 +190,10 @@ def derive_keyring(
         if n.group_id != owner.group_id:
             raise ValueError(f"neighbor {n} outside group {owner.group_id}")
 
-    rings = derive_group_keyrings(master, group_head, [owner, *peers], prf_fn)
+    rings = derive_group_keyrings(master, group_head, [owner, *peers])
     ring = next(r for r in rings if r.owner == owner)
     for n in peers:
-        ring.pairwise[n] = pairwise_key(master, owner, n, prf_fn)
+        ring.pairwise[n] = pairwise_key(master, owner, n)
     # Master key deletion: the returned ring never references it.
     return ring
 
@@ -207,7 +202,6 @@ def derive_group_keyrings(
     master: SymmetricKey,
     group_head: NodeAddress,
     members: Iterable[NodeAddress],
-    prf_fn: PrfFn = prf,
 ) -> list[KeyRing]:
     """Derive the rings of a single-hop clique in one pass.
 
@@ -231,8 +225,8 @@ def derive_group_keyrings(
             raise ValueError(f"member {a} outside group {addrs[0].group_id}")
 
     head = group_head.encode()
-    broadcast = [prf_fn(master, TAG_BROADCAST + e) for e in order]
-    node_based = [prf_fn(master, TAG_NODE_BASED + e + head) for e in order]
+    broadcast = [prf(master, TAG_BROADCAST + e) for e in order]
+    node_based = [prf(master, TAG_NODE_BASED + e + head) for e in order]
     # One read-only map per family for the whole group, the owner's own
     # entry included: set-up stays linear in the group's size.
     peer_broadcast = MappingProxyType(dict(zip(addrs, broadcast)))
@@ -251,15 +245,12 @@ def derive_group_keyrings(
 
 
 def derive_session_key(
-    master: SymmetricKey,
-    group_id: int,
-    base_station: NodeAddress,
-    prf_fn: PrfFn = prf,
+    master: SymmetricKey, group_id: int, base_station: NodeAddress
 ) -> SymmetricKey:
     """Derive the per-session group key a head multicasts to trusted members."""
     if not 0 <= group_id <= 0xFF:
         raise ValueError(f"group id out of 8-bit range: {group_id}")
-    return prf_fn(master, TAG_SESSION + bytes((group_id,)) + base_station.encode())
+    return prf(master, TAG_SESSION + bytes((group_id,)) + base_station.encode())
 
 
 def rekey_group(

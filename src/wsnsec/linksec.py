@@ -242,20 +242,16 @@ class PendingWire:
     """A wire whose seal has not run yet: what `encode_pending` returns.
 
     It carries its `PacketHeader`, whose level names the rounds and the
-    tag, so `len()` is the wire's size and `header` is the header its bytes
-    carry, with no seal and no octets decoded. `bytes()` reads the wire:
-    the first read packs the header and seals, and every read sees the same
-    bytes. Sealing late is exact, because a seal is a pure function of its
-    inputs."""
+    tag: `header` is the header its bytes carry, with no seal and no octets
+    decoded. `bytes()` reads the wire: the first read packs the header and
+    seals, and every read sees the same bytes. Sealing late is exact,
+    because a seal is a pure function of its inputs."""
 
     key: bytes
     counter: int
     header: PacketHeader
     payload: bytes
     _wire: Optional[bytes] = field(default=None, init=False, repr=False)
-
-    def __len__(self) -> int:
-        return wire_size(len(self.payload), self.header.level.auth)
 
     def __bytes__(self) -> bytes:
         if self._wire is None:
@@ -291,18 +287,14 @@ def decode(
 
     A `bytes` wire's header is parsed and checked against the reserved
     lengths and the wire's size. A `PendingWire` carries its header and is
-    its own seal. Under a receive key equal to its key, the candidate
-    equal to its counter yields its payload without a block pass. This is
-    exact, because OCB is invertible: an open at the true key and counter
-    always verifies and returns the plaintext. When that candidate is the
-    first, as for every honest wire sent with no loss since the last
-    accepted one, it answers before the open, with the same replay check,
-    message and update of `expected`. When it is a later one, the open gets
-    only the candidates before it, and the payload answers if none of them
-    does. A receiver that holds another key opens every candidate. The
-    replay check applies to the answered candidate as to any other, so the
-    outcome and `expected` are those of decoding `bytes(wire)`. A pending
-    wire is sealed only for a real open.
+    its own seal. When the receive key is its key and the first candidate
+    is its counter, as for every honest wire sent with no loss since the
+    last accepted one, its payload answers before the open, with the same
+    replay check, message and update of `expected`. This is exact, because
+    OCB is invertible: an open at the true key and counter always verifies
+    and returns the plaintext. Any other pending wire is sealed and opened
+    for real, so the outcome and `expected` are those of decoding
+    `bytes(wire)`.
     """
     if loss_threshold < 0:
         raise ValueError("loss_threshold must be >= 0")
@@ -320,11 +312,9 @@ def decode(
             f"packet for group {header.group}, ring owner in {keyring.owner.group_id}"
         )
     key = _receiver_key(keyring, header.src, header.dest).data
-    # The counter that the wire answers from its own plaintext, if any.
-    own = wire.counter if pending and wire.key == key else None
     last = expected.value
     base = ((last + 1) & _WRAP_MASK) | header.counter_lsb
-    if base == own:  # the first candidate, answered before the open is set up
+    if pending and wire.counter == base and wire.key == key:
         if base <= last:
             raise ReplayError(f"counter {base} not beyond {last}")
         expected.value = base
@@ -335,16 +325,12 @@ def decode(
     candidates = range(base, stop, 256)
     if stop > _COUNTER_MASK + 256:
         candidates = [c & _COUNTER_MASK for c in candidates]
-    answer = None
-    if own is not None and own in candidates:  # its own plaintext answers `own`
-        answer = own, wire.payload
-        candidates = candidates[:candidates.index(own)]
     data = bytes(wire)
     end = HEADER_BYTES + header.length
     answer = aead.open_(
         key, level.encryption.rounds, candidates, data[:HEADER_BYTES],
         data[HEADER_BYTES:end], data[end:], level.auth,
-    ) or answer
+    )
     if answer is None:
         raise AuthenticationError(
             f"tag mismatch after {loss_threshold + 1} counter attempts"

@@ -366,9 +366,7 @@ class _Simulation:
             addrs = [NodeAddress(gid, i + 1) for i in range(size)]
             ledger = TrustTable(NodeAddress(gid, BROADCAST_NODE_ID), cfg.trust_weights)
             channel = _Channel(self.rx_per_octet * linksec.HEADER_BYTES, self.battery)
-            # `prf` is passed, not defaulted, so a wrapper on `sim.prf` sees
-            # every derivation.
-            rings = derive_group_keyrings(self.bs_master, addrs[0], addrs, prf)
+            rings = derive_group_keyrings(self.bs_master, addrs[0], addrs)
             members = [_Node(r.owner, r, ledger, channel, cfg) for r in rings]
             groups.append(_Group(gid, members, ledger, channel))
         return groups
@@ -381,7 +379,7 @@ class _Simulation:
         a, b = group.by_id[src], group.by_id[dest]
         if b.addr in a.ring.pairwise:
             return
-        key = pairwise_key(self.bs_master, a.addr, b.addr, prf)
+        key = pairwise_key(self.bs_master, a.addr, b.addr)
         a.ring.pairwise[b.addr] = key
         b.ring.pairwise[a.addr] = key
 

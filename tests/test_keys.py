@@ -9,6 +9,7 @@ from typing import Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wsnsec import keys
 from wsnsec.addressing import NodeAddress
 from wsnsec.keys import (
     KeyRing,
@@ -210,7 +211,7 @@ class TestDerivation:
         assert derive_keyring(master, owner, head, [*neighbors, *reversed(neighbors)]) == ring
 
     @pytest.mark.parametrize("n", [0, 1, 4])
-    def test_prf_called_3n_plus_2_times(self, n):
+    def test_prf_called_3n_plus_2_times(self, monkeypatch, n):
         """The owner's two keys, then per neighbor its two keys and the
         pair's: no key is derived twice."""
         calls = []
@@ -219,9 +220,10 @@ class TestDerivation:
             calls.append(message)
             return prf(key, message)
 
+        monkeypatch.setattr(keys, "prf", recording)
         neighbors = [NodeAddress(2, i) for i in range(1, n + 1)]
         derive_keyring(SymmetricKey(bytes(10)), NodeAddress(2, 9), NodeAddress(2, 1),
-                       neighbors, recording)
+                       neighbors)
         assert len(calls) == len(set(calls)) == 3 * n + 2
 
     def test_ring_is_the_group_ring_with_pairwise_keys(self):
@@ -316,15 +318,16 @@ class TestGroupDerivation:
                 assert pairwise_key(master, ring.owner, peer) == key
                 assert pairwise_key(master, peer, ring.owner) == key
 
-    def test_prf_called_once_per_key(self):
+    def test_prf_called_once_per_key(self, monkeypatch):
         calls = []
 
         def recording(key, message):
             calls.append(message)
             return prf(key, message)
 
+        monkeypatch.setattr(keys, "prf", recording)
         members = [NodeAddress(2, n) for n in range(1, 6)]
-        derive_group_keyrings(SymmetricKey(bytes(10)), members[0], members, recording)
+        derive_group_keyrings(SymmetricKey(bytes(10)), members[0], members)
         assert len(calls) == len(set(calls)) == 2 * 5
 
     def test_no_members(self):

@@ -56,6 +56,7 @@ class TestWireLayout:
                     level, ring_src, CounterState(), HEAD.node_id, bytes(n)
                 )
                 assert len(wire) == 5 + n + (4 if level.auth else 0)
+                assert linksec.wire_size(n, level.auth) == len(wire)
 
     def test_addressing_overhead_constants(self):
         assert linksec.ADDRESS_OVERHEAD == 3
@@ -89,8 +90,8 @@ class TestSplitEncode:
     @pytest.mark.parametrize("level", ALL_LEVELS, ids=str)
     def test_encode_is_header_then_seal(self, monkeypatch, level):
         """On every vector's inputs at `level`, `encode` is `encode_pending`
-        then its bytes. The pending wire carries the wire's header and has
-        its size before any seal runs and its bytes after, as does a
+        then its bytes. The pending wire carries the wire's header before any
+        seal runs and its bytes after, as does a
         `PendingWire` built from its fields. Where the vector is at `level`
         (every level but RC5_R8 without auth has one), the bytes are the
         pinned ones."""
@@ -110,7 +111,6 @@ class TestSplitEncode:
             del seals[:]
             wire = linksec.encode(level, ring_src, CounterState(last), dest, payload)
             assert len(seals) == 1
-            assert len(pending) == len(wire)
             assert pending.header == PacketHeader.decode(wire)
             assert pending.header.encode() == wire[:linksec.HEADER_BYTES]
             assert len(seals) == 1
@@ -131,12 +131,11 @@ class TestSplitEncode:
         dest=st.sampled_from([HEAD.node_id, PEER.node_id, BROADCAST_NODE_ID]),
     )
     def test_carried_header_is_the_sealed_one(self, level, payload, last, dest):
-        """The header a pending wire carries is the one its bytes decode to,
-        and its size is its bytes' size: a reader that takes either without
-        sealing, as the simulator does, sees what the wire puts on air."""
+        """The header a pending wire carries is the one its bytes decode to:
+        a reader that takes it without sealing, as the simulator does, sees
+        what the wire puts on air."""
         _, ring_src, _ = make_rings()
         pending = linksec.encode_pending(level, ring_src, CounterState(last), dest, payload)
-        assert len(pending) == len(bytes(pending))
         assert pending.header == PacketHeader.decode(bytes(pending))
 
 
@@ -407,8 +406,7 @@ def opens(monkeypatch):
 
 class TestSealHint:
     """`decode` on a pending wire gives its outcome on the wire's bytes, and
-    runs the cipher only for candidates the wire's own seal does not
-    answer."""
+    runs no cipher when the wire's own seal answers the first candidate."""
 
     R8 = SecurityLevel(Encryption.RC5_R8, True)
     BARE = SecurityLevel(Encryption.RC5_R4, False)
@@ -434,11 +432,13 @@ class TestSealHint:
     @pytest.mark.parametrize("wraps", range(linksec.DEFAULT_LOSS_THRESHOLD + 1))
     def test_wraps_before_the_sealing_counter_open_for_real(self, opens, wraps):
         """After a loss burst the sealing counter is `wraps` 256-wraps
-        ahead of the first candidate: each earlier candidate is a real open."""
+        ahead of the first candidate: the wire is opened for real, and every
+        candidate up to the sealing counter, which answers, is tried. With
+        no burst the wire answers before the open."""
         ring_head, ring_src, _ = make_rings()
         wire = _seal(self.R8, ring_src, wraps << 8, HEAD.node_id, b"late")
         assert _outcome(wire, ring_head, 0) == (b"late", (wraps << 8) + 1)
-        assert opens == [(w << 8) + 1 for w in range(wraps)]
+        assert opens == ([(w << 8) + 1 for w in range(wraps + 1)] if wraps else [])
 
     @pytest.mark.parametrize("last", [1, 2, 254])
     def test_hinted_replay_rejected_and_counter_kept(self, opens, last):

@@ -3,7 +3,6 @@ import hmac
 import json
 import os
 import pathlib
-import random
 import threading
 import time
 import tracemalloc
@@ -14,6 +13,7 @@ from types import MappingProxyType, SimpleNamespace
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import corpus
 import oracles
 from wsnsec import keys, linksec, sim
 from wsnsec.addressing import BROADCAST_NODE_ID, NodeAddress
@@ -31,7 +31,6 @@ from wsnsec.trust import TrustTable, TrustTables
 
 from test_keys import check_group_rings
 from test_linksec import tried
-from test_trust_bookkeeping import frame_configs
 
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "vectors" / "sim_golden"
@@ -123,28 +122,13 @@ def seal_at_once(monkeypatch):
     monkeypatch.setattr(linksec, "encode_pending", sealing)
 
 
-def replay_configs(count):
-    """`count` seeded small configs, each with one or two replay attackers
-    per group, some with loss and some with batteries that run out."""
-    configs = []
-    for seed in range(count):
-        rnd = random.Random(seed)
-        node_count, group_count = rnd.randint(3, 9), rnd.randint(1, 2)
-        adversaries = []
-        for gid in range(group_count):
-            size = node_count // group_count + (gid < node_count % group_count)
-            for node in rnd.sample(range(1, size + 1), min(size, rnd.randint(1, 2))):
-                adversaries.append({"node": f"{gid}.{node}", "behavior": "replay-attacker",
-                                    "start_frame": rnd.randint(0, 3)})
-        configs.append(config_from_dict({
-            "seed": seed, "node_count": node_count, "group_count": group_count,
-            "sim_length": rnd.randint(10, 25), "session_length": rnd.randint(3, 10),
-            "scenario": rnd.choice(SCENARIO_NAMES), "adaptive": rnd.random() < 0.5,
-            "loss_rate": rnd.choice([0.0, 0.1, 0.3]),
-            "energy_model": {"initial_energy": rnd.uniform(0.3, 3.0)},
-            "adversaries": adversaries,
-        }))
-    return configs
+def replay_arms(count):
+    """Both arms of the first `count` corpus configs with a replay attacker."""
+    configs = [
+        config for config in corpus.frame_configs(corpus.SEED_COUNT)
+        if any(a.behavior == "replay-attacker" for a in config.adversaries)
+    ]
+    return [arm for config in configs[:count] for arm in corpus.arms(config)]
 
 
 def reachable_keys(root):
@@ -533,7 +517,7 @@ class TestEnergyAccounting:
         assert sum(books(node)) == node.battery
 
     def test_books_balance_over_frame_configs(self, monkeypatch):
-        """Both arms of 100 seeded `frame_configs`: a dead node's books sum
+        """Both arms of the first 100 corpus configs: a dead node's books sum
         to its battery to the nJ, a living node's to less, and nothing is
         booked after a death. Each ledger holds the books in joules, and
         its total is their exact sum. The set is not vacuous: nodes die in
@@ -547,8 +531,8 @@ class TestEnergyAccounting:
 
         monkeypatch.setattr(sim._Node, "_die", dying)
         dead_by_loss = set()
-        for config in frame_configs(100):
-            for arm in (replace(config, adaptive=False), replace(config, adaptive=True)):
+        for config in corpus.frame_configs(100):
+            for arm in corpus.arms(config):
                 simulation = sim._Simulation(arm)
                 simulation.run()
                 for node in simulation.nodes.values():
@@ -1546,6 +1530,7 @@ class TestObservationViews:
             return prf(*args)
 
         monkeypatch.setattr(sim, "prf", counting)
+        monkeypatch.setattr(keys, "prf", counting)
         simulation = sim._Simulation(
             SimConfig(seed=1, node_count=node_count, group_count=group_count,
                       sim_length=0)
@@ -1588,6 +1573,7 @@ class TestObservationViews:
                             replayed_wire)
 
         monkeypatch.setattr(sim, "prf", recording)
+        monkeypatch.setattr(keys, "prf", recording)
         monkeypatch.setattr(sim._Simulation, "_transmit", recording_pairs)
         simulation = sim._Simulation(config_from_dict(data))
         assert derived == []
@@ -1790,10 +1776,10 @@ class TestObservationViews:
         assert savings[0].savings_csv() == savings[1].savings_csv()
 
     def test_pending_replays_change_no_output(self, monkeypatch):
-        """Beyond the goldens: 50 small configs with replay attackers, loss
-        and deaths run the same with pending wires, replays included, as
-        with every wire sealed at once and opened for real."""
-        configs = replay_configs(50)
+        """Beyond the goldens: both arms of 15 corpus configs with replay
+        attackers, loss and deaths run the same with pending wires, replays
+        included, as with every wire sealed at once and opened for real."""
+        configs = replay_arms(15)
         opens = count_open_attempts(monkeypatch)
         pending = [sim.run(config) for config in configs]
         pending_opens = opens[0]
@@ -1817,12 +1803,12 @@ class TestObservationViews:
     def test_replay_reuses_its_replayers_slot(self):
         """A replay is on air in the slot of the honest transmission just
         before it, in the same frame and group: its replayer's own. Checked
-        on both arms of the replay goldens and on 50 small configs."""
+        on both arms of the replay goldens and of 15 corpus configs."""
         configs = [
             replace(config_from_dict(GOLDEN_CONFIGS[name]), adaptive=adaptive)
             for name in ("habitat_replay_loss", "military_two_groups_loss")
             for adaptive in (False, True)
-        ] + replay_configs(50)
+        ] + replay_arms(15)
         replays = 0
         for config in configs:
             log = sim.run(config).slot_log
@@ -2058,3 +2044,20 @@ class TestGoldens:
         assert any(c.group_count > 1 for c in configs)
         assert any(r.elections for r in reports)
         assert any(not s.alive for r in reports for s in r.nodes.values())
+
+    def test_corpus_runs_as_pinned(self):
+        """Every run of the config corpus (see `corpus`) gives the digest
+        that `vectors/corpus.txt` pins. The corpus is not vacuous: it holds
+        elections, deaths, suspicious rows, dropped duties, replays and
+        every loss rate."""
+        runs = list(corpus.runs())
+        assert [corpus.line(*run) for run in runs] == corpus.VECTORS.read_text().splitlines()
+        reports = [report for _, report in runs]
+        rows = [rec for r in reports for table in r.trust_tables.values()
+                for rec in table.rows.values()]
+        assert sum(len(r.elections) for r in reports) >= 10
+        assert any(not s.alive for r in reports for s in r.nodes.values())
+        assert any(rec.suspicious for rec in rows)
+        assert any(rec.pd for rec in rows)
+        assert any(not honest for r in reports for *_, honest in r.slot_log)
+        assert {config.loss_rate for config, _ in runs} == {0.0, 0.1, 0.2}

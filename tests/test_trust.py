@@ -1,4 +1,5 @@
 import csv
+import heapq
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from wsnsec import sim
+from wsnsec import sim, trust
 from wsnsec.addressing import BROADCAST_NODE_ID, NodeAddress
 from wsnsec.config import SimConfig, config_from_dict
 from wsnsec.trust import (
@@ -488,6 +489,71 @@ class TestTrustTables:
         back = pickle.loads(pickle.dumps(tables))
         assert back == tables and back.to_csv() == tables.to_csv()
         assert back[A].rows[C] is back[B].rows[C]  # one ledger, still shared
+
+
+# Few distinct values, so trusts tie: cached ones, and stale rows whose
+# counters give equal trusts. Suspicious rows all read 0.0.
+_CACHED = st.sampled_from([0.0, 0.25, 0.5, 0.75, 6 / 7])
+_FEW = st.integers(0, 3)
+_SUBJECT = st.tuples(st.integers(0, 2), st.integers(0, 255))
+
+
+@st.composite
+def _ledger_rows(draw):
+    """0, 1 or 2 rows, or many."""
+    subjects = draw(st.one_of(
+        st.lists(_SUBJECT, max_size=2, unique=True),
+        st.lists(_SUBJECT, min_size=3, max_size=40, unique=True),
+    ))
+    rows = {}
+    for gid, nid in subjects:
+        rec = NeighborRecord(
+            npt=draw(_FEW), npr=draw(_FEW), crf=draw(_FEW), drf=draw(_FEW),
+            suspicious=draw(st.booleans()),
+        )
+        rec.npc, rec.pd = min(draw(_FEW), rec.npt), min(draw(_FEW), rec.npr)
+        rec.craf, rec.draf = min(draw(_FEW), rec.crf), min(draw(_FEW), rec.drf)
+        rec._trust = draw(st.one_of(st.none(), _CACHED))
+        rows[NodeAddress(gid, nid)] = rec
+    return rows
+
+
+def _ledger(rows):
+    """A table over copies of `rows`, each with its cached trust or None."""
+    return TrustTable(NodeAddress(0, BROADCAST_NODE_ID), TrustWeights(),
+                      {s: replace(rec) for s, rec in rows.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ledger_rows())
+def test_lowest_two_is_the_two_smallest_pairs(rows):
+    """`lowest_two` gives what `heapq.nsmallest` gives over every subject's
+    `election_trust`, padded with `(None, None)`: ties break toward the
+    lower address, suspicious rows read 0.0, and each stale trust is
+    computed once, through `compute_trust`, and kept on its row."""
+    got_table, want_table = _ledger(rows), _ledger(rows)
+    calls = [0]
+    real = trust.compute_trust
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    trust.compute_trust = counting
+    try:
+        got = got_table.lowest_two()
+        got_calls = calls[0]
+        t = want_table
+        want = (heapq.nsmallest(2, ((t.election_trust(s), s) for s in t.rows))
+                + [(None, None)] * 2)[:2]
+        want_calls = calls[0] - got_calls
+    finally:
+        trust.compute_trust = real
+    assert got == tuple(want)
+    assert got_calls == want_calls
+    assert [r._trust for r in got_table.rows.values()] == [
+        r._trust for r in want_table.rows.values()
+    ]
 
 
 def table_with_trust(observer, values):
